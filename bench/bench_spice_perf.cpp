@@ -161,8 +161,7 @@ BENCHMARK(BM_NewtonDcLadder)->Unit(benchmark::kMicrosecond);
                format_double(static_cast<double>(universe.size()) / t_serial, 1),
                "1.00", "-"});
     for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-        const core::BatchNdfEvaluator batch(
-            pipe, {.threads = threads, .nan_on_numeric_error = true});
+        const core::BatchNdfEvaluator batch(pipe, {.threads = threads});
         std::vector<double> ndfs;
         const double dt = seconds_of([&] { ndfs = batch.evaluate(universe); });
         const bool identical = same_bits(ndfs, serial);

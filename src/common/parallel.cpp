@@ -29,7 +29,9 @@ unsigned default_thread_count() noexcept {
     return std::max(hw, 4u);
 }
 
-bool in_parallel_region() noexcept { return t_in_parallel_region; }
+bool in_parallel_region() noexcept {
+    return t_in_parallel_region || t_is_pool_worker;
+}
 
 ThreadPool::ThreadPool(unsigned threads, std::size_t queue_capacity)
     : thread_count_(threads == 0 ? default_thread_count() : threads),
@@ -139,7 +141,7 @@ void parallel_for(std::size_t begin, std::size_t end,
     // calls into the batch engine): a worker that blocked waiting for
     // helper tasks could starve the queue of the very workers needed to
     // run them.
-    if (workers <= 1 || t_in_parallel_region || t_is_pool_worker) {
+    if (workers <= 1 || in_parallel_region()) {
         RegionGuard guard;
         for (std::size_t i = begin; i < end; ++i)
             body(i);

@@ -88,9 +88,10 @@ private:
     bool stopping_ GUARDED_BY(mutex_) = false;
 };
 
-/// True while the current thread is executing inside a parallel_for body;
-/// nested parallel_for calls detect this and degrade to a serial loop
-/// instead of deadlocking on the shared pool.
+/// True while the current thread is executing inside a parallel_for body or
+/// is any ThreadPool worker; nested parallel_for calls (and
+/// BatchNdfEvaluator) detect this and run on the calling thread instead of
+/// deadlocking on the shared pool.
 [[nodiscard]] bool in_parallel_region() noexcept;
 
 /// Runs body(i) for every i in [begin, end), distributing contiguous chunks

@@ -1,6 +1,6 @@
 #include "core/batch_ndf.h"
 
-#include <limits>
+#include <algorithm>
 
 #include "common/contracts.h"
 #include "common/parallel.h"
@@ -11,29 +11,30 @@ BatchNdfEvaluator::BatchNdfEvaluator(const SignaturePipeline& pipeline,
                                      Options options)
     : pipeline_(&pipeline), options_(options) {}
 
+std::vector<double> BatchNdfEvaluator::evaluate(const Universe& universe) const {
+    XYSIG_EXPECTS(pipeline_->has_golden());
+    const std::size_t n = universe.size();
+    const unsigned requested =
+        options_.threads == 0 ? default_thread_count() : options_.threads;
+    const auto workers = static_cast<unsigned>(
+        std::max<std::size_t>(1, std::min<std::size_t>(requested, n)));
+    // parallel_for's chunking: ~8 work units per worker balances ragged
+    // member costs while amortising claims.
+    Schedule schedule{nullptr, workers,
+                      std::max<std::size_t>(1, n / (8u * workers))};
+    // Nested calls stay on the calling thread: a pool worker blocking on
+    // helper tasks could starve the pool into deadlock.
+    if (workers > 1 && !in_parallel_region())
+        schedule.pool = &ThreadPool::shared();
+    std::vector<double> out(n);
+    (void)run_universe(universe, *pipeline_, schedule,
+                       [&](const MemberResult& r) { out[r.member_id] = r.ndf; });
+    return out;
+}
+
 std::vector<double> BatchNdfEvaluator::evaluate(
     std::span<const filter::Cut* const> cuts) const {
-    XYSIG_EXPECTS(pipeline_->has_golden());
-    std::vector<double> out(cuts.size());
-    parallel_for(
-        0, cuts.size(),
-        [&](std::size_t i) {
-            XYSIG_EXPECTS(cuts[i] != nullptr);
-            // One scratch per worker thread, reused across the whole batch
-            // (and across batches on pool threads).
-            thread_local NdfScratch scratch;
-            if (options_.nan_on_numeric_error) {
-                try {
-                    out[i] = pipeline_->ndf_of(*cuts[i], scratch);
-                } catch (const NumericError&) {
-                    out[i] = std::numeric_limits<double>::quiet_NaN();
-                }
-            } else {
-                out[i] = pipeline_->ndf_of(*cuts[i], scratch);
-            }
-        },
-        options_.threads);
-    return out;
+    return evaluate(CutListUniverse({cuts.begin(), cuts.end()}));
 }
 
 std::vector<double> BatchNdfEvaluator::evaluate(
@@ -43,6 +44,14 @@ std::vector<double> BatchNdfEvaluator::evaluate(
     for (const auto& c : cuts)
         raw.push_back(c.get());
     return evaluate(raw);
+}
+
+std::vector<double> BatchNdfEvaluator::evaluate_deviations(
+    const filter::Biquad& nominal, std::span<const double> deviations_percent,
+    SweptParameter parameter) const {
+    return evaluate(DeviationUniverse(
+        nominal, {deviations_percent.begin(), deviations_percent.end()},
+        parameter));
 }
 
 std::vector<std::unique_ptr<filter::Cut>> BatchNdfEvaluator::build_fault_universe(
@@ -63,29 +72,11 @@ std::vector<std::unique_ptr<filter::Cut>> BatchNdfEvaluator::build_fault_univers
 std::vector<double> BatchNdfEvaluator::evaluate_netlist_faults(
     const spice::Netlist& nominal, std::span<const capture::NetlistFault> faults,
     const SpiceObservation& observation) const {
-    Options opts = options_;
-    opts.nan_on_numeric_error = true; // see BatchNdfOptions: universes may
-                                      // contain unsolvable members
-    const BatchNdfEvaluator tolerant(*pipeline_, opts);
-    return tolerant.evaluate(build_fault_universe(nominal, faults, observation));
-}
-
-std::vector<double> BatchNdfEvaluator::evaluate_deviations(
-    const filter::Biquad& nominal, std::span<const double> deviations_percent,
-    SweptParameter parameter) const {
-    std::vector<filter::BehaviouralCut> universe;
-    universe.reserve(deviations_percent.size());
-    for (const double dev : deviations_percent) {
-        const double frac = dev / 100.0;
-        universe.emplace_back(parameter == SweptParameter::f0
-                                  ? nominal.with_f0_shift(frac)
-                                  : nominal.with_q_shift(frac));
-    }
-    std::vector<const filter::Cut*> raw;
-    raw.reserve(universe.size());
-    for (const auto& c : universe)
-        raw.push_back(&c);
-    return evaluate(raw);
+    // Non-owning handle: the universe lives only for this call.
+    const std::shared_ptr<const spice::Netlist> borrowed(
+        std::shared_ptr<const spice::Netlist>(), &nominal);
+    return evaluate(FaultUniverse(borrowed, {faults.begin(), faults.end()},
+                                  observation));
 }
 
 } // namespace xysig::core

@@ -2,42 +2,26 @@
 #define XYSIG_CORE_BATCH_NDF_H
 
 /// \file batch_ndf.h
-/// Parallel batch NDF engine: evaluates a vector of CUTs — a fault
+/// Parallel batch NDF engine: evaluates a universe of CUTs — a fault
 /// universe, a set of mismatch samples, an f0/Q sweep — against one golden
-/// SignaturePipeline concurrently. Each worker thread owns an NdfScratch,
-/// so a batch of thousands of evaluations reuses a handful of trace
-/// allocations instead of reallocating per sample. Results are in input
-/// order and bit-identical to calling SignaturePipeline::ndf_of one by one.
+/// SignaturePipeline on the process-wide shared ThreadPool, collecting the
+/// NDFs into a vector. It is a thin wrapper over core::run_universe, so
+/// results are in input order, bit-identical to calling
+/// SignaturePipeline::ndf_of one by one, and non-convergent members come
+/// back as quiet NaN (see Universe::evaluate). Called from inside a
+/// parallel_for body or on any pool worker, it runs on the calling thread
+/// instead of waiting on pool slots it may be occupying itself.
 
 #include <memory>
 #include <span>
 #include <vector>
 
-#include "capture/fault_injection.h"
-#include "core/sweep.h"
+#include "core/universe.h"
 
 namespace xysig::core {
 
 struct BatchNdfOptions {
     unsigned threads = 0; ///< worker count; 0 = default_thread_count()
-    /// Map a CUT whose simulation fails to converge (NumericError) to quiet
-    /// NaN instead of aborting the whole batch. Catastrophic fault universes
-    /// legitimately contain members with no stable solution — an open
-    /// loop-feedback resistor under ideal opamps has no DC operating point —
-    /// and one such member must not kill a thousand-point sweep. NaN keeps
-    /// "simulation failed" distinguishable from any real NDF; callers decide
-    /// whether that means "detected" for their universe.
-    /// evaluate_netlist_faults() always evaluates under this policy.
-    bool nan_on_numeric_error = false;
-};
-
-/// How a SPICE netlist CUT is driven and observed (the SpiceCut parameters
-/// shared by every member of a fault universe).
-struct SpiceObservation {
-    std::string input_source = "Vin"; ///< VoltageSource receiving the stimulus
-    std::string x_node = "in";        ///< observed x(t) node
-    std::string y_node = "lp";        ///< observed y(t) node
-    int settle_periods = 8;           ///< periods discarded before capture
 };
 
 class BatchNdfEvaluator {
@@ -63,32 +47,32 @@ public:
     [[nodiscard]] std::vector<double> evaluate(
         const std::vector<std::unique_ptr<filter::Cut>>& cuts) const;
 
-    /// Builds the deviated-Biquad universe of a parameter sweep (the
-    /// Fig. 8 experiment's inner loop) and evaluates it.
+    /// The deviated-Biquad universe of a parameter sweep (the Fig. 8
+    /// experiment's inner loop).
     [[nodiscard]] std::vector<double> evaluate_deviations(
         const filter::Biquad& nominal, std::span<const double> deviations_percent,
         SweptParameter parameter = SweptParameter::f0) const;
 
     /// One owning SpiceCut per fault, each over its own deep-cloned,
-    /// fault-injected netlist — the universe shape evaluate() requires for
-    /// concurrent SPICE simulation (see the Cut thread-safety contract).
+    /// fault-injected netlist: the clone-per-fault universe, the independent
+    /// reference for FaultUniverse's clone-per-worker inject/repair scheme.
     [[nodiscard]] static std::vector<std::unique_ptr<filter::Cut>>
     build_fault_universe(const spice::Netlist& nominal,
                          std::span<const capture::NetlistFault> faults,
                          const SpiceObservation& observation);
 
-    /// Batch NDF of a bridging/open fault universe over a SPICE netlist:
-    /// clones + injects every fault, then evaluates concurrently. Results
-    /// are in fault order and bit-identical to simulating the same faulty
-    /// netlists serially, at any thread count. Non-convergent members come
-    /// back as quiet NaN (the nan_on_numeric_error policy is always on
-    /// here) so one pathological fault cannot abort the universe.
+    /// Batch NDF of a bridging/open fault universe over a SPICE netlist, in
+    /// fault order (a FaultUniverse: one netlist clone per worker), and
+    /// bit-identical to simulating the clone-per-fault universe serially.
     [[nodiscard]] std::vector<double> evaluate_netlist_faults(
         const spice::Netlist& nominal,
         std::span<const capture::NetlistFault> faults,
         const SpiceObservation& observation) const;
 
 private:
+    /// NDF of every member against the golden signature, in member order.
+    [[nodiscard]] std::vector<double> evaluate(const Universe& universe) const;
+
     const SignaturePipeline* pipeline_;
     Options options_;
 };

@@ -5,6 +5,7 @@
 
 #include "common/contracts.h"
 #include "common/statistics.h"
+#include "core/universe.h"
 #include "mc/monte_carlo.h"
 
 namespace xysig::core {
@@ -62,9 +63,11 @@ DetectabilityStudy noise_detectability(SignaturePipeline& pipeline,
     study.noise_floor_mean = mean(floor_samples);
     study.threshold = percentile(floor_samples, options.threshold_percentile);
 
-    for (const double dev : deviations_percent) {
-        const filter::Biquad deviated = nominal.with_f0_shift(dev / 100.0);
-        const filter::BehaviouralCut cut(deviated);
+    const DeviationUniverse universe(
+        nominal, {deviations_percent.begin(), deviations_percent.end()});
+    for (std::size_t i = 0; i < universe.size(); ++i) {
+        const double dev = deviations_percent[i];
+        const filter::BehaviouralCut cut = universe.member(i);
         const auto samples = mc::run_monte_carlo_parallel(
             options.trials, seed + 0x9E3779B9u + static_cast<std::uint64_t>(
                 std::llround(std::abs(dev) * 1000.0) + (dev < 0 ? 1 : 0)),

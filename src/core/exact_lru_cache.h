@@ -1,0 +1,139 @@
+#ifndef XYSIG_CORE_EXACT_LRU_CACHE_H
+#define XYSIG_CORE_EXACT_LRU_CACHE_H
+
+/// \file exact_lru_cache.h
+/// Thread-safe, LRU-bounded find-or-compute map from exact string keys to
+/// immutable values: the one cache body behind GoldenSignatureCache
+/// (golden_cache.h) and StimulusTraceCache (trace_cache.h).
+///
+/// Keys are exact (hexfloat-formatted fingerprints), so a hit is
+/// bit-identical to recomputing. `compute` runs outside the lock (it can be
+/// slow); if two threads race on the same missing key both compute, the
+/// first insertion wins and both return the same stored object — with
+/// exact keys the duplicates are bit-identical anyway. Inserting past
+/// capacity() evicts the least-recently-used entry (hits refresh recency);
+/// returned shared_ptrs keep evicted values alive for callers that still
+/// hold them.
+
+#include <cstddef>
+#include <functional>
+#include <list>
+#include <memory>
+#include <string>
+#include <unordered_map>
+#include <utility>
+
+#include "common/annotated_mutex.h"
+#include "common/contracts.h"
+
+namespace xysig::core {
+
+template <class V, std::size_t DefaultCapacity>
+class ExactLruCache {
+public:
+    static constexpr std::size_t kDefaultCapacity = DefaultCapacity;
+
+    /// The process-wide instance of this instantiation.
+    [[nodiscard]] static ExactLruCache& instance() {
+        static ExactLruCache cache;
+        return cache;
+    }
+
+    /// Returns the value cached under `key`, computing and inserting it on a
+    /// miss (see the file comment for the race and eviction rules).
+    [[nodiscard]] std::shared_ptr<const V> find_or_compute(
+        const std::string& key, const std::function<V()>& compute)
+        EXCLUDES(mutex_) {
+        {
+            MutexLock lock(mutex_);
+            if (auto hit = touch_locked(key))
+                return hit;
+        }
+        auto computed = std::make_shared<const V>(compute());
+        MutexLock lock(mutex_);
+        if (auto hit = touch_locked(key))
+            return hit; // lost a benign race; the first insertion wins
+        ++misses_;
+        lru_.emplace_front(key, std::move(computed));
+        map_.emplace(key, lru_.begin());
+        evict_to_capacity_locked();
+        return lru_.front().second;
+    }
+
+    /// Maximum number of retained entries (>= 1). Shrinking below the
+    /// current size evicts LRU entries immediately.
+    void set_capacity(std::size_t capacity) EXCLUDES(mutex_) {
+        XYSIG_EXPECTS(capacity >= 1);
+        MutexLock lock(mutex_);
+        capacity_ = capacity;
+        evict_to_capacity_locked();
+    }
+    [[nodiscard]] std::size_t capacity() const EXCLUDES(mutex_) {
+        MutexLock lock(mutex_);
+        return capacity_;
+    }
+
+    /// Statistics (tests, the `stats` wire event, capacity tuning).
+    [[nodiscard]] std::size_t size() const EXCLUDES(mutex_) {
+        MutexLock lock(mutex_);
+        return map_.size();
+    }
+    [[nodiscard]] std::size_t hits() const EXCLUDES(mutex_) {
+        MutexLock lock(mutex_);
+        return hits_;
+    }
+    [[nodiscard]] std::size_t misses() const EXCLUDES(mutex_) {
+        MutexLock lock(mutex_);
+        return misses_;
+    }
+    [[nodiscard]] std::size_t evictions() const EXCLUDES(mutex_) {
+        MutexLock lock(mutex_);
+        return evictions_;
+    }
+
+    /// Drops every entry and resets the counters (test isolation). The
+    /// configured capacity is kept.
+    void clear() EXCLUDES(mutex_) {
+        MutexLock lock(mutex_);
+        map_.clear();
+        lru_.clear();
+        hits_ = misses_ = evictions_ = 0;
+    }
+
+private:
+    /// MRU-first recency list; the map points into it.
+    using LruList = std::list<std::pair<std::string, std::shared_ptr<const V>>>;
+
+    /// The entry under `key` moved to the MRU end and counted as a hit, or
+    /// null when absent.
+    [[nodiscard]] std::shared_ptr<const V> touch_locked(const std::string& key)
+        REQUIRES(mutex_) {
+        const auto it = map_.find(key);
+        if (it == map_.end())
+            return nullptr;
+        ++hits_;
+        lru_.splice(lru_.begin(), lru_, it->second);
+        return it->second->second;
+    }
+
+    void evict_to_capacity_locked() REQUIRES(mutex_) {
+        while (map_.size() > capacity_) {
+            map_.erase(lru_.back().first);
+            lru_.pop_back();
+            ++evictions_;
+        }
+    }
+
+    mutable Mutex mutex_;
+    LruList lru_ GUARDED_BY(mutex_);
+    std::unordered_map<std::string, typename LruList::iterator> map_
+        GUARDED_BY(mutex_);
+    std::size_t capacity_ GUARDED_BY(mutex_) = DefaultCapacity;
+    std::size_t hits_ GUARDED_BY(mutex_) = 0;
+    std::size_t misses_ GUARDED_BY(mutex_) = 0;
+    std::size_t evictions_ GUARDED_BY(mutex_) = 0;
+};
+
+} // namespace xysig::core
+
+#endif // XYSIG_CORE_EXACT_LRU_CACHE_H

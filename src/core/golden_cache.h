@@ -14,80 +14,21 @@
 /// golden computation. Quantisation, which does depend on the capture
 /// options, is applied per pipeline after lookup.
 ///
-/// Keys are exact (hexfloat-formatted values): a cache hit is bit-identical
-/// to recomputing. The cache is bounded: a long-lived sweep service sees an
-/// unbounded stream of distinct fingerprints (every job may carry a new
-/// golden CUT), so entries beyond `capacity` are evicted least-recently-used
-/// — an eviction only costs one recomputation if the key ever returns.
-
-#include <cstddef>
-#include <functional>
-#include <list>
-#include <memory>
-#include <string>
-#include <unordered_map>
+/// The cache is bounded: a long-lived sweep service sees an unbounded
+/// stream of distinct fingerprints (every job may carry a new golden CUT),
+/// so entries beyond `capacity` are evicted least-recently-used — an
+/// eviction only costs one recomputation if the key ever returns. Keying,
+/// locking and eviction rules are ExactLruCache's.
 
 #include "capture/chronogram.h"
-#include "common/annotated_mutex.h"
+#include "core/exact_lru_cache.h"
 
 namespace xysig::core {
 
-/// Thread-safe, LRU-bounded find-or-compute map from exact keys to golden
-/// chronograms.
-class GoldenSignatureCache {
-public:
-    /// Default entry bound: goldens are tiny (tens of events), so this is
-    /// sized for "every concurrently useful experimental setup" rather than
-    /// for memory pressure.
-    static constexpr std::size_t kDefaultCapacity = 1024;
-
-    /// The process-wide instance used by SignaturePipeline::set_golden.
-    [[nodiscard]] static GoldenSignatureCache& instance();
-
-    /// Returns the chronogram cached under `key`, computing and inserting it
-    /// on a miss. `compute` runs outside the lock (golden computation can be
-    /// slow); if two threads race on the same missing key both compute, the
-    /// first insertion wins and both return the same stored object — with
-    /// exact keys the duplicates are bit-identical anyway. An insertion that
-    /// grows the cache past capacity() evicts the least-recently-used entry
-    /// (hits refresh recency); returned shared_ptrs keep evicted chronograms
-    /// alive for callers that still hold them.
-    [[nodiscard]] std::shared_ptr<const capture::Chronogram> find_or_compute(
-        const std::string& key,
-        const std::function<capture::Chronogram()>& compute);
-
-    /// Maximum number of retained entries (>= 1). Shrinking below the
-    /// current size evicts LRU entries immediately.
-    void set_capacity(std::size_t capacity);
-    [[nodiscard]] std::size_t capacity() const;
-
-    /// Cache statistics (for tests, the sweep service's stats report, and
-    /// capacity tuning).
-    [[nodiscard]] std::size_t size() const;
-    [[nodiscard]] std::size_t hits() const;
-    [[nodiscard]] std::size_t misses() const;
-    [[nodiscard]] std::size_t evictions() const;
-
-    /// Drops every entry and resets the counters (test isolation). The
-    /// configured capacity is kept.
-    void clear();
-
-private:
-    /// MRU-first recency list; the map points into it.
-    using LruList =
-        std::list<std::pair<std::string,
-                            std::shared_ptr<const capture::Chronogram>>>;
-
-    void evict_to_capacity_locked() REQUIRES(mutex_);
-
-    mutable Mutex mutex_;
-    LruList lru_ GUARDED_BY(mutex_);
-    std::unordered_map<std::string, LruList::iterator> map_ GUARDED_BY(mutex_);
-    std::size_t capacity_ GUARDED_BY(mutex_) = kDefaultCapacity;
-    std::size_t hits_ GUARDED_BY(mutex_) = 0;
-    std::size_t misses_ GUARDED_BY(mutex_) = 0;
-    std::size_t evictions_ GUARDED_BY(mutex_) = 0;
-};
+/// Goldens are tiny (tens of events), so the default bound is sized for
+/// "every concurrently useful experimental setup" rather than for memory
+/// pressure. instance() is the one SignaturePipeline::set_golden uses.
+using GoldenSignatureCache = ExactLruCache<capture::Chronogram, 1024>;
 
 } // namespace xysig::core
 

@@ -4,7 +4,6 @@
 
 #include "common/contracts.h"
 #include "common/rng.h"
-#include "common/strings.h"
 #include "core/golden_cache.h"
 #include "core/trace_cache.h"
 
@@ -85,17 +84,9 @@ std::string SignaturePipeline::golden_cache_key(const filter::Cut& cut) const {
     key += cut_key;
     key += "}|bank{";
     key += bank_fp;
-    key += "}|stim{";
-    key += format_double_exact(stimulus_.offset());
-    for (const Tone& tone : stimulus_.tones()) {
-        key += ';';
-        key += format_double_exact(tone.amplitude);
-        key += ',';
-        key += format_double_exact(tone.frequency_hz);
-        key += ',';
-        key += format_double_exact(tone.phase_rad);
-    }
-    key += "}|spp=" + std::to_string(options_.samples_per_period);
+    key += "}|";
+    key += stimulus_fingerprint(stimulus_);
+    key += "|spp=" + std::to_string(options_.samples_per_period);
     key += "|ck=";
     key += options_.compiled_kernels ? '1' : '0';
     // Goldens from different sampling modes differ within the fast-math

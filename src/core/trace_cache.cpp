@@ -1,112 +1,34 @@
 #include "core/trace_cache.h"
 
-#include "common/contracts.h"
 #include "common/strings.h"
 
 namespace xysig::core {
 
+std::string stimulus_fingerprint(const MultitoneWaveform& stimulus) {
+    // Discrete appends, not a `"x" + std::string&&` chain: that pattern hits
+    // GCC's -Wrestrict false positive at -O3 under the -Werror hardening lane.
+    std::string fp = "stim{";
+    fp += format_double_exact(stimulus.offset());
+    for (const Tone& tone : stimulus.tones()) {
+        fp += ';';
+        fp += format_double_exact(tone.amplitude);
+        fp += ',';
+        fp += format_double_exact(tone.frequency_hz);
+        fp += ',';
+        fp += format_double_exact(tone.phase_rad);
+    }
+    fp += '}';
+    return fp;
+}
+
 std::string stimulus_trace_key(const MultitoneWaveform& stimulus,
                                std::size_t samples_per_period,
                                SampleMode mode) {
-    // Same exact stimulus fingerprint SignaturePipeline::golden_cache_key
-    // embeds (hexfloat values; discrete appends for the GCC -Wrestrict
-    // false positive — see that function).
-    std::string key = "stim{";
-    key += format_double_exact(stimulus.offset());
-    for (const Tone& tone : stimulus.tones()) {
-        key += ';';
-        key += format_double_exact(tone.amplitude);
-        key += ',';
-        key += format_double_exact(tone.frequency_hz);
-        key += ',';
-        key += format_double_exact(tone.phase_rad);
-    }
-    key += "}|spp=" + std::to_string(samples_per_period);
+    std::string key = stimulus_fingerprint(stimulus);
+    key += "|spp=" + std::to_string(samples_per_period);
     key += "|fm=";
     key += mode == SampleMode::fast_math ? '1' : '0';
     return key;
-}
-
-StimulusTraceCache& StimulusTraceCache::instance() {
-    static StimulusTraceCache cache;
-    return cache;
-}
-
-std::shared_ptr<const std::vector<double>> StimulusTraceCache::find_or_compute(
-    const std::string& key,
-    const std::function<std::vector<double>()>& compute) {
-    {
-        MutexLock lock(mutex_);
-        const auto it = map_.find(key);
-        if (it != map_.end()) {
-            ++hits_;
-            lru_.splice(lru_.begin(), lru_, it->second); // refresh recency
-            return it->second->second;
-        }
-    }
-    auto computed = std::make_shared<const std::vector<double>>(compute());
-    MutexLock lock(mutex_);
-    const auto it = map_.find(key);
-    if (it != map_.end()) {
-        // Lost a benign race; the first insertion is authoritative.
-        ++hits_;
-        lru_.splice(lru_.begin(), lru_, it->second);
-        return it->second->second;
-    }
-    ++misses_;
-    lru_.emplace_front(key, std::move(computed));
-    map_.emplace(key, lru_.begin());
-    evict_to_capacity_locked();
-    return lru_.front().second;
-}
-
-void StimulusTraceCache::evict_to_capacity_locked() {
-    while (map_.size() > capacity_) {
-        map_.erase(lru_.back().first);
-        lru_.pop_back();
-        ++evictions_;
-    }
-}
-
-void StimulusTraceCache::set_capacity(std::size_t capacity) {
-    XYSIG_EXPECTS(capacity >= 1);
-    MutexLock lock(mutex_);
-    capacity_ = capacity;
-    evict_to_capacity_locked();
-}
-
-std::size_t StimulusTraceCache::capacity() const {
-    MutexLock lock(mutex_);
-    return capacity_;
-}
-
-std::size_t StimulusTraceCache::size() const {
-    MutexLock lock(mutex_);
-    return map_.size();
-}
-
-std::size_t StimulusTraceCache::hits() const {
-    MutexLock lock(mutex_);
-    return hits_;
-}
-
-std::size_t StimulusTraceCache::misses() const {
-    MutexLock lock(mutex_);
-    return misses_;
-}
-
-std::size_t StimulusTraceCache::evictions() const {
-    MutexLock lock(mutex_);
-    return evictions_;
-}
-
-void StimulusTraceCache::clear() {
-    MutexLock lock(mutex_);
-    map_.clear();
-    lru_.clear();
-    hits_ = 0;
-    misses_ = 0;
-    evictions_ = 0;
 }
 
 } // namespace xysig::core

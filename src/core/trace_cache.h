@@ -2,7 +2,8 @@
 #define XYSIG_CORE_TRACE_CACHE_H
 
 /// \file trace_cache.h
-/// Process-wide cache of sampled stimulus traces.
+/// Process-wide cache of sampled stimulus traces, plus the exact stimulus
+/// fingerprint every cache key in the tree embeds.
 ///
 /// For behavioural universes the x channel of every member is the
 /// stimulus itself (Cut::x_is_stimulus), yet the batch engine used to
@@ -16,87 +17,36 @@
 ///
 /// Keys are exact (hexfloat tone fingerprints): two stimuli differing in
 /// one phase bit never alias, and a hit is bit-identical to resampling.
-/// Thread-safety: same Mutex + LRU find-or-compute discipline as
-/// GoldenSignatureCache — compute runs outside the lock; a racing
-/// duplicate compute is benign because exact keys make the results
-/// bit-identical, and the first insertion wins.
+/// Keying, locking and eviction rules are ExactLruCache's.
 
 #include <cstddef>
-#include <functional>
-#include <list>
-#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "common/annotated_mutex.h"
+#include "core/exact_lru_cache.h"
 #include "signal/sample_mode.h"
 #include "signal/waveform.h"
 
 namespace xysig::core {
 
+/// Exact stimulus fingerprint "stim{offset;amp,freq,phase;...}" with
+/// hexfloat values. The golden-cache key, the trace-cache key and the
+/// job-cache pipeline fingerprint all embed this one string.
+[[nodiscard]] std::string stimulus_fingerprint(const MultitoneWaveform& stimulus);
+
 /// Exact cache key for one sampled stimulus trace:
-/// "stim{...}|spp=N|fm=0|1" with hexfloat tone values — the same stimulus
-/// fingerprint format SignaturePipeline::golden_cache_key embeds. The
-/// sample mode is part of the key because exact and fast_math traces
-/// legitimately differ within the ULP tolerance and must never alias.
+/// "stim{...}|spp=N|fm=0|1". The sample mode is part of the key because
+/// exact and fast_math traces legitimately differ within the ULP tolerance
+/// and must never alias.
 [[nodiscard]] std::string stimulus_trace_key(const MultitoneWaveform& stimulus,
                                              std::size_t samples_per_period,
                                              SampleMode mode);
 
-/// Thread-safe, LRU-bounded find-or-compute map from exact keys to
-/// immutable sampled traces.
-class StimulusTraceCache {
-public:
-    /// Traces are samples_per_period doubles (64 KiB at the paper's 8192),
-    /// so the default bound is far smaller than the golden cache's: a
-    /// process rarely juggles more than a handful of (stimulus, spp, mode)
-    /// setups at once.
-    static constexpr std::size_t kDefaultCapacity = 64;
-
-    /// The process-wide instance used by SignaturePipeline.
-    [[nodiscard]] static StimulusTraceCache& instance();
-
-    /// Returns the trace cached under `key`, computing and inserting it on
-    /// a miss. `compute` runs outside the lock; racing computes are benign
-    /// (first insertion wins, duplicates are bit-identical under exact
-    /// keys). Returned shared_ptrs keep evicted traces alive for holders.
-    [[nodiscard]] std::shared_ptr<const std::vector<double>> find_or_compute(
-        const std::string& key,
-        const std::function<std::vector<double>()>& compute);
-
-    /// Maximum number of retained entries (>= 1). Shrinking below the
-    /// current size evicts LRU entries immediately.
-    void set_capacity(std::size_t capacity);
-    [[nodiscard]] std::size_t capacity() const;
-
-    /// Statistics. misses() counts actual stimulus samplings performed
-    /// through the cache — the probe the trace-cache tests and the
-    /// bench_kernels gate assert on.
-    [[nodiscard]] std::size_t size() const;
-    [[nodiscard]] std::size_t hits() const;
-    [[nodiscard]] std::size_t misses() const;
-    [[nodiscard]] std::size_t evictions() const;
-
-    /// Drops every entry and resets the counters (test isolation). The
-    /// configured capacity is kept.
-    void clear();
-
-private:
-    /// MRU-first recency list; the map points into it.
-    using LruList = std::list<
-        std::pair<std::string, std::shared_ptr<const std::vector<double>>>>;
-
-    void evict_to_capacity_locked() REQUIRES(mutex_);
-
-    mutable Mutex mutex_;
-    LruList lru_ GUARDED_BY(mutex_);
-    std::unordered_map<std::string, LruList::iterator> map_ GUARDED_BY(mutex_);
-    std::size_t capacity_ GUARDED_BY(mutex_) = kDefaultCapacity;
-    std::size_t hits_ GUARDED_BY(mutex_) = 0;
-    std::size_t misses_ GUARDED_BY(mutex_) = 0;
-    std::size_t evictions_ GUARDED_BY(mutex_) = 0;
-};
+/// Traces are samples_per_period doubles (64 KiB at the paper's 8192), so
+/// the default bound is far smaller than the golden cache's: a process
+/// rarely juggles more than a handful of (stimulus, spp, mode) setups at
+/// once. instance() is the one SignaturePipeline uses.
+using StimulusTraceCache = ExactLruCache<std::vector<double>, 64>;
 
 } // namespace xysig::core
 

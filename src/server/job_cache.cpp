@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/contracts.h"
-#include "common/strings.h"
+#include "core/trace_cache.h"
 
 namespace xysig::server {
 
@@ -19,17 +19,9 @@ std::string pipeline_fingerprint(const core::SignaturePipeline& pipe) {
     // GCC's -Wrestrict false positive at -O3 under the -Werror hardening lane.
     std::string fp = "bank{";
     fp += bank_fp;
-    fp += "}|stim{";
-    fp += format_double_exact(pipe.stimulus().offset());
-    for (const Tone& tone : pipe.stimulus().tones()) {
-        fp += ';';
-        fp += format_double_exact(tone.amplitude);
-        fp += ',';
-        fp += format_double_exact(tone.frequency_hz);
-        fp += ',';
-        fp += format_double_exact(tone.phase_rad);
-    }
-    fp += "}|spp=" + std::to_string(opts.samples_per_period);
+    fp += "}|";
+    fp += core::stimulus_fingerprint(pipe.stimulus());
+    fp += "|spp=" + std::to_string(opts.samples_per_period);
     fp += "|ck=";
     fp += opts.compiled_kernels ? '1' : '0';
     // Results from different sampling modes differ within the fast-math

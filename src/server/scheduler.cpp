@@ -103,8 +103,7 @@ JobScheduler::JobScheduler(SweepService& service, Options options)
       cache_(std::max<std::size_t>(1, options.cache_capacity)),
       pipeline_fp_(options.cache_capacity == 0
                        ? std::string()
-                       : pipeline_fingerprint(service.pipeline())),
-      base_fast_math_(service.pipeline().options().fast_math) {
+                       : pipeline_fingerprint(service.pipeline())) {
     // The prefetch pipeline is copied BEFORE any job runs: set_golden
     // mutates the service pipeline per job, and copying a pipeline that a
     // worker is mutating would race. A construction-time copy shares the
@@ -139,7 +138,7 @@ JobScheduler::~JobScheduler() {
         pending_ = 0;
         if (running_ != nullptr)
             running_->token.cancel();
-        dispatch_cv_.notify_all();
+        queue_cv_.notify_all();
         space_cv_.notify_all();
     }
     dispatcher_thread_.join();
@@ -153,14 +152,13 @@ std::string JobScheduler::job_cache_key(const WireJob& wire) const {
         return {}; // nothing to serve; plan probes always hit the service
     if (wire.verify_serial || wire.cancel_after != 0)
         return {}; // test instruments must exercise the real engine
-    // Key the EFFECTIVE sampling mode (the job's pinned flag, falling back
-    // to the service pipeline's construction-time mode): pipeline_fp_ only
-    // carries the base flag, and serving an exact job from a fast_math
-    // job's results (or vice versa) would hand out values that differ
-    // within the ULP tolerance.
+    // Key the mode the service will actually run the job under:
+    // pipeline_fp_ only carries the base flag, and serving an exact job from
+    // a fast_math job's results (or vice versa) would hand out values that
+    // differ within the ULP tolerance.
     std::string key = pipeline_fp_;
     key += "|jfm=";
-    key += wire.job.fast_math.value_or(base_fast_math_) ? '1' : '0';
+    key += service_.fast_math_for(wire.job) ? '1' : '0';
     key += "|job{";
     key += wire.universe_key;
     key += '}';
@@ -222,7 +220,7 @@ JobHandle JobScheduler::submit(WireJob wire, SubmitOptions opts) {
     ++pending_;
     if (prefetch_pipeline_.has_value() && !rec->wire.is_spice)
         prefetch_queue_.push_back(rec);
-    dispatch_cv_.notify_all();
+    queue_cv_.notify_all();
     return JobHandle(rec);
 }
 
@@ -261,7 +259,7 @@ void JobScheduler::cancel(const std::string& wire_id) {
 void JobScheduler::set_paused(bool paused) {
     MutexLock lock(mutex_);
     paused_ = paused;
-    dispatch_cv_.notify_all();
+    queue_cv_.notify_all();
 }
 
 JobScheduler::Stats JobScheduler::stats() const {
@@ -342,7 +340,7 @@ void JobScheduler::dispatcher_main() {
         RecordPtr rec;
         {
             MutexLock lock(mutex_);
-            dispatch_cv_.wait(lock, [&]() REQUIRES(mutex_) {
+            queue_cv_.wait(lock, [&]() REQUIRES(mutex_) {
                 return stopping_ || (!paused_ && pending_ > 0);
             });
             if (stopping_)
@@ -506,7 +504,7 @@ void JobScheduler::prefetch_main() {
         RecordPtr rec;
         {
             MutexLock lock(mutex_);
-            dispatch_cv_.wait(lock, [&]() REQUIRES(mutex_) {
+            queue_cv_.wait(lock, [&]() REQUIRES(mutex_) {
                 return stopping_ || !prefetch_queue_.empty();
             });
             if (stopping_)
@@ -524,7 +522,7 @@ void JobScheduler::prefetch_main() {
             // keys embed the fast_math flag, so warming under the wrong
             // mode would insert a key nobody looks up.
             prefetch_pipeline_->set_fast_math(
-                rec->wire.job.fast_math.value_or(base_fast_math_));
+                service_.fast_math_for(rec->wire.job));
             prefetch_pipeline_->set_golden(
                 filter::BehaviouralCut(core::paper_biquad()));
             MutexLock lock(mutex_);

@@ -205,15 +205,9 @@ private:
     /// the service pipeline's golden) — the prefetch thread's workbench.
     std::optional<core::SignaturePipeline> prefetch_pipeline_;
     std::string pipeline_fp_; ///< empty = job caching off for this pipeline
-    /// The service pipeline's fast_math flag at construction: the mode a
-    /// job that does not pin one (SweepJob::fast_math == nullopt) runs
-    /// under. Folded into job_cache_key so per-job pinned modes never
-    /// alias, and applied to the prefetch pipeline so warmed goldens land
-    /// under the key the job will actually look up.
-    bool base_fast_math_ = false;
 
     mutable Mutex mutex_; ///< queue + stats state below
-    CondVar dispatch_cv_;
+    CondVar queue_cv_;
     CondVar space_cv_;
     /// Per-client queues, each kept sorted (priority desc, submit order).
     std::map<std::string, std::deque<RecordPtr>> queues_ GUARDED_BY(mutex_);

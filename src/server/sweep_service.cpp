@@ -1,442 +1,70 @@
 #include "server/sweep_service.h"
 
-#include <algorithm>
-#include <chrono>
-#include <limits>
-#include <map>
-
 #include "common/contracts.h"
-#include "common/parallel.h"
-#include "common/strings.h"
 
 namespace xysig::server {
 
-namespace {
-
-[[nodiscard]] double seconds_since(
-    const std::chrono::steady_clock::time_point& t0) {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
-[[nodiscard]] std::string deviation_label(core::SweptParameter parameter,
-                                          double percent) {
-    return std::string("dev(") +
-           (parameter == core::SweptParameter::f0 ? "f0" : "q") + "," +
-           format_double(percent, 6) + "%)";
-}
-
-} // namespace
-
 // ----------------------------------------------------------------- SweepJob
+
+SweepJob::SweepJob(std::shared_ptr<const core::Universe> universe)
+    : universe_(std::move(universe)) {
+    XYSIG_EXPECTS(universe_ != nullptr);
+}
 
 SweepJob SweepJob::from_cuts(std::vector<const filter::Cut*> cuts,
                              const filter::Cut* golden) {
     XYSIG_EXPECTS(golden != nullptr);
-    for (const filter::Cut* cut : cuts)
-        XYSIG_EXPECTS(cut != nullptr);
-    SweepJob job;
-    job.universe_ = CutListUniverse{std::move(cuts), golden};
-    return job;
+    return SweepJob(
+        std::make_shared<core::CutListUniverse>(std::move(cuts), golden));
 }
 
 SweepJob SweepJob::deviation_grid(filter::Biquad nominal,
                                   std::vector<double> deviations_percent,
                                   core::SweptParameter parameter) {
-    SweepJob job;
-    job.universe_ = DeviationUniverse{std::move(nominal),
-                                      std::move(deviations_percent), parameter};
-    return job;
+    return SweepJob(std::make_shared<core::DeviationUniverse>(
+        nominal, std::move(deviations_percent), parameter));
 }
 
 SweepJob SweepJob::fault_universe(std::shared_ptr<const spice::Netlist> nominal,
                                   std::vector<capture::NetlistFault> faults,
                                   core::SpiceObservation observation) {
-    XYSIG_EXPECTS(nominal != nullptr);
-    SweepJob job;
-    job.universe_ = FaultUniverse{std::move(nominal), std::move(faults),
-                                  std::move(observation)};
-    return job;
+    return SweepJob(std::make_shared<core::FaultUniverse>(
+        std::move(nominal), std::move(faults), std::move(observation)));
 }
-
-std::size_t SweepJob::size() const noexcept {
-    if (const auto* cl = std::get_if<CutListUniverse>(&universe_))
-        return cl->cuts.size();
-    if (const auto* dv = std::get_if<DeviationUniverse>(&universe_))
-        return dv->deviations_percent.size();
-    return std::get<FaultUniverse>(universe_).faults.size();
-}
-
-// ----------------------------------------------------------------- contexts
-
-namespace {
-
-/// Per-worker, per-job state: the scratch buffers and — for SPICE jobs —
-/// THE one netlist clone this worker reuses across every fault it is
-/// handed (inject/repair between members, never clone-per-fault).
-struct WorkerState {
-    core::NdfScratch scratch;
-    std::optional<spice::Netlist> netlist;
-    std::optional<filter::SpiceCut> cut; ///< bound to *netlist
-};
-
-} // namespace
-
-/// Everything the workers share while one job is in flight.
-struct SweepService::JobContext {
-    const core::SignaturePipeline* pipeline = nullptr;
-
-    // Exactly one of these three views is active (see resolve in run()).
-    const SweepJob::CutListUniverse* cut_list = nullptr;
-    const SweepJob::DeviationUniverse* deviation = nullptr;
-    const SweepJob::FaultUniverse* faults = nullptr;
-    /// Materialised deviation members (one BehaviouralCut per grid point;
-    /// construction matches BatchNdfEvaluator::evaluate_deviations exactly,
-    /// which is what keeps the two paths bit-identical).
-    std::vector<filter::BehaviouralCut> behavioural;
-
-    std::size_t members_total = 0;
-    std::size_t shard_size = 1;
-    std::size_t shards_total = 0;
-    SweepCancelToken* cancel = nullptr;
-
-    std::atomic<std::size_t> next_shard{0};
-    std::atomic<std::size_t> members_done{0};
-    std::atomic<std::size_t> shards_done{0};
-    std::atomic<std::uint64_t> clones{0};
-    std::atomic<bool> failed{false};
-
-    Mutex mutex;
-    CondVar cv; ///< signalled on new results & worker exits
-    std::map<std::size_t, SweepResult> ready GUARDED_BY(mutex); ///< completed,
-                                                  ///< not yet delivered
-    std::vector<ShardTiming> timings GUARDED_BY(mutex);
-    std::size_t active_workers GUARDED_BY(mutex) = 0;
-    std::exception_ptr first_error GUARDED_BY(mutex);
-
-    [[nodiscard]] bool aborted() const noexcept {
-        return failed.load(std::memory_order_relaxed) ||
-               (cancel != nullptr && cancel->cancelled());
-    }
-
-    [[nodiscard]] SweepResult evaluate_one(core::NdfScratch& scratch,
-                                           std::size_t member_id,
-                                           const filter::Cut& cut,
-                                           std::string label) const {
-        SweepResult result;
-        result.member_id = member_id;
-        result.label = std::move(label);
-        try {
-            auto evaluation = pipeline->evaluate(cut, scratch);
-            result.ndf = evaluation.ndf;
-            result.signature = std::move(evaluation.observed);
-        } catch (const NumericError&) {
-            // Same policy (and same NaN bit pattern) as the batch engine: a
-            // member with no stable solution must not abort the universe.
-            result.ndf = std::numeric_limits<double>::quiet_NaN();
-        }
-        return result;
-    }
-
-    [[nodiscard]] SweepResult evaluate_member(WorkerState& ws,
-                                              std::size_t member_id) {
-        if (cut_list != nullptr) {
-            const filter::Cut& cut = *cut_list->cuts[member_id];
-            return evaluate_one(ws.scratch, member_id, cut, cut.description());
-        }
-        if (deviation != nullptr) {
-            return evaluate_one(
-                ws.scratch, member_id, behavioural[member_id],
-                deviation_label(deviation->parameter,
-                                deviation->deviations_percent[member_id]));
-        }
-        // SPICE fault universe: lazily make this worker's single clone, then
-        // inject/repair around the evaluation (RAII so a NumericError mid-run
-        // still hands the next fault a pristine circuit).
-        if (!ws.netlist.has_value()) {
-            ws.netlist.emplace(faults->nominal->clone());
-            clones.fetch_add(1, std::memory_order_relaxed);
-            const core::SpiceObservation& obs = faults->observation;
-            ws.cut.emplace(*ws.netlist, obs.input_source, obs.x_node,
-                           obs.y_node, obs.settle_periods);
-        }
-        const capture::NetlistFault& fault = faults->faults[member_id];
-        const capture::ScopedFaultInjection injection(*ws.netlist, fault);
-        return evaluate_one(ws.scratch, member_id, *ws.cut,
-                            fault.description());
-    }
-};
 
 // -------------------------------------------------------------- SweepService
 
 SweepService::SweepService(core::SignaturePipeline pipeline,
                            SweepServiceOptions options)
-    : pipeline_(std::move(pipeline)), options_(options) {
+    : pipeline_(std::move(pipeline)), options_(options),
+      base_fast_math_(pipeline_.options().fast_math), pool_(options.workers) {
     XYSIG_EXPECTS(options_.shard_size >= 1);
-    const unsigned n =
-        options_.workers == 0 ? default_thread_count() : options_.workers;
-    workers_.reserve(n);
-    for (unsigned i = 0; i < n; ++i)
-        workers_.emplace_back([this, i] { worker_loop(i); });
-}
-
-SweepService::~SweepService() {
-    {
-        MutexLock lock(dispatch_mutex_);
-        stopping_ = true;
-    }
-    dispatch_cv_.notify_all();
-    for (std::thread& w : workers_)
-        w.join();
-}
-
-void SweepService::worker_loop(unsigned worker_index) {
-    std::uint64_t seen_generation = 0;
-    while (true) {
-        JobContext* ctx = nullptr;
-        {
-            MutexLock lock(dispatch_mutex_);
-            dispatch_cv_.wait(lock, [&]() REQUIRES(dispatch_mutex_) {
-                return stopping_ || (current_job_ != nullptr &&
-                                     job_generation_ != seen_generation);
-            });
-            if (stopping_)
-                return;
-            seen_generation = job_generation_;
-            ctx = current_job_;
-        }
-        run_shards(*ctx, worker_index);
-        {
-            // Decrement-and-notify under the lock: run() may destroy the
-            // JobContext the moment it observes active_workers == 0, so the
-            // broadcast must complete before this worker releases the mutex
-            // (a notify after unlocking would race the cv's destruction).
-            MutexLock lock(ctx->mutex);
-            --ctx->active_workers;
-            ctx->cv.notify_all();
-        }
-    }
-}
-
-void SweepService::run_shards(JobContext& ctx, unsigned worker_index) {
-    WorkerState ws;
-    while (!ctx.aborted()) {
-        const std::size_t shard =
-            ctx.next_shard.fetch_add(1, std::memory_order_relaxed);
-        if (shard >= ctx.shards_total)
-            return;
-        const std::size_t first = shard * ctx.shard_size;
-        const std::size_t last =
-            std::min(first + ctx.shard_size, ctx.members_total);
-        const auto t0 = std::chrono::steady_clock::now();
-        std::size_t evaluated = 0;
-        bool completed = true;
-        for (std::size_t i = first; i < last; ++i) {
-            if (ctx.aborted()) {
-                completed = false;
-                break;
-            }
-            SweepResult result;
-            try {
-                result = ctx.evaluate_member(ws, i);
-            } catch (...) {
-                // Non-member failure (bad node name, contract violation):
-                // park it for run() to rethrow and stop the whole job.
-                {
-                    MutexLock lock(ctx.mutex);
-                    if (!ctx.first_error)
-                        ctx.first_error = std::current_exception();
-                }
-                ctx.failed.store(true, std::memory_order_relaxed);
-                ctx.cv.notify_all();
-                completed = false;
-                break;
-            }
-            ++evaluated;
-            ctx.members_done.fetch_add(1, std::memory_order_relaxed);
-            {
-                MutexLock lock(ctx.mutex);
-                ctx.ready.emplace(i, std::move(result));
-            }
-            ctx.cv.notify_all();
-        }
-        {
-            MutexLock lock(ctx.mutex);
-            ctx.timings.push_back(
-                {shard, first, evaluated, worker_index, seconds_since(t0)});
-        }
-        if (completed)
-            ctx.shards_done.fetch_add(1, std::memory_order_relaxed);
-    }
 }
 
 JobSummary SweepService::run(const SweepJob& job,
                              const ResultCallback& on_result,
                              SweepCancelToken* cancel) {
     XYSIG_EXPECTS(on_result != nullptr);
+    XYSIG_EXPECTS(job.universe_ != nullptr);
     MutexLock job_lock(job_mutex_); // one job at a time
-
-    JobContext ctx;
-    ctx.pipeline = &pipeline_;
-    ctx.cancel = cancel;
 
     // Pin the sampling mode before the golden is resolved so the golden
     // and every member of this job evaluate under the same mode (the
     // golden cache and the shared stimulus trace are both keyed on it).
-    if (job.fast_math.has_value())
-        pipeline_.set_fast_math(*job.fast_math);
+    pipeline_.set_fast_math(fast_math_for(job));
+    job.universe_->set_golden(pipeline_);
 
-    // Resolve the universe view and the golden CUT. The goldens built here
-    // go through SignaturePipeline::set_golden, i.e. through the process-wide
-    // GoldenSignatureCache: repeat jobs over the same fingerprint reuse one
-    // golden computation (SPICE goldens have no exact fingerprint and are
-    // recomputed per job, as in PR 3).
-    std::optional<filter::BehaviouralCut> behavioural_golden;
-    std::optional<filter::SpiceCut> spice_golden;
-    const filter::Cut* golden = nullptr;
-    if (const auto* cl = std::get_if<SweepJob::CutListUniverse>(&job.universe_)) {
-        XYSIG_EXPECTS(cl->cuts.empty() || cl->golden != nullptr);
-        ctx.cut_list = cl;
-        ctx.members_total = cl->cuts.size();
-        golden = cl->golden;
-    } else if (const auto* dv =
-                   std::get_if<SweepJob::DeviationUniverse>(&job.universe_)) {
-        ctx.deviation = dv;
-        ctx.members_total = dv->deviations_percent.size();
-        ctx.behavioural.reserve(ctx.members_total);
-        for (const double dev : dv->deviations_percent) {
-            const double frac = dev / 100.0;
-            ctx.behavioural.emplace_back(
-                dv->parameter == core::SweptParameter::f0
-                    ? dv->nominal.with_f0_shift(frac)
-                    : dv->nominal.with_q_shift(frac));
-        }
-        behavioural_golden.emplace(dv->nominal);
-        golden = &*behavioural_golden;
-    } else {
-        const auto& fu = std::get<SweepJob::FaultUniverse>(job.universe_);
-        ctx.faults = &fu;
-        ctx.members_total = fu.faults.size();
-        spice_golden.emplace(
-            std::make_unique<spice::Netlist>(fu.nominal->clone()),
-            fu.observation.input_source, fu.observation.x_node,
-            fu.observation.y_node, fu.observation.settle_periods);
-        golden = &*spice_golden;
-    }
-    if (golden != nullptr)
-        pipeline_.set_golden(*golden); // null only for the empty default job
+    const core::Schedule schedule{
+        &pool_, worker_count(),
+        job.shard_size != 0 ? job.shard_size : options_.shard_size};
+    JobSummary summary =
+        core::run_universe(*job.universe_, pipeline_, schedule, on_result, cancel);
 
-    ctx.shard_size = job.shard_size != 0 ? job.shard_size : options_.shard_size;
-    XYSIG_EXPECTS(ctx.shard_size >= 1);
-    ctx.shards_total =
-        (ctx.members_total + ctx.shard_size - 1) / ctx.shard_size;
-
-    JobSummary summary;
-    summary.members_total = ctx.members_total;
-    summary.shards_total = ctx.shards_total;
-
-    const auto t0 = std::chrono::steady_clock::now();
-    if (ctx.members_total > 0) {
-        {
-            // active_workers belongs to ctx.mutex, not dispatch_mutex_:
-            // workers can only reach the context after current_job_ is
-            // published below, so this runs race-free, but under its own
-            // lock so the guard discipline holds.
-            MutexLock lock(ctx.mutex);
-            ctx.active_workers = workers_.size();
-        }
-        {
-            MutexLock lock(dispatch_mutex_);
-            current_job_ = &ctx;
-            ++job_generation_;
-        }
-        dispatch_cv_.notify_all();
-
-        // Deliver results on this thread, in ascending member order:
-        // contiguous from 0 while workers are live, then (after
-        // cancellation/failure) whatever stragglers completed, still
-        // ascending but with gaps. The whole delivery loop is guarded: a
-        // throwing result callback must stop the workers and wait for them
-        // to release the stack-allocated JobContext before run() unwinds —
-        // otherwise they would keep dereferencing a destroyed context.
-        try {
-            std::size_t next_expected = 0;
-            std::vector<SweepResult> batch;
-            bool finished = false;
-            while (!finished) {
-                {
-                    MutexLock lock(ctx.mutex);
-                    ctx.cv.wait(lock, [&]() REQUIRES(ctx.mutex) {
-                        return ctx.active_workers == 0 ||
-                               (!ctx.ready.empty() &&
-                                ctx.ready.begin()->first == next_expected);
-                    });
-                    batch.clear();
-                    while (!ctx.ready.empty() &&
-                           ctx.ready.begin()->first == next_expected) {
-                        batch.push_back(std::move(ctx.ready.begin()->second));
-                        ctx.ready.erase(ctx.ready.begin());
-                        ++next_expected;
-                    }
-                    finished = ctx.active_workers == 0;
-                    if (finished) {
-                        // Gap case: keys ascend and all exceed next_expected.
-                        for (auto& entry : ctx.ready)
-                            batch.push_back(std::move(entry.second));
-                        ctx.ready.clear();
-                    }
-                }
-                for (const SweepResult& result : batch)
-                    on_result(result);
-            }
-        } catch (...) {
-            ctx.failed.store(true, std::memory_order_relaxed);
-            {
-                MutexLock lock(ctx.mutex);
-                ctx.cv.wait(lock, [&]() REQUIRES(ctx.mutex) {
-                    return ctx.active_workers == 0;
-                });
-            }
-            {
-                MutexLock lock(dispatch_mutex_);
-                current_job_ = nullptr;
-            }
-            throw;
-        }
-        {
-            MutexLock lock(dispatch_mutex_);
-            current_job_ = nullptr;
-        }
-        {
-            // Workers are done (active_workers hit 0 under ctx.mutex), but
-            // the guard discipline still applies to the finalisation reads.
-            MutexLock lock(ctx.mutex);
-            if (ctx.first_error)
-                std::rethrow_exception(ctx.first_error);
-        }
-    }
-
-    summary.seconds = seconds_since(t0);
-    summary.members_done = ctx.members_done.load(std::memory_order_relaxed);
-    summary.shards_done = ctx.shards_done.load(std::memory_order_relaxed);
-    summary.cancelled = cancel != nullptr && cancel->cancelled();
-    summary.netlist_clones = ctx.clones.load(std::memory_order_relaxed);
-    {
-        MutexLock lock(ctx.mutex);
-        summary.shard_timings = std::move(ctx.timings);
-    }
-    std::sort(summary.shard_timings.begin(), summary.shard_timings.end(),
-              [](const ShardTiming& a, const ShardTiming& b) {
-                  return a.shard < b.shard;
-              });
-
-    {
-        MutexLock lock(stats_mutex_);
-        ++stats_.jobs;
-        stats_.members += summary.members_done;
-        stats_.shards += summary.shards_done;
-        stats_.netlist_clones += summary.netlist_clones;
-    }
+    MutexLock lock(stats_mutex_);
+    ++stats_.jobs;
+    stats_.members += summary.members_done;
+    stats_.shards += summary.shards_done;
+    stats_.netlist_clones += summary.netlist_clones;
     return summary;
 }
 

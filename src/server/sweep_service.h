@@ -2,53 +2,42 @@
 #define XYSIG_SERVER_SWEEP_SERVICE_H
 
 /// \file sweep_service.h
-/// Long-lived sharded sweep service: the scale-out layer above
-/// core::BatchNdfEvaluator.
+/// Long-lived sharded sweep service: core::run_universe on a ThreadPool the
+/// service owns, plus the pipeline whose golden each job installs.
 ///
-/// A sweep job is one member universe — a SPICE fault universe, a
-/// behavioural deviation grid, or an explicit CUT list — screened against
-/// the pipeline's golden signature. The service shards the universe into
-/// contiguous work units, schedules units across a persistent worker pool,
-/// and streams (member_id, ndf, signature) results incrementally through a
-/// callback, in member order, instead of materialising one giant result
-/// vector.
+/// A sweep job is one member universe (core::Universe) — a SPICE fault
+/// universe, a behavioural deviation grid, or an explicit CUT list —
+/// screened against its golden signature. The executor shards the universe
+/// into contiguous work units, schedules them across the pool, and streams
+/// (member_id, ndf, signature) results incrementally through a callback, in
+/// member order, instead of materialising one giant result vector.
 ///
 /// Guarantees (pinned by tests/server and bench_sweep_service):
-///  * NDF values are bit-identical to the serial BatchNdfEvaluator /
-///    SignaturePipeline::ndf_of path at ANY shard size and worker count;
+///  * NDF values are bit-identical to the serial reference — the
+///    clone-per-fault universe for SPICE jobs — at ANY shard size and
+///    worker count;
 ///  * SPICE universes are evaluated with ONE netlist clone per worker, not
-///    one per fault: each worker deep-clones the nominal circuit once, then
-///    injects and repairs faults in place between units
-///    (capture::inject_fault / repair_fault — bit-identical to simulating a
-///    fresh fault-injected clone, because every transient run restarts from
-///    the DC operating point);
+///    one per fault (core::FaultUniverse), plus one for the golden, all
+///    inside run();
 ///  * goldens are served from the process-wide core::GoldenSignatureCache,
 ///    so repeated jobs over the same (cut, bank, stimulus) fingerprint
 ///    compute the golden once per fingerprint, not once per job;
 ///  * non-convergent members stream as quiet-NaN NDFs with no signature
-///    (the BatchNdfOptions::nan_on_numeric_error policy, always on here —
-///    catastrophic universes legitimately contain unsolvable members).
+///    (core::Universe::evaluate).
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
-#include <string>
-#include <thread>
-#include <variant>
-#include <vector>
 
-#include "capture/fault_injection.h"
 #include "common/annotated_mutex.h"
-#include "core/batch_ndf.h"
-#include "core/pipeline.h"
-#include "core/sweep.h"
+#include "common/parallel.h"
+#include "core/universe.h"
 
 namespace xysig::server {
 
 struct SweepServiceOptions {
-    /// Persistent worker threads; 0 = default_thread_count().
+    /// Pool worker threads; 0 = default_thread_count().
     unsigned workers = 0;
     /// Default members per work unit when a job does not set its own. Small
     /// shards load-balance ragged universes (SPICE members vary wildly in
@@ -57,139 +46,67 @@ struct SweepServiceOptions {
     std::size_t shard_size = 64;
 };
 
-/// One streamed member result.
-struct SweepResult {
-    std::size_t member_id = 0;
-    /// NDF against the golden; quiet NaN when the member's simulation had no
-    /// stable solution.
-    double ndf = 0.0;
-    /// Stable member label ("dev(f0,-10%)", "bridge(bp,lp,100)", ...).
-    std::string label;
-    /// The observed chronogram the NDF was computed against (the member's
-    /// digital signature); absent for NaN members.
-    std::optional<capture::Chronogram> signature;
-};
+using SweepResult = core::MemberResult;
+using ShardTiming = core::ShardTiming;
+using JobSummary = core::RunSummary;
+using SweepCancelToken = core::CancelToken;
 
-/// Wall-clock accounting of one completed work unit.
-struct ShardTiming {
-    std::size_t shard = 0;        ///< shard index (member range start / size)
-    std::size_t first_member = 0;
-    std::size_t member_count = 0; ///< members actually evaluated (cancellation
-                                  ///< may cut a shard short)
-    unsigned worker = 0;          ///< worker slot that ran the unit
-    double seconds = 0.0;
-};
-
-/// What run() reports when a job finishes, is cancelled, or fails.
-struct JobSummary {
-    std::size_t members_total = 0;
-    std::size_t members_done = 0;
-    std::size_t shards_total = 0;
-    std::size_t shards_done = 0;
-    bool cancelled = false;
-    double seconds = 0.0;
-    /// Netlist deep-clones made by workers for this job: at most one per
-    /// participating worker (the clone-per-worker contract), 0 for
-    /// behavioural jobs.
-    std::uint64_t netlist_clones = 0;
-    std::vector<ShardTiming> shard_timings; ///< sorted by shard index
-};
-
-/// Cooperative cancellation handle: share one token between run() and any
-/// other thread (or the result callback itself) and call cancel(). Workers
-/// stop claiming work and finish the member in flight; already-evaluated
-/// results still stream out in ascending member order (gaps allowed).
-class SweepCancelToken {
-public:
-    void cancel() noexcept { cancelled_.store(true, std::memory_order_relaxed); }
-    [[nodiscard]] bool cancelled() const noexcept {
-        return cancelled_.load(std::memory_order_relaxed);
-    }
-
-private:
-    std::atomic<bool> cancelled_{false};
-};
-
-/// One sweep universe plus its golden. Build with the named factories; a
-/// default-constructed job is an empty CUT list (size 0, no golden) that
-/// run() rejects — it exists so wire decoders can declare-then-assign.
+/// One sweep universe plus its per-job options. A default-constructed job
+/// has no universe (size 0) and run() rejects it; it exists so wire
+/// decoders can declare-then-assign.
 class SweepJob {
 public:
     SweepJob() = default;
+    explicit SweepJob(std::shared_ptr<const core::Universe> universe);
 
-    /// Explicit CUT list. The pointed-to cuts must satisfy the Cut
-    /// thread-safety contract (distinct instances share no mutable state),
-    /// outlive the run, and `golden` must stay valid for the run as well.
+    /// Explicit CUT list (see core::CutListUniverse for the lifetime rules).
     [[nodiscard]] static SweepJob from_cuts(std::vector<const filter::Cut*> cuts,
                                             const filter::Cut* golden);
 
-    /// Behavioural deviation grid: one BehaviouralCut per deviation of the
-    /// nominal Biquad (the Fig. 8 universe shape); golden = the nominal.
+    /// Behavioural deviation grid (core::DeviationUniverse).
     [[nodiscard]] static SweepJob deviation_grid(
         filter::Biquad nominal, std::vector<double> deviations_percent,
         core::SweptParameter parameter = core::SweptParameter::f0);
 
-    /// SPICE fault universe over a nominal netlist; golden = the fault-free
-    /// netlist. The job shares ownership of the nominal so decoded wire jobs
-    /// need no external keep-alive.
+    /// SPICE fault universe (core::FaultUniverse). The job shares ownership
+    /// of the nominal so decoded wire jobs need no external keep-alive.
     [[nodiscard]] static SweepJob fault_universe(
         std::shared_ptr<const spice::Netlist> nominal,
         std::vector<capture::NetlistFault> faults,
         core::SpiceObservation observation);
 
-    /// Universe member count.
-    [[nodiscard]] std::size_t size() const noexcept;
+    /// Universe member count (0 without a universe).
+    [[nodiscard]] std::size_t size() const noexcept {
+        return universe_ ? universe_->size() : 0;
+    }
 
     /// Members per work unit for this job; 0 = the service default.
     std::size_t shard_size = 0;
 
     /// Per-job sampling mode: set to pin the pipeline's fast_math flag for
-    /// this job (run() applies it before resolving the golden, so the
-    /// golden and every member evaluate under one mode); nullopt inherits
-    /// whatever mode the service's pipeline is currently configured with.
-    /// Wire jobs always pin it — the `fast_math` job field defaults to
-    /// false under the tolerant-reader rule — so a queued mixed-mode
-    /// workload can never leak one job's mode into the next.
+    /// this job; nullopt runs under the mode the service was constructed
+    /// with (SweepService::fast_math_for). run() applies it before
+    /// resolving the golden, so the golden and every member evaluate under
+    /// one mode and no job inherits the previous job's mode.
     std::optional<bool> fast_math;
 
 private:
     friend class SweepService;
-
-    // No default member initialisers here: NSDMIs of a nested class are
-    // parsed only at the end of the outermost class, which would make these
-    // look non-default-constructible to the std::variant member below. The
-    // factories set every field.
-    struct CutListUniverse {
-        std::vector<const filter::Cut*> cuts;
-        const filter::Cut* golden;
-    };
-    struct DeviationUniverse {
-        filter::Biquad nominal;
-        std::vector<double> deviations_percent;
-        core::SweptParameter parameter;
-    };
-    struct FaultUniverse {
-        std::shared_ptr<const spice::Netlist> nominal;
-        std::vector<capture::NetlistFault> faults;
-        core::SpiceObservation observation;
-    };
-
-    std::variant<CutListUniverse, DeviationUniverse, FaultUniverse> universe_;
+    std::shared_ptr<const core::Universe> universe_;
 };
 
-/// The service. Owns the pipeline (set_golden mutates it per job) and a
-/// persistent pool of worker threads that live across jobs; run() is the
-/// blocking submit-and-stream entry point and may be called repeatedly.
-/// One job runs at a time (concurrent run() calls serialise); results
-/// within a job are produced concurrently but delivered from the run()
-/// caller's thread.
+/// The service. Owns the pipeline (each job installs its golden on it) and
+/// a ThreadPool whose workers live across jobs; run() is the blocking
+/// submit-and-stream entry point and may be called repeatedly. One job
+/// runs at a time (concurrent run() calls serialise); results within a job
+/// are produced on the pool (a single-shard job on the caller's thread)
+/// and always delivered from the run() caller's thread.
 class SweepService {
 public:
     using ResultCallback = std::function<void(const SweepResult&)>;
 
     explicit SweepService(core::SignaturePipeline pipeline,
                           SweepServiceOptions options = {});
-    ~SweepService();
 
     SweepService(const SweepService&) = delete;
     SweepService& operator=(const SweepService&) = delete;
@@ -200,7 +117,8 @@ public:
     /// worker fails with a non-member error (InvalidInput etc.), which is
     /// rethrown here after in-flight units drain. The callback runs on the
     /// caller's thread, so it may cancel, aggregate, or write to a stream
-    /// without synchronisation.
+    /// without synchronisation. Throws ContractError for a job without a
+    /// universe.
     JobSummary run(const SweepJob& job, const ResultCallback& on_result,
                    SweepCancelToken* cancel = nullptr);
 
@@ -208,11 +126,16 @@ public:
         return pipeline_;
     }
     [[nodiscard]] unsigned worker_count() const noexcept {
-        return static_cast<unsigned>(workers_.size());
+        return pool_.thread_count();
     }
     /// Members per work unit for jobs that do not set their own.
     [[nodiscard]] std::size_t default_shard_size() const noexcept {
         return options_.shard_size;
+    }
+    /// The sampling mode `job` runs under: its pinned flag, else the
+    /// pipeline's mode at construction.
+    [[nodiscard]] bool fast_math_for(const SweepJob& job) const noexcept {
+        return job.fast_math.value_or(base_fast_math_);
     }
 
     /// Lifetime totals across jobs.
@@ -222,27 +145,14 @@ public:
         std::uint64_t shards = 0;
         std::uint64_t netlist_clones = 0;
     };
-    [[nodiscard]] ServiceStats stats() const;
+    [[nodiscard]] ServiceStats stats() const EXCLUDES(stats_mutex_);
 
 private:
-    struct JobContext;
-
-    void worker_loop(unsigned worker_index) EXCLUDES(dispatch_mutex_);
-    void run_shards(JobContext& ctx, unsigned worker_index);
-
     core::SignaturePipeline pipeline_;
     SweepServiceOptions options_;
-
-    /// Filled in the constructor, joined in the destructor, otherwise
-    /// immutable — needs no guard (unlike ThreadPool, nothing ever swaps
-    /// the handles out mid-life).
-    std::vector<std::thread> workers_;
-    Mutex job_mutex_;     ///< serialises run() callers; guards no fields
-    Mutex dispatch_mutex_;
-    CondVar dispatch_cv_;
-    JobContext* current_job_ GUARDED_BY(dispatch_mutex_) = nullptr;
-    std::uint64_t job_generation_ GUARDED_BY(dispatch_mutex_) = 0;
-    bool stopping_ GUARDED_BY(dispatch_mutex_) = false;
+    const bool base_fast_math_;
+    ThreadPool pool_;
+    Mutex job_mutex_; ///< serialises run() callers; guards no fields
 
     mutable Mutex stats_mutex_;
     ServiceStats stats_ GUARDED_BY(stats_mutex_);

@@ -4,13 +4,14 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <thread>
 #include <utility>
 
 #include "common/strings.h"
+#include "core/batch_ndf.h"
 #include "core/golden_cache.h"
 #include "core/paper_setup.h"
+#include "core/trace_cache.h"
 #include "filter/tow_thomas.h"
 #include "monitor/table1.h"
 #include "server/scheduler.h"
@@ -201,35 +202,13 @@ WireJob parse_wire_job(const JsonValue& v) {
 
 std::vector<double> wire_serial_reference(const WireJob& job,
                                           const core::SignaturePipeline& pipe) {
-    std::vector<double> out;
-    core::NdfScratch scratch;
-    if (job.is_spice) {
-        const auto universe = core::BatchNdfEvaluator::build_fault_universe(
-            *job.nominal, job.faults, job.observation);
-        out.reserve(universe.size());
-        for (const auto& cut : universe) {
-            try {
-                out.push_back(pipe.ndf_of(*cut, scratch));
-            } catch (const NumericError&) {
-                out.push_back(std::numeric_limits<double>::quiet_NaN());
-            }
-        }
-        return out;
-    }
-    const filter::Biquad nominal = core::paper_biquad();
-    out.reserve(job.deviations.size());
-    for (const double dev : job.deviations) {
-        const double frac = dev / 100.0;
-        const filter::BehaviouralCut cut(job.parameter == core::SweptParameter::f0
-                                             ? nominal.with_f0_shift(frac)
-                                             : nominal.with_q_shift(frac));
-        try {
-            out.push_back(pipe.ndf_of(cut, scratch));
-        } catch (const NumericError&) {
-            out.push_back(std::numeric_limits<double>::quiet_NaN());
-        }
-    }
-    return out;
+    // One thread: the executor runs every member on the calling thread.
+    const core::BatchNdfEvaluator serial(pipe, {.threads = 1});
+    if (job.is_spice)
+        return serial.evaluate(core::BatchNdfEvaluator::build_fault_universe(
+            *job.nominal, job.faults, job.observation));
+    return serial.evaluate_deviations(core::paper_biquad(), job.deviations,
+                                      job.parameter);
 }
 
 // ------------------------------------------------------- schema validation
@@ -344,9 +323,10 @@ void check_event(const JsonValue& v) {
                       {"netlist_clones", FieldKind::number, true},
                       {"workers", FieldKind::number, true},
                       {"golden_cache", FieldKind::object, true},
-                      // Version-2 additions.
+                      // Later additions.
                       {"scheduler", FieldKind::object, false},
-                      {"job_cache", FieldKind::object, false}});
+                      {"job_cache", FieldKind::object, false},
+                      {"trace_cache", FieldKind::object, false}});
     } else if (event == "error") {
         check_fields(v, "error event",
                      {id_opt, {"message", FieldKind::string, true}});
@@ -756,15 +736,24 @@ void ServerSession::emit_job_events(JobHandle handle) {
     }
 }
 
+namespace {
+
+/// The counters every cache reports in `stats`.
+template <class Cache>
+[[nodiscard]] JsonValue::Object cache_stats(const Cache& cache) {
+    JsonValue::Object o;
+    o.emplace("hits", cache.hits());
+    o.emplace("misses", cache.misses());
+    o.emplace("size", cache.size());
+    o.emplace("evictions", cache.evictions());
+    o.emplace("capacity", cache.capacity());
+    return o;
+}
+
+} // namespace
+
 void ServerSession::emit_stats() {
     const auto stats = service_.stats();
-    const auto& cache = core::GoldenSignatureCache::instance();
-    JsonValue::Object cache_obj;
-    cache_obj.emplace("hits", cache.hits());
-    cache_obj.emplace("misses", cache.misses());
-    cache_obj.emplace("size", cache.size());
-    cache_obj.emplace("evictions", cache.evictions());
-    cache_obj.emplace("capacity", cache.capacity());
     const JobScheduler::Stats sched = scheduler_->stats();
     JsonValue::Object sched_obj;
     sched_obj.emplace("submitted", sched.submitted);
@@ -774,13 +763,6 @@ void ServerSession::emit_stats() {
     sched_obj.emplace("cache_hits", sched.cache_hits);
     sched_obj.emplace("goldens_prefetched", sched.goldens_prefetched);
     sched_obj.emplace("queue_depth", sched.queue_depth);
-    const JobResultCache& job_cache = scheduler_->cache();
-    JsonValue::Object jc_obj;
-    jc_obj.emplace("hits", job_cache.hits());
-    jc_obj.emplace("misses", job_cache.misses());
-    jc_obj.emplace("size", job_cache.size());
-    jc_obj.emplace("evictions", job_cache.evictions());
-    jc_obj.emplace("capacity", job_cache.capacity());
     JsonValue::Object o;
     o.emplace("event", "stats");
     o.emplace("jobs", stats.jobs);
@@ -788,9 +770,10 @@ void ServerSession::emit_stats() {
     o.emplace("shards", stats.shards);
     o.emplace("netlist_clones", stats.netlist_clones);
     o.emplace("workers", static_cast<std::size_t>(service_.worker_count()));
-    o.emplace("golden_cache", std::move(cache_obj));
+    o.emplace("golden_cache", cache_stats(core::GoldenSignatureCache::instance()));
     o.emplace("scheduler", std::move(sched_obj));
-    o.emplace("job_cache", std::move(jc_obj));
+    o.emplace("job_cache", cache_stats(scheduler_->cache()));
+    o.emplace("trace_cache", cache_stats(core::StimulusTraceCache::instance()));
     emit(o);
 }
 

@@ -127,9 +127,10 @@ struct WireJob {
 /// bit-identical to the unpartitioned job.
 [[nodiscard]] WireJob parse_wire_job(const JsonValue& v);
 
-/// Serial reference evaluation of the (sliced) universe — clone per fault
-/// for SPICE jobs, i.e. the independent check of the service's
-/// clone-reuse scheme.
+/// Serial reference evaluation of the (sliced) universe on the calling
+/// thread — the clone-per-fault universe from build_fault_universe for
+/// SPICE jobs, i.e. the independent check of the service's clone-reuse
+/// scheme. The pipeline's golden must already be set.
 [[nodiscard]] std::vector<double>
 wire_serial_reference(const WireJob& job, const core::SignaturePipeline& pipe);
 

@@ -4,11 +4,14 @@
 
 #include "core/batch_ndf.h"
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/parallel.h"
 #include "core/paper_setup.h"
 #include "monitor/table1.h"
 
@@ -90,6 +93,40 @@ TEST(BatchNdfEvaluator, EvaluateDeviationsMatchesManualUniverse) {
         const filter::BehaviouralCut cut(
             paper_biquad().with_f0_shift(devs[i] / 100.0));
         EXPECT_DOUBLE_EQ(ndfs[i], pipe.ndf_of(cut)) << "dev " << devs[i];
+    }
+}
+
+TEST(BatchNdfEvaluator, NestedCallsRunOnTheCallingThread) {
+    // From a parallel_for body, or from tasks occupying every shared-pool
+    // worker, the evaluator must run inline: waiting on pool slots the
+    // caller itself holds would deadlock.
+    SignaturePipeline pipe = make_pipeline();
+    pipe.set_golden(filter::BehaviouralCut(paper_biquad()));
+    const std::vector<double> devs = {-10.0, -5.0, 0.0, 5.0, 10.0};
+    const BatchNdfEvaluator batch(pipe, {.threads = 4});
+    const std::vector<double> direct =
+        batch.evaluate_deviations(paper_biquad(), devs);
+
+    ThreadPool& shared = ThreadPool::shared();
+    std::vector<std::vector<double>> runs(2 * shared.thread_count());
+    parallel_for(
+        0, shared.thread_count(),
+        [&](std::size_t i) {
+            runs[i] = batch.evaluate_deviations(paper_biquad(), devs);
+        },
+        shared.thread_count());
+    for (std::size_t i = shared.thread_count(); i < runs.size(); ++i)
+        shared.submit([&, i] {
+            runs[i] = batch.evaluate_deviations(paper_biquad(), devs);
+        });
+    shared.wait_idle();
+
+    for (const std::vector<double>& run : runs) {
+        ASSERT_EQ(run.size(), direct.size());
+        for (std::size_t i = 0; i < direct.size(); ++i)
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(run[i]),
+                      std::bit_cast<std::uint64_t>(direct[i]))
+                << "dev " << devs[i];
     }
 }
 

@@ -48,6 +48,25 @@ SignaturePipeline make_pipeline() {
                              opts);
 }
 
+/// The serial reference: each clone-per-fault cut through the allocating
+/// path on this thread, outside the executor. NumericError maps to the
+/// exact NaN constant the engine writes — the tests compare bit patterns,
+/// and std::nan("")'s payload is not guaranteed to match on every libc.
+std::vector<double> serial_reference(
+    const SignaturePipeline& pipe,
+    const std::vector<std::unique_ptr<filter::Cut>>& universe) {
+    std::vector<double> serial;
+    serial.reserve(universe.size());
+    for (const auto& cut : universe) {
+        try {
+            serial.push_back(pipe.ndf_of(*cut));
+        } catch (const NumericError&) {
+            serial.push_back(std::numeric_limits<double>::quiet_NaN());
+        }
+    }
+    return serial;
+}
+
 /// A small mixed universe: a handful of bridging faults plus every open.
 std::vector<capture::NetlistFault> small_universe(const spice::Netlist& nl) {
     const capture::FaultUniverseOptions fopts;
@@ -135,25 +154,12 @@ TEST(SpiceBatch, BatchMatchesSerialBitIdenticallyAtAnyThreadCount) {
         BatchNdfEvaluator::build_fault_universe(ckt.netlist, faults, obs);
     ASSERT_EQ(universe.size(), faults.size());
 
-    // Serial reference through the allocating path (the strictest identity:
-    // scratch vs allocating AND serial vs parallel must both hold), under
-    // the same NaN-on-non-convergence policy the batch engine applies.
-    std::vector<double> serial;
-    serial.reserve(universe.size());
-    for (const auto& cut : universe) {
-        try {
-            serial.push_back(pipe.ndf_of(*cut));
-        } catch (const NumericError&) {
-            // Must be the exact constant the batch policy writes: the test
-            // compares bit patterns, and std::nan("")'s payload is not
-            // guaranteed to match on every libc.
-            serial.push_back(std::numeric_limits<double>::quiet_NaN());
-        }
-    }
+    // The strictest identity: scratch vs allocating AND serial vs parallel
+    // must both hold.
+    const std::vector<double> serial = serial_reference(pipe, universe);
 
     for (const unsigned threads : {1u, 2u, 4u}) {
-        const BatchNdfEvaluator batch(
-            pipe, {.threads = threads, .nan_on_numeric_error = true});
+        const BatchNdfEvaluator batch(pipe, {.threads = threads});
         const auto ndfs = batch.evaluate(universe);
         ASSERT_EQ(ndfs.size(), serial.size());
         for (std::size_t i = 0; i < serial.size(); ++i)
@@ -173,15 +179,14 @@ TEST(SpiceBatch, EvaluateNetlistFaultsMatchesManualUniverseAndDetects) {
 
     const auto faults = small_universe(ckt.netlist);
     const BatchNdfEvaluator batch(pipe, {.threads = 4});
+    const std::uint64_t clones_before = spice::Netlist::clone_count();
     const auto ndfs = batch.evaluate_netlist_faults(ckt.netlist, faults, obs);
+    // One clone per participating worker (inject/repair), not one per fault.
+    EXPECT_LE(spice::Netlist::clone_count() - clones_before, 4u);
 
-    // evaluate_netlist_faults forces the NaN policy; the manual universe
-    // must opt in explicitly to match.
-    const BatchNdfEvaluator tolerant(
-        pipe, {.threads = 4, .nan_on_numeric_error = true});
-    const auto universe =
-        BatchNdfEvaluator::build_fault_universe(ckt.netlist, faults, obs);
-    const auto manual = tolerant.evaluate(universe);
+    // Clone-per-worker reuse against the clone-per-fault universe.
+    const auto manual = serial_reference(
+        pipe, BatchNdfEvaluator::build_fault_universe(ckt.netlist, faults, obs));
     ASSERT_EQ(ndfs.size(), manual.size());
     for (std::size_t i = 0; i < manual.size(); ++i)
         EXPECT_TRUE(same_bits(ndfs[i], manual[i]))

@@ -174,8 +174,7 @@ TEST_F(TraceCacheTest, NanMembersLeaveSharingIntact) {
     const DivergingCut bad;
     const std::vector<const filter::Cut*> universe = {&good_a, &bad, &good_b};
 
-    const core::BatchNdfEvaluator batch(
-        pipeline, {.threads = 2, .nan_on_numeric_error = true});
+    const core::BatchNdfEvaluator batch(pipeline, {.threads = 2});
     const std::vector<double> ndfs = batch.evaluate(universe);
     ASSERT_EQ(ndfs.size(), 3u);
     EXPECT_TRUE(std::isnan(ndfs[1]));

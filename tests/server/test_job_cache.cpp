@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "core/paper_setup.h"
+#include "core/trace_cache.h"
 #include "monitor/table1.h"
 
 namespace xysig::server {
@@ -59,6 +60,23 @@ TEST(PipelineFingerprint, ExactWhenCacheableEmptyOtherwise) {
     core::PipelineOptions quantised = opts;
     quantised.quantise = true;
     EXPECT_TRUE(pipeline_fingerprint(make_pipeline(quantised)).empty());
+
+    // One stimulus fingerprint: this fingerprint, the golden-cache key and
+    // the trace-cache key all embed the same "stim{...}" substring.
+    const core::SignaturePipeline pipe = make_pipeline(opts);
+    const auto stim_of = [](const std::string& key) {
+        const std::size_t begin = key.find("stim{");
+        return begin == std::string::npos
+                   ? std::string()
+                   : key.substr(begin, key.find('}', begin) - begin + 1);
+    };
+    const std::string stim = stim_of(fp);
+    ASSERT_FALSE(stim.empty());
+    EXPECT_EQ(stim, core::stimulus_fingerprint(pipe.stimulus()));
+    EXPECT_EQ(stim, stim_of(pipe.golden_cache_key(
+                        filter::BehaviouralCut(core::paper_biquad()))));
+    EXPECT_EQ(stim, stim_of(core::stimulus_trace_key(pipe.stimulus(), 256,
+                                                     SampleMode::exact)));
 }
 
 TEST(JobResultCache, MissThenExactHit) {

@@ -23,6 +23,7 @@
 #include "common/strings.h"
 #include "core/golden_cache.h"
 #include "core/paper_setup.h"
+#include "core/trace_cache.h"
 #include "monitor/table1.h"
 #include "server/job_cache.h"
 #include "server/json.h"
@@ -416,6 +417,34 @@ TEST(JobScheduler, FastMathJobsNeverShareCacheEntriesWithExact) {
     EXPECT_FALSE(service.pipeline().options().fast_math);
 }
 
+TEST(JobScheduler, UnpinnedJobRunsInTheServiceModeNotThePreviousJobs) {
+    SweepService service(make_pipeline(), {.workers = 2, .shard_size = 4});
+    JobScheduler sched(service, JobScheduler::Options{});
+    const std::string exact_line =
+        R"({"job":"deviations","grid":{"from":-10,"to":10,"count":9}})";
+    SweepService fresh(make_pipeline(), {.workers = 2, .shard_size = 4});
+    const std::vector<SweepResult> exact_ref =
+        serial_reference(fresh, wire_job(exact_line));
+
+    JobHandle fast = sched.submit(wire_job(
+        R"({"job":"deviations","grid":{"from":-10,"to":10,"count":9},"fast_math":true})"));
+    ASSERT_EQ(drain(fast).size(), 9u);
+
+    // An in-process job that pins no mode runs under the service's
+    // construction-time mode (exact), not the mode the fast job left.
+    WireJob unpinned = wire_job(exact_line);
+    unpinned.job.fast_math.reset();
+    JobHandle h = sched.submit(std::move(unpinned));
+    expect_same_stream(drain(h), exact_ref, "unpinned after fast_math");
+    EXPECT_FALSE(service.pipeline().options().fast_math);
+
+    // The cache entry it filled is exact, so the exact wire job it serves
+    // gets exact bits.
+    JobHandle exact = sched.submit(wire_job(exact_line));
+    EXPECT_TRUE(exact.from_cache());
+    expect_same_stream(drain(exact), exact_ref, "exact replay");
+}
+
 TEST(JobScheduler, VerifySerialRunsOnTheDispatcherThread) {
     SweepService service(make_pipeline(), {.workers = 2, .shard_size = 4});
     JobScheduler sched(service, JobScheduler::Options{});
@@ -557,6 +586,14 @@ TEST(ServerSession, InterleavedClientsStreamBitIdenticalAndResubmitIsCached) {
         } else if (event == "stats") {
             wire_cache_hits = static_cast<std::uint64_t>(
                 v.at("scheduler").at("cache_hits").as_number());
+            for (const char* cache : {"golden_cache", "job_cache", "trace_cache"})
+                for (const char* field :
+                     {"hits", "misses", "size", "evictions", "capacity"})
+                    EXPECT_TRUE(v.at(cache).at(field).is_number())
+                        << cache << "." << field;
+            EXPECT_EQ(static_cast<std::size_t>(
+                          v.at("trace_cache").at("capacity").as_number()),
+                      core::StimulusTraceCache::instance().capacity());
         }
     }
 

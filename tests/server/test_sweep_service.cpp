@@ -8,6 +8,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -145,14 +146,21 @@ TEST(SweepService, SpiceUniverseOneClonePerWorkerAndBitIdenticalToBatch) {
     const auto opens = capture::enumerate_open_faults(circuit.netlist, fopts);
     faults.insert(faults.end(), opens.begin(), opens.end());
 
-    // Reference: the PR-3 batch engine (one deep clone PER FAULT).
+    // Reference: the clone-per-fault universe (one fault-injected deep
+    // clone PER FAULT), evaluated serially outside the executor.
     core::SignaturePipeline reference_pipe = make_pipeline();
     reference_pipe.set_golden(filter::SpiceCut(
         std::make_unique<spice::Netlist>(circuit.netlist.clone()),
         obs.input_source, obs.x_node, obs.y_node, obs.settle_periods));
-    const core::BatchNdfEvaluator batch(reference_pipe, {.threads = 2});
-    const std::vector<double> reference =
-        batch.evaluate_netlist_faults(circuit.netlist, faults, obs);
+    std::vector<double> reference;
+    for (const auto& cut : core::BatchNdfEvaluator::build_fault_universe(
+             circuit.netlist, faults, obs)) {
+        try {
+            reference.push_back(reference_pipe.ndf_of(*cut));
+        } catch (const NumericError&) {
+            reference.push_back(std::numeric_limits<double>::quiet_NaN());
+        }
+    }
 
     constexpr unsigned kWorkers = 3;
     SweepService service(make_pipeline(), {.workers = kWorkers, .shard_size = 1});
@@ -281,6 +289,19 @@ TEST(SweepService, ThrowingResultCallbackStopsJobAndServiceSurvives) {
         SweepJob::deviation_grid(core::paper_biquad(), {-5.0, 5.0}),
         [&](const SweepResult&) { ++delivered; });
     EXPECT_EQ(delivered, 2u);
+}
+
+TEST(SweepService, DefaultConstructedJobIsRejected) {
+    // A default job has no universe: size 0, and run() refuses it instead of
+    // reporting an empty summary.
+    SweepService service(make_pipeline(), {.workers = 2});
+    const SweepJob job;
+    EXPECT_EQ(job.size(), 0u);
+    std::size_t calls = 0;
+    EXPECT_THROW((void)service.run(job, [&](const SweepResult&) { ++calls; }),
+                 ContractError);
+    EXPECT_EQ(calls, 0u);
+    EXPECT_EQ(service.stats().jobs, 0u);
 }
 
 TEST(SweepService, EmptyJobCompletesImmediately) {

@@ -92,7 +92,6 @@ D2_FILE_ALLOWLIST = {
     "src/server/chaos.cpp": "fallback chaos seed when the plan gives none; injected faults stay seed-deterministic",
     "src/server/fanout.cpp": "heartbeat scheduling, inactivity timeouts and per-partition telemetry",
     "src/server/scheduler.cpp": "queue-wait telemetry (queue_seconds) on emitted events",
-    "src/server/sweep_service.cpp": "per-shard/per-job wall-clock telemetry on progress events",
     "src/server/tcp_transport.cpp": "connect backoff deadlines and heartbeat pacing",
 }
 
