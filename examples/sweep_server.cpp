@@ -29,7 +29,6 @@
 // Flags: --workers=N --shard-size=N --spp=N (pipeline samples per period)
 //        --queue=N (max queued jobs before submit blocks)
 //        --job-cache=N (whole-job result cache entries; 0 disables)
-//        --no-prefetch (disable golden prefetch for queued jobs)
 //        --heartbeat=SECONDS (emit v3 heartbeat events; 0 = off)
 //        --listen=PORT (serve TCP connections instead of stdin; 0 picks
 //        an ephemeral port, announced on stdout)
@@ -96,8 +95,6 @@ int main(int argc, char** argv) {
             session_opts.max_pending = std::stoul(arg.substr(8));
         else if (arg.rfind("--job-cache=", 0) == 0)
             session_opts.cache_capacity = std::stoul(arg.substr(12));
-        else if (arg == "--no-prefetch")
-            session_opts.prefetch_goldens = false;
         else if (arg.rfind("--heartbeat=", 0) == 0)
             session_opts.heartbeat_seconds = std::stod(arg.substr(12));
         else if (arg.rfind("--listen=", 0) == 0) {

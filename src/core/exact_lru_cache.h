@@ -2,18 +2,20 @@
 #define XYSIG_CORE_EXACT_LRU_CACHE_H
 
 /// \file exact_lru_cache.h
-/// Thread-safe, LRU-bounded find-or-compute map from exact string keys to
-/// immutable values: the one cache body behind GoldenSignatureCache
-/// (golden_cache.h) and StimulusTraceCache (trace_cache.h).
+/// Thread-safe, LRU-bounded map from exact string keys to immutable values:
+/// the one cache body behind GoldenSignatureCache (golden_cache.h),
+/// StimulusTraceCache (trace_cache.h) and the scheduler's JobResultCache
+/// (server/job_cache.h).
 ///
 /// Keys are exact (hexfloat-formatted fingerprints), so a hit is
-/// bit-identical to recomputing. `compute` runs outside the lock (it can be
-/// slow); if two threads race on the same missing key both compute, the
-/// first insertion wins and both return the same stored object — with
-/// exact keys the duplicates are bit-identical anyway. Inserting past
-/// capacity() evicts the least-recently-used entry (hits refresh recency);
-/// returned shared_ptrs keep evicted values alive for callers that still
-/// hold them.
+/// bit-identical to recomputing. find_or_compute runs `compute` outside the
+/// lock (it can be slow); if two threads race on the same missing key both
+/// compute, the first insertion wins and both return the same stored
+/// object — with exact keys the duplicates are bit-identical anyway. For
+/// the same reason insert() keeps an entry that already exists. Inserting
+/// past capacity() evicts the least-recently-used entry (hits refresh
+/// recency); returned shared_ptrs keep evicted values alive for callers
+/// that still hold them.
 
 #include <cstddef>
 #include <functional>
@@ -54,10 +56,28 @@ public:
         if (auto hit = touch_locked(key))
             return hit; // lost a benign race; the first insertion wins
         ++misses_;
-        lru_.emplace_front(key, std::move(computed));
-        map_.emplace(key, lru_.begin());
-        evict_to_capacity_locked();
-        return lru_.front().second;
+        return emplace_locked(key, std::move(computed));
+    }
+
+    /// The value cached under `key`, refreshing its recency (a hit), or
+    /// null (a miss).
+    [[nodiscard]] std::shared_ptr<const V> find(const std::string& key)
+        EXCLUDES(mutex_) {
+        MutexLock lock(mutex_);
+        auto hit = touch_locked(key);
+        if (hit == nullptr)
+            ++misses_;
+        return hit;
+    }
+
+    /// Stores `value` under `key` unless the key is already present, in
+    /// which case the existing entry is kept. Counts neither a hit nor a
+    /// miss.
+    void insert(const std::string& key, V value) EXCLUDES(mutex_) {
+        auto stored = std::make_shared<const V>(std::move(value));
+        MutexLock lock(mutex_);
+        if (!map_.contains(key))
+            emplace_locked(key, std::move(stored));
     }
 
     /// Maximum number of retained entries (>= 1). Shrinking below the
@@ -114,6 +134,17 @@ private:
         ++hits_;
         lru_.splice(lru_.begin(), lru_, it->second);
         return it->second->second;
+    }
+
+    /// Inserts a new MRU entry (the key must be absent) and evicts down to
+    /// capacity; returns the stored value.
+    std::shared_ptr<const V> emplace_locked(const std::string& key,
+                                            std::shared_ptr<const V> value)
+        REQUIRES(mutex_) {
+        lru_.emplace_front(key, std::move(value));
+        map_.emplace(key, lru_.begin());
+        evict_to_capacity_locked();
+        return lru_.front().second;
     }
 
     void evict_to_capacity_locked() REQUIRES(mutex_) {

@@ -6,8 +6,6 @@
 
 #include "common/contracts.h"
 #include "common/strings.h"
-#include "core/paper_setup.h"
-#include "filter/cut.h"
 
 namespace xysig::server {
 
@@ -100,18 +98,10 @@ const WireJob& JobHandle::wire() const { return record_->wire; }
 
 JobScheduler::JobScheduler(SweepService& service, Options options)
     : service_(service), options_(options),
-      cache_(std::max<std::size_t>(1, options.cache_capacity)),
       pipeline_fp_(options.cache_capacity == 0
                        ? std::string()
                        : pipeline_fingerprint(service.pipeline())) {
-    // The prefetch pipeline is copied BEFORE any job runs: set_golden
-    // mutates the service pipeline per job, and copying a pipeline that a
-    // worker is mutating would race. A construction-time copy shares the
-    // exact bank/stimulus/options, so its golden-cache keys are identical
-    // to the service's — that identity is what makes prefetch hits
-    // bit-identical.
-    if (options_.prefetch_goldens)
-        prefetch_pipeline_.emplace(service_.pipeline());
+    cache_.set_capacity(std::max<std::size_t>(1, options.cache_capacity));
     dispatcher_thread_ = std::thread([this] { dispatcher_main(); });
     prefetch_thread_ = std::thread([this] { prefetch_main(); });
 }
@@ -176,8 +166,7 @@ JobHandle JobScheduler::submit(WireJob wire, SubmitOptions opts) {
     // resubmitted job interleaves with (and never waits behind) a draining
     // one.
     if (!rec->cache_key.empty()) {
-        if (auto hit = cache_.lookup(rec->cache_key, rec->wire.member_offset,
-                                     rec->wire.job.size())) {
+        if (const auto hit = cache_.find(rec->cache_key)) {
             {
                 MutexLock lock(mutex_);
                 ++stats_.submitted;
@@ -218,7 +207,7 @@ JobHandle JobScheduler::submit(WireJob wire, SubmitOptions opts) {
                                   });
     queue.insert(pos, rec);
     ++pending_;
-    if (prefetch_pipeline_.has_value() && !rec->wire.is_spice)
+    if (!rec->wire.is_spice)
         prefetch_queue_.push_back(rec);
     queue_cv_.notify_all();
     return JobHandle(rec);
@@ -366,8 +355,7 @@ void JobScheduler::execute(const RecordPtr& rec) {
     // Dispatch-time cache re-check: an identical job completed since this
     // one was queued (cold duplicates queued back-to-back).
     if (!rec->cache_key.empty()) {
-        if (auto hit = cache_.lookup(rec->cache_key, rec->wire.member_offset,
-                                     rec->wire.job.size())) {
+        if (const auto hit = cache_.find(rec->cache_key)) {
             serve_from_cache(rec, *hit);
             return;
         }
@@ -390,7 +378,11 @@ void JobScheduler::execute(const RecordPtr& rec) {
         rec->cv.notify_all();
     }
 
-    const bool collect = !rec->cache_key.empty();
+    // Only a full-universe run fills the cache: its entry serves the exact
+    // resubmit and every member slice, so slices are never stored.
+    const bool collect = !rec->cache_key.empty() &&
+                         rec->wire.member_offset == 0 &&
+                         rec->wire.job.size() == rec->wire.universe_members;
     std::vector<SweepResult> collected;
     std::vector<double> streamed;
     if (collect)
@@ -403,11 +395,8 @@ void JobScheduler::execute(const RecordPtr& rec) {
         const JobSummary summary = service_.run(
             rec->wire.job,
             [&](const SweepResult& r) {
-                if (collect) {
-                    SweepResult global = r;
-                    global.member_id += rec->wire.member_offset;
-                    collected.push_back(std::move(global));
-                }
+                if (collect)
+                    collected.push_back(r);
                 if (rec->wire.verify_serial)
                     streamed.push_back(r.ndf);
                 {
@@ -422,17 +411,14 @@ void JobScheduler::execute(const RecordPtr& rec) {
             },
             &rec->token);
 
-        // verify_serial runs HERE, on the dispatcher thread, while the
-        // job's own golden is still installed in the service pipeline —
-        // the next dispatch replaces it.
         bool verify_ran = false, verified = true, skipped = false;
         std::size_t verify_members = 0;
         if (rec->wire.verify_serial) {
             if (summary.cancelled) {
                 skipped = true;
             } else {
-                const std::vector<double> reference =
-                    wire_serial_reference(rec->wire, service_.pipeline());
+                const std::vector<double> reference = wire_serial_reference(
+                    rec->wire, service_.job_pipeline(rec->wire.job));
                 verify_ran = true;
                 verify_members = reference.size();
                 verified = streamed.size() == reference.size();
@@ -446,8 +432,7 @@ void JobScheduler::execute(const RecordPtr& rec) {
 
         if (collect && !summary.cancelled &&
             collected.size() == rec->wire.job.size())
-            cache_.insert(rec->cache_key, rec->wire.member_offset,
-                          std::move(collected));
+            cache_.insert(rec->cache_key, std::move(collected));
 
         MutexLock lock(rec->m);
         rec->out.summary = summary;
@@ -469,7 +454,11 @@ void JobScheduler::execute(const RecordPtr& rec) {
 }
 
 void JobScheduler::serve_from_cache(const RecordPtr& rec,
-                                    const JobResultCache::Hit& hit) {
+                                    const std::vector<SweepResult>& universe) {
+    const std::size_t base = rec->wire.member_offset;
+    const std::size_t count = rec->wire.job.size();
+    // The key fixes the universe, so its entry covers every slice of it.
+    XYSIG_EXPECTS(base + count <= universe.size());
     const auto t0 = Clock::now();
     {
         MutexLock lock(rec->m);
@@ -480,15 +469,12 @@ void JobScheduler::serve_from_cache(const RecordPtr& rec,
         rec->out.queue_seconds = seconds_since(rec->submitted_at);
         rec->cv.notify_all();
     }
-    const std::vector<SweepResult>& all = *hit.results;
-    const std::size_t base = rec->wire.member_offset - hit.first;
-    const std::size_t count = rec->wire.job.size();
     JobSummary summary;
     summary.members_total = count;
     summary.members_done = count;
     MutexLock lock(rec->m);
     for (std::size_t i = 0; i < count; ++i) {
-        SweepResult local = all[base + i]; // stored under global ids
+        SweepResult local = universe[base + i]; // stored under global ids
         local.member_id = i;
         rec->results.push_back(std::move(local));
     }
@@ -512,19 +498,13 @@ void JobScheduler::prefetch_main() {
             rec = prefetch_queue_.front();
             prefetch_queue_.pop_front();
         }
-        // Behavioural jobs share the paper-nominal golden; warming it
-        // through the private pipeline copy inserts the exact key the
-        // service's own set_golden will look up — overlap with zero effect
-        // on result bits. (SPICE goldens have no cache key, so there is
-        // nothing to warm; those records are filtered at submit.)
+        // The same job_pipeline call the job makes when it runs inserts the
+        // exact golden-cache key (mode included) that call will look up —
+        // overlap with zero effect on result bits. (SPICE goldens have no
+        // cache key, so there is nothing to warm; those records are
+        // filtered at submit.)
         try {
-            // Match the job's effective sampling mode first: golden-cache
-            // keys embed the fast_math flag, so warming under the wrong
-            // mode would insert a key nobody looks up.
-            prefetch_pipeline_->set_fast_math(
-                service_.fast_math_for(rec->wire.job));
-            prefetch_pipeline_->set_golden(
-                filter::BehaviouralCut(core::paper_biquad()));
+            (void)service_.job_pipeline(rec->wire.job);
             MutexLock lock(mutex_);
             ++stats_.goldens_prefetched;
         } catch (const std::exception&) {

@@ -15,13 +15,13 @@
 ///    in favour of a lower-priority one (no priority inversion).
 ///  * Golden-signature computation for queued behavioural jobs overlaps the
 ///    current drain: a prefetch thread warms the process-wide
-///    core::GoldenSignatureCache through a private pipeline copy, so the
-///    service's own set_golden hits the cache (bit-identically — the cache
-///    key scheme guarantees it) instead of paying the golden on the
-///    critical path.
+///    core::GoldenSignatureCache through SweepService::job_pipeline, so the
+///    job's own job_pipeline call when it runs hits the cache
+///    (bit-identically — the cache key scheme guarantees it) instead of
+///    paying the golden on the critical path.
 ///  * A content-addressed JobResultCache (see job_cache.h) short-circuits
-///    whole jobs: an exact resubmit — or a member-range slice covered by a
-///    cached superset — streams results without touching a worker.
+///    whole jobs: an exact resubmit — or any member-range slice of a cached
+///    full universe — streams results without touching a worker.
 ///
 /// Bit-identity contract: at ANY queue depth × worker count, every job's
 /// result stream is in ascending member order and bit-identical to a serial
@@ -36,7 +36,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -65,8 +64,8 @@ struct JobOutcome {
     bool from_cache = false; ///< served by the whole-job cache, no workers
     JobSummary summary;      ///< zeroed shards/clones for cache hits
     std::string error;       ///< non-empty iff state == failed
-    /// verify_serial accounting (run on the dispatcher thread while the
-    /// job's golden is still installed in the service pipeline).
+    /// verify_serial accounting (the serial reference runs after the job,
+    /// against its own SweepService::job_pipeline).
     bool verify_ran = false;
     bool verified = true;
     bool verify_skipped_cancelled = false;
@@ -118,7 +117,8 @@ private:
 };
 
 /// The scheduler. Owns the dispatcher and prefetch threads and the job
-/// cache; borrows the SweepService (whose run() it is the only caller of).
+/// cache; borrows the SweepService (whose run() it is the only caller of)
+/// and holds no pipeline of its own.
 class JobScheduler {
 public:
     struct Options {
@@ -127,8 +127,6 @@ public:
         std::size_t max_pending = 1024;
         /// Whole-job result cache entries; 0 disables job caching.
         std::size_t cache_capacity = JobResultCache::kDefaultCapacity;
-        /// Warm the golden cache for queued jobs on a prefetch thread.
-        bool prefetch_goldens = true;
     };
 
     struct SubmitOptions {
@@ -189,8 +187,10 @@ private:
     void dispatcher_main() EXCLUDES(mutex_);
     void prefetch_main() EXCLUDES(mutex_);
     void execute(const RecordPtr& rec) EXCLUDES(mutex_);
+    /// Streams the job's member slice out of `universe`, a cached
+    /// full-universe result stream under global member ids.
     void serve_from_cache(const RecordPtr& rec,
-                          const JobResultCache::Hit& hit);
+                          const std::vector<SweepResult>& universe);
     /// Counts a closed record's terminal state into stats_ exactly once.
     /// Caller holds mutex_; takes the record's own lock (mutex_ -> rec->m
     /// is the one sanctioned lock order).
@@ -201,9 +201,6 @@ private:
     SweepService& service_;
     Options options_;
     JobResultCache cache_;
-    /// Private pipeline copy made at construction (before any job mutates
-    /// the service pipeline's golden) — the prefetch thread's workbench.
-    std::optional<core::SignaturePipeline> prefetch_pipeline_;
     std::string pipeline_fp_; ///< empty = job caching off for this pipeline
 
     mutable Mutex mutex_; ///< queue + stats state below

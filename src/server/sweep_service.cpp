@@ -37,8 +37,19 @@ SweepJob SweepJob::fault_universe(std::shared_ptr<const spice::Netlist> nominal,
 SweepService::SweepService(core::SignaturePipeline pipeline,
                            SweepServiceOptions options)
     : pipeline_(std::move(pipeline)), options_(options),
-      base_fast_math_(pipeline_.options().fast_math), pool_(options.workers) {
+      pool_(options.workers) {
     XYSIG_EXPECTS(options_.shard_size >= 1);
+}
+
+core::SignaturePipeline SweepService::job_pipeline(const SweepJob& job) const {
+    XYSIG_EXPECTS(job.universe_ != nullptr);
+    core::SignaturePipeline pipe = pipeline_;
+    // Pin the sampling mode before the golden is resolved so the golden
+    // and every member of the job evaluate under the same mode (the golden
+    // cache and the shared stimulus trace are both keyed on it).
+    pipe.set_fast_math(fast_math_for(job));
+    job.universe_->set_golden(pipe);
+    return pipe;
 }
 
 JobSummary SweepService::run(const SweepJob& job,
@@ -47,18 +58,13 @@ JobSummary SweepService::run(const SweepJob& job,
     XYSIG_EXPECTS(on_result != nullptr);
     XYSIG_EXPECTS(job.universe_ != nullptr);
     MutexLock job_lock(job_mutex_); // one job at a time
-
-    // Pin the sampling mode before the golden is resolved so the golden
-    // and every member of this job evaluate under the same mode (the
-    // golden cache and the shared stimulus trace are both keyed on it).
-    pipeline_.set_fast_math(fast_math_for(job));
-    job.universe_->set_golden(pipeline_);
+    const core::SignaturePipeline pipe = job_pipeline(job);
 
     const core::Schedule schedule{
         &pool_, worker_count(),
         job.shard_size != 0 ? job.shard_size : options_.shard_size};
     JobSummary summary =
-        core::run_universe(*job.universe_, pipeline_, schedule, on_result, cancel);
+        core::run_universe(*job.universe_, pipe, schedule, on_result, cancel);
 
     MutexLock lock(stats_mutex_);
     ++stats_.jobs;

@@ -3,7 +3,7 @@
 
 /// \file sweep_service.h
 /// Long-lived sharded sweep service: core::run_universe on a ThreadPool the
-/// service owns, plus the pipeline whose golden each job installs.
+/// service owns, plus a read-only pipeline each job evaluates a copy of.
 ///
 /// A sweep job is one member universe (core::Universe) — a SPICE fault
 /// universe, a behavioural deviation grid, or an explicit CUT list —
@@ -22,6 +22,10 @@
 ///  * goldens are served from the process-wide core::GoldenSignatureCache,
 ///    so repeated jobs over the same (cut, bank, stimulus) fingerprint
 ///    compute the golden once per fingerprint, not once per job;
+///  * the service pipeline is never written after construction: each job
+///    runs on its own copy (job_pipeline), so concurrent readers — a
+///    scheduler's prefetcher, another session sharing the service — never
+///    race with a running job;
 ///  * non-convergent members stream as quiet-NaN NDFs with no signature
 ///    (core::Universe::evaluate).
 
@@ -85,9 +89,9 @@ public:
 
     /// Per-job sampling mode: set to pin the pipeline's fast_math flag for
     /// this job; nullopt runs under the mode the service was constructed
-    /// with (SweepService::fast_math_for). run() applies it before
+    /// with (SweepService::fast_math_for). job_pipeline applies it before
     /// resolving the golden, so the golden and every member evaluate under
-    /// one mode and no job inherits the previous job's mode.
+    /// one mode and no job inherits another job's mode.
     std::optional<bool> fast_math;
 
 private:
@@ -95,12 +99,13 @@ private:
     std::shared_ptr<const core::Universe> universe_;
 };
 
-/// The service. Owns the pipeline (each job installs its golden on it) and
-/// a ThreadPool whose workers live across jobs; run() is the blocking
-/// submit-and-stream entry point and may be called repeatedly. One job
-/// runs at a time (concurrent run() calls serialise); results within a job
-/// are produced on the pool (a single-shard job on the caller's thread)
-/// and always delivered from the run() caller's thread.
+/// The service. Owns a read-only pipeline (each job evaluates against its
+/// own copy, see job_pipeline) and a ThreadPool whose workers live across
+/// jobs; run() is the blocking submit-and-stream entry point and may be
+/// called repeatedly. One job runs at a time (concurrent run() calls queue
+/// for the pool); results within a job are produced on the pool (a
+/// single-shard job on the caller's thread) and always delivered from the
+/// run() caller's thread.
 class SweepService {
 public:
     using ResultCallback = std::function<void(const SweepResult&)>;
@@ -122,9 +127,18 @@ public:
     JobSummary run(const SweepJob& job, const ResultCallback& on_result,
                    SweepCancelToken* cancel = nullptr);
 
+    /// The construction-time pipeline; never written afterwards, so any
+    /// thread may read or copy it at any time.
     [[nodiscard]] const core::SignaturePipeline& pipeline() const noexcept {
         return pipeline_;
     }
+    /// The pipeline `job` evaluates against: a copy of pipeline() with the
+    /// job's sampling mode (fast_math_for) pinned and its universe's golden
+    /// installed (served from the golden cache when it has an exact key).
+    /// run() calls it for every job; the scheduler's prefetcher calls it to
+    /// warm the golden cache, and verify_serial for its reference. Throws
+    /// ContractError for a job without a universe.
+    [[nodiscard]] core::SignaturePipeline job_pipeline(const SweepJob& job) const;
     [[nodiscard]] unsigned worker_count() const noexcept {
         return pool_.thread_count();
     }
@@ -133,9 +147,9 @@ public:
         return options_.shard_size;
     }
     /// The sampling mode `job` runs under: its pinned flag, else the
-    /// pipeline's mode at construction.
+    /// pipeline's mode.
     [[nodiscard]] bool fast_math_for(const SweepJob& job) const noexcept {
-        return job.fast_math.value_or(base_fast_math_);
+        return job.fast_math.value_or(pipeline_.options().fast_math);
     }
 
     /// Lifetime totals across jobs.
@@ -148,11 +162,13 @@ public:
     [[nodiscard]] ServiceStats stats() const EXCLUDES(stats_mutex_);
 
 private:
-    core::SignaturePipeline pipeline_;
+    const core::SignaturePipeline pipeline_;
     SweepServiceOptions options_;
-    const bool base_fast_math_;
     ThreadPool pool_;
-    Mutex job_mutex_; ///< serialises run() callers; guards no fields
+    /// Guards no state: it queues run() callers so one job at a time owns
+    /// the pool — with a service shared across sessions, a job waits here
+    /// behind another session's job.
+    Mutex job_mutex_;
 
     mutable Mutex stats_mutex_;
     ServiceStats stats_ GUARDED_BY(stats_mutex_);

@@ -227,14 +227,16 @@ struct TcpListener::Connection {
     std::atomic<bool> finished{false};
 };
 
-TcpListener::TcpListener(Options options) : options_(std::move(options)) {
-    detail::ignore_sigpipe_once();
+namespace {
 
-    const AddrInfo addrs(options_.bind_address, options_.port,
-                         /*passive=*/true);
+/// A socket bound to address:port and listening; throws Error when no
+/// resolved address can be bound.
+[[nodiscard]] int listen_socket(const std::string& address,
+                                unsigned short port) {
+    const AddrInfo addrs(address, port, /*passive=*/true);
     std::string last_error = "no usable address";
-    for (const struct addrinfo* ai = addrs.begin();
-         ai != nullptr && listen_fd_ < 0; ai = ai->ai_next) {
+    for (const struct addrinfo* ai = addrs.begin(); ai != nullptr;
+         ai = ai->ai_next) {
         const int fd =
             ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
         if (fd < 0) {
@@ -249,20 +251,27 @@ TcpListener::TcpListener(Options options) : options_(std::move(options)) {
             ::close(fd);
             continue;
         }
-        listen_fd_ = fd;
+        return fd;
     }
-    if (listen_fd_ < 0)
-        throw Error("tcp: cannot listen on " + options_.bind_address + ":" +
-                    std::to_string(options_.port) + ": " + last_error);
+    throw Error("tcp: cannot listen on " + address + ":" +
+                std::to_string(port) + ": " + last_error);
+}
+
+} // namespace
+
+TcpListener::TcpListener(Options options)
+    : options_(std::move(options)),
+      listen_fd_(listen_socket(options_.bind_address, options_.port)) {
+    detail::ignore_sigpipe_once();
 
     // Resolve the ephemeral port before anyone asks for it.
     struct sockaddr_storage addr {};
     socklen_t len = sizeof(addr);
     if (::getsockname(listen_fd_, reinterpret_cast<struct sockaddr*>(&addr),
                       &len) != 0) {
+        const std::string message = errno_message("getsockname");
         ::close(listen_fd_);
-        listen_fd_ = -1;
-        throw Error(errno_message("getsockname"));
+        throw Error(message);
     }
     if (addr.ss_family == AF_INET)
         port_ = ntohs(reinterpret_cast<struct sockaddr_in*>(&addr)->sin_port);
@@ -279,7 +288,10 @@ TcpListener::TcpListener(Options options) : options_(std::move(options)) {
     }
 }
 
-TcpListener::~TcpListener() { stop(); }
+TcpListener::~TcpListener() {
+    stop();
+    ::close(listen_fd_); // every thread that reads it has been joined
+}
 
 void TcpListener::start() {
     accept_thread_ = std::thread([this] { accept_loop(); });
@@ -391,13 +403,10 @@ void TcpListener::reap_finished_connections_locked() {
 void TcpListener::stop() {
     if (stopping_.exchange(true, std::memory_order_acq_rel))
         return;
-    if (listen_fd_ >= 0) {
-        // shutdown() unblocks a thread parked in accept(); close alone is
-        // not guaranteed to on all kernels.
-        ::shutdown(listen_fd_, SHUT_RDWR);
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-    }
+    // shutdown() unblocks a thread parked in accept() (close alone is not
+    // guaranteed to on all kernels). The descriptor stays open until the
+    // destructor, so a concurrent accept_loop never reads a changing fd.
+    ::shutdown(listen_fd_, SHUT_RDWR);
     if (accept_thread_.joinable())
         accept_thread_.join();
 

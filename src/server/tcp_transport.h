@@ -152,7 +152,7 @@ private:
     void reap_finished_connections_locked() REQUIRES(connections_mutex_);
 
     Options options_;
-    int listen_fd_ = -1;
+    const int listen_fd_; ///< closed by the destructor only
     unsigned short port_ = 0;
     std::atomic<bool> stopping_{false};
     std::atomic<std::size_t> connections_accepted_{0};

@@ -393,7 +393,6 @@ ServerSession::ServerSession(SweepService& service, LineSink sink,
     JobScheduler::Options sched;
     sched.max_pending = options.max_pending;
     sched.cache_capacity = options.cache_capacity;
-    sched.prefetch_goldens = options.prefetch_goldens;
     scheduler_ = std::make_unique<JobScheduler>(service_, sched);
     if (options.heartbeat_seconds > 0.0) {
         // Liveness beacon (protocol v3): one line every interval, whether

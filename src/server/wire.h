@@ -52,6 +52,7 @@
 
 #include "common/annotated_mutex.h"
 
+#include "server/job_cache.h"
 #include "server/json.h"
 #include "server/sweep_service.h"
 
@@ -130,7 +131,8 @@ struct WireJob {
 /// Serial reference evaluation of the (sliced) universe on the calling
 /// thread — the clone-per-fault universe from build_fault_universe for
 /// SPICE jobs, i.e. the independent check of the service's clone-reuse
-/// scheme. The pipeline's golden must already be set.
+/// scheme. The pipeline's golden must already be set (as in
+/// SweepService::job_pipeline).
 [[nodiscard]] std::vector<double>
 wire_serial_reference(const WireJob& job, const core::SignaturePipeline& pipe);
 
@@ -144,8 +146,8 @@ void check_protocol_line(const std::string& line);
 /// so wire.h need not include scheduler.h — scheduler.h includes wire.h).
 struct SessionOptions {
     std::size_t max_pending = 1024; ///< queued-job bound (submit backpressure)
-    std::size_t cache_capacity = 64; ///< whole-job cache entries; 0 = off
-    bool prefetch_goldens = true;
+    /// Whole-job cache entries; 0 = off.
+    std::size_t cache_capacity = JobResultCache::kDefaultCapacity;
     /// Emit a `heartbeat` event every this-many seconds (0 = off). The
     /// liveness signal for coordinators with inactivity timeouts: a busy
     /// worker whose results are slow still proves it is alive between

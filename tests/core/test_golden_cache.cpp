@@ -1,6 +1,8 @@
-// GoldenSignatureCache bounds: a long-lived sweep service sees an unbounded
-// stream of distinct golden fingerprints, so the cache must evict (LRU)
-// instead of leaking one chronogram per fingerprint forever.
+// ExactLruCache bounds, through its GoldenSignatureCache instantiation: a
+// long-lived sweep service sees an unbounded stream of distinct golden
+// fingerprints, so the cache must evict (LRU) instead of leaking one
+// chronogram per fingerprint forever. The find/insert rows pin the API the
+// scheduler's JobResultCache uses.
 
 #include "core/golden_cache.h"
 
@@ -60,6 +62,14 @@ TEST(GoldenCacheLru, EvictedEntriesStayAliveForHolders) {
     EXPECT_EQ(cache.evictions(), 1u);
     // The shared_ptr returned before eviction is still valid.
     EXPECT_EQ(held->events()[0].code, 7u);
+
+    // So is one returned by find once insert evicts its entry.
+    const auto found = cache.find("y");
+    cache.insert("z", make_chronogram(9));
+    EXPECT_EQ(cache.evictions(), 2u);
+    EXPECT_EQ(cache.find("y"), nullptr);
+    ASSERT_NE(found, nullptr);
+    EXPECT_EQ(found->events()[0].code, 8u);
 }
 
 TEST(GoldenCacheLru, ShrinkingCapacityEvictsImmediately) {
@@ -88,6 +98,49 @@ TEST(GoldenCacheLru, StatsAndClear) {
     EXPECT_EQ(cache.misses(), 0u);
     EXPECT_EQ(cache.evictions(), 0u);
     EXPECT_EQ(cache.capacity(), 4u); // clear keeps the configured bound
+}
+
+TEST(GoldenCacheLru, FindCountsHitsAndMissesAndRefreshesRecency) {
+    GoldenSignatureCache cache;
+    cache.set_capacity(2);
+    EXPECT_EQ(cache.find("a"), nullptr);
+    EXPECT_EQ(cache.misses(), 1u);
+    cache.insert("a", make_chronogram(1));
+    cache.insert("b", make_chronogram(2));
+    EXPECT_EQ(cache.misses(), 1u); // inserts count neither hits nor misses
+    EXPECT_EQ(cache.hits(), 0u);
+
+    // A hit refreshes recency: "b" becomes the LRU victim when "c" arrives.
+    const auto a = cache.find("a");
+    ASSERT_NE(a, nullptr);
+    EXPECT_EQ(a->events()[0].code, 1u);
+    EXPECT_EQ(cache.hits(), 1u);
+    cache.insert("c", make_chronogram(3));
+    EXPECT_EQ(cache.evictions(), 1u);
+    EXPECT_EQ(cache.find("b"), nullptr);
+    EXPECT_NE(cache.find("a"), nullptr);
+    EXPECT_NE(cache.find("c"), nullptr);
+    EXPECT_EQ(cache.hits(), 3u);
+    EXPECT_EQ(cache.misses(), 2u);
+
+    // find_or_compute still counts one miss per computation, after a find
+    // already counted its own.
+    EXPECT_EQ(cache.find("d"), nullptr);
+    (void)cache.find_or_compute("d", [] { return make_chronogram(4); });
+    EXPECT_EQ(cache.misses(), 4u);
+}
+
+TEST(GoldenCacheLru, InsertKeepsAnExistingEntry) {
+    GoldenSignatureCache cache;
+    cache.set_capacity(4);
+    cache.insert("k", make_chronogram(1));
+    const auto first = cache.find("k");
+    cache.insert("k", make_chronogram(2));
+    EXPECT_EQ(cache.size(), 1u);
+    const auto again = cache.find("k");
+    EXPECT_EQ(again, first); // the same stored object, not a replacement
+    EXPECT_EQ(again->events()[0].code, 1u);
+    EXPECT_EQ(cache.evictions(), 0u);
 }
 
 TEST(GoldenCacheLru, ProcessWideInstanceIsBounded) {

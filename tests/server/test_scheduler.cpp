@@ -15,6 +15,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -224,31 +225,52 @@ TEST(JobScheduler, ExactSpiceResubmitStreamsFromCacheWithZeroClones) {
 TEST(JobScheduler, MemberRangeSliceServedByCachedSuperset) {
     SweepService service(make_pipeline(), {.workers = 2, .shard_size = 4});
     JobScheduler sched(service, JobScheduler::Options{});
+    const std::string full_line =
+        R"({"job":"deviations","grid":{"from":-20,"to":20,"count":11}})";
 
-    JobHandle full = sched.submit(wire_job(
-        R"({"job":"deviations","grid":{"from":-20,"to":20,"count":11}})"));
+    // A slice of a universe nobody has run yet runs for real, and is not
+    // stored: only full-universe results enter the cache.
+    JobHandle cold_slice = sched.submit(wire_job(
+        R"({"job":"deviations","grid":{"from":-20,"to":20,"count":11},"members":{"first":1,"count":2}})"));
+    EXPECT_FALSE(cold_slice.from_cache());
+    EXPECT_EQ(drain(cold_slice).size(), 2u);
+    EXPECT_EQ(sched.cache().size(), 0u);
+
+    JobHandle full = sched.submit(wire_job(full_line));
+    EXPECT_FALSE(full.from_cache());
     const std::vector<SweepResult> reference = drain(full);
     ASSERT_EQ(reference.size(), 11u);
+    EXPECT_EQ(sched.cache().size(), 1u);
 
-    // A fan-out slice of the SAME universe (grid spelled as the explicit
-    // list — the content key is over materialised values) hits the cached
-    // superset and streams under local ids.
-    JobHandle slice = sched.submit(wire_job(
-        R"({"job":"deviations","deviations":[-20,-16,-12,-8,-4,0,4,8,12,16,20],"members":{"first":3,"count":4}})"));
-    EXPECT_TRUE(slice.from_cache());
-    const std::vector<SweepResult> sliced = drain(slice);
-    ASSERT_EQ(sliced.size(), 4u);
-    for (std::size_t i = 0; i < 4; ++i) {
-        EXPECT_EQ(sliced[i].member_id, i); // local ids, offset 3 on the wire
-        EXPECT_TRUE(same_bits(sliced[i].ndf, reference[3 + i].ndf));
-        EXPECT_EQ(sliced[i].label, reference[3 + i].label);
+    // Slices of the SAME universe (grid spelled as the explicit list — the
+    // content key is over materialised values) are served by indexing the
+    // full entry, under local ids; the cold slice's range is among them.
+    const std::string list_line =
+        R"({"job":"deviations","deviations":[-20,-16,-12,-8,-4,0,4,8,12,16,20],"members":{"first":)";
+    for (const auto& [first, count] :
+         std::vector<std::pair<std::size_t, std::size_t>>{{3, 4}, {1, 2}, {10, 1}}) {
+        JobHandle slice = sched.submit(wire_job(
+            list_line + std::to_string(first) + R"(,"count":)" +
+            std::to_string(count) + "}}"));
+        EXPECT_TRUE(slice.from_cache()) << first << "+" << count;
+        const std::vector<SweepResult> sliced = drain(slice);
+        ASSERT_EQ(sliced.size(), count);
+        for (std::size_t i = 0; i < count; ++i) {
+            EXPECT_EQ(sliced[i].member_id, i); // local ids on the wire
+            EXPECT_TRUE(same_bits(sliced[i].ndf, reference[first + i].ndf));
+            EXPECT_EQ(sliced[i].label, reference[first + i].label);
+        }
     }
-    // A slice past the cached span runs for real (and is then cached).
+    EXPECT_EQ(sched.cache().size(), 1u);
+
+    // A different universe runs for real (and then has its own entry).
     JobHandle wider = sched.submit(wire_job(
         R"({"job":"deviations","grid":{"from":-20,"to":20,"count":12}})"));
     EXPECT_FALSE(wider.from_cache());
     EXPECT_EQ(drain(wider).size(), 12u);
-    EXPECT_EQ(sched.stats().cache_hits, 1u);
+    wait_for([&] { return sched.stats().completed >= 6; });
+    EXPECT_EQ(sched.stats().cache_hits, 3u);
+    EXPECT_EQ(sched.cache().size(), 2u);
 }
 
 TEST(JobScheduler, InterleavedQueueBitIdenticalToSerialIncludingNaNs) {
@@ -445,7 +467,7 @@ TEST(JobScheduler, UnpinnedJobRunsInTheServiceModeNotThePreviousJobs) {
     expect_same_stream(drain(exact), exact_ref, "exact replay");
 }
 
-TEST(JobScheduler, VerifySerialRunsOnTheDispatcherThread) {
+TEST(JobScheduler, VerifySerialMatchesTheSerialReferenceAndBypassesTheCache) {
     SweepService service(make_pipeline(), {.workers = 2, .shard_size = 4});
     JobScheduler sched(service, JobScheduler::Options{});
     JobHandle h = sched.submit(wire_job(

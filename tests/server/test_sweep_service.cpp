@@ -1,7 +1,8 @@
 // SweepService guarantees: bit-identity to the serial/batch NDF paths at
 // any (shard size x worker count), one netlist clone per worker on SPICE
 // universes (pinned through the Netlist::clone_count() probe), in-order
-// streaming, mid-job cancellation, and golden-cache reuse across jobs.
+// streaming, mid-job cancellation, golden-cache reuse across jobs, and a
+// service pipeline that jobs never write.
 
 #include "server/sweep_service.h"
 
@@ -19,6 +20,7 @@
 #include "core/batch_ndf.h"
 #include "core/golden_cache.h"
 #include "core/paper_setup.h"
+#include "filter/cut.h"
 #include "filter/tow_thomas.h"
 #include "monitor/table1.h"
 
@@ -250,6 +252,49 @@ TEST(SweepService, GoldenComputedOncePerFingerprintAcrossJobs) {
     const auto stats = service.stats();
     EXPECT_EQ(stats.jobs, 3u);
     EXPECT_EQ(stats.members, 3u * 32u);
+}
+
+TEST(SweepService, PipelineStaysReadOnlyAcrossJobs) {
+    // Jobs evaluate against their own pipeline copy: neither a job's golden
+    // nor its sampling mode is ever written into the service pipeline,
+    // which other threads (a scheduler's prefetcher, sessions sharing the
+    // service) read concurrently.
+    SweepService service(make_pipeline(), {.workers = 2, .shard_size = 4});
+    const bool construction_mode = service.pipeline().options().fast_math;
+    SweepJob exact =
+        SweepJob::deviation_grid(core::paper_biquad(), grid(-5.0, 5.0, 6));
+    exact.fast_math = false;
+    SweepJob fast = exact;
+    fast.fast_math = true;
+
+    (void)service.run(exact, [](const SweepResult&) {});
+    (void)service.run(fast, [](const SweepResult&) {});
+    EXPECT_FALSE(service.pipeline().has_golden());
+    EXPECT_EQ(service.pipeline().options().fast_math, construction_mode);
+}
+
+TEST(SweepService, JobPipelinePinsTheModeAndInstallsTheGolden) {
+    SweepService service(make_pipeline(), {.workers = 2, .shard_size = 4});
+    SweepJob fast =
+        SweepJob::deviation_grid(core::paper_biquad(), grid(-5.0, 5.0, 6));
+    fast.fast_math = true;
+    std::vector<double> streamed;
+    (void)service.run(fast,
+                      [&](const SweepResult& r) { streamed.push_back(r.ndf); });
+    ASSERT_EQ(streamed.size(), 6u);
+
+    // The copy run() evaluated against: the job's mode and golden, so a
+    // member evaluated on it reproduces the streamed bits.
+    const core::SignaturePipeline pipe = service.job_pipeline(fast);
+    EXPECT_TRUE(pipe.options().fast_math);
+    ASSERT_TRUE(pipe.has_golden());
+    const filter::BehaviouralCut member0(
+        core::paper_biquad().with_f0_shift(-0.05));
+    EXPECT_TRUE(same_bits(pipe.ndf_of(member0), streamed[0]));
+    // Building it left the service pipeline untouched.
+    EXPECT_FALSE(service.pipeline().has_golden());
+    EXPECT_FALSE(service.pipeline().options().fast_math);
+    EXPECT_THROW((void)service.job_pipeline(SweepJob{}), ContractError);
 }
 
 TEST(SweepService, WorkerFaultInjectionErrorPropagates) {
