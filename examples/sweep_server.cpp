@@ -6,18 +6,19 @@
 // stats, error) to stdout, and keeps the service — worker pool, pipeline,
 // golden-signature cache, whole-job result cache — alive across jobs.
 // docs/PROTOCOL.md is the normative spec of the wire format; the protocol
-// logic itself lives in src/server/wire.{h,cpp} (ServerSession), shared
-// with the fan-out driver's loopback transport, so this file is only
+// logic itself — the request loop included — lives in
+// src/server/wire.{h,cpp} (ServerSession::serve), the same loop every
+// TcpListener connection and LoopbackTransport runs, so this file is only
 // plumbing.
 //
-// Since protocol version 2, handle_line() submits jobs asynchronously —
-// a job is acknowledged with a `queued` event and its results stream from
-// a per-job emitter thread — so this main loop is a single-threaded
-// getline: cancels take effect on receipt (submission never blocks the
-// reader for the duration of a job), multiple in-flight jobs interleave
-// on one connection, and backpressure comes from the scheduler's bounded
-// queue + the OS pipe. {"cmd":"quit"} drains every in-flight job before
-// the loop exits, as does EOF.
+// Since protocol version 2, the session submits jobs asynchronously — a
+// job is acknowledged with a `queued` event and its results stream from a
+// per-job emitter thread — so serve() on stdin is a single reader thread:
+// cancels take effect on receipt (submission never blocks the reader for
+// the duration of a job), multiple in-flight jobs interleave on one
+// connection, and backpressure comes from the scheduler's bounded queue +
+// the OS pipe. {"cmd":"quit"} drains every in-flight job before the loop
+// exits, as does EOF.
 //
 // With --listen=PORT the same protocol is served over TCP instead of
 // stdin/stdout: the process binds the port (0 = ephemeral), announces
@@ -39,6 +40,8 @@
 
 #include <iostream>
 #include <string>
+
+#include <unistd.h>
 
 #include "server/json.h"
 #include "server/tcp_transport.h"
@@ -155,14 +158,7 @@ int main(int argc, char** argv) {
         [](const std::string& line) { std::cout << line << "\n" << std::flush; },
         session_opts);
     session.emit_ready(samples_per_period);
-
-    std::string line;
-    while (std::getline(std::cin, line)) {
-        if (line.find_first_not_of(" \t\r") == std::string::npos)
-            continue;
-        if (!session.handle_line(line))
-            break; // quit (already drained)
-    }
+    session.serve(STDIN_FILENO);
     session.drain(); // EOF path: flush in-flight jobs before exiting
     return session.all_verified() ? 0 : 1;
 }

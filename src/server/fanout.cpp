@@ -28,6 +28,10 @@ using Clock = std::chrono::steady_clock;
 /// prompt, long enough not to spin.
 constexpr double kPollSliceSeconds = 0.05;
 
+/// Worker threads of the verify_single_process reference service; its
+/// bits do not depend on the count (shards merge in member order).
+constexpr unsigned kVerifyWorkers = 2;
+
 /// Bounded integer field of a peer event (wire::index_field — peer stdout
 /// is as untrusted as peer stdin).
 [[nodiscard]] std::size_t size_field(const JsonValue& v, const char* key) {
@@ -174,6 +178,7 @@ void FanoutDriver::serve_segment(Shared& shared, std::size_t segment_index) {
     // goes through shared.outcomes[partition] under shared.mutex.
     unsigned attempts = 0; ///< this segment's own dispatch budget
     bool done = next_needed >= end; // a tail stolen down to nothing
+    std::string last_failure; ///< why the latest attempt failed
 
     while (!done) {
         if (shared.stop_requested()) {
@@ -184,7 +189,7 @@ void FanoutDriver::serve_segment(Shared& shared, std::size_t segment_index) {
         if (attempts >= options_.max_attempts) {
             shared.fail("fanout: partition " + std::to_string(partition) +
                         " exhausted " + std::to_string(options_.max_attempts) +
-                        " dispatch attempts");
+                        " dispatch attempts; last failure: " + last_failure);
             break;
         }
         ++attempts;
@@ -196,24 +201,34 @@ void FanoutDriver::serve_segment(Shared& shared, std::size_t segment_index) {
         try {
             MutexLock lock(shared.factory_mutex);
             transport = factory_();
-        } catch (const std::exception&) {
+        } catch (const std::exception& e) {
             // A factory that cannot produce a peer right now (connect
             // refused, resources) costs one attempt, like a peer that
             // died during handshake — it must not unwind this thread.
+            last_failure = e.what();
             continue;
         }
+        const std::string peer = transport->describe();
 
-        // Handshake: wait for the ready banner (and pin the peers to one
-        // samples_per_period — the verify gate depends on it).
+        // Handshake — the one banner check, whatever the transport: wait
+        // for `ready`, then pin the peer's protocol version and its
+        // samples_per_period (the verify gate depends on it). Either
+        // mismatch is deterministic, so it fails the run instead of
+        // costing attempts.
         bool handshaken = false;
         {
+            last_failure = peer + " sent no ready banner within " +
+                           format_double(options_.handshake_timeout_seconds) +
+                           " s";
             const auto h0 = Clock::now();
             std::string line;
             while (seconds_since(h0) < options_.handshake_timeout_seconds) {
                 const auto status =
                     transport->read_line(line, kPollSliceSeconds);
-                if (status == Transport::ReadStatus::closed)
+                if (status == Transport::ReadStatus::closed) {
+                    last_failure = peer + " closed before the ready banner";
                     break;
+                }
                 if (status == Transport::ReadStatus::timeout) {
                     if (shared.stop_requested())
                         break;
@@ -221,29 +236,41 @@ void FanoutDriver::serve_segment(Shared& shared, std::size_t segment_index) {
                 }
                 try {
                     const JsonValue v = JsonValue::parse(line);
-                    if (v.is_object() && v.string_or("event", "") == "ready") {
-                        const std::size_t spp =
-                            size_field(v, "samples_per_period");
-                        bool mismatch = false;
-                        {
-                            MutexLock lock(shared.mutex);
-                            if (shared.samples_per_period == 0)
-                                shared.samples_per_period = spp;
-                            else
-                                mismatch = shared.samples_per_period != spp;
-                        }
-                        if (mismatch) {
-                            shared.fail(
-                                "fanout: workers disagree on "
-                                "samples_per_period — results would not be "
-                                "comparable");
-                            break;
-                        }
-                        handshaken = true;
+                    if (!v.is_object() || v.string_or("event", "") != "ready")
+                        continue;
+                    const std::size_t version =
+                        v.has("version") ? size_field(v, "version") : 1;
+                    if (version < 1 ||
+                        version > static_cast<std::size_t>(kProtocolVersion)) {
+                        shared.fail("fanout: peer " + peer +
+                                    " speaks protocol version " +
+                                    std::to_string(version) +
+                                    "; this build speaks 1 to " +
+                                    std::to_string(kProtocolVersion));
                         break;
                     }
-                } catch (const std::exception&) {
-                    break; // garbage banner: treat the peer as dead
+                    const std::size_t spp = size_field(v, "samples_per_period");
+                    bool mismatch = false;
+                    {
+                        MutexLock lock(shared.mutex);
+                        if (shared.samples_per_period == 0)
+                            shared.samples_per_period = spp;
+                        else
+                            mismatch = shared.samples_per_period != spp;
+                    }
+                    if (mismatch) {
+                        shared.fail("fanout: workers disagree on "
+                                    "samples_per_period — results would not "
+                                    "be comparable");
+                        break;
+                    }
+                    handshaken = true;
+                    break;
+                } catch (const std::exception& e) {
+                    // Garbage banner: treat the peer as dead.
+                    last_failure = "malformed banner from " + peer + ": " +
+                                   e.what();
+                    break;
                 }
             }
         }
@@ -253,11 +280,11 @@ void FanoutDriver::serve_segment(Shared& shared, std::size_t segment_index) {
         }
 
         // Dispatch the (remaining) member range. Driver-owned concerns are
-        // stripped: progress/cancel_after/verify_serial belong to direct
-        // sweep_server consumers, not to partitions. The range is re-read
-        // under the lock: a steal may have shrunk the end since the last
-        // attempt, and dispatching members another thread now owns would
-        // compute them twice.
+        // stripped: progress/verify_serial belong to direct sweep_server
+        // consumers, not to partitions. The range is re-read under the
+        // lock: a steal may have shrunk the end since the last attempt,
+        // and dispatching members another thread now owns would compute
+        // them twice.
         std::size_t dispatch_end = 0;
         {
             MutexLock lock(shared.mutex);
@@ -270,20 +297,30 @@ void FanoutDriver::serve_segment(Shared& shared, std::size_t segment_index) {
             transport->shutdown();
             break;
         }
+        // Cancels name the dispatched job, so the peer's scheduler stops it
+        // whether it is running or still queued behind other jobs.
+        const std::string job_id = shared.base_id + "#p" +
+                                   std::to_string(segment_index) + "a" +
+                                   std::to_string(attempts);
+        std::string cancel_line;
+        {
+            JsonValue::Object cancel;
+            cancel.emplace("cmd", "cancel");
+            cancel.emplace("id", job_id);
+            cancel_line = JsonValue(std::move(cancel)).dump();
+        }
         {
             JsonValue::Object job = shared.base_job;
             JsonValue::Object members;
             members.emplace("first", next_needed);
             members.emplace("count", dispatch_end - next_needed);
             job.insert_or_assign("members", JsonValue(std::move(members)));
-            job.insert_or_assign("id", shared.base_id + "#p" +
-                                           std::to_string(segment_index) +
-                                           "a" + std::to_string(attempts));
+            job.insert_or_assign("id", job_id);
             job.insert_or_assign("version", JsonValue(kProtocolVersion));
             job.insert_or_assign("progress_every", JsonValue(0));
-            job.insert_or_assign("cancel_after", JsonValue(0));
             job.insert_or_assign("verify_serial", JsonValue(false));
             if (!transport->send_line(JsonValue(std::move(job)).dump())) {
+                last_failure = peer + " closed before taking the job";
                 transport->shutdown();
                 continue;
             }
@@ -300,19 +337,24 @@ void FanoutDriver::serve_segment(Shared& shared, std::size_t segment_index) {
                 // Cooperative cancellation fan-out: ask, don't kill — the
                 // peer finishes members in flight and reports a cancelled
                 // job_done, so nothing evaluated is lost.
-                (void)transport->send_line(R"({"cmd":"cancel"})");
+                (void)transport->send_line(cancel_line);
                 cancel_sent = true;
             }
             const auto status = transport->read_line(line, kPollSliceSeconds);
             if (status == Transport::ReadStatus::closed) {
+                last_failure = peer + " closed mid-job";
                 peer_dead = true;
                 break;
             }
             if (status == Transport::ReadStatus::timeout) {
                 if (options_.read_timeout_seconds > 0.0 &&
                     seconds_since(last_activity) >
-                        options_.read_timeout_seconds)
+                        options_.read_timeout_seconds) {
+                    last_failure =
+                        peer + " silent for more than " +
+                        format_double(options_.read_timeout_seconds) + " s";
                     peer_dead = true;
+                }
                 continue;
             }
             last_activity = Clock::now();
@@ -362,7 +404,7 @@ void FanoutDriver::serve_segment(Shared& shared, std::size_t segment_index) {
                     shared.cv.notify_all();
                     if (range_complete) {
                         // Stop the peer from burning CPU on stolen members.
-                        (void)transport->send_line(R"({"cmd":"cancel"})");
+                        (void)transport->send_line(cancel_line);
                         (void)transport->send_line(R"({"cmd":"quit"})");
                         done = true;
                     }
@@ -404,13 +446,15 @@ void FanoutDriver::serve_segment(Shared& shared, std::size_t segment_index) {
                     // universe errors): retrying cannot help.
                     shared.fail("fanout: partition " +
                                 std::to_string(partition) + " rejected by " +
-                                transport->describe() + ": " +
+                                peer + ": " +
                                 event.string_or("message", "unknown error"));
                     done = true;
                 }
                 // ready / progress / stats / verify / pong: ignored.
-            } catch (const std::exception&) {
-                peer_dead = true; // a peer emitting garbage is a dead peer
+            } catch (const std::exception& e) {
+                // A peer emitting garbage is a dead peer.
+                last_failure = "malformed event from " + peer + ": " + e.what();
+                peer_dead = true;
             }
         }
         transport->shutdown();
@@ -622,7 +666,7 @@ FanoutSummary FanoutDriver::run(const JsonValue& job,
     if (options_.verify_single_process && !summary.cancelled) {
         summary.verify_ran = true;
         SweepServiceOptions sopts;
-        sopts.workers = options_.verify_workers;
+        sopts.workers = kVerifyWorkers;
         SweepService reference(
             make_paper_pipeline(summary.samples_per_period != 0
                                     ? summary.samples_per_period

@@ -5,9 +5,15 @@
 /// Multi-process sweep fan-out: server::FanoutDriver splits one NDJSON
 /// sweep job into contiguous member-range partitions, dispatches each
 /// partition to its own `sweep_server` peer over a Transport
-/// (ProcessTransport = child processes, LoopbackTransport = in-process
-/// deterministic tests), and merges the per-partition result streams back
-/// into one stream in ascending global member order.
+/// (ProcessTransport = child processes, TcpTransport = `--listen` hosts,
+/// LoopbackTransport = in-process socketpair peers for deterministic
+/// tests), and merges the per-partition result streams back into one
+/// stream in ascending global member order.
+///
+/// Handshake: every peer's `ready` banner is checked here, whatever the
+/// transport — its `version` must lie in [1, kProtocolVersion] and its
+/// samples_per_period must match the other peers'. A mismatch is
+/// deterministic, so it fails the run at once instead of being retried.
 ///
 /// Determinism: members are independent and every member's value is a
 /// function of its global id only (parse_wire_job materialises grids over
@@ -22,10 +28,13 @@
 /// transport, resuming at the first member not yet received — the
 /// in-partition stream is contiguous, so the received prefix is exact and
 /// nothing is delivered twice. A job the peer *rejects* (error event) is
-/// deterministic and fails the whole run instead of being retried.
-/// Cancellation fans out as `{"cmd":"cancel"}` to every live peer;
-/// everything already evaluated still streams out in ascending order
-/// (gaps allowed), exactly like SweepService cancellation.
+/// deterministic and fails the whole run instead of being retried; a run
+/// that exhausts a range's attempts names the last attempt's failure.
+/// Cancellation fans out as `{"cmd":"cancel","id":...}` naming each live
+/// peer's dispatched partition job (so a peer stops it whether it is
+/// running or still queued); everything already evaluated still streams
+/// out in ascending order (gaps allowed), exactly like SweepService
+/// cancellation.
 ///
 /// Straggler recovery (FanoutOptions::steal_threshold): a partition
 /// thread that finishes early steals the top half of the slowest
@@ -62,7 +71,8 @@ struct FanoutOptions {
     /// this long is declared dead and its remaining range re-dispatched.
     /// 0 = wait forever.
     double read_timeout_seconds = 0.0;
-    /// Deadline for a fresh peer's ready banner.
+    /// Deadline for a fresh peer's ready banner (a missed deadline costs
+    /// one dispatch attempt).
     double handshake_timeout_seconds = 30.0;
     /// Dispatch attempts per dispatched range (first dispatch included)
     /// before the whole run fails. A stolen tail is its own range with
@@ -79,9 +89,6 @@ struct FanoutOptions {
     /// SweepService and gate on exact per-member identity with the merged
     /// stream (the fan-out analogue of sweep_server's verify_serial).
     bool verify_single_process = false;
-    /// Worker threads for the verify service (bit-identity of the
-    /// reference does not depend on this — PR-4's gate).
-    unsigned verify_workers = 2;
 };
 
 /// One merged result record (the wire result event, decoded).
@@ -147,9 +154,9 @@ public:
     /// over the partitions and invokes on_result once per member in
     /// ascending global member order (contiguous from 0 unless
     /// cancelled), from the caller's thread. Blocks until done. Throws
-    /// Error when a partition exhausts max_attempts, a peer rejects its
-    /// job, or the callback throws (after the remaining partitions wind
-    /// down). `cancel` works exactly like SweepService::run's token and
+    /// Error when a partition exhausts max_attempts, a peer's banner
+    /// mismatches, a peer rejects its job, or the callback throws (after
+    /// the remaining partitions wind down). `cancel` works exactly like SweepService::run's token and
     /// may be triggered from the callback.
     FanoutSummary run(const JsonValue& job, const ResultCallback& on_result,
                       SweepCancelToken* cancel = nullptr);

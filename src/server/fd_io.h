@@ -4,10 +4,12 @@
 /// \file fd_io.h
 /// Shared file-descriptor line framing for the NDJSON transports.
 ///
-/// ProcessTransport (pipes) and TcpTransport (sockets) speak the exact
-/// same framing — one '\n'-terminated JSON object per line — so the write
-/// and poll-read loops live here once. Both loops are hardened against
-/// the partial-I/O realities the fan-out fabric depends on:
+/// Every transport (ProcessTransport's pipes, TcpTransport's and
+/// LoopbackTransport's sockets) and the server's request loop
+/// (ServerSession::serve) speak the exact same framing — one
+/// '\n'-terminated JSON object per line — so the write and poll-read
+/// loops live here once. Both loops are hardened against the partial-I/O
+/// realities the fan-out fabric depends on:
 ///
 ///  * fd_write_all loops until every byte is written, retrying EINTR —
 ///    a short write() on a full pipe or socket buffer is progress, not

@@ -140,8 +140,8 @@ std::string JobScheduler::job_cache_key(const WireJob& wire) const {
         return {};
     if (wire.job.size() == 0)
         return {}; // nothing to serve; plan probes always hit the service
-    if (wire.verify_serial || wire.cancel_after != 0)
-        return {}; // test instruments must exercise the real engine
+    if (wire.verify_serial)
+        return {}; // the serial check must exercise the real engine
     // Key the mode the service will actually run the job under:
     // pipeline_fp_ only carries the base flag, and serving an exact job from
     // a fast_math job's results (or vice versa) would hand out values that
@@ -389,8 +389,6 @@ void JobScheduler::execute(const RecordPtr& rec) {
         collected.reserve(rec->wire.job.size());
     if (rec->wire.verify_serial)
         streamed.reserve(rec->wire.job.size());
-    std::size_t delivered = 0;
-
     try {
         const JobSummary summary = service_.run(
             rec->wire.job,
@@ -404,10 +402,6 @@ void JobScheduler::execute(const RecordPtr& rec) {
                     rec->results.push_back(r);
                     rec->cv.notify_all();
                 }
-                ++delivered;
-                if (rec->wire.cancel_after != 0 &&
-                    delivered >= rec->wire.cancel_after)
-                    rec->token.cancel();
             },
             &rec->token);
 

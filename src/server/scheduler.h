@@ -157,8 +157,8 @@ public:
     JobScheduler& operator=(const JobScheduler&) = delete;
 
     /// Enqueues one decoded job and returns its handle immediately (blocks
-    /// only on a full queue). Jobs carrying the verify_serial/cancel_after
-    /// test instruments bypass the cache in both directions.
+    /// only on a full queue). Jobs carrying the verify_serial instrument
+    /// bypass the cache in both directions.
     [[nodiscard]] JobHandle submit(WireJob wire) {
         return submit(std::move(wire), SubmitOptions{});
     }
@@ -166,8 +166,7 @@ public:
 
     /// Wire-level cancel: a non-empty id cancels every queued AND the
     /// running job whose wire id matches; an empty id cancels only the
-    /// running job (the legacy single-job semantics the fan-out driver
-    /// relies on).
+    /// running job (the legacy version-1 single-job semantics).
     void cancel(const std::string& wire_id);
 
     /// Pauses/resumes dispatch (queued jobs accumulate; the running job is

@@ -15,7 +15,6 @@
 
 #include "common/error.h"
 #include "server/fd_io.h"
-#include "server/json.h"
 #include "server/sweep_service.h"
 
 namespace xysig::server {
@@ -80,13 +79,6 @@ TcpTransport::TcpTransport(std::string host, unsigned short port,
     : host_(std::move(host)), port_(port) {
     detail::ignore_sigpipe_once();
     connect(options);
-    try {
-        if (options.handshake_ready_banner)
-            handshake(options);
-    } catch (...) {
-        shutdown();
-        throw;
-    }
 }
 
 TcpTransport::~TcpTransport() { shutdown(); }
@@ -141,58 +133,6 @@ void TcpTransport::connect(const TcpTransportOptions& options) {
                 std::to_string(port_) + " after " +
                 std::to_string(connect_attempts_) + " attempt(s): " +
                 last_error);
-}
-
-void TcpTransport::handshake(const TcpTransportOptions& options) {
-    // Read until the ready banner arrives, then put it BACK at the front
-    // of the buffer: FanoutDriver (and any pipe-path consumer) does its
-    // own handshake on the first line, and this transport must be a
-    // drop-in for ProcessTransport. Pre-banner heartbeats are dropped —
-    // they carry no state — but anything else unexpected is an error.
-    const double deadline =
-        monotonic_seconds() + options.handshake_timeout_seconds;
-    for (int skipped = 0; skipped < 16;) {
-        const double remaining = deadline - monotonic_seconds();
-        if (remaining <= 0.0)
-            throw Error("tcp: handshake with " + describe() +
-                        " timed out waiting for ready banner");
-        std::string line;
-        const ReadStatus status = read_line(line, remaining);
-        if (status == ReadStatus::timeout)
-            continue;
-        if (status == ReadStatus::closed)
-            throw Error("tcp: peer " + describe() +
-                        " closed the connection before the ready banner");
-
-        JsonValue v;
-        try {
-            v = JsonValue::parse(line);
-        } catch (const std::exception& e) {
-            throw Error("tcp: malformed pre-ready line from " + describe() +
-                        ": " + e.what());
-        }
-        const std::string event = v.string_or("event", "");
-        if (event == "heartbeat" || event == "listening") {
-            ++skipped;
-            continue;
-        }
-        if (event != "ready")
-            throw Error("tcp: expected ready banner from " + describe() +
-                        ", got event \"" + event + "\"");
-
-        const double version = v.number_or("version", 1.0);
-        if (version > static_cast<double>(kProtocolVersion) ||
-            version < 1.0) {
-            throw Error("tcp: peer " + describe() + " speaks protocol version " +
-                        std::to_string(static_cast<long long>(version)) +
-                        "; this build supports <= " +
-                        std::to_string(kProtocolVersion));
-        }
-        buffer_.insert(0, line + "\n"); // re-deliver on the first read_line
-        return;
-    }
-    throw Error("tcp: peer " + describe() +
-                " flooded the handshake with non-ready events");
 }
 
 bool TcpTransport::send_line(const std::string& line) {
@@ -319,71 +259,20 @@ void TcpListener::accept_loop() {
         Connection* raw = conn.get();
         MutexLock lock(connections_mutex_);
         reap_finished_connections_locked();
-        conn->thread = std::thread([this, raw] { serve_connection(*raw); });
+        conn->thread = std::thread([this, raw] {
+            // One service per connection unless shared: a fan-out driver
+            // opening N connections to one host gets N independent worker
+            // pools, mirroring the N-child process topology. serve_peer
+            // sends FIN but does NOT close: stop() may be shutting this fd
+            // down concurrently, so the close (which frees the fd number
+            // for reuse) happens in exactly one place — after the join.
+            detail::serve_peer(raw->fd, shared_service_, options_.workers,
+                               options_.shard_size,
+                               options_.samples_per_period, options_.session);
+            raw->finished.store(true, std::memory_order_release);
+        });
         connections_.push_back(std::move(conn));
     }
-}
-
-void TcpListener::serve_connection(Connection& conn) {
-    try {
-        // One service per connection (unless shared): a fan-out driver
-        // opening N connections to one host gets N independent worker
-        // pools, mirroring the N-child process topology.
-        std::shared_ptr<SweepService> service = shared_service_;
-        if (service == nullptr) {
-            SweepServiceOptions sopts;
-            sopts.workers = options_.workers;
-            sopts.shard_size = options_.shard_size;
-            service = std::make_shared<SweepService>(
-                make_paper_pipeline(options_.samples_per_period), sopts);
-        }
-
-        const int fd = conn.fd;
-        ServerSession session(
-            *service,
-            [fd](const std::string& line) {
-                // A dead peer surfaces as a failed write; the reader loop
-                // below notices the close and tears the session down.
-                detail::fd_write_line(fd, line);
-            },
-            options_.session);
-
-        if (options_.ready_version_override != 0) {
-            // Hand-rolled banner with a spoofed version (test hook): the
-            // client's handshake must reject it before any job flows.
-            JsonValue::Object o;
-            o.emplace("event", std::string("ready"));
-            o.emplace("version", options_.ready_version_override);
-            o.emplace("samples_per_period", options_.samples_per_period);
-            detail::fd_write_line(fd, JsonValue(o).dump());
-        } else {
-            session.emit_ready(options_.samples_per_period);
-        }
-
-        std::string buffer;
-        std::string line;
-        while (!stopping_.load(std::memory_order_acquire)) {
-            // Finite poll slices so stop() is honoured even on an idle
-            // connection that never sends another byte.
-            const Transport::ReadStatus status =
-                detail::fd_read_line(fd, buffer, line, 0.25);
-            if (status == Transport::ReadStatus::timeout)
-                continue;
-            if (status == Transport::ReadStatus::closed)
-                break;
-            if (!session.handle_line(line))
-                break; // quit (drained inside handle_line)
-        }
-        session.cancel(""); // stop() path: abandon in-flight work promptly
-    } catch (const std::exception&) {
-        // Per-connection failures (service construction, OOM) must not
-        // take down the accept loop; the peer just sees its socket close.
-    }
-    // Send FIN but do NOT close: stop() may be poking this fd concurrently
-    // to unblock us, so the close (which would free the fd number for
-    // reuse) happens in exactly one place — after this thread is joined.
-    ::shutdown(conn.fd, SHUT_RDWR);
-    conn.finished.store(true, std::memory_order_release);
 }
 
 void TcpListener::reap_finished_connections_locked() {
@@ -417,7 +306,7 @@ void TcpListener::stop() {
     }
     for (auto& conn : conns) {
         if (conn->fd >= 0)
-            ::shutdown(conn->fd, SHUT_RDWR); // unblock its reader poll
+            ::shutdown(conn->fd, SHUT_RDWR); // its serve loop reads EOF
         if (conn->thread.joinable())
             conn->thread.join();
         if (conn->fd >= 0)

@@ -10,23 +10,23 @@
 ///    `sweep_server --listen` (or in-process TcpListener). Connects with
 ///    bounded exponential-backoff retry (a worker that is still booting,
 ///    or a connection broken mid-job, is retried rather than failed on
-///    the first ECONNREFUSED), then performs the protocol handshake on
-///    the ready banner: the peer's `version` must be <= this build's
-///    kProtocolVersion or the connection is rejected up front. The banner
-///    itself is buffered and re-delivered by the first read_line(), so
-///    the driver's own handshake logic is byte-for-byte the pipe path's.
-///    Line framing is shared with ProcessTransport (fd_io.h) — one
-///    '\n'-terminated JSON object per line, short writes and EINTR looped.
+///    the first ECONNREFUSED); the peer's ready banner is then the first
+///    line read_line() returns, exactly as on the pipe transports, and
+///    FanoutDriver's handshake checks its `version` like every other
+///    peer's. Line framing is shared with the other transports (fd_io.h)
+///    — one '\n'-terminated JSON object per line, short writes and EINTR
+///    looped.
 ///
 ///  * TcpListener — the accept loop behind `sweep_server --listen`: binds
 ///    a port (0 = ephemeral; port() reports the bound one), accepts
-///    connections, and serves each with its own ServerSession — by
-///    default over its own SweepService (own worker pool, so N fan-out
-///    partitions connecting to one host actually run concurrently), or
-///    over one shared service (Options::share_service) when the host's
-///    core budget must be pinned. Usable in-process (tests, bench) and
-///    from the sweep_server binary; `run()` serves on the calling thread,
-///    `start()`/`stop()` manage a background accept thread.
+///    connections, and serves each with detail::serve_peer (its own
+///    ServerSession and request loop) — by default over its own
+///    SweepService (own worker pool, so N fan-out partitions connecting
+///    to one host actually run concurrently), or over one shared service
+///    (Options::share_service) when the host's core budget must be pinned.
+///    Usable in-process (tests, bench) and from the sweep_server binary;
+///    `run()` serves on the calling thread, `start()`/`stop()` manage a
+///    background accept thread.
 ///
 /// Thread-safety: TcpTransport follows the Transport contract (one
 /// coordinator thread). TcpListener::start/stop may be called from one
@@ -56,18 +56,12 @@ struct TcpTransportOptions {
     double max_backoff_seconds = 1.0;
     /// Total wall-clock budget across all connect attempts and backoffs.
     double connect_timeout_seconds = 10.0;
-    /// Wait for the peer's ready banner and reject a peer whose protocol
-    /// version is newer than this build (the banner is re-delivered by
-    /// the first read_line, so the driver still sees it).
-    bool handshake_ready_banner = true;
-    double handshake_timeout_seconds = 10.0;
 };
 
 /// One NDJSON connection to a listening sweep server. The constructor
-/// connects (with retry/backoff) and handshakes; it throws Error when the
-/// peer cannot be reached within the budget or speaks an incompatible
-/// protocol version — FanoutDriver treats a throwing factory as a failed
-/// dispatch attempt.
+/// connects (with retry/backoff); it throws Error when the peer cannot be
+/// reached within the budget — FanoutDriver treats a throwing factory as
+/// a failed dispatch attempt.
 class TcpTransport final : public Transport {
 public:
     TcpTransport(std::string host, unsigned short port,
@@ -90,7 +84,6 @@ public:
 
 private:
     void connect(const TcpTransportOptions& options);
-    void handshake(const TcpTransportOptions& options);
 
     std::string host_;
     unsigned short port_ = 0;
@@ -116,10 +109,6 @@ public:
         /// concurrent connections serialise on its worker pool) instead of
         /// one service per connection.
         bool share_service = false;
-        /// Test hook: advertise this protocol version in the ready banner
-        /// instead of the real one (0 = real), so handshake rejection of
-        /// newer-than-supported peers is testable against a live socket.
-        int ready_version_override = 0;
     };
 
     explicit TcpListener(Options options); ///< binds + listens; throws Error
@@ -135,8 +124,9 @@ public:
     void start();
     void run();
 
-    /// Stops accepting, tears down live connections, joins every thread.
-    /// Idempotent; unblocks a concurrent run().
+    /// Stops accepting, shuts live connections down (their blocked reads
+    /// see EOF), joins every thread. Idempotent; unblocks a concurrent
+    /// run().
     void stop();
 
     /// Connections accepted over the listener's lifetime.
@@ -148,7 +138,6 @@ private:
     struct Connection;
 
     void accept_loop();
-    void serve_connection(Connection& conn);
     void reap_finished_connections_locked() REQUIRES(connections_mutex_);
 
     Options options_;

@@ -1,12 +1,12 @@
 #include "server/transport.h"
 
 #include <cerrno>
-#include <chrono>
 #include <csignal>
 #include <cstring>
 
 #include <fcntl.h>
 #include <poll.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -138,126 +138,86 @@ std::string ProcessTransport::describe() const {
 // ---------------------------------------------------------- LoopbackTransport
 
 LoopbackTransport::LoopbackTransport(Options options) : options_(options) {
-    SweepServiceOptions sopts;
-    sopts.workers = options_.workers;
-    sopts.shard_size = options_.shard_size;
-    service_ = std::make_unique<SweepService>(
-        make_paper_pipeline(options_.samples_per_period), sopts);
-    session_ = std::make_unique<ServerSession>(
-        *service_, [this](const std::string& line) {
-            MutexLock lock(mutex_);
-            if (dead_)
-                return; // a crashed process emits nothing further
-            responses_.push_back(line);
-            if (options_.die_after_results != 0 &&
-                line.find("\"event\":\"result\"") != std::string::npos &&
-                ++results_emitted_ >= options_.die_after_results) {
-                // Simulated worker death: exactly die_after_results result
-                // lines made it out, everything after is lost. Cancel the
-                // in-flight job so the session thread winds down.
-                dead_ = true;
-                session_->cancel("");
-            }
-            response_cv_.notify_all();
+    detail::ignore_sigpipe_once();
+    int fds[2] = {-1, -1};
+    if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0)
+        throw Error(errno_message("socketpair"));
+    fd_ = fds[0];
+    server_fd_ = fds[1];
+    try {
+        thread_ = std::thread([fd = server_fd_, o = options_] {
+            detail::serve_peer(fd, nullptr, o.workers, o.shard_size,
+                               o.samples_per_period, SessionOptions{});
         });
-    thread_ = std::thread([this] { server_main(); });
+    } catch (...) {
+        ::close(fd_);
+        ::close(server_fd_);
+        throw;
+    }
 }
 
 LoopbackTransport::~LoopbackTransport() { shutdown(); }
 
-void LoopbackTransport::server_main() {
-    session_->emit_ready(options_.samples_per_period);
-    while (true) {
-        std::string line;
-        {
-            MutexLock lock(mutex_);
-            request_cv_.wait(lock, [&]() REQUIRES(mutex_) {
-                return stopping_ || !requests_.empty();
-            });
-            if (stopping_ || dead_)
-                break;
-            line = std::move(requests_.front());
-            requests_.pop_front();
-        }
-        if (!session_->handle_line(line))
-            break; // quit
-        MutexLock lock(mutex_);
-        if (stopping_ || dead_)
-            break;
-    }
-    MutexLock lock(mutex_);
-    dead_ = true;
-    response_cv_.notify_all();
-}
-
 bool LoopbackTransport::send_line(const std::string& line) {
-    // Cancel commands are applied on receipt, not queued: the session
-    // thread is blocked inside the running job and would only pop the
-    // queue after it finished — exactly when cancelling is pointless.
-    // (sweep_server's stdin reader thread does the same interception.)
-    if (line.find("\"cmd\":\"cancel\"") != std::string::npos) {
-        try {
-            const JsonValue v = JsonValue::parse(line);
-            if (v.is_object() && v.string_or("cmd", "") == "cancel") {
-                {
-                    MutexLock lock(mutex_);
-                    if (dead_ || stopping_)
-                        return false;
-                }
-                session_->cancel(v.string_or("id", ""));
-                return true;
-            }
-        } catch (const std::exception&) {
-            // fall through: not actually a cancel command; queue it
-        }
-    }
-    MutexLock lock(mutex_);
-    if (dead_ || stopping_)
+    if (fd_ < 0)
         return false;
-    requests_.push_back(line);
-    request_cv_.notify_all();
-    return true;
+    return detail::fd_write_line(fd_, line);
 }
 
 Transport::ReadStatus LoopbackTransport::read_line(std::string& out,
                                                    double timeout_seconds) {
-    MutexLock lock(mutex_);
-    const auto readable = [&]() REQUIRES(mutex_) {
-        return !responses_.empty() || dead_;
-    };
-    if (timeout_seconds <= 0.0) {
-        response_cv_.wait(lock, readable);
-    } else if (!response_cv_.wait_for(
-                   lock, std::chrono::duration<double>(timeout_seconds),
-                   readable)) {
-        return ReadStatus::timeout;
-    }
-    if (!responses_.empty()) { // drain buffered lines before reporting death
-        out = std::move(responses_.front());
-        responses_.pop_front();
-        return ReadStatus::line;
-    }
-    return ReadStatus::closed;
+    return detail::fd_read_line(fd_, buffer_, out, timeout_seconds);
 }
 
 void LoopbackTransport::shutdown() {
-    {
-        MutexLock lock(mutex_);
-        stopping_ = true;
-        request_cv_.notify_all();
-    }
-    if (session_ != nullptr)
-        session_->cancel(""); // unblock an in-flight job promptly
-    if (thread_.joinable())
-        thread_.join();
-    MutexLock lock(mutex_);
-    dead_ = true;
-    response_cv_.notify_all();
+    if (fd_ < 0)
+        return;
+    // The session's serve loop reads EOF, its emitters' writes fail with
+    // EPIPE and its teardown cancels every job, so the join below waits
+    // only for the members in flight.
+    ::shutdown(fd_, SHUT_RDWR);
+    thread_.join();
+    ::close(fd_);
+    ::close(server_fd_);
+    fd_ = server_fd_ = -1;
 }
 
 std::string LoopbackTransport::describe() const {
     return "loopback[workers=" + std::to_string(options_.workers) +
            ", shard=" + std::to_string(options_.shard_size) + "]";
+}
+
+// ----------------------------------------------------------------- serve_peer
+
+void detail::serve_peer(int fd, std::shared_ptr<SweepService> service,
+                        unsigned workers, std::size_t shard_size,
+                        std::size_t samples_per_period,
+                        const SessionOptions& session) {
+    try {
+        if (service == nullptr) {
+            SweepServiceOptions sopts;
+            sopts.workers = workers;
+            sopts.shard_size = shard_size;
+            service = std::make_shared<SweepService>(
+                make_paper_pipeline(samples_per_period), sopts);
+        }
+        ServerSession peer(
+            *service,
+            [fd](const std::string& line) {
+                // A dead client surfaces as a failed write; the serve loop
+                // notices the close and tears the session down.
+                detail::fd_write_line(fd, line);
+            },
+            session);
+        peer.emit_ready(samples_per_period);
+        peer.serve(fd);
+        // ~ServerSession: quit has drained; on EOF the queued and running
+        // jobs are cancelled, so an abandoned connection stops promptly.
+    } catch (const std::exception&) {
+        // Must not unwind the serving thread (or a TcpListener's accept
+        // loop); the client just sees its socket close.
+    }
+    ::shutdown(fd, SHUT_RDWR);
 }
 
 } // namespace xysig::server

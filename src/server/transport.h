@@ -8,25 +8,27 @@
 ///  * ProcessTransport launches a `sweep_server` child process and pipes
 ///    request lines to its stdin / event lines from its stdout — the
 ///    production multi-process path.
-///  * LoopbackTransport runs a real ServerSession over in-process queues
-///    on a private SweepService — byte-for-byte the same protocol with no
-///    child processes, so fan-out tests are deterministic and fast, and
-///    worker death is injectable (die_after_results).
+///  * LoopbackTransport serves one end of an in-process socketpair with
+///    the exact per-connection code a TcpListener runs (serve_peer): its
+///    own SweepService, the ready banner, ServerSession::serve. Fan-out
+///    tests thus take the real peers' path with no child processes; a
+///    dying worker is injected by decorating the transport (chaos.h,
+///    ChaosMode::disconnect).
 ///
 /// Thread-safety: one transport is driven by one coordinator thread
 /// (send_line / read_line are not required to be concurrently callable);
 /// shutdown() may be called from that same thread only.
 
 #include <cstddef>
-#include <deque>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/annotated_mutex.h"
-
 namespace xysig::server {
+
+class SweepService;
+struct SessionOptions;
 
 /// One NDJSON peer connection.
 class Transport {
@@ -48,8 +50,8 @@ public:
     /// peer reports ReadStatus::closed.
     virtual ReadStatus read_line(std::string& out, double timeout_seconds) = 0;
 
-    /// Tears the peer down (closes the child's stdin and reaps it / stops
-    /// the loopback session thread). Idempotent.
+    /// Tears the peer down (closes the child's stdin and reaps it / shuts
+    /// the socket down and joins the loopback session thread). Idempotent.
     virtual void shutdown() = 0;
 
     /// Human-readable peer description for error messages and summaries.
@@ -81,18 +83,15 @@ private:
     std::string buffer_; ///< partial-line carry between reads
 };
 
-/// In-process peer: a real ServerSession on a private SweepService (the
-/// paper pipeline, as in sweep_server), bridged through string queues.
+/// In-process peer over socketpair(AF_UNIX, SOCK_STREAM): a thread runs
+/// serve_peer on one end (a private SweepService on the paper pipeline,
+/// as in sweep_server); this transport frames lines on the other end.
 class LoopbackTransport final : public Transport {
 public:
     struct Options {
         unsigned workers = 2;
         std::size_t shard_size = 16;
         std::size_t samples_per_period = 256;
-        /// Fault injection: after this many result lines the peer "dies" —
-        /// emitted lines stop, reads drain then report closed, the
-        /// in-flight job is cancelled. 0 = healthy peer.
-        std::size_t die_after_results = 0;
     };
 
     // No `Options options = {}` default argument: NSDMIs of a nested class
@@ -111,26 +110,29 @@ public:
     [[nodiscard]] std::string describe() const override;
 
 private:
-    void server_main() EXCLUDES(mutex_);
-
     Options options_;
-
-    Mutex mutex_;
-    CondVar request_cv_;
-    CondVar response_cv_;
-    std::deque<std::string> requests_ GUARDED_BY(mutex_);
-    std::deque<std::string> responses_ GUARDED_BY(mutex_);
-    bool stopping_ GUARDED_BY(mutex_) = false; ///< shutdown requested;
-                                               ///< session thread must exit
-    bool dead_ GUARDED_BY(mutex_) = false;     ///< peer gone (injected death
-                                               ///< or session exit)
-    std::size_t results_emitted_ GUARDED_BY(mutex_) = 0;
-
-    // Owned service/session; pointers so the header stays light.
-    std::unique_ptr<class SweepService> service_;
-    std::unique_ptr<class ServerSession> session_;
+    int fd_ = -1;        ///< client end, framed by send_line/read_line
+    int server_fd_ = -1; ///< served by thread_; closed after the join
+    std::string buffer_; ///< partial-line carry between reads
     std::thread thread_;
 };
+
+namespace detail {
+
+/// The server side of one connected stream socket — what TcpListener runs
+/// per accepted connection and LoopbackTransport runs on its socketpair: a
+/// ServerSession on `service` (null = a fresh paper-pipeline SweepService
+/// of `workers` x `shard_size`), the ready banner, ServerSession::serve
+/// until quit or EOF, then ::shutdown of `fd` so the client reads EOF.
+/// Per-connection failures (service construction, OOM) are swallowed: the
+/// client just sees the socket close. Closing `fd` is left to the caller,
+/// after the serving thread is joined.
+void serve_peer(int fd, std::shared_ptr<SweepService> service,
+                unsigned workers, std::size_t shard_size,
+                std::size_t samples_per_period,
+                const SessionOptions& session);
+
+} // namespace detail
 
 } // namespace xysig::server
 

@@ -14,6 +14,7 @@
 #include "core/trace_cache.h"
 #include "filter/tow_thomas.h"
 #include "monitor/table1.h"
+#include "server/fd_io.h"
 #include "server/scheduler.h"
 
 namespace xysig::server {
@@ -179,7 +180,6 @@ WireJob parse_wire_job(const JsonValue& v) {
 
     wire.job.shard_size = index_or(v, "shard_size", 0);
     wire.progress_every = index_or(v, "progress_every", 0);
-    wire.cancel_after = index_or(v, "cancel_after", 0);
     wire.emit_signatures = v.bool_or("emit_signatures", true);
     wire.verify_serial = v.bool_or("verify_serial", false);
     // Tolerant-reader default: absent means exact mode. Always pinned (not
@@ -464,18 +464,6 @@ void ServerSession::emit_ready(std::size_t samples_per_period) {
     emit(o);
 }
 
-void ServerSession::cancel(const std::string& id) {
-    {
-        // A cancel landing while handle_line is still DECODING its job
-        // (SPICE universe enumeration takes milliseconds) must stick: mark
-        // it here, submit_job applies it right after the submit.
-        MutexLock lock(precancel_mutex_);
-        if (decoding_active_ && (id.empty() || id == decoding_id_))
-            decoding_cancelled_ = true;
-    }
-    scheduler_->cancel(id);
-}
-
 void ServerSession::drain() {
     while (true) {
         std::vector<std::unique_ptr<Emitter>> finished;
@@ -503,6 +491,18 @@ void ServerSession::reap_finished_emitters_locked() {
     emitters_.erase(alive, emitters_.end());
 }
 
+void ServerSession::serve(int fd) {
+    std::string buffer;
+    std::string line;
+    while (detail::fd_read_line(fd, buffer, line, 0.0) ==
+           Transport::ReadStatus::line) {
+        if (line.find_first_not_of(" \t\r") == std::string::npos)
+            continue; // blank lines are ignored (PROTOCOL.md framing)
+        if (!handle_line(line))
+            return; // quit (drained inside handle_line)
+    }
+}
+
 bool ServerSession::handle_line(const std::string& line) {
     std::string id;
     try {
@@ -521,7 +521,7 @@ bool ServerSession::handle_line(const std::string& line) {
                 return true;
             }
             if (cmd == "cancel") {
-                cancel(id);
+                scheduler_->cancel(id);
                 return true;
             }
             if (cmd == "ping") {
@@ -545,21 +545,6 @@ bool ServerSession::handle_line(const std::string& line) {
 }
 
 void ServerSession::submit_job(const JsonValue& v) {
-    {
-        MutexLock lock(precancel_mutex_);
-        decoding_active_ = true;
-        decoding_id_ = v.is_object() ? v.string_or("id", "") : std::string();
-        decoding_cancelled_ = false;
-    }
-    struct ClearDecoding {
-        ServerSession* self;
-        ~ClearDecoding() {
-            MutexLock lock(self->precancel_mutex_);
-            self->decoding_active_ = false;
-            self->decoding_id_.clear();
-        }
-    } clear_decoding{this};
-
     WireJob wire = parse_wire_job(v);
     const std::string id = wire.id;
     const int priority = wire.priority;
@@ -569,11 +554,6 @@ void ServerSession::submit_job(const JsonValue& v) {
     sopts.client = client;
     const std::size_t position = scheduler_->stats().queue_depth;
     JobHandle handle = scheduler_->submit(std::move(wire), std::move(sopts));
-    {
-        MutexLock lock(precancel_mutex_);
-        if (decoding_cancelled_)
-            handle.cancel();
-    }
 
     // Acknowledge BEFORE spawning the emitter, so `queued` always precedes
     // the job's own event stream.

@@ -11,10 +11,10 @@
 ///    plus everything a serial re-verification needs (protocol version
 ///    check, unknown-field-tolerant, member-range slicing for fan-out
 ///    partitions);
-///  * ServerSession — runs decoded requests against a SweepService and
-///    emits the event stream through a line sink; one instance per
-///    protocol peer (stdin/stdout in sweep_server, an in-process queue
-///    pair in LoopbackTransport);
+///  * ServerSession — reads requests from a peer's fd, runs them against
+///    a SweepService and emits the event stream through a line sink; one
+///    instance per protocol peer (stdin/stdout in sweep_server, a socket
+///    per TcpListener connection or LoopbackTransport socketpair);
 ///  * check_protocol_line — strict schema validation of any protocol line
 ///    (request or event), used by `sweep_server --check` so CI can replay
 ///    the PROTOCOL.md examples against the real parser.
@@ -105,7 +105,6 @@ struct WireJob {
     int version = 1;
     std::string id;
     std::size_t progress_every = 0;
-    std::size_t cancel_after = 0;
     bool emit_signatures = true;
     bool verify_serial = false;
 
@@ -156,26 +155,26 @@ struct SessionOptions {
 };
 
 /// Runs wire requests against a SweepService through a JobScheduler and
-/// emits NDJSON event lines through the sink. handle_line() is the
-/// non-blocking per-request entry point: a job line is decoded, submitted
-/// and acknowledged with a `queued` event, then its whole event stream
-/// (job_start/result/progress/job_done/verify or error) is emitted by a
-/// per-job emitter thread — so multiple in-flight jobs interleave on one
-/// connection while each job's own events stay in order. {"cmd":"quit"}
-/// drains every in-flight job before handle_line returns false, so no
-/// event line is ever lost to an exiting peer.
+/// emits NDJSON event lines through the sink. serve() is the one request
+/// loop every peer runs: each request line is handled without blocking on
+/// jobs — a job line is decoded, submitted and acknowledged with a
+/// `queued` event, then its whole event stream (job_start/result/progress/
+/// job_done/verify or error) is emitted by a per-job emitter thread — so
+/// multiple in-flight jobs interleave on one connection while each job's
+/// own events stay in order, and a `cancel` is applied as soon as it is
+/// read. {"cmd":"quit"} drains every in-flight job before serve returns,
+/// so no event line is ever lost to an exiting peer.
 ///
-/// Thread-safety: handle_line()/drain() are driven by ONE reader thread;
-/// cancel() may be called concurrently from any thread (the fan-out
-/// coordinator via LoopbackTransport, a signal handler thread); the sink
-/// is invoked under an internal lock, one complete line at a time.
+/// Thread-safety: serve()/drain() are driven by ONE reader thread, so
+/// every request (cancels included) arrives in-band on it; the sink is
+/// invoked under an internal lock, one complete line at a time.
 class ServerSession {
 public:
     using LineSink = std::function<void(const std::string& line)>;
 
     ServerSession(SweepService& service, LineSink sink,
                   SessionOptions options = {});
-    ~ServerSession(); ///< cancels in-flight jobs and joins emitters
+    ~ServerSession(); ///< cancels queued and running jobs, joins emitters
 
     ServerSession(const ServerSession&) = delete;
     ServerSession& operator=(const ServerSession&) = delete;
@@ -183,14 +182,12 @@ public:
     /// Emits the ready banner (version, workers, shard_size, spp).
     void emit_ready(std::size_t samples_per_period);
 
-    /// Processes one request line. Returns false when the request was
-    /// {"cmd":"quit"} (after draining); protocol errors are reported as
-    /// error events (and keep the session alive), they are not thrown.
-    bool handle_line(const std::string& line);
-
-    /// Cooperative cancel: a non-empty id cancels the matching queued or
-    /// running jobs; an empty id cancels whatever is running right now.
-    void cancel(const std::string& id);
+    /// Blocking request loop over `fd`: reads '\n'-terminated lines,
+    /// skips whitespace-only ones (PROTOCOL.md: blank lines are ignored)
+    /// and handles each other line until {"cmd":"quit"} (after draining)
+    /// or EOF (without draining — the caller decides). Protocol errors
+    /// are reported as error events and keep the loop alive.
+    void serve(int fd);
 
     /// Blocks until every submitted job has finished emitting (the EOF
     /// path of sweep_server; quit calls this internally).
@@ -205,6 +202,8 @@ public:
 private:
     struct Emitter; ///< one per-job event-stream thread
 
+    /// Processes one request line; false when it was {"cmd":"quit"}.
+    bool handle_line(const std::string& line);
     void emit(const JsonValue::Object& obj) EXCLUDES(sink_mutex_);
     void emit_error(const std::string& id, const std::string& message);
     void submit_job(const JsonValue& v);
@@ -229,14 +228,6 @@ private:
 
     Mutex emitters_mutex_;
     std::vector<std::unique_ptr<Emitter>> emitters_ GUARDED_BY(emitters_mutex_);
-
-    /// Pre-submit cancel window: SPICE decode takes milliseconds, and a
-    /// concurrent cancel() for the job being decoded must not be dropped
-    /// (the fan-out driver sends its cancel exactly once).
-    Mutex precancel_mutex_;
-    std::string decoding_id_ GUARDED_BY(precancel_mutex_);
-    bool decoding_active_ GUARDED_BY(precancel_mutex_) = false;
-    bool decoding_cancelled_ GUARDED_BY(precancel_mutex_) = false;
 };
 
 } // namespace xysig::server

@@ -3,13 +3,16 @@
 // universe at any partition count — across empty partitions,
 // single-member partitions, NaN members straddling partition boundaries,
 // worker death mid-partition (re-dispatch), and cooperative cancellation
-// fan-out. All tests use LoopbackTransport: a real ServerSession speaking
-// the real wire format, deterministically in-process.
+// fan-out. Most tests use LoopbackTransport: a real ServerSession serving
+// one end of a socketpair with the code a TcpListener runs per connection,
+// deterministically in-process; a few use in-test fake transports to pin
+// the driver's banner check and cancel lines.
 
 #include "server/fanout.h"
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstddef>
 #include <limits>
@@ -17,10 +20,13 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/annotated_mutex.h"
 #include "common/error.h"
 #include "common/strings.h"
 #include "server/chaos.h"
@@ -32,14 +38,89 @@ namespace {
 
 constexpr std::size_t kSpp = 256;
 
-[[nodiscard]] FanoutDriver::TransportFactory
-loopback_factory(std::size_t die_after_results = 0) {
+[[nodiscard]] LoopbackTransport::Options loopback_options() {
     LoopbackTransport::Options opts;
     opts.workers = 2;
     opts.shard_size = 8;
     opts.samples_per_period = kSpp;
-    opts.die_after_results = die_after_results;
-    return [opts] { return std::make_unique<LoopbackTransport>(opts); };
+    return opts;
+}
+
+[[nodiscard]] FanoutDriver::TransportFactory loopback_factory() {
+    return [] { return std::make_unique<LoopbackTransport>(loopback_options()); };
+}
+
+/// The event lines a peer emits before a job's first result: ready,
+/// queued, job_start. A disconnect after this many plus N lines is a
+/// worker that died after exactly N results.
+constexpr std::size_t kHeaderLines = 3;
+
+/// Reads `peer` until it closes; fails the test on a timeout.
+[[nodiscard]] std::vector<std::string> read_until_closed(Transport& peer) {
+    std::vector<std::string> lines;
+    std::string line;
+    Transport::ReadStatus status = Transport::ReadStatus::line;
+    while ((status = peer.read_line(line, 30.0)) == Transport::ReadStatus::line)
+        lines.push_back(line);
+    EXPECT_EQ(status, Transport::ReadStatus::closed);
+    return lines;
+}
+
+/// The cancel lines the driver sent, each paired with the id of the job
+/// it had dispatched on the same transport.
+struct CancelLog {
+    Mutex mutex;
+    std::vector<std::pair<std::string, std::string>> cancels GUARDED_BY(mutex);
+};
+
+/// Transport decorator recording every cancel line against the job id
+/// dispatched on that transport.
+class CancelRecordingTransport final : public Transport {
+public:
+    CancelRecordingTransport(std::unique_ptr<Transport> base,
+                             std::shared_ptr<CancelLog> log)
+        : base_(std::move(base)), log_(std::move(log)) {}
+
+    bool send_line(const std::string& line) override {
+        const JsonValue v = JsonValue::parse(line);
+        if (v.has("job")) {
+            dispatched_id_ = v.string_or("id", "");
+        } else if (v.string_or("cmd", "") == "cancel") {
+            MutexLock lock(log_->mutex);
+            log_->cancels.emplace_back(dispatched_id_, v.string_or("id", ""));
+        }
+        return base_->send_line(line);
+    }
+    ReadStatus read_line(std::string& out, double timeout_seconds) override {
+        return base_->read_line(out, timeout_seconds);
+    }
+    void shutdown() override { base_->shutdown(); }
+    [[nodiscard]] std::string describe() const override {
+        return base_->describe();
+    }
+
+private:
+    std::unique_ptr<Transport> base_;
+    std::shared_ptr<CancelLog> log_;
+    std::string dispatched_id_;
+};
+
+void expect_cancels_name_their_jobs(CancelLog& log) {
+    MutexLock lock(log.mutex);
+    EXPECT_FALSE(log.cancels.empty());
+    for (const auto& [dispatched, cancelled] : log.cancels) {
+        EXPECT_NE(dispatched.find("#p"), std::string::npos) << dispatched;
+        EXPECT_EQ(cancelled, dispatched);
+    }
+}
+
+/// Wraps `base` so every transport it makes records into `log`.
+[[nodiscard]] FanoutDriver::TransportFactory
+recording_factory(FanoutDriver::TransportFactory base,
+                  std::shared_ptr<CancelLog> log) {
+    return [base = std::move(base), log = std::move(log)] {
+        return std::make_unique<CancelRecordingTransport>(base(), log);
+    };
 }
 
 struct ExpectedMember {
@@ -240,20 +321,20 @@ TEST(FanoutDriver, WorkerDeathMidPartitionIsRedispatchedBitIdentically) {
     // lines; every later one is healthy. Exactly one partition loses its
     // worker mid-range and must resume at member 5 of its range on a
     // fresh transport, with nothing delivered twice.
-    unsigned transports_made = 0;
-    auto factory = [&transports_made]() -> std::unique_ptr<Transport> {
-        LoopbackTransport::Options opts;
-        opts.workers = 2;
-        opts.shard_size = 8;
-        opts.samples_per_period = kSpp;
-        opts.die_after_results = transports_made++ == 0 ? 5 : 0;
-        return std::make_unique<LoopbackTransport>(opts);
+    unsigned transports_made = 0; // the driver serialises factory calls
+    const auto base = loopback_factory();
+    auto counted = [&transports_made, base] {
+        ++transports_made;
+        return base();
     };
+    ChaosPlan plan;
+    plan.mode = ChaosMode::disconnect;
+    plan.after_lines = kHeaderLines + 5;
 
     FanoutOptions opts;
     opts.partitions = 2;
     opts.verify_single_process = true;
-    FanoutDriver driver(factory, opts);
+    FanoutDriver driver(chaos_factory(counted, plan), opts);
 
     std::vector<FanoutRecord> merged;
     const FanoutSummary summary =
@@ -269,10 +350,16 @@ TEST(FanoutDriver, WorkerDeathMidPartitionIsRedispatchedBitIdentically) {
 TEST(FanoutDriver, ExhaustedDispatchAttemptsFailTheRun) {
     // Every peer dies after 2 results: with max_attempts = 2 the dying
     // partitions must exhaust their budget and fail the run as a whole.
+    ChaosPlan plan;
+    plan.mode = ChaosMode::disconnect;
+    plan.after_lines = kHeaderLines + 2;
     FanoutOptions opts;
     opts.partitions = 2;
     opts.max_attempts = 2;
-    FanoutDriver driver(loopback_factory(/*die_after_results=*/2), opts);
+    FanoutDriver driver(
+        chaos_factory(loopback_factory(), plan,
+                      std::numeric_limits<std::size_t>::max()),
+        opts);
     const std::string job =
         R"({"job":"deviations","grid":{"from":-10,"to":10,"count":40}})";
     EXPECT_THROW((void)driver.run(job, [](const FanoutRecord&) {}), Error);
@@ -283,7 +370,8 @@ TEST(FanoutDriver, CancellationFansOutAndKeepsAscendingOrder) {
         R"({"job":"deviations","grid":{"from":-20,"to":20,"count":2000},"shard_size":4})";
     FanoutOptions opts;
     opts.partitions = 2;
-    FanoutDriver driver(loopback_factory(), opts);
+    auto log = std::make_shared<CancelLog>();
+    FanoutDriver driver(recording_factory(loopback_factory(), log), opts);
 
     SweepCancelToken cancel;
     std::vector<std::size_t> order;
@@ -306,6 +394,9 @@ TEST(FanoutDriver, CancellationFansOutAndKeepsAscendingOrder) {
     for (std::size_t i = 0; i < 10; ++i)
         EXPECT_EQ(order[i], i);
     EXPECT_FALSE(summary.verify_ran); // nothing to compare a partial stream to
+    // Each live peer was told which job to stop: naming it also dequeues
+    // a partition job the peer has not started yet.
+    expect_cancels_name_their_jobs(*log);
 }
 
 TEST(FanoutDriver, RejectsJobsWithAnExplicitMemberRange) {
@@ -335,10 +426,8 @@ TEST(LoopbackTransport, EmittedEventStreamPassesProtocolCheck) {
     // Closes the emitter <-> validator loop: every line a real session
     // emits for a real job must satisfy check_protocol_line — the same
     // validator CI replays the docs/PROTOCOL.md examples through.
-    LoopbackTransport::Options lopts;
-    lopts.workers = 2;
+    LoopbackTransport::Options lopts = loopback_options();
     lopts.shard_size = 2;
-    lopts.samples_per_period = kSpp;
     LoopbackTransport peer(lopts);
 
     ASSERT_TRUE(peer.send_line(
@@ -349,8 +438,7 @@ TEST(LoopbackTransport, EmittedEventStreamPassesProtocolCheck) {
 
     std::size_t lines = 0;
     bool saw_verify = false, saw_stats = false, saw_error = false;
-    std::string line;
-    while (peer.read_line(line, 30.0) == Transport::ReadStatus::line) {
+    for (const std::string& line : read_until_closed(peer)) {
         EXPECT_NO_THROW(check_protocol_line(line)) << line;
         ++lines;
         saw_verify = saw_verify || line.find("\"event\":\"verify\"") !=
@@ -442,7 +530,9 @@ TEST(FanoutDriver, WorkStealingRescuesAStragglerBitIdentically) {
     opts.partitions = 2;
     opts.steal_threshold = 4;
     opts.read_timeout_seconds = 5.0; // delayed lines still beat this
-    FanoutDriver driver(chaos_factory(loopback_factory(), plan), opts);
+    auto log = std::make_shared<CancelLog>();
+    FanoutDriver driver(
+        recording_factory(chaos_factory(loopback_factory(), plan), log), opts);
 
     std::vector<FanoutRecord> merged;
     const FanoutSummary summary =
@@ -455,6 +545,8 @@ TEST(FanoutDriver, WorkStealingRescuesAStragglerBitIdentically) {
     for (const PartitionOutcome& p : summary.partitions)
         per_partition += p.steals;
     EXPECT_EQ(per_partition, summary.steals); // victim accounting adds up
+    // A victim cancels the tail it lost by the id of the job it was sent.
+    expect_cancels_name_their_jobs(*log);
 }
 
 TEST(FanoutDriver, PartitionWallClockIsRecordedForEveryBusyPartition) {
@@ -521,6 +613,122 @@ TEST(FanoutDriver, ThrowingTransportFactoryCostsOneAttempt) {
     for (const PartitionOutcome& p : summary.partitions)
         attempts += p.attempts;
     EXPECT_EQ(attempts, 3u); // 2 partitions + 1 retry after the throw
+}
+
+TEST(LoopbackTransport, WhitespaceOnlyLinesAreIgnored) {
+    // PROTOCOL.md framing: blank lines are ignored — on every transport,
+    // because every peer runs ServerSession::serve.
+    LoopbackTransport peer(loopback_options());
+    ASSERT_TRUE(peer.send_line(""));
+    ASSERT_TRUE(peer.send_line(" \t\r"));
+    ASSERT_TRUE(peer.send_line(R"({"cmd":"ping","id":"after-blank"})"));
+    ASSERT_TRUE(peer.send_line(R"({"cmd":"quit"})"));
+
+    const std::vector<std::string> lines = read_until_closed(peer);
+    ASSERT_EQ(lines.size(), 2u); // ready, pong — no error events
+    EXPECT_EQ(JsonValue::parse(lines[0]).string_or("event", ""), "ready");
+    const JsonValue pong = JsonValue::parse(lines[1]);
+    EXPECT_EQ(pong.string_or("event", ""), "pong");
+    EXPECT_EQ(pong.string_or("id", ""), "after-blank");
+}
+
+TEST(LoopbackTransport, InBandCancelClosesASlowSpiceJob) {
+    // Cancels travel in-band like every other request: the session's
+    // reader handles the job line (decode, submit, `queued`) before it
+    // reads the cancel, so the cancel always finds the job queued or
+    // running and closes it as cancelled.
+    LoopbackTransport peer(loopback_options());
+    ASSERT_TRUE(peer.send_line(
+        R"({"job":"spice_faults","id":"slow","universe":"bridging+open","settle_periods":20,"emit_signatures":false})"));
+    ASSERT_TRUE(peer.send_line(R"({"cmd":"cancel","id":"slow"})"));
+    ASSERT_TRUE(peer.send_line(R"({"cmd":"quit"})"));
+
+    std::size_t done_events = 0;
+    for (const std::string& line : read_until_closed(peer)) {
+        const JsonValue v = JsonValue::parse(line);
+        const std::string event = v.string_or("event", "");
+        EXPECT_NE(event, "error") << line;
+        if (event == "job_done") {
+            ++done_events;
+            EXPECT_EQ(v.string_or("id", ""), "slow");
+            EXPECT_TRUE(v.at("cancelled").as_bool()) << line;
+            EXPECT_LT(v.at("members_done").as_number(),
+                      v.at("members_total").as_number());
+        }
+    }
+    EXPECT_EQ(done_events, 1u);
+}
+
+/// A peer that sends one scripted banner and then stays silent.
+class BannerOnlyTransport final : public Transport {
+public:
+    explicit BannerOnlyTransport(std::string banner)
+        : banner_(std::move(banner)) {}
+
+    bool send_line(const std::string&) override { return true; }
+    ReadStatus read_line(std::string& out, double timeout_seconds) override {
+        if (banner_.empty()) {
+            std::this_thread::sleep_for(
+                std::chrono::duration<double>(timeout_seconds));
+            return ReadStatus::timeout;
+        }
+        out = std::exchange(banner_, {});
+        return ReadStatus::line;
+    }
+    void shutdown() override {}
+    [[nodiscard]] std::string describe() const override { return "banner-only"; }
+
+private:
+    std::string banner_;
+};
+
+TEST(FanoutDriver, NewerProtocolVersionBannerFailsTheRunAfterOneAttempt) {
+    // The driver's handshake is the one banner check for every transport.
+    // A peer from a future build is a deterministic mismatch: the run
+    // fails at once, naming both versions, instead of burning attempts.
+    unsigned transports_made = 0;
+    FanoutOptions opts;
+    opts.partitions = 1;
+    opts.max_attempts = 3;
+    opts.read_timeout_seconds = 0.5; // a silent peer must not hang the test
+    FanoutDriver driver(
+        [&transports_made]() -> std::unique_ptr<Transport> {
+            ++transports_made;
+            return std::make_unique<BannerOnlyTransport>(
+                R"({"event":"ready","samples_per_period":256,"shard_size":8,"version":99,"workers":2})");
+        },
+        opts);
+    try {
+        (void)driver.run(std::string(R"({"job":"deviations","deviations":[-5,5]})"),
+                         [](const FanoutRecord&) {});
+        FAIL() << "a version-99 peer was accepted";
+    } catch (const Error& e) {
+        const std::string message = e.what();
+        EXPECT_NE(message.find("version 99"), std::string::npos) << message;
+        EXPECT_NE(message.find(std::to_string(kProtocolVersion)),
+                  std::string::npos)
+            << message;
+    }
+    EXPECT_EQ(transports_made, 1u);
+}
+
+TEST(FanoutDriver, ExhaustedAttemptsNameTheLastFailure) {
+    FanoutOptions opts;
+    opts.partitions = 1;
+    opts.max_attempts = 2;
+    FanoutDriver driver([]() -> std::unique_ptr<Transport> { throw Error("boom"); },
+                        opts);
+    try {
+        (void)driver.run(std::string(R"({"job":"deviations","deviations":[-5,5]})"),
+                         [](const FanoutRecord&) {});
+        FAIL() << "a factory that always throws did not fail the run";
+    } catch (const Error& e) {
+        const std::string message = e.what();
+        EXPECT_NE(message.find("exhausted 2 dispatch attempts"),
+                  std::string::npos)
+            << message;
+        EXPECT_NE(message.find("boom"), std::string::npos) << message;
+    }
 }
 
 } // namespace

@@ -20,6 +20,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include "common/annotated_mutex.h"
 #include "common/strings.h"
 #include "core/golden_cache.h"
@@ -47,6 +49,22 @@ core::SignaturePipeline make_pipeline(std::size_t samples_per_period = 256) {
 
 WireJob wire_job(const std::string& line) {
     return parse_wire_job(JsonValue::parse(line));
+}
+
+/// Runs session.serve over a pipe holding `lines` and then EOF, so serve
+/// returns once every line is handled (without draining the jobs).
+void serve_lines(ServerSession& session,
+                 const std::vector<std::string>& lines) {
+    int fds[2] = {-1, -1};
+    ASSERT_EQ(::pipe(fds), 0);
+    std::string bytes;
+    for (const std::string& line : lines)
+        bytes += line + "\n";
+    ASSERT_EQ(::write(fds[1], bytes.data(), bytes.size()),
+              static_cast<ssize_t>(bytes.size()));
+    ::close(fds[1]);
+    session.serve(fds[0]);
+    ::close(fds[0]);
 }
 
 std::vector<SweepResult> drain(JobHandle& handle) {
@@ -562,17 +580,16 @@ TEST(ServerSession, InterleavedClientsStreamBitIdenticalAndResubmitIsCached) {
             lines.push_back(l);
         });
         session.emit_ready(256);
-        ASSERT_TRUE(session.handle_line(
-            R"({"job":"deviations","id":"warm","client":"alice",)" +
-            small_universe + "}"));
+        serve_lines(session,
+                    {R"({"job":"deviations","id":"warm","client":"alice",)" +
+                     small_universe + "}"});
         session.drain(); // alice's first pass populates the whole-job cache
-        ASSERT_TRUE(session.handle_line(
-            R"({"job":"deviations","id":"big","client":"bob",)" +
-            big_universe + "}"));
-        ASSERT_TRUE(session.handle_line(
-            R"({"job":"deviations","id":"re","client":"alice",)" +
-            small_universe + "}"));
-        ASSERT_TRUE(session.handle_line(R"({"cmd":"stats"})"));
+        serve_lines(session,
+                    {R"({"job":"deviations","id":"big","client":"bob",)" +
+                         big_universe + "}",
+                     R"({"job":"deviations","id":"re","client":"alice",)" +
+                         small_universe + "}",
+                     R"({"cmd":"stats"})"});
         session.drain();
         EXPECT_TRUE(session.all_verified());
     }
@@ -643,6 +660,26 @@ TEST(ServerSession, InterleavedClientsStreamBitIdenticalAndResubmitIsCached) {
     // ...and finished while bob's long job was still draining — the queue
     // really interleaves, with no head-of-line blocking.
     EXPECT_TRUE(re_done_before_big);
+}
+
+// PROTOCOL.md framing: blank lines are ignored. serve() is the one request
+// loop every peer runs (stdin, TCP connections, loopback socketpairs), so
+// pinning it over a pipe pins it for all of them.
+TEST(ServerSession, ServeIgnoresWhitespaceOnlyLinesOverAPipe) {
+    SweepService service(make_pipeline(), {.workers = 1});
+    xysig::Mutex lines_mutex;
+    std::vector<std::string> lines;
+    {
+        ServerSession session(service, [&](const std::string& l) {
+            xysig::MutexLock g(lines_mutex);
+            lines.push_back(l);
+        });
+        serve_lines(session, {"", " \t\r", R"({"cmd":"ping","id":"p"})"});
+    }
+    ASSERT_EQ(lines.size(), 1u); // the pong, no error event
+    const JsonValue pong = JsonValue::parse(lines.front());
+    EXPECT_EQ(pong.string_or("event", ""), "pong");
+    EXPECT_EQ(pong.string_or("id", ""), "p");
 }
 
 } // namespace

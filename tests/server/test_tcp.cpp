@@ -1,10 +1,9 @@
 // TcpTransport / TcpListener guarantees: a localhost listen/connect pair
 // speaks byte-for-byte the same protocol as the pipe transport (the
-// fan-out driver cannot tell them apart), the connect handshake rejects a
-// peer advertising a newer protocol version before any job flows, a
-// dropped connection re-dispatches and resumes bit-identically, and v3
-// heartbeats keep a slow-but-alive worker from being shot by a tight
-// inactivity timeout.
+// fan-out driver cannot tell them apart: the ready banner is the first
+// line, blank request lines are ignored), a dropped connection
+// re-dispatches and resumes bit-identically, and v3 heartbeats keep a
+// slow-but-alive worker from being shot by a tight inactivity timeout.
 
 #include "server/tcp_transport.h"
 
@@ -54,14 +53,13 @@ single_process_reference(const std::string& job_line) {
     return out;
 }
 
-TEST(TcpTransport, ConnectHandshakeRedeliversTheReadyBanner) {
+TEST(TcpTransport, FirstLineIsTheReadyBannerThenPingPongs) {
     TcpListener listener(listener_options());
     listener.start();
 
     TcpTransport transport("127.0.0.1", listener.port());
-    // The constructor consumed the banner for version validation; the
-    // first read must still see it — drop-in compatibility with the
-    // pipe transports' stream.
+    // The banner is the first line, exactly as on the pipe transports, so
+    // the fan-out driver's handshake is the same for every peer.
     std::string line;
     ASSERT_EQ(transport.read_line(line, 10.0), Transport::ReadStatus::line);
     const JsonValue ready = JsonValue::parse(line);
@@ -77,18 +75,23 @@ TEST(TcpTransport, ConnectHandshakeRedeliversTheReadyBanner) {
     EXPECT_EQ(pong.string_or("id", ""), "t1");
 }
 
-TEST(TcpTransport, RejectsAPeerSpeakingANewerProtocolVersion) {
-    TcpListener::Options opts = listener_options();
-    opts.ready_version_override = kProtocolVersion + 96; // a future build
-    TcpListener listener(opts);
+TEST(TcpListener, WhitespaceOnlyLinesAreIgnored) {
+    // PROTOCOL.md framing: blank lines are ignored — a connection runs
+    // the same ServerSession::serve loop as sweep_server's stdin.
+    TcpListener listener(listener_options());
     listener.start();
 
-    try {
-        TcpTransport transport("127.0.0.1", listener.port());
-        FAIL() << "handshake accepted an unsupported protocol version";
-    } catch (const Error& e) {
-        EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
-    }
+    TcpTransport transport("127.0.0.1", listener.port());
+    ASSERT_TRUE(transport.send_line(""));
+    ASSERT_TRUE(transport.send_line(" \t\r"));
+    ASSERT_TRUE(transport.send_line(R"({"cmd":"ping","id":"after-blank"})"));
+    ASSERT_TRUE(transport.send_line(R"({"cmd":"quit"})"));
+
+    std::vector<std::string> events;
+    std::string line;
+    while (transport.read_line(line, 10.0) == Transport::ReadStatus::line)
+        events.push_back(JsonValue::parse(line).string_or("event", ""));
+    EXPECT_EQ(events, (std::vector<std::string>{"ready", "pong"}));
 }
 
 TEST(TcpTransport, ConnectRetriesWithBackoffThenFails) {
