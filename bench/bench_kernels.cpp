@@ -2,8 +2,9 @@
 // virtual baseline: stimulus sampling (tone-table kernel vs per-sample
 // Waveform::value), zoning (CompiledMonitorBank::codes_into vs
 // MonitorBank::code), the fused zoning -> run-length-event path, the
-// end-to-end NDF evaluation (SignaturePipeline scratch path with
-// compiled_kernels on vs off, serial and at N batch threads), and the
+// end-to-end NDF evaluation (SignaturePipeline scratch path vs the virtual
+// observation path chronogram() scored against the same golden, serial
+// and at N threads), and the
 // opt-in fast_math layer: the vecmath sin kernel vs libm, fast multitone
 // sampling vs the exact kernel, the stimulus trace cache vs resampling,
 // and the fused NDF path with fast_math on.
@@ -38,6 +39,7 @@
 #include "common/strings.h"
 #include "common/table.h"
 #include "core/batch_ndf.h"
+#include "core/ndf.h"
 #include "core/paper_setup.h"
 #include "core/trace_cache.h"
 #include "kernels/compiled_monitor_bank.h"
@@ -258,16 +260,15 @@ void write_json(const std::string& path, bool smoke, std::size_t samples,
     }
 
     // --- Stage 4: fused end-to-end NDF (serial, then N threads) ---------
+    // Baseline: the virtual observation path, chronogram() (respond +
+    // Chronogram::from_trace over MonitorBank::code) scored against the
+    // golden; candidate: the scratch path every NDF takes (shared stimulus
+    // trace, compiled zoning, encode_codes).
     {
-        core::PipelineOptions virt_opts;
-        virt_opts.samples_per_period = samples;
-        virt_opts.compiled_kernels = false;
-        core::PipelineOptions kern_opts = virt_opts;
-        kern_opts.compiled_kernels = true;
-        core::SignaturePipeline virt_pipe(make_bench_bank(), stimulus, virt_opts);
-        core::SignaturePipeline kern_pipe(make_bench_bank(), stimulus, kern_opts);
-        virt_pipe.set_golden(golden_cut);
-        kern_pipe.set_golden(golden_cut);
+        core::PipelineOptions opts;
+        opts.samples_per_period = samples;
+        core::SignaturePipeline pipe(make_bench_bank(), stimulus, opts);
+        pipe.set_golden(golden_cut);
 
         std::vector<filter::BehaviouralCut> universe;
         universe.reserve(universe_size);
@@ -279,21 +280,23 @@ void write_json(const std::string& path, bool smoke, std::size_t samples,
         std::vector<const filter::Cut*> raw;
         for (const auto& c : universe)
             raw.push_back(&c);
+        const auto virtual_ndf = [&](std::size_t i) {
+            return core::ndf(pipe.chronogram(*raw[i]), pipe.golden());
+        };
 
         std::vector<double> ndf_virt(raw.size());
         std::vector<double> ndf_kern(raw.size());
         const double v_rate = rate_of(
             [&] {
-                core::NdfScratch scratch;
                 for (std::size_t i = 0; i < raw.size(); ++i)
-                    ndf_virt[i] = virt_pipe.ndf_of(*raw[i], scratch);
+                    ndf_virt[i] = virtual_ndf(i);
             },
             static_cast<double>(universe_size), min_seconds);
         const double k_rate = rate_of(
             [&] {
                 core::NdfScratch scratch;
                 for (std::size_t i = 0; i < raw.size(); ++i)
-                    ndf_kern[i] = kern_pipe.ndf_of(*raw[i], scratch);
+                    ndf_kern[i] = pipe.ndf_of(*raw[i], scratch);
             },
             static_cast<double>(universe_size), min_seconds);
         stages.push_back({.name = "fused ndf",
@@ -305,15 +308,18 @@ void write_json(const std::string& path, bool smoke, std::size_t samples,
         // Batch engine at N threads on top of the compiled kernels: thread
         // scaling multiplies the single-core kernel win.
         const unsigned n_threads = default_thread_count();
-        const core::BatchNdfEvaluator batch_virt(virt_pipe, {.threads = n_threads});
-        const core::BatchNdfEvaluator batch_kern(kern_pipe, {.threads = n_threads});
-        std::vector<double> batch_v;
+        const core::BatchNdfEvaluator batch(pipe, {.threads = n_threads});
+        std::vector<double> batch_v(raw.size());
         std::vector<double> batch_k;
         const double bv_rate = rate_of(
-            [&] { batch_v = batch_virt.evaluate(raw); },
+            [&] {
+                parallel_for(
+                    0, raw.size(), [&](std::size_t i) { batch_v[i] = virtual_ndf(i); },
+                    n_threads);
+            },
             static_cast<double>(universe_size), min_seconds);
         const double bk_rate = rate_of(
-            [&] { batch_k = batch_kern.evaluate(raw); },
+            [&] { batch_k = batch.evaluate(raw); },
             static_cast<double>(universe_size), min_seconds);
         stages.push_back({.name = "fused ndf",
                           .unit = "cuts/s",
@@ -475,7 +481,6 @@ void write_json(const std::string& path, bool smoke, std::size_t samples,
     {
         core::PipelineOptions exact_opts;
         exact_opts.samples_per_period = samples;
-        exact_opts.compiled_kernels = true;
         core::PipelineOptions fast_opts = exact_opts;
         fast_opts.fast_math = true;
         const std::size_t misses_before =
@@ -589,16 +594,20 @@ void BM_ZoningCompiled(benchmark::State& state) {
 }
 BENCHMARK(BM_ZoningCompiled)->Unit(benchmark::kMillisecond);
 
+/// Arg 0: the virtual observation path scored against the golden; arg 1:
+/// the scratch path every NDF takes.
 void BM_FusedNdf(benchmark::State& state) {
     core::PipelineOptions opts;
     opts.samples_per_period = 4096;
-    opts.compiled_kernels = state.range(0) != 0;
     core::SignaturePipeline pipe(make_bench_bank(), core::paper_stimulus(), opts);
     pipe.set_golden(filter::BehaviouralCut(core::paper_biquad()));
     const filter::BehaviouralCut cut(core::paper_biquad().with_f0_shift(0.1));
     core::NdfScratch scratch;
+    const bool scratch_path = state.range(0) != 0;
     for (auto _ : state)
-        benchmark::DoNotOptimize(pipe.ndf_of(cut, scratch));
+        benchmark::DoNotOptimize(
+            scratch_path ? pipe.ndf_of(cut, scratch)
+                         : core::ndf(pipe.chronogram(cut), pipe.golden()));
 }
 BENCHMARK(BM_FusedNdf)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 

@@ -33,6 +33,14 @@
 #       stray stream insert from the library interleaves with (and
 #       corrupts) both. Tools, benches, examples and tests own their
 #       streams and are exempt.
+#
+#   R6  the MOSFET drain-current arithmetic is written once: in src/,
+#       calls to softplus( or logistic( (outside comments; the batched
+#       vecmath::softplus_batch is a different function) appear only in
+#       common/math_util.* (their definitions) and spice/mosfet.* (the
+#       one drain-current model, spice::NmosDrainCurrent). A kernel that
+#       needs a drain current evaluates that model instead of copying the
+#       EKV expressions, where bit identity could drift.
 set -u
 
 self_test=0
@@ -133,6 +141,24 @@ run_lint() {
         fi
     fi
 
+    # R6: softplus/logistic calls outside the drain-current model. awk
+    # drops // comments before matching; identifiers that merely start
+    # with the names (softplus_batch) do not match.
+    if [ -d "$root/src" ]; then
+        r6_hits=$(find "$root/src" -type f \( -name '*.cpp' -o -name '*.h' \) |
+            grep -vE '/src/(common/math_util|spice/mosfet)\.(h|cpp)$' |
+            xargs -r awk '{
+                code = $0
+                sub(/\/\/.*/, "", code)
+                if (code ~ /(^|[^[:alnum:]_])(softplus|logistic)[[:space:]]*\(/)
+                    printf "%s:%d: %s\n", FILENAME, FNR, $0
+            }' /dev/null 2>/dev/null || true)
+        if [ -n "$r6_hits" ]; then
+            printf '%s\n' "$r6_hits" >&2
+            fail "softplus()/logistic() call outside common/math_util and spice/mosfet — evaluate spice::NmosDrainCurrent instead of copying the drain-current arithmetic (R6)"
+        fi
+    fi
+
     # R4: bench bit-identity gates.
     if [ -d "$root/bench" ]; then
         for bench in "$root"/bench/bench_*.cpp; do
@@ -212,10 +238,27 @@ run_self_test() {
         >"$tmp/src/bad.cpp"
     check_fires R5-cerr
 
-    # Clean tree passes: comment-only catch, annotated mutex, marked and
-    # allowlisted benches, identifiers merely ending in "rand".
+    # R6: the EKV softplus copied into a kernel, and a logistic anywhere
+    # else in src/.
     stage
-    mkdir -p "$tmp/src/common"
+    mkdir -p "$tmp/src/kernels"
+    printf 'double leg(double u) {\n    return softplus(0.5 * u);\n}\n' \
+        >"$tmp/src/kernels/bad.cpp"
+    check_fires R6
+    stage
+    printf 'double slope(double u) { return u * logistic (u); }\n' \
+        >"$tmp/src/bad.h"
+    check_fires R6-logistic
+
+    # Clean tree passes: comment-only catch, annotated mutex, marked and
+    # allowlisted benches, identifiers merely ending in "rand", softplus
+    # calls in the drain-current model, the batched kernel and comments.
+    stage
+    mkdir -p "$tmp/src/common" "$tmp/src/spice" "$tmp/src/kernels"
+    printf 'inline double id(double u) { return softplus(u) * logistic(u); }\n' \
+        >"$tmp/src/spice/mosfet.h" # R6 exempt by path
+    printf '// softplus(u) evaluated in bulk\nvoid f() { vecmath::softplus_batch(a, b, n); }\n' \
+        >"$tmp/src/kernels/kernel.cpp"
     printf 'namespace std { class mutex; }\n' \
         >"$tmp/src/common/annotated_mutex.h" # R1 exempt by path
     cat >"$tmp/src/good.cpp" <<'EOF'

@@ -70,30 +70,37 @@ capture::CaptureResult SignaturePipeline::capture(const filter::Cut& cut,
     return unit.capture(tr, bank_);
 }
 
-std::string SignaturePipeline::golden_cache_key(const filter::Cut& cut) const {
-    const std::string cut_key = cut.cache_key();
-    if (cut_key.empty())
-        return {};
+std::string SignaturePipeline::fingerprint() const {
     const std::string bank_fp = bank_.fingerprint();
     if (bank_fp.empty())
         return {};
     // Built with discrete appends: the `"x" + std::string&&` concat chain
     // trips GCC's -Wrestrict false positive at -O3 once inlined, and the
     // hardening lane builds with -Werror.
+    std::string fp = "bank{";
+    fp += bank_fp;
+    fp += "}|";
+    fp += stimulus_fingerprint(stimulus_);
+    fp += "|spp=" + std::to_string(options_.samples_per_period);
+    // Signatures from different sampling modes differ within the fast-math
+    // ULP tolerance and must never alias (they are only comparable within
+    // one mode).
+    fp += "|fm=";
+    fp += options_.fast_math ? '1' : '0';
+    return fp;
+}
+
+std::string SignaturePipeline::golden_cache_key(const filter::Cut& cut) const {
+    const std::string cut_key = cut.cache_key();
+    if (cut_key.empty())
+        return {};
+    const std::string fp = fingerprint();
+    if (fp.empty())
+        return {};
     std::string key = "cut{";
     key += cut_key;
-    key += "}|bank{";
-    key += bank_fp;
     key += "}|";
-    key += stimulus_fingerprint(stimulus_);
-    key += "|spp=" + std::to_string(options_.samples_per_period);
-    key += "|ck=";
-    key += options_.compiled_kernels ? '1' : '0';
-    // Goldens from different sampling modes differ within the fast-math
-    // ULP tolerance and must never alias (signatures are only comparable
-    // within one mode).
-    key += "|fm=";
-    key += options_.fast_math ? '1' : '0';
+    key += fp;
     return key;
 }
 
@@ -156,17 +163,12 @@ capture::Chronogram SignaturePipeline::ideal_chronogram(const filter::Cut& cut,
         for (double& v : scratch.ys_)
             v += noise_rng->normal(0.0, options_.noise_sigma);
     }
-    if (options_.compiled_kernels) {
-        // Fused zoning -> run-length path: one devirtualised monitor pass
-        // per bit-plane, then RLE over the code buffer. Bit-identical to
-        // encode_events (tests/kernels pin this).
-        compiled_bank_.codes_into(scratch.xs_, scratch.ys_, scratch.codes_,
-                                  sample_mode());
-        capture::Chronogram::encode_codes(scratch.codes_, dt, scratch.events_);
-    } else {
-        capture::Chronogram::encode_events(scratch.xs_, scratch.ys_, dt, bank_,
-                                           scratch.events_);
-    }
+    // Fused zoning -> run-length path: one devirtualised monitor pass per
+    // bit-plane, then RLE over the code buffer. Bit-identical in exact mode
+    // to the virtual observation path, chronogram() (tests/kernels pin it).
+    compiled_bank_.codes_into(scratch.xs_, scratch.ys_, scratch.codes_,
+                              sample_mode());
+    capture::Chronogram::encode_codes(scratch.codes_, dt, scratch.events_);
     const double period = dt * static_cast<double>(scratch.xs_.size());
     return capture::Chronogram(period, static_cast<unsigned>(bank_.size()),
                                scratch.events_);

@@ -6,6 +6,12 @@
 /// bank -> (optional capture quantisation) -> chronogram -> NDF against the
 /// golden signature. This is the paper's complete verification flow in one
 /// object.
+///
+/// Every NDF and golden zones through one path: the compiled kernels
+/// (kernels::CompiledMonitorBank::codes_into, then
+/// Chronogram::encode_codes). trace()/chronogram()/capture() are the
+/// virtual observation path (MonitorBank::code per sample) that figure
+/// benches call and that tests hold the compiled path to, event for event.
 
 #include <optional>
 
@@ -23,20 +29,12 @@ struct PipelineOptions {
     double noise_sigma = 0.0;              ///< white noise on x and y (V)
     bool quantise = false;                 ///< run through the Fig. 5 capture
     capture::CaptureOptions capture{};     ///< used when quantise is true
-    /// Route the scratch NDF path through the compiled zoning/encode
-    /// kernels (bit-identical to the virtual path; off is the reference
-    /// baseline bench_kernels measures against). Scope: this flag selects
-    /// zoning + event encoding only — stimulus sampling always uses the
-    /// waveform kernel inside SampledSignal::sample_waveform_into, whose
-    /// own bit identity is gated separately (bench_kernels stage 1 and
-    /// tests/kernels compare it against the per-sample value() loop).
-    bool compiled_kernels = true;
     /// Opt-in SIMD math (kernels/vecmath.h): tone-table sines on the
     /// NDF/golden path evaluate through the batched polynomial kernels —
     /// each sine within 2 ULP of the exact value (gate-enforced by
-    /// bench_kernels and tests/kernels/test_vecmath_differential) — and,
-    /// when compiled_kernels is also on, the EKV comparators zone through
-    /// the batched softplus kernel (within 4 ULP of correctly rounded).
+    /// bench_kernels and tests/kernels/test_vecmath_differential) — and
+    /// the EKV comparators zone through the batched softplus kernel
+    /// (within 4 ULP of correctly rounded).
     /// Results are bit-identical across ISAs but NOT to exact mode, so
     /// signatures computed under different modes must never be compared
     /// (golden cache keys and the trace cache key this flag for that
@@ -62,7 +60,7 @@ private:
     friend class SignaturePipeline;
     std::vector<double> xs_;
     std::vector<double> ys_;
-    std::vector<unsigned> codes_; ///< per-sample zone codes (compiled path)
+    std::vector<unsigned> codes_; ///< per-sample zone codes
     std::vector<capture::CodeEvent> events_;
 };
 
@@ -92,8 +90,8 @@ public:
                                                  Rng* noise_rng = nullptr) const;
 
     /// Stores the golden signature (noise-free by definition). Runs the
-    /// same scratch path as ndf_of (compiled kernels when enabled) instead
-    /// of the virtual chronogram path, and serves the ideal (unquantised)
+    /// same scratch path as ndf_of (the compiled kernels) instead of the
+    /// virtual chronogram path, and serves the ideal (unquantised)
     /// chronogram from the process-wide GoldenSignatureCache when the
     /// (bank, stimulus, sampling options, cut) tuple has an exact
     /// fingerprint — see golden_cache_key(). Cache hits are bit-identical
@@ -102,11 +100,17 @@ public:
     /// deliberately outside the key.
     void set_golden(const filter::Cut& golden_cut);
 
+    /// Exact fingerprint of everything this pipeline contributes to the
+    /// bits of an ideal chronogram: `bank{…}|stim{…}|spp=…|fm=…` (monitor
+    /// bank, stimulus, samples_per_period, fast_math). Noise and capture
+    /// options are not in it. Empty when a monitor cannot produce an exact
+    /// fingerprint.
+    [[nodiscard]] std::string fingerprint() const;
+
     /// The cache key set_golden files the ideal golden chronogram under:
-    /// exact fingerprints of (golden cut, monitor bank, stimulus,
-    /// samples_per_period, compiled_kernels, fast_math). Empty when the
-    /// cut or a monitor cannot produce an exact fingerprint — set_golden
-    /// then computes without caching.
+    /// `cut{…}|` + fingerprint(). Empty when the cut or a monitor cannot
+    /// produce an exact fingerprint — set_golden then computes without
+    /// caching.
     [[nodiscard]] std::string golden_cache_key(const filter::Cut& cut) const;
 
     /// Flips options().fast_math in place (the sweep service applies the
@@ -147,16 +151,15 @@ public:
                                          NdfScratch& scratch,
                                          Rng* noise_rng = nullptr) const;
 
-    /// The lowered form of bank() the compiled path zones with.
+    /// The lowered form of bank() every NDF and golden zones with.
     [[nodiscard]] const kernels::CompiledMonitorBank& compiled_bank() const noexcept {
         return compiled_bank_;
     }
 
 private:
     /// Shared trunk of ndf_of(scratch) and set_golden: CUT response into the
-    /// scratch buffers, optional noise, zoning + run-length encoding (the
-    /// compiled kernels when options().compiled_kernels is set), returned as
-    /// the ideal (unquantised) chronogram.
+    /// scratch buffers, optional noise, zoning through compiled_bank() and
+    /// run-length encoding, returned as the ideal (unquantised) chronogram.
     [[nodiscard]] capture::Chronogram ideal_chronogram(const filter::Cut& cut,
                                                        NdfScratch& scratch,
                                                        Rng* noise_rng) const;

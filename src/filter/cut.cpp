@@ -9,13 +9,14 @@
 
 namespace xysig::filter {
 
-void Cut::respond_into(const MultitoneWaveform& stimulus,
-                       std::size_t samples_per_period, std::vector<double>& xs,
-                       std::vector<double>& ys, double& dt) const {
-    const XyTrace tr = respond(stimulus, samples_per_period);
-    xs.assign(tr.x().samples().begin(), tr.x().samples().end());
-    ys.assign(tr.y().samples().begin(), tr.y().samples().end());
-    dt = tr.dt();
+XyTrace Cut::respond(const MultitoneWaveform& stimulus,
+                     std::size_t samples_per_period) const {
+    std::vector<double> xs;
+    std::vector<double> ys;
+    double dt = 0.0;
+    respond_into(stimulus, samples_per_period, xs, ys, dt);
+    return XyTrace(SampledSignal(0.0, dt, std::move(xs)),
+                   SampledSignal(0.0, dt, std::move(ys)));
 }
 
 void Cut::respond_y_into(const MultitoneWaveform& stimulus,
@@ -32,18 +33,6 @@ void Cut::respond_y_into(const MultitoneWaveform& stimulus,
 }
 
 BehaviouralCut::BehaviouralCut(Biquad filter) : filter_(std::move(filter)) {}
-
-XyTrace BehaviouralCut::respond(const MultitoneWaveform& stimulus,
-                                std::size_t samples_per_period) const {
-    // One copy of the sampling arithmetic: the batch engine's bit-identity
-    // contract depends on respond() and respond_into() never diverging.
-    std::vector<double> xs;
-    std::vector<double> ys;
-    double dt = 0.0;
-    respond_into(stimulus, samples_per_period, xs, ys, dt);
-    return XyTrace(SampledSignal(0.0, dt, std::move(xs)),
-                   SampledSignal(0.0, dt, std::move(ys)));
-}
 
 void BehaviouralCut::respond_into(const MultitoneWaveform& stimulus,
                                   std::size_t samples_per_period,
@@ -99,18 +88,6 @@ SpiceCut::SpiceCut(std::unique_ptr<spice::Netlist> netlist,
       y_node_(std::move(y_node)), settle_periods_(settle_periods) {
     XYSIG_EXPECTS(owned_ != nullptr);
     XYSIG_EXPECTS(settle_periods >= 1);
-}
-
-XyTrace SpiceCut::respond(const MultitoneWaveform& stimulus,
-                          std::size_t samples_per_period) const {
-    // Same single-copy scheme as BehaviouralCut: respond() and
-    // respond_into() must never diverge (batch bit-identity contract).
-    std::vector<double> xs;
-    std::vector<double> ys;
-    double dt = 0.0;
-    respond_into(stimulus, samples_per_period, xs, ys, dt);
-    return XyTrace(SampledSignal(0.0, dt, std::move(xs)),
-                   SampledSignal(0.0, dt, std::move(ys)));
 }
 
 void SpiceCut::respond_into(const MultitoneWaveform& stimulus,

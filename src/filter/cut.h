@@ -38,20 +38,21 @@ public:
 
     /// One steady-state stimulus period of (x, y), re-based to t = 0, with
     /// samples_per_period uniform samples. x is the stimulus itself unless
-    /// the CUT observes something else.
-    [[nodiscard]] virtual XyTrace respond(const MultitoneWaveform& stimulus,
-                                          std::size_t samples_per_period) const = 0;
+    /// the CUT observes something else. Not overridable: it runs
+    /// respond_into() into fresh buffers, so the allocating and the
+    /// buffer-reusing responses can never diverge (the batch engine's
+    /// bit-identity contract depends on that).
+    [[nodiscard]] XyTrace respond(const MultitoneWaveform& stimulus,
+                                  std::size_t samples_per_period) const;
 
-    /// Buffer-reusing variant of respond() for the batch evaluation engine:
-    /// writes the x/y samples into the given buffers (resized to
-    /// samples_per_period) and sets dt to the sample spacing. Values are
-    /// bit-identical to respond(). The default forwards to respond() and
-    /// copies; BehaviouralCut overrides it to sample in place so per-thread
-    /// scratch buffers survive across a whole batch.
+    /// The one response every cut implements: writes the x/y samples into
+    /// the given buffers (resized to samples_per_period) and sets dt to the
+    /// sample spacing. The batch evaluation engine calls it with per-thread
+    /// scratch buffers that survive across a whole batch.
     virtual void respond_into(const MultitoneWaveform& stimulus,
                               std::size_t samples_per_period,
                               std::vector<double>& xs, std::vector<double>& ys,
-                              double& dt) const;
+                              double& dt) const = 0;
 
     /// Capability flag for the stimulus trace cache: true when the x
     /// channel of respond()/respond_into() is exactly the sampled
@@ -91,8 +92,6 @@ class BehaviouralCut final : public Cut {
 public:
     explicit BehaviouralCut(Biquad filter);
 
-    [[nodiscard]] XyTrace respond(const MultitoneWaveform& stimulus,
-                                  std::size_t samples_per_period) const override;
     void respond_into(const MultitoneWaveform& stimulus,
                       std::size_t samples_per_period, std::vector<double>& xs,
                       std::vector<double>& ys, double& dt) const override;
@@ -114,7 +113,7 @@ private:
 /// The netlist is either owned externally (reference constructor — the
 /// caller promises it outlives the cut and is not simulated elsewhere) or by
 /// the cut itself (owning constructor — the building block of SPICE fault
-/// universes, where every cut gets its own deep clone). respond() mutates
+/// universes, where every cut gets its own deep clone). respond_into() mutates
 /// the netlist (stimulus waveform + device transient state) and reuses an
 /// internal transient buffer, so one instance must never be evaluated from
 /// two threads at once; distinct instances over distinct netlists evaluate
@@ -133,8 +132,6 @@ public:
     SpiceCut(std::unique_ptr<spice::Netlist> netlist, std::string input_source,
              std::string x_node, std::string y_node, int settle_periods = 8);
 
-    [[nodiscard]] XyTrace respond(const MultitoneWaveform& stimulus,
-                                  std::size_t samples_per_period) const override;
     void respond_into(const MultitoneWaveform& stimulus,
                       std::size_t samples_per_period, std::vector<double>& xs,
                       std::vector<double>& ys, double& dt) const override;
@@ -149,8 +146,9 @@ private:
     std::string x_node_;
     std::string y_node_;
     int settle_periods_;
-    /// Per-instance transient scratch: row buffers survive across respond()
-    /// calls, so repeated evaluations stop reallocating the trajectory.
+    /// Per-instance transient scratch: row buffers survive across
+    /// respond_into() calls, so repeated evaluations stop reallocating the
+    /// trajectory.
     mutable spice::TransientResult tran_;
 };
 

@@ -26,15 +26,16 @@ CompiledMonitorBank CompiledMonitorBank::compile(const monitor::MonitorBank& ban
     // (Table I rows 3-6 share their X and Y input devices) evaluate once
     // per sample; reusing the value is bit-identical because the drain
     // current is a pure function of (params, vgs, vds).
-    const auto intern_leg = [&out](const MosLeg& leg) -> std::uint32_t {
+    const auto intern_leg = [&out](bool x_input, double vds,
+                                   const spice::MosParams& p) -> std::uint32_t {
         for (std::size_t i = 0; i < out.legs_.size(); ++i) {
             const MosLeg& have = out.legs_[i];
-            if (have.x_input == leg.x_input && have.kind == leg.kind &&
+            if (have.x_input == x_input &&
                 // xylint: exact-compare(leg dedup must be bit-exact or two monitors would alias onto one slightly-different leg)
-                have.vds == leg.vds && have.params == leg.params)
+                have.vds == vds && have.params == p)
                 return static_cast<std::uint32_t>(i);
         }
-        out.legs_.push_back(leg);
+        out.legs_.push_back({x_input, vds, p, spice::MosAtDrainBias::at(p, vds)});
         return static_cast<std::uint32_t>(out.legs_.size() - 1);
     };
 
@@ -54,47 +55,14 @@ CompiledMonitorBank CompiledMonitorBank::compile(const monitor::MonitorBank& ban
             m.offset_current = cfg.offset_current;
             m.orientation = mos->orientation();
             for (std::size_t leg_i = 0; leg_i < 4; ++leg_i) {
-                const monitor::MonitorLeg& l = cfg.legs[leg_i];
-                // Same per-leg merge MonitorConfig::leg_current performs on
-                // every call, hoisted to compile time.
-                spice::MosParams p = cfg.device;
-                p.w = l.width;
-                p.vt0 = cfg.device.vt0 + l.vt0_delta;
-                p.kp = cfg.device.kp * l.kp_scale;
-
+                const monitor::MonitorInput input = cfg.legs[leg_i].input;
                 MosTerm& term = m.terms[leg_i];
-                if (l.input == monitor::MonitorInput::dc) {
-                    term.is_constant = true;
-                    term.constant = spice::mos_id(p, l.dc_level, cfg.vds_eval);
-                    continue;
-                }
-                MosLeg leg;
-                leg.x_input = l.input == monitor::MonitorInput::x_axis;
-                leg.vds = cfg.vds_eval;
-                leg.params = p;
-                if (p.type == spice::MosType::nmos && cfg.vds_eval > 0.0) {
-                    // Hoist the per-leg constants of the id-only model,
-                    // using exactly the expressions (and association) the
-                    // model evaluates per call, so the flat form stays
-                    // bit-identical.
-                    leg.vt0 = p.vt0;
-                    leg.clm = 1.0 + p.lambda * cfg.vds_eval;
-                    if (p.model == spice::MosModel::ekv) {
-                        leg.kind = LegKind::ekv;
-                        leg.n_slope = p.n_slope;
-                        leg.ispec = 2.0 * p.n_slope * p.kp * p.aspect_ratio() *
-                                    kThermalVoltage300K * kThermalVoltage300K;
-                    } else {
-                        leg.kind = LegKind::level1;
-                        leg.beta = p.kp * p.aspect_ratio();
-                        leg.half_beta = 0.5 * leg.beta;
-                        leg.half_vds2 = 0.5 * cfg.vds_eval * cfg.vds_eval;
-                    }
-                } else {
-                    leg.kind = LegKind::generic;
-                }
-                term.is_constant = false;
-                term.leg = intern_leg(leg);
+                term.is_constant = input == monitor::MonitorInput::dc;
+                if (term.is_constant)
+                    term.constant = cfg.leg_current(leg_i, 0.0, 0.0); // x, y unused
+                else
+                    term.leg = intern_leg(input == monitor::MonitorInput::x_axis,
+                                          cfg.vds_eval, cfg.leg_device(leg_i));
             }
             out.mos_.push_back(m);
             continue;
@@ -120,37 +88,13 @@ CompiledMonitorBank& CompiledMonitorBank::operator=(const CompiledMonitorBank& o
     return *this;
 }
 
-double CompiledMonitorBank::leg_value(const MosLeg& leg, double x, double y) {
-    const double vgs = leg.x_input ? x : y;
-    switch (leg.kind) {
-    case LegKind::ekv: {
-        // Same expressions (and rounding) as the id-only EKV model, with
-        // the vp normalisation constants already in registers. SYNC
-        // CONTRACT: third copy of the drain-current arithmetic — see the
-        // note above ekv_id_nmos in spice/mosfet.cpp.
-        const double vp = (vgs - leg.vt0) / leg.n_slope;
-        const double sf = softplus(0.5 * (vp / kThermalVoltage300K));
-        const double sr =
-            softplus(0.5 * ((vp - leg.vds) / kThermalVoltage300K));
-        return (leg.ispec * (sf * sf - sr * sr)) * leg.clm;
-    }
-    case LegKind::level1: {
-        const double vov = vgs - leg.vt0;
-        if (vov <= 0.0)
-            return 0.0;
-        if (leg.vds < vov)
-            return leg.beta * (vov * leg.vds - leg.half_vds2) * leg.clm;
-        return ((leg.half_beta * vov) * vov) * leg.clm;
-    }
-    case LegKind::generic:
-        return spice::mos_id(leg.params, vgs, leg.vds);
-    }
-    return 0.0; // unreachable
-}
-
-double CompiledMonitorBank::mos_h(const MosMonitor& m, const double* leg_values) {
+// inline: both sample loops call this per monitor per sample, and an
+// out-of-line call there costs the fast pass several percent.
+inline double CompiledMonitorBank::mos_h(const MosMonitor& m,
+                                         const double* leg_values,
+                                         std::size_t stride) {
     const auto term = [&](const MosTerm& t) {
-        return t.is_constant ? t.constant : leg_values[t.leg];
+        return t.is_constant ? t.constant : leg_values[t.leg * stride];
     };
     // Same association as MosCurrentBoundary::current_difference:
     // (((I1 + I2) - I3) - I4) + offset, then the orientation sign.
@@ -161,10 +105,17 @@ double CompiledMonitorBank::mos_h(const MosMonitor& m, const double* leg_values)
 
 bool CompiledMonitorBank::fast_mos_codes(const double* px, const double* py,
                                          std::size_t n, unsigned* out) const {
-    bool any_ekv = false;
+    // Batched legs: EKV devices whose frame change is the identity, so the
+    // softplus arguments are the model's own. Other legs keep the exact
+    // scalar current below.
+    const auto batched = [](const MosLeg& leg) {
+        return leg.device.model.model == spice::MosModel::ekv &&
+               !leg.device.mirror && !leg.device.negate;
+    };
+    bool any_batched = false;
     for (const MosLeg& leg : legs_)
-        any_ekv = any_ekv || leg.kind == LegKind::ekv;
-    if (!any_ekv)
+        any_batched = any_batched || batched(leg);
+    if (!any_batched)
         return false; // nothing to batch; the exact loop is as fast
 
     // One pass over the trace: the softplus arguments are bounded by the
@@ -183,63 +134,52 @@ bool CompiledMonitorBank::fast_mos_codes(const double* px, const double* py,
         max_y = ay > max_y ? ay : max_y;
     }
     for (const MosLeg& leg : legs_) {
-        if (leg.kind != LegKind::ekv)
+        if (!batched(leg))
             continue;
+        const spice::NmosDrainCurrent& m = leg.device.model;
         const double vgs_max = leg.x_input ? max_x : max_y;
-        const double vp_max =
-            (vgs_max + std::fabs(leg.vt0)) / std::fabs(leg.n_slope);
+        const double vp_max = (vgs_max + std::fabs(m.vt0)) / std::fabs(m.n_slope);
         const double arg_bound =
-            0.5 * ((vp_max + std::fabs(leg.vds)) / kThermalVoltage300K);
+            0.5 * ((vp_max + std::fabs(m.vds)) / kThermalVoltage300K);
         if (!(arg_bound <= vecmath::kMaxExpArgument))
             return false;
     }
 
-    // Per-thread scratch: one value lane per unique leg, plus the packed
-    // (forward | reverse) softplus argument pair of the EKV legs.
+    // Per-thread scratch: one lane of n currents per unique leg (mos_h
+    // reads sample i of leg u at stride n), plus the packed (forward |
+    // reverse) softplus argument pair of the batched leg in flight.
+    const std::size_t n_legs = legs_.size();
     thread_local std::vector<double> values;
     thread_local std::vector<double> args;
     thread_local std::vector<double> sp;
-    values.resize(legs_.size() * n);
+    values.resize(n_legs * n);
     args.resize(2 * n);
     sp.resize(2 * n);
-    for (std::size_t u = 0; u < legs_.size(); ++u) {
+    for (std::size_t u = 0; u < n_legs; ++u) {
         const MosLeg& leg = legs_[u];
-        double* const lv = values.data() + u * n;
-        if (leg.kind != LegKind::ekv) {
-            // level1/generic legs are cheap algebra (or rare); the scalar
-            // evaluator is already exact and branch-predictable.
+        if (!batched(leg)) {
             for (std::size_t i = 0; i < n; ++i)
-                lv[i] = leg_value(leg, px[i], py[i]);
+                values[u * n + i] = leg.value(px[i], py[i]);
             continue;
         }
-        // Same argument expressions (and association) as leg_value's EKV
-        // case; only the softplus evaluation changes.
+        // The exact model's arguments and id0; only the softplus
+        // evaluation changes.
+        const spice::NmosDrainCurrent& m = leg.device.model;
         for (std::size_t i = 0; i < n; ++i) {
-            const double vgs = leg.x_input ? px[i] : py[i];
-            const double vp = (vgs - leg.vt0) / leg.n_slope;
-            args[i] = 0.5 * (vp / kThermalVoltage300K);
-            args[n + i] = 0.5 * ((vp - leg.vds) / kThermalVoltage300K);
+            const spice::NmosDrainCurrent::EkvArgs a =
+                m.ekv_args(leg.x_input ? px[i] : py[i]);
+            args[i] = a.forward;
+            args[n + i] = a.reverse;
         }
         vecmath::softplus_batch(args.data(), sp.data(), 2 * n);
-        for (std::size_t i = 0; i < n; ++i) {
-            const double sf = sp[i];
-            const double sr = sp[n + i];
-            lv[i] = (leg.ispec * (sf * sf - sr * sr)) * leg.clm;
-        }
+        for (std::size_t i = 0; i < n; ++i)
+            values[u * n + i] = m.ekv_id0(sp[i], sp[n + i]) * m.clm;
     }
 
     for (std::size_t i = 0; i < n; ++i) {
         unsigned bits = 0;
-        for (const MosMonitor& m : mos_) {
-            // Same association as mos_h, reading the per-leg lanes.
-            const auto term = [&](const MosTerm& t) {
-                return t.is_constant ? t.constant : values[t.leg * n + i];
-            };
-            const double diff = term(m.terms[0]) + term(m.terms[1]) -
-                                term(m.terms[2]) - term(m.terms[3]) +
-                                m.offset_current;
-            bits |= (m.orientation * diff > 0.0) ? m.mask : 0u;
-        }
+        for (const MosMonitor& m : mos_)
+            bits |= (mos_h(m, values.data() + i, n) > 0.0) ? m.mask : 0u;
         out[i] |= bits;
     }
     return true;
@@ -283,13 +223,11 @@ void CompiledMonitorBank::codes_into(std::span<const double> xs,
         }
         const std::size_t n_legs = legs_.size();
         for (std::size_t i = 0; i < n; ++i) {
-            const double x = px[i];
-            const double y = py[i];
             for (std::size_t u = 0; u < n_legs; ++u)
-                leg_values[u] = leg_value(legs_[u], x, y);
+                leg_values[u] = legs_[u].value(px[i], py[i]);
             unsigned bits = 0;
             for (const MosMonitor& m : mos_)
-                bits |= (mos_h(m, leg_values) > 0.0) ? m.mask : 0u;
+                bits |= (mos_h(m, leg_values, 1) > 0.0) ? m.mask : 0u;
             out[i] |= bits;
         }
     }
@@ -300,23 +238,6 @@ void CompiledMonitorBank::codes_into(std::span<const double> xs,
         for (std::size_t i = 0; i < n; ++i)
             out[i] |= b.side(px[i], py[i]) ? mask : 0u;
     }
-}
-
-unsigned CompiledMonitorBank::code(double x, double y) const {
-    XYSIG_EXPECTS(n_monitors_ > 0);
-    unsigned c = 0;
-    for (const LinearMonitor& m : linear_)
-        c |= (m.a * x + m.b * y + m.c > 0.0) ? m.mask : 0u;
-    if (!mos_.empty()) {
-        std::vector<double> leg_values(legs_.size());
-        for (std::size_t u = 0; u < legs_.size(); ++u)
-            leg_values[u] = leg_value(legs_[u], x, y);
-        for (const MosMonitor& m : mos_)
-            c |= (mos_h(m, leg_values.data()) > 0.0) ? m.mask : 0u;
-    }
-    for (const FallbackMonitor& f : fallback_)
-        c |= f.boundary->side(x, y) ? f.mask : 0u;
-    return c;
 }
 
 } // namespace xysig::kernels

@@ -5,17 +5,18 @@
 /// Devirtualised zoning kernel.
 ///
 /// MonitorBank::code pays one virtual Boundary::h per monitor per sample;
-/// the MOS monitors additionally merge a MosParams struct per leg per call
-/// and evaluate gm/gds they never use. CompiledMonitorBank lowers each
+/// the MOS monitors additionally merge a MosParams struct and rebuild the
+/// drain-current model per leg per call. CompiledMonitorBank lowers each
 /// boundary once, at construction:
 ///  * LinearBoundary  -> the (a, b, c) coefficient triple,
 ///  * MosCurrentBoundary -> four flat terms; DC-driven legs are
-///    constant-folded to their precomputed drain current, X/Y-driven legs
-///    lower to the id-only drain-current model with per-leg constants
-///    (ispec, clm, beta, ...) hoisted out of the sample loop, and legs that
-///    are identical across monitors — the paper's Table I shares its X and
-///    Y input devices between rows — are deduplicated so each unique leg
-///    current is evaluated once per sample for the whole bank;
+///    constant-folded to their drain current, X/Y-driven legs lower to
+///    the shared drain-current model (spice::MosAtDrainBias: the frame
+///    change and the per-leg constants of spice::NmosDrainCurrent hoisted
+///    out of the sample loop), and legs that are identical across
+///    monitors — the paper's Table I shares its X and Y input devices
+///    between rows — are deduplicated so each unique leg current is
+///    evaluated once per sample for the whole bank;
 ///  * anything else   -> a cloned fallback boundary kept on the virtual path.
 ///
 /// codes_into walks the trace once per linear/fallback monitor (bit-plane
@@ -27,8 +28,10 @@
 ///
 /// Under SampleMode::fast_math the EKV sub-bank switches to the batched
 /// vecmath softplus kernel: the drain-current softplus pair of every
-/// unique leg is evaluated over the whole trace with the SIMD polynomial
-/// instead of libm's exp+log1p. Codes may then differ from the exact
+/// unique EKV leg already in the model's frame (nMOS at forward drain
+/// bias, as in every monitor of the paper) is evaluated over the whole
+/// trace with the SIMD polynomial instead of libm's exp+log1p; any other
+/// leg keeps its exact current. Codes may then differ from the exact
 /// path for samples sitting within the softplus tolerance of a zone
 /// boundary — the same opt-in contract as fast_math sampling. The fast
 /// pass falls back to the exact loop (deterministically, from the trace
@@ -85,32 +88,19 @@ public:
                     std::vector<unsigned>& codes,
                     SampleMode mode = SampleMode::exact) const;
 
-    /// Single-point code (spot checks / tests); same bits as codes_into.
-    [[nodiscard]] unsigned code(double x, double y) const;
-
 private:
-    /// Which evaluator a deduplicated dynamic leg lowers to. The common
-    /// paper case — nMOS with the positive drain bias the boundary
-    /// constructor enforces — inlines the id-only model with its per-leg
-    /// constants hoisted; anything else (pMOS, ...) calls spice::mos_id,
-    /// which is still bit-identical, just not flat.
-    enum class LegKind { ekv, level1, generic };
-
+    /// A deduplicated dynamic leg: its gate follows x or y, and its drain
+    /// current is the shared model at the monitor's drain bias. (vds,
+    /// params) is the dedup key the device was built from.
     struct MosLeg {
         bool x_input = true; ///< gate driven by x (else y)
-        LegKind kind = LegKind::generic;
-        double vds = 0.0; ///< drain bias shared by the flat evaluators
-        // EKV coefficients: id = (ispec * (sf^2 - sr^2)) * clm.
-        double vt0 = 0.0;
-        double n_slope = 1.0;
-        double ispec = 0.0;
-        double clm = 1.0;
-        // Level-1 extras: beta, 0.5*beta and (0.5*vds)*vds, hoisted with
-        // the same association the model uses.
-        double beta = 0.0;
-        double half_beta = 0.0;
-        double half_vds2 = 0.0;
-        spice::MosParams params{}; ///< per-leg merged device (generic kind)
+        double vds = 0.0;
+        spice::MosParams params{};
+        spice::MosAtDrainBias device{};
+
+        [[nodiscard]] double value(double x, double y) const noexcept {
+            return device.id(x_input ? x : y);
+        }
     };
 
     /// One of the four summed currents of a comparator: either a folded DC
@@ -138,13 +128,15 @@ private:
         std::unique_ptr<monitor::Boundary> boundary;
     };
 
-    [[nodiscard]] static double leg_value(const MosLeg& leg, double x, double y);
-    [[nodiscard]] static double mos_h(const MosMonitor& m,
-                                      const double* leg_values);
-    /// The fast_math MOS pass: batched softplus legs, then the comparator
-    /// sweep. Returns false — having written nothing — when no EKV leg
-    /// exists or a trace excursion leaves the vecmath softplus domain;
-    /// the caller then runs the exact loop.
+    /// Oriented comparator output of one MOS monitor for one sample whose
+    /// current of unique leg u is leg_values[u * stride] (stride 1 for the
+    /// exact loop's per-sample row, n for the fast pass's per-leg lanes).
+    [[nodiscard]] static double mos_h(const MosMonitor& m, const double* leg_values,
+                                      std::size_t stride);
+    /// The fast_math MOS pass: batched softplus legs, one lane per leg,
+    /// then mos_h per sample. Returns false — having written nothing —
+    /// when no batchable EKV leg exists or a trace excursion leaves the
+    /// vecmath softplus domain; the caller then runs the exact loop.
     bool fast_mos_codes(const double* px, const double* py, std::size_t n,
                         unsigned* out) const;
 

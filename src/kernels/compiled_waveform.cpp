@@ -26,9 +26,9 @@ bool CompiledWaveform::compile_into(const Waveform& w, CompiledWaveform& out) {
     if (const auto* sine = dynamic_cast<const SineWaveform*>(&w)) {
         out.offset_ = sine->offset();
         out.amplitude_.push_back(sine->amplitude());
-        // kTwoPi * f pre-multiplied: value() evaluates the sine argument as
-        // (kTwoPi * f) * t + phase, so folding the first product keeps the
-        // rounding identical.
+        // kTwoPi * f pre-multiplied: SineWaveform::value evaluates the sine
+        // argument as (kTwoPi * f) * t + phase, so folding the first product
+        // keeps the rounding identical.
         out.omega_.push_back(kTwoPi * sine->frequency());
         out.phase_.push_back(sine->phase());
         return true;
@@ -90,13 +90,6 @@ void CompiledWaveform::sample_into(double t0, double duration, std::size_t n,
             acc += amp[k] * std::sin(omg[k] * t + ph[k]);
         out[i] = acc;
     }
-}
-
-double CompiledWaveform::value(double t) const {
-    double acc = offset_;
-    for (std::size_t k = 0; k < amplitude_.size(); ++k)
-        acc += amplitude_[k] * std::sin(omega_[k] * t + phase_[k]);
-    return acc;
 }
 
 } // namespace xysig::kernels

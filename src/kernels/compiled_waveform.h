@@ -53,14 +53,9 @@ public:
                      std::vector<double>& buffer,
                      SampleMode mode = SampleMode::exact) const;
 
-    /// Scalar evaluation (tests / spot checks); bit-identical to the source
-    /// waveform's value(t).
-    [[nodiscard]] double value(double t) const;
-
     [[nodiscard]] std::size_t tone_count() const noexcept {
         return amplitude_.size();
     }
-    [[nodiscard]] double offset() const noexcept { return offset_; }
 
 private:
     double offset_ = 0.0;

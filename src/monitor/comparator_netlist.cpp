@@ -31,15 +31,11 @@ ComparatorCircuit build_comparator(const MonitorConfig& config,
         gate_name += suffix;
         const auto gate = nl.node(gate_name);
         nl.add<spice::VoltageSource>(ckt.v_inputs[i], gate, spice::kGround, 0.0);
-        spice::MosParams p = config.device;
-        p.w = config.legs[static_cast<std::size_t>(i)].width;
-        p.vt0 = config.device.vt0 +
-                config.legs[static_cast<std::size_t>(i)].vt0_delta;
-        p.kp = config.device.kp * config.legs[static_cast<std::size_t>(i)].kp_scale;
         const auto drain = (i < 2) ? out1 : out2;
         std::string mos_name = "M";
         mos_name += suffix;
-        nl.add<spice::Mosfet>(mos_name, drain, gate, spice::kGround, p);
+        nl.add<spice::Mosfet>(mos_name, drain, gate, spice::kGround,
+                              config.leg_device(static_cast<std::size_t>(i)));
     }
 
     // pMOS loads: M5/M8 diode-connected, M6/M7 cross-coupled.

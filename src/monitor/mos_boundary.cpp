@@ -20,15 +20,18 @@ double MonitorConfig::leg_gate_voltage(std::size_t leg, double x, double y) cons
     return 0.0; // unreachable
 }
 
-double MonitorConfig::leg_current(std::size_t leg, double x, double y) const {
+spice::MosParams MonitorConfig::leg_device(std::size_t leg) const {
     XYSIG_EXPECTS(leg < legs.size());
     const MonitorLeg& l = legs[leg];
     spice::MosParams p = device;
     p.w = l.width;
     p.vt0 = device.vt0 + l.vt0_delta;
     p.kp = device.kp * l.kp_scale;
-    const double vgs = leg_gate_voltage(leg, x, y);
-    return spice::mos_evaluate(p, vgs, vds_eval).id;
+    return p;
+}
+
+double MonitorConfig::leg_current(std::size_t leg, double x, double y) const {
+    return spice::mos_id(leg_device(leg), leg_gate_voltage(leg, x, y), vds_eval);
 }
 
 namespace {

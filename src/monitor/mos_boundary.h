@@ -56,6 +56,10 @@ struct MonitorConfig {
 
     /// Gate voltage of a leg for a plane point.
     [[nodiscard]] double leg_gate_voltage(std::size_t leg, double x, double y) const;
+    /// The device of a leg: the template with the leg's width and
+    /// Monte-Carlo perturbations merged in (the one per-leg merge; the
+    /// compiled kernels and the transistor-level netlist build from it).
+    [[nodiscard]] spice::MosParams leg_device(std::size_t leg) const;
     /// Drain current of a leg for a plane point.
     [[nodiscard]] double leg_current(std::size_t leg, double x, double y) const;
 };

@@ -8,7 +8,7 @@
 ///
 /// A cache key is `pipeline_fingerprint(pipe) + "job{" + universe_key + "}"`
 /// — every float that feeds the evaluation appears in exact hexfloat form
-/// (bank fingerprint, stimulus tones, samples_per_period, kernel flag,
+/// (bank fingerprint, stimulus tones, samples_per_period, sampling mode,
 /// deviation values / fault-universe options), so a hit is bit-identical to
 /// recomputation by construction. The member RANGE is deliberately not part
 /// of the key: an entry holds the results of the FULL universe (global
@@ -29,10 +29,12 @@
 namespace xysig::server {
 
 /// Exact fingerprint of everything a pipeline contributes to result bits:
-/// bank fingerprint, stimulus (offset + tones, hexfloat), samples per
-/// period, compiled-kernel flag. Empty when the pipeline is not exactly
-/// fingerprintable (custom bank monitor, noise, quantisation) — an empty
-/// fingerprint disables job caching for that pipeline, it never aliases.
+/// SignaturePipeline::fingerprint() (bank, stimulus, samples per period,
+/// sampling mode), the same string the golden cache keys on. Empty when
+/// the pipeline is not exactly fingerprintable (custom bank monitor) and
+/// whenever it adds noise or quantises, whose draws and capture options
+/// are outside the key — an empty fingerprint disables job caching for
+/// that pipeline, it never aliases.
 [[nodiscard]] std::string
 pipeline_fingerprint(const core::SignaturePipeline& pipe);
 

@@ -21,9 +21,6 @@ void Device::restore_state(std::span<const double> state) {
     XYSIG_EXPECTS(state.empty()); // devices with state override this
 }
 
-void Device::save_state_into(std::vector<double>& out) const {
-    const std::vector<double> state = save_state();
-    out.assign(state.begin(), state.end());
-}
+void Device::save_state_into(std::vector<double>& out) const { out.clear(); }
 
 } // namespace xysig::spice

@@ -96,16 +96,13 @@ public:
     virtual void step_accepted(std::span<const double> x, double time, double dt,
                                Integrator integrator);
 
-    /// Snapshot/restore of transient state for adaptive step control.
-    [[nodiscard]] virtual std::vector<double> save_state() const { return {}; }
-    virtual void restore_state(std::span<const double> state);
-
-    /// Buffer-reusing snapshot: writes the same values save_state() returns
-    /// into `out` (resized in place). The adaptive engine snapshots every
-    /// device on every attempted step, so stateful devices override this to
-    /// avoid one vector allocation per device per step; the default forwards
-    /// to save_state() and copies.
+    /// Snapshot/restore of transient state for adaptive step control. The
+    /// snapshot is written into `out` (resized in place): the adaptive
+    /// engine snapshots every device on every attempted step and reuses
+    /// one buffer per device. The defaults suit stateless devices (an
+    /// empty snapshot); stateful devices override both.
     virtual void save_state_into(std::vector<double>& out) const;
+    virtual void restore_state(std::span<const double> state);
 
 protected:
     /// Copyable by derived clone() implementations only.

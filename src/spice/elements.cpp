@@ -84,8 +84,6 @@ void Capacitor::step_accepted(std::span<const double> x, double /*time*/, double
     v_prev_ = v_now;
 }
 
-std::vector<double> Capacitor::save_state() const { return {v_prev_, i_prev_}; }
-
 void Capacitor::save_state_into(std::vector<double>& out) const {
     out.resize(2);
     out[0] = v_prev_;
@@ -155,8 +153,6 @@ void Inductor::step_accepted(std::span<const double> x, double /*time*/, double 
     i_prev_ = x[static_cast<std::size_t>(extra_base())];
     v_prev_ = node_v(x, 0) - node_v(x, 1);
 }
-
-std::vector<double> Inductor::save_state() const { return {i_prev_, v_prev_}; }
 
 void Inductor::save_state_into(std::vector<double>& out) const {
     out.resize(2);

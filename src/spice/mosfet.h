@@ -15,9 +15,11 @@
 ///  * Level-1 (Shichman-Hodges): the classic piecewise square-law model,
 ///    kept as an independent cross-check of the EKV implementation.
 ///
-/// mos_evaluate() is a free function so the monitor library can evaluate the
-/// same physics without building a netlist.
+/// Both are written once, in NmosDrainCurrent below; mos_evaluate(), mos_id()
+/// and the compiled monitor kernels evaluate that one copy, so the monitor
+/// library and the kernels share the device physics without a netlist.
 
+#include "common/math_util.h"
 #include "spice/device.h"
 
 namespace xysig::spice {
@@ -55,17 +57,122 @@ struct MosEval {
     double gds = 0.0; ///< d id / d vds
 };
 
+/// The drain-current model of one device in the nMOS frame (vgs, vds in
+/// the nMOS sense) at a fixed forward drain bias vds >= 0, with every
+/// vgs-independent quantity hoisted. This is the one copy of the
+/// drain-current arithmetic: mos_evaluate (which derives gm/gds from the
+/// same softplus values), mos_id (through MosAtDrainBias) and the compiled
+/// monitor kernels (kernels::CompiledMonitorBank, exact loop and fast_math
+/// softplus_batch pass) all evaluate it, so they agree bit for bit by
+/// construction.
+///
+/// EKV: id = ispec * (F(vp/phi_t) - F((vp - vds)/phi_t)) * (1 + lambda*vds)
+/// with vp = (vgs - VT0)/n and F(u) = ln^2(1 + exp(u/2)). The model is
+/// source-referenced, so a reverse drain bias is handled by the caller's
+/// terminal swap (see MosAtDrainBias). Level-1 (Shichman-Hodges) is
+/// piecewise and zero below threshold.
+struct NmosDrainCurrent {
+    MosModel model = MosModel::ekv;
+    double vds = 0.0;
+    double vt0 = 0.0;
+    double n_slope = 1.0;
+    double clm = 1.0;       ///< channel-length modulation 1 + lambda*vds
+    double ispec = 0.0;     ///< EKV specific current 2 n kp (W/L) phi_t^2
+    double beta = 0.0;      ///< level-1 kp (W/L)
+    double half_beta = 0.0; ///< 0.5 * beta
+    double half_vds2 = 0.0; ///< (0.5 * vds) * vds
+
+    [[nodiscard]] static NmosDrainCurrent at(const MosParams& p, double vds) noexcept {
+        constexpr double phi_t = kThermalVoltage300K;
+        NmosDrainCurrent m;
+        m.model = p.model;
+        m.vds = vds;
+        m.vt0 = p.vt0;
+        m.n_slope = p.n_slope;
+        m.clm = 1.0 + p.lambda * vds;
+        m.ispec = 2.0 * p.n_slope * p.kp * p.aspect_ratio() * phi_t * phi_t;
+        m.beta = p.kp * p.aspect_ratio();
+        m.half_beta = 0.5 * m.beta;
+        m.half_vds2 = 0.5 * vds * vds;
+        return m;
+    }
+
+    /// EKV softplus arguments of the forward and reverse inversion charges.
+    struct EkvArgs {
+        double forward;
+        double reverse;
+    };
+    [[nodiscard]] EkvArgs ekv_args(double vgs) const noexcept {
+        const double vp = (vgs - vt0) / n_slope;
+        return {0.5 * (vp / kThermalVoltage300K),
+                0.5 * ((vp - vds) / kThermalVoltage300K)};
+    }
+    /// EKV current before channel-length modulation, from the softplus
+    /// values of ekv_args().
+    [[nodiscard]] double ekv_id0(double sf, double sr) const noexcept {
+        return ispec * (sf * sf - sr * sr);
+    }
+    /// Level-1 current before channel-length modulation; requires the
+    /// overdrive vov = vgs - vt0 > 0 (triode below vds, saturation above).
+    [[nodiscard]] double level1_id0(double vov) const noexcept {
+        return vds < vov ? beta * (vov * vds - half_vds2) : (half_beta * vov) * vov;
+    }
+
+    /// Drain current at gate bias vgs.
+    [[nodiscard]] double id(double vgs) const noexcept {
+        if (model == MosModel::ekv) {
+            const EkvArgs a = ekv_args(vgs);
+            return ekv_id0(softplus(a.forward), softplus(a.reverse)) * clm;
+        }
+        const double vov = vgs - vt0;
+        return vov <= 0.0 ? 0.0 : level1_id0(vov) * clm; // cut-off: no current
+    }
+};
+
+/// A device at a fixed terminal drain bias vds: the frame change into
+/// NmosDrainCurrent's frame, hoisted out of the gate voltage, followed by
+/// the model. A pMOS device is mirrored (vgs, vds -> -vgs, -vds) and a
+/// reverse drain bias swaps drain and source (vgs, vds -> vgs - vds, -vds);
+/// each step negates the terminal current. The compiled monitor kernels
+/// keep one per input leg.
+struct MosAtDrainBias {
+    bool mirror = false;     ///< pMOS: the gate voltage is negated ...
+    double gate_shift = 0.0; ///< ... then this is subtracted (swap)
+    bool negate = false;     ///< terminal current = -model current
+    NmosDrainCurrent model{};
+
+    [[nodiscard]] static MosAtDrainBias at(const MosParams& p, double vds) noexcept {
+        MosAtDrainBias d;
+        if (p.type == MosType::pmos) {
+            d.mirror = true;
+            d.negate = true;
+            vds = -vds;
+        }
+        if (vds < 0.0) {
+            d.gate_shift = vds;
+            d.negate = !d.negate;
+            vds = -vds;
+        }
+        d.model = NmosDrainCurrent::at(p, vds);
+        return d;
+    }
+
+    /// Terminal drain current at gate voltage vgs.
+    [[nodiscard]] double id(double vgs) const noexcept {
+        const double i = model.id((mirror ? -vgs : vgs) - gate_shift);
+        return negate ? -i : i;
+    }
+};
+
 /// Evaluates the drain current of a MOSFET at (vgs, vds), both measured at
 /// the device terminals (for pMOS they are normally negative in conduction).
 /// Works for either sign of vds (source/drain symmetry).
 [[nodiscard]] MosEval mos_evaluate(const MosParams& p, double vgs, double vds);
 
-/// Drain current only, bit-identical to mos_evaluate(p, vgs, vds).id but
-/// skipping the gm/gds arithmetic (one softplus per inversion charge instead
-/// of a softplus + logistic pair in the EKV model). This is the per-sample
-/// primitive of the compiled monitor kernels, where derivatives are never
-/// needed; tests/kernels pin the bitwise equality over both models and both
-/// device types.
+/// Drain current only: MosAtDrainBias::at(p, vds).id(vgs), bit-identical
+/// to mos_evaluate(p, vgs, vds).id but skipping the gm/gds arithmetic (no
+/// logistic in the EKV model). tests/kernels pins the bitwise equality
+/// over both models, both device types and both drain-bias signs.
 [[nodiscard]] double mos_id(const MosParams& p, double vgs, double vds);
 
 /// Three-terminal MOSFET device (bulk tied to source; the monitor circuit

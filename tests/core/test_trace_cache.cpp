@@ -61,8 +61,9 @@ core::SignaturePipeline make_pipeline(bool fast_math = false,
 /// evaluation diverges — the NaN member of a catastrophic universe.
 class DivergingCut final : public filter::Cut {
 public:
-    [[nodiscard]] XyTrace respond(const MultitoneWaveform&,
-                                  std::size_t) const override {
+    void respond_into(const MultitoneWaveform&, std::size_t,
+                      std::vector<double>&, std::vector<double>&,
+                      double&) const override {
         throw NumericError("diverging member has no steady state");
     }
     [[nodiscard]] bool x_is_stimulus() const noexcept override { return true; }

@@ -2,13 +2,15 @@
 // mos_id vs mos_evaluate().id, tone-table sampling vs per-sample
 // Waveform::value, compiled zoning vs MonitorBank::code over randomized
 // traces for every boundary type (linear, MOS, mixed banks, fallback), the
-// fused encode_codes path vs encode_events, and the whole pipeline with
-// kernels on vs off (noise-free, noisy and capture-quantised).
+// fused encode_codes path vs encode_events, and the pipeline's scratch
+// path (the only NDF path) vs its virtual observation path, chronogram(),
+// event for event (noise-free, noisy and capture-quantised).
 
 #include "kernels/compiled_monitor_bank.h"
 #include "kernels/compiled_waveform.h"
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "capture/chronogram.h"
 #include "common/rng.h"
 #include "core/batch_ndf.h"
+#include "core/ndf.h"
 #include "core/paper_setup.h"
 #include "core/pipeline.h"
 #include "monitor/table1.h"
@@ -71,7 +74,6 @@ void expect_codes_identical(const monitor::MonitorBank& bank,
     for (std::size_t i = 0; i < xs.size(); ++i) {
         ASSERT_EQ(codes[i], bank.code(xs[i], ys[i]))
             << "sample " << i << " at (" << xs[i] << ", " << ys[i] << ")";
-        ASSERT_EQ(compiled.code(xs[i], ys[i]), codes[i]) << "sample " << i;
     }
 }
 
@@ -231,8 +233,14 @@ TEST(CompiledMonitorBank, CopyIsDeep) {
     bank.add(std::make_unique<monitor::LinearBoundary>(1.0, 0.0, -0.5));
     const auto compiled = kernels::CompiledMonitorBank::compile(bank);
     const kernels::CompiledMonitorBank copy(compiled); // clones the fallback
-    EXPECT_EQ(copy.code(0.3, 0.4), compiled.code(0.3, 0.4));
-    EXPECT_EQ(copy.code(0.9, 0.9), bank.code(0.9, 0.9));
+    const std::vector<double> xs{0.3, 0.9};
+    const std::vector<double> ys{0.4, 0.9};
+    std::vector<unsigned> copy_codes;
+    std::vector<unsigned> codes;
+    copy.codes_into(xs, ys, copy_codes);
+    compiled.codes_into(xs, ys, codes);
+    EXPECT_EQ(copy_codes[0], codes[0]);
+    EXPECT_EQ(copy_codes[1], bank.code(0.9, 0.9));
 }
 
 TEST(EncodeCodes, MatchesEncodeEvents) {
@@ -259,11 +267,10 @@ TEST(EncodeCodes, MatchesEncodeEvents) {
     }
 }
 
-core::SignaturePipeline make_pipeline(bool compiled, double noise_sigma = 0.0,
+core::SignaturePipeline make_pipeline(double noise_sigma = 0.0,
                                       bool quantise = false) {
     core::PipelineOptions opts;
     opts.samples_per_period = 2048;
-    opts.compiled_kernels = compiled;
     opts.noise_sigma = noise_sigma;
     opts.quantise = quantise;
     if (quantise)
@@ -272,55 +279,72 @@ core::SignaturePipeline make_pipeline(bool compiled, double noise_sigma = 0.0,
                                    core::paper_stimulus(), opts);
 }
 
-TEST(PipelineKernels, CompiledNdfBitIdenticalToVirtual) {
-    core::SignaturePipeline fast = make_pipeline(true);
-    core::SignaturePipeline slow = make_pipeline(false);
-    const filter::BehaviouralCut golden(core::paper_biquad());
-    fast.set_golden(golden);
-    slow.set_golden(golden);
-    core::NdfScratch scratch_fast;
-    core::NdfScratch scratch_slow;
-    for (double dev = -0.2; dev <= 0.2001; dev += 0.04) {
-        const filter::BehaviouralCut cut(core::paper_biquad().with_f0_shift(dev));
-        const double a = fast.ndf_of(cut, scratch_fast);
-        const double b = slow.ndf_of(cut, scratch_slow);
-        ASSERT_EQ(a, b) << "deviation " << dev;
-        // And against the allocating virtual reference path.
-        ASSERT_EQ(a, slow.ndf_of(cut)) << "deviation " << dev;
+void expect_same_events(const capture::Chronogram& a,
+                        const capture::Chronogram& b) {
+    ASSERT_EQ(a.period(), b.period());
+    ASSERT_EQ(a.code_bits(), b.code_bits());
+    ASSERT_EQ(a.events().size(), b.events().size());
+    for (std::size_t i = 0; i < a.events().size(); ++i) {
+        ASSERT_EQ(a.events()[i].t, b.events()[i].t) << "event " << i;
+        ASSERT_EQ(a.events()[i].code, b.events()[i].code) << "event " << i;
     }
+}
+
+/// The scratch path (set_golden/golden(), evaluate, ndf_of) against the
+/// virtual observation path (chronogram(): Chronogram::from_trace over
+/// MonitorBank::code, then the capture unit when quantising), event for
+/// event and NDF for NDF. Noisy members draw from one seed on both paths.
+void expect_scratch_path_is_virtual_path(core::SignaturePipeline& pipe) {
+    const filter::BehaviouralCut golden(core::paper_biquad());
+    pipe.set_golden(golden);
+    expect_same_events(pipe.golden(), pipe.chronogram(golden));
+    core::NdfScratch scratch;
+    std::uint64_t seed = 1;
+    for (double dev = -0.2; dev <= 0.2001; dev += 0.04, ++seed) {
+        const filter::BehaviouralCut cut(core::paper_biquad().with_f0_shift(dev));
+        Rng virtual_rng(seed);
+        const capture::Chronogram reference = pipe.chronogram(cut, &virtual_rng);
+        const double reference_ndf = core::ndf(reference, pipe.golden());
+        Rng scratch_rng(seed);
+        const auto eval = pipe.evaluate(cut, scratch, &scratch_rng);
+        expect_same_events(eval.observed, reference);
+        ASSERT_EQ(eval.ndf, reference_ndf) << "deviation " << dev;
+        Rng ndf_rng(seed);
+        ASSERT_EQ(pipe.ndf_of(cut, scratch, &ndf_rng), reference_ndf)
+            << "deviation " << dev;
+        Rng alloc_rng(seed);
+        ASSERT_EQ(pipe.ndf_of(cut, &alloc_rng), reference_ndf)
+            << "deviation " << dev;
+    }
+}
+
+TEST(PipelineKernels, CompiledNdfBitIdenticalToVirtual) {
+    core::SignaturePipeline pipe = make_pipeline();
+    expect_scratch_path_is_virtual_path(pipe);
 }
 
 TEST(PipelineKernels, NoisyAndQuantisedPathsBitIdentical) {
-    core::SignaturePipeline fast = make_pipeline(true, 0.005, true);
-    core::SignaturePipeline slow = make_pipeline(false, 0.005, true);
-    const filter::BehaviouralCut golden(core::paper_biquad());
-    fast.set_golden(golden);
-    slow.set_golden(golden);
-    const filter::BehaviouralCut cut(core::paper_biquad().with_f0_shift(0.1));
-    core::NdfScratch sa;
-    core::NdfScratch sb;
-    for (std::uint64_t seed : {1u, 2u, 3u}) {
-        Rng rng_a(seed);
-        Rng rng_b(seed);
-        ASSERT_EQ(fast.ndf_of(cut, sa, &rng_a), slow.ndf_of(cut, sb, &rng_b))
-            << "seed " << seed;
-    }
+    core::SignaturePipeline noisy = make_pipeline(0.005);
+    expect_scratch_path_is_virtual_path(noisy);
+    core::SignaturePipeline quantised = make_pipeline(0.0, true);
+    expect_scratch_path_is_virtual_path(quantised);
 }
 
 TEST(PipelineKernels, BatchEvaluatorUsesCompiledPath) {
-    core::SignaturePipeline fast = make_pipeline(true);
-    core::SignaturePipeline slow = make_pipeline(false);
-    const filter::BehaviouralCut golden(core::paper_biquad());
-    fast.set_golden(golden);
-    slow.set_golden(golden);
+    core::SignaturePipeline pipe = make_pipeline();
+    pipe.set_golden(filter::BehaviouralCut(core::paper_biquad()));
     std::vector<double> devs;
     for (int d = -15; d <= 15; d += 3)
         devs.push_back(d);
-    const core::BatchNdfEvaluator batch_fast(fast, {.threads = 2});
-    const core::BatchNdfEvaluator batch_slow(slow, {.threads = 2});
-    const auto a = batch_fast.evaluate_deviations(core::paper_biquad(), devs);
-    const auto b = batch_slow.evaluate_deviations(core::paper_biquad(), devs);
-    ASSERT_EQ(a, b);
+    const core::BatchNdfEvaluator batch(pipe, {.threads = 2});
+    const auto ndfs = batch.evaluate_deviations(core::paper_biquad(), devs);
+    ASSERT_EQ(ndfs.size(), devs.size());
+    for (std::size_t i = 0; i < devs.size(); ++i) {
+        const filter::BehaviouralCut cut(
+            core::paper_biquad().with_f0_shift(devs[i] / 100.0));
+        ASSERT_EQ(ndfs[i], core::ndf(pipe.chronogram(cut), pipe.golden()))
+            << "deviation " << devs[i] << "%";
+    }
 }
 
 } // namespace

@@ -34,9 +34,6 @@ TEST(PipelineFingerprint, ExactWhenCacheableEmptyOtherwise) {
     core::PipelineOptions spp = opts;
     spp.samples_per_period = 512;
     EXPECT_NE(fp, pipeline_fingerprint(make_pipeline(spp)));
-    core::PipelineOptions kernels = opts;
-    kernels.compiled_kernels = false;
-    EXPECT_NE(fp, pipeline_fingerprint(make_pipeline(kernels)));
     // Noise and capture quantisation make results non-replayable from a
     // content key (RNG / capture options outside the key): caching off.
     core::PipelineOptions noisy = opts;
@@ -58,8 +55,14 @@ TEST(PipelineFingerprint, ExactWhenCacheableEmptyOtherwise) {
     const std::string stim = stim_of(fp);
     ASSERT_FALSE(stim.empty());
     EXPECT_EQ(stim, core::stimulus_fingerprint(pipe.stimulus()));
-    EXPECT_EQ(stim, stim_of(pipe.golden_cache_key(
-                        filter::BehaviouralCut(core::paper_biquad()))));
+    const std::string golden_key =
+        pipe.golden_cache_key(filter::BehaviouralCut(core::paper_biquad()));
+    EXPECT_EQ(stim, stim_of(golden_key));
+    // One pipeline fingerprint: the golden key is "cut{…}|" + the same
+    // string the job cache keys on.
+    ASSERT_GT(golden_key.size(), fp.size());
+    EXPECT_EQ(golden_key.substr(golden_key.size() - fp.size()), fp);
+    EXPECT_EQ(golden_key.substr(0, 4), "cut{");
     EXPECT_EQ(stim, stim_of(core::stimulus_trace_key(pipe.stimulus(), 256,
                                                      SampleMode::exact)));
 }
