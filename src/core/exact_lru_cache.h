@@ -4,20 +4,27 @@
 /// \file exact_lru_cache.h
 /// Thread-safe, LRU-bounded map from exact string keys to immutable values:
 /// the one cache body behind GoldenSignatureCache (golden_cache.h),
-/// StimulusTraceCache (trace_cache.h) and the scheduler's JobResultCache
-/// (server/job_cache.h).
+/// StimulusTraceCache (trace_cache.h), XPairLaneCache (pipeline.h) and the
+/// scheduler's JobResultCache (server/job_cache.h).
 ///
 /// Keys are exact (hexfloat-formatted fingerprints), so a hit is
 /// bit-identical to recomputing. find_or_compute runs `compute` outside the
 /// lock (it can be slow); if two threads race on the same missing key both
 /// compute, the first insertion wins and both return the same stored
 /// object — with exact keys the duplicates are bit-identical anyway. For
-/// the same reason insert() keeps an entry that already exists. Inserting
-/// past capacity() evicts the least-recently-used entry (hits refresh
-/// recency); returned shared_ptrs keep evicted values alive for callers
-/// that still hold them.
+/// the same reason insert() keeps an entry that already exists. Hits
+/// refresh recency; returned shared_ptrs keep evicted values alive for
+/// callers that still hold them.
+///
+/// Two bounds hold after every insertion: at most capacity() entries, and
+/// a summed weight of at most kWeightCeiling, where the Weigh policy
+/// prices an entry as Weigh::weigh(key, value). Least-recently-used
+/// entries are evicted until both hold, and an entry heavier than the
+/// ceiling on its own is never stored (find_or_compute still returns it).
+/// The default policy, Weightless, leaves only the entry bound.
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <list>
 #include <memory>
@@ -30,10 +37,21 @@
 
 namespace xysig::core {
 
-template <class V, std::size_t DefaultCapacity>
+/// The weigh policy of a cache bounded by its entry count alone.
+struct Weightless {
+    static constexpr std::size_t kCeiling = SIZE_MAX;
+    template <class V>
+    [[nodiscard]] static std::size_t weigh(const std::string& /*key*/,
+                                           const V& /*value*/) noexcept {
+        return 0;
+    }
+};
+
+template <class V, std::size_t DefaultCapacity, class Weigh = Weightless>
 class ExactLruCache {
 public:
     static constexpr std::size_t kDefaultCapacity = DefaultCapacity;
+    static constexpr std::size_t kWeightCeiling = Weigh::kCeiling;
 
     /// The process-wide instance of this instantiation.
     [[nodiscard]] static ExactLruCache& instance() {
@@ -86,7 +104,7 @@ public:
         XYSIG_EXPECTS(capacity >= 1);
         MutexLock lock(mutex_);
         capacity_ = capacity;
-        evict_to_capacity_locked();
+        evict_to_bounds_locked();
     }
     [[nodiscard]] std::size_t capacity() const EXCLUDES(mutex_) {
         MutexLock lock(mutex_);
@@ -110,19 +128,29 @@ public:
         MutexLock lock(mutex_);
         return evictions_;
     }
+    /// Summed Weigh::weigh of the stored entries (<= kWeightCeiling).
+    [[nodiscard]] std::size_t weight() const EXCLUDES(mutex_) {
+        MutexLock lock(mutex_);
+        return weight_;
+    }
 
-    /// Drops every entry and resets the counters (test isolation). The
-    /// configured capacity is kept.
+    /// Drops every entry and resets the counters and the weight (test
+    /// isolation). The configured capacity is kept.
     void clear() EXCLUDES(mutex_) {
         MutexLock lock(mutex_);
         map_.clear();
         lru_.clear();
-        hits_ = misses_ = evictions_ = 0;
+        hits_ = misses_ = evictions_ = weight_ = 0;
     }
 
 private:
+    struct Entry {
+        std::string key;
+        std::shared_ptr<const V> value;
+        std::size_t weight;
+    };
     /// MRU-first recency list; the map points into it.
-    using LruList = std::list<std::pair<std::string, std::shared_ptr<const V>>>;
+    using LruList = std::list<Entry>;
 
     /// The entry under `key` moved to the MRU end and counted as a hit, or
     /// null when absent.
@@ -133,23 +161,29 @@ private:
             return nullptr;
         ++hits_;
         lru_.splice(lru_.begin(), lru_, it->second);
-        return it->second->second;
+        return it->second->value;
     }
 
-    /// Inserts a new MRU entry (the key must be absent) and evicts down to
-    /// capacity; returns the stored value.
+    /// Inserts a new MRU entry (the key must be absent) unless it alone
+    /// outweighs the ceiling, and evicts down to both bounds; returns the
+    /// value either way.
     std::shared_ptr<const V> emplace_locked(const std::string& key,
                                             std::shared_ptr<const V> value)
         REQUIRES(mutex_) {
-        lru_.emplace_front(key, std::move(value));
+        const std::size_t w = Weigh::weigh(key, *value);
+        if (w > kWeightCeiling)
+            return value;
+        lru_.push_front({key, std::move(value), w});
         map_.emplace(key, lru_.begin());
-        evict_to_capacity_locked();
-        return lru_.front().second;
+        weight_ += w;
+        evict_to_bounds_locked();
+        return lru_.front().value;
     }
 
-    void evict_to_capacity_locked() REQUIRES(mutex_) {
-        while (map_.size() > capacity_) {
-            map_.erase(lru_.back().first);
+    void evict_to_bounds_locked() REQUIRES(mutex_) {
+        while (map_.size() > capacity_ || weight_ > kWeightCeiling) {
+            weight_ -= lru_.back().weight;
+            map_.erase(lru_.back().key);
             lru_.pop_back();
             ++evictions_;
         }
@@ -160,6 +194,7 @@ private:
     std::unordered_map<std::string, typename LruList::iterator> map_
         GUARDED_BY(mutex_);
     std::size_t capacity_ GUARDED_BY(mutex_) = DefaultCapacity;
+    std::size_t weight_ GUARDED_BY(mutex_) = 0;
     std::size_t hits_ GUARDED_BY(mutex_) = 0;
     std::size_t misses_ GUARDED_BY(mutex_) = 0;
     std::size_t evictions_ GUARDED_BY(mutex_) = 0;

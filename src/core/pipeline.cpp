@@ -44,6 +44,11 @@ void SignaturePipeline::refresh_stimulus_trace() {
                                                 trace, mode);
             return trace;
         });
+    const auto lanes = [&] { return compiled_bank_.x_pair_lanes(stimulus_trace_, mode); };
+    const std::string key = fingerprint();
+    compiled_bank_.bind_x_lanes(
+        key.empty() ? std::make_shared<const kernels::CompiledMonitorBank::XPairLanes>(lanes())
+                    : XPairLaneCache::instance().find_or_compute(key, lanes));
 }
 
 XyTrace SignaturePipeline::trace(const filter::Cut& cut, Rng* noise_rng) const {
@@ -141,21 +146,27 @@ capture::Chronogram SignaturePipeline::ideal_chronogram(const filter::Cut& cut,
                                                         NdfScratch& scratch,
                                                         Rng* noise_rng) const {
     double dt = 0.0;
+    const bool noisy = noise_rng != nullptr && options_.noise_sigma > 0.0;
+    const std::vector<double>* xs = &scratch.xs_;
     if (cut.x_is_stimulus()) {
         // x is the sampled stimulus bit for bit (the cut promised), so
-        // fill it from the shared immutable trace — sampled once per
-        // (stimulus, spp, mode) process-wide — and ask the cut for y
-        // only. This is the members×samples transcendental saving; in
-        // exact mode it is bit-identical to respond_into by construction.
-        const std::vector<double>& trace = *stimulus_trace_;
-        scratch.xs_.assign(trace.begin(), trace.end());
+        // zone straight from the shared immutable trace — sampled once per
+        // (stimulus, spp, mode) process-wide, its x pairs laned once too —
+        // and ask the cut for y only. This is the members×samples
+        // transcendental saving; in exact mode it is bit-identical to
+        // respond_into by construction.
+        xs = stimulus_trace_.get();
         cut.respond_y_into(stimulus_, options_.samples_per_period,
                            scratch.ys_, dt, sample_mode());
     } else {
         cut.respond_into(stimulus_, options_.samples_per_period, scratch.xs_,
                          scratch.ys_, dt);
     }
-    if (noise_rng != nullptr && options_.noise_sigma > 0.0) {
+    if (noisy) {
+        if (xs != &scratch.xs_) {
+            scratch.xs_.assign(xs->begin(), xs->end());
+            xs = &scratch.xs_;
+        }
         // Same draw order as XyTrace::add_white_noise: all of x, then all
         // of y, so noisy results stay bit-identical to the allocating path.
         for (double& v : scratch.xs_)
@@ -166,10 +177,9 @@ capture::Chronogram SignaturePipeline::ideal_chronogram(const filter::Cut& cut,
     // Fused zoning -> run-length path: one devirtualised monitor pass per
     // bit-plane, then RLE over the code buffer. Bit-identical in exact mode
     // to the virtual observation path, chronogram() (tests/kernels pin it).
-    compiled_bank_.codes_into(scratch.xs_, scratch.ys_, scratch.codes_,
-                              sample_mode());
+    compiled_bank_.codes_into(*xs, scratch.ys_, scratch.codes_, sample_mode());
     capture::Chronogram::encode_codes(scratch.codes_, dt, scratch.events_);
-    const double period = dt * static_cast<double>(scratch.xs_.size());
+    const double period = dt * static_cast<double>(xs->size());
     return capture::Chronogram(period, static_cast<unsigned>(bank_.size()),
                                scratch.events_);
 }

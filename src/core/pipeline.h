@@ -12,16 +12,30 @@
 /// Chronogram::encode_codes). trace()/chronogram()/capture() are the
 /// virtual observation path (MonitorBank::code per sample) that figure
 /// benches call and that tests hold the compiled path to, event for event.
+///
+/// The x groups' softplus pairs over the shared stimulus trace are
+/// computed once per process per fingerprint() (XPairLaneCache) and bound
+/// to compiled_bank(); a noise-free member whose x is the stimulus zones
+/// straight from that trace and reads them, and any other x evaluates its
+/// pairs (the kernel reads lanes only for bitwise-equal x).
 
 #include <optional>
 
 #include "capture/capture_unit.h"
+#include "core/exact_lru_cache.h"
 #include "core/ndf.h"
 #include "filter/cut.h"
 #include "kernels/compiled_monitor_bank.h"
 #include "monitor/monitor_bank.h"
 
 namespace xysig::core {
+
+/// Process-wide x pair lanes keyed by SignaturePipeline::fingerprint():
+/// bank, stimulus, samples per period and mode, exactly what the lanes
+/// depend on. A Table I entry holds one lane pair, 2 x spp doubles
+/// (128 KiB at 8192), so a TCP server's per-connection pipelines share
+/// one entry instead of holding one table each.
+using XPairLaneCache = ExactLruCache<kernels::CompiledMonitorBank::XPairLanes, 16>;
 
 /// Knobs of the flow.
 struct PipelineOptions {
@@ -48,13 +62,14 @@ struct PipelineOptions {
 };
 
 /// Reusable workspace for repeated NDF evaluations: the trace sample
-/// buffers (the dominant allocations — two samples_per_period arrays per
-/// call) and the run-length event buffer are written in place, so a batch
-/// of thousands of evaluations stops reallocating traces. The small event
-/// list is still copied into each Chronogram (tens of entries; a deliberate
-/// tradeoff to keep Chronogram immutable). One instance must not be shared
-/// between threads concurrently (give each worker its own, as
-/// BatchNdfEvaluator does).
+/// buffers (the dominant allocations — up to two samples_per_period arrays
+/// per call; a noise-free member whose x is the stimulus zones the shared
+/// trace and fills only y) and the run-length event buffer are written in
+/// place, so a batch of thousands of evaluations stops reallocating
+/// traces. The small event list is still copied into each Chronogram (tens
+/// of entries; a deliberate tradeoff to keep Chronogram immutable). One
+/// instance must not be shared between threads concurrently (give each
+/// worker its own, as BatchNdfEvaluator does).
 class NdfScratch {
 private:
     friend class SignaturePipeline;
@@ -169,7 +184,9 @@ private:
     }
 
     /// (Re)fetches stimulus_trace_ from the StimulusTraceCache for the
-    /// current (stimulus, samples_per_period, mode); called at
+    /// current (stimulus, samples_per_period, mode), and the x pair lanes
+    /// over it from the XPairLaneCache (computed uncached when
+    /// fingerprint() is empty), bound to compiled_bank_; called at
     /// construction and on set_fast_math.
     void refresh_stimulus_trace();
 

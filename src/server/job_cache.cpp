@@ -10,4 +10,19 @@ std::string pipeline_fingerprint(const core::SignaturePipeline& pipe) {
     return pipe.fingerprint();
 }
 
+std::size_t JobResultBytes::result_bytes(const SweepResult& r) noexcept {
+    std::size_t bytes = sizeof(SweepResult) + r.label.size();
+    if (r.signature.has_value())
+        bytes += r.signature->events().size() * sizeof(capture::CodeEvent);
+    return bytes;
+}
+
+std::size_t JobResultBytes::weigh(const std::string& key,
+                                  const std::vector<SweepResult>& results) noexcept {
+    std::size_t bytes = key.size();
+    for (const SweepResult& r : results)
+        bytes += result_bytes(r);
+    return bytes;
+}
+
 } // namespace xysig::server

@@ -17,8 +17,13 @@
 /// job streams from the cache without touching a worker.
 ///
 /// Keying, locking, LRU bounding and shared_ptr keep-alive are
-/// core::ExactLruCache's.
+/// core::ExactLruCache's. Two bounds hold: 64 entries (the `--job-cache=N`
+/// count) and 8 MiB of stored results and keys, so a faster server does not
+/// hold more finished jobs' worth of memory. A job whose results alone
+/// outweigh the ceiling is never cached; the scheduler stops collecting
+/// it as soon as it does.
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -38,10 +43,19 @@ namespace xysig::server {
 [[nodiscard]] std::string
 pipeline_fingerprint(const core::SignaturePipeline& pipe);
 
+/// JobResultCache's weigh policy: bytes held, against a fixed 8 MiB.
+struct JobResultBytes {
+    static constexpr std::size_t kCeiling = std::size_t{8} << 20;
+    /// One stored result: the struct, its label and its signature's events.
+    [[nodiscard]] static std::size_t result_bytes(const SweepResult& r) noexcept;
+    [[nodiscard]] static std::size_t weigh(const std::string& key,
+                                           const std::vector<SweepResult>& results) noexcept;
+};
+
 /// Exact job keys to full-universe result streams. Whole-universe payloads
-/// (members × chronograms) are much heavier than goldens, so the default
-/// bound is smaller than the golden cache's.
-using JobResultCache = core::ExactLruCache<std::vector<SweepResult>, 64>;
+/// (members × chronograms) are much heavier than goldens, so the entry
+/// bound is smaller than the golden cache's, and bytes are bounded too.
+using JobResultCache = core::ExactLruCache<std::vector<SweepResult>, 64, JobResultBytes>;
 
 } // namespace xysig::server
 

@@ -379,22 +379,31 @@ void JobScheduler::execute(const RecordPtr& rec) {
     }
 
     // Only a full-universe run fills the cache: its entry serves the exact
-    // resubmit and every member slice, so slices are never stored.
-    const bool collect = !rec->cache_key.empty() &&
-                         rec->wire.member_offset == 0 &&
-                         rec->wire.job.size() == rec->wire.universe_members;
+    // resubmit and every member slice, so slices are never stored. Nor is
+    // a universe heavier than the cache's byte ceiling: collection stops,
+    // and frees its copy, as soon as the copy outweighs it.
+    bool collect = !rec->cache_key.empty() && rec->wire.member_offset == 0 &&
+                   rec->wire.job.size() == rec->wire.universe_members;
+    std::size_t collected_bytes = rec->cache_key.size();
     std::vector<SweepResult> collected;
     std::vector<double> streamed;
     if (collect)
-        collected.reserve(rec->wire.job.size());
+        collected.reserve(std::min(rec->wire.job.size(),
+                                   JobResultCache::kWeightCeiling / sizeof(SweepResult)));
     if (rec->wire.verify_serial)
         streamed.reserve(rec->wire.job.size());
     try {
         const JobSummary summary = service_.run(
             rec->wire.job,
             [&](const SweepResult& r) {
-                if (collect)
-                    collected.push_back(r);
+                if (collect) {
+                    collected_bytes += JobResultBytes::result_bytes(r);
+                    collect = collected_bytes <= JobResultCache::kWeightCeiling;
+                    if (collect)
+                        collected.push_back(r);
+                    else
+                        std::vector<SweepResult>().swap(collected);
+                }
                 if (rec->wire.verify_serial)
                     streamed.push_back(r.ndf);
                 {

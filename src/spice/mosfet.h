@@ -62,8 +62,9 @@ struct MosEval {
 /// vgs-independent quantity hoisted. This is the one copy of the
 /// drain-current arithmetic: mos_evaluate (which derives gm/gds from the
 /// same softplus values), mos_id (through MosAtDrainBias) and the compiled
-/// monitor kernels (kernels::CompiledMonitorBank, exact loop and fast_math
-/// softplus_batch pass) all evaluate it, so they agree bit for bit by
+/// monitor kernels (kernels::CompiledMonitorBank: ekv_pair, or ekv_args
+/// through the fast_math softplus_batch, once per group of legs, then
+/// each leg's ekv_id) all evaluate it, so they agree bit for bit by
 /// construction.
 ///
 /// EKV: id = ispec * (F(vp/phi_t) - F((vp - vds)/phi_t)) * (1 + lambda*vds)
@@ -107,10 +108,26 @@ struct NmosDrainCurrent {
         return {0.5 * (vp / kThermalVoltage300K),
                 0.5 * ((vp - vds) / kThermalVoltage300K)};
     }
+    /// Softplus values of ekv_args(vgs), the forward and reverse terms
+    /// ekv_id0 squares. They read only vt0, n_slope and vds (W and kp enter
+    /// through ispec alone), so devices that agree on those three share
+    /// one pair bit for bit.
+    struct EkvPair {
+        double forward;
+        double reverse;
+    };
+    [[nodiscard]] EkvPair ekv_pair(double vgs) const noexcept {
+        const EkvArgs a = ekv_args(vgs);
+        return {softplus(a.forward), softplus(a.reverse)};
+    }
     /// EKV current before channel-length modulation, from the softplus
     /// values of ekv_args().
     [[nodiscard]] double ekv_id0(double sf, double sr) const noexcept {
         return ispec * (sf * sf - sr * sr);
+    }
+    /// EKV drain current from its softplus pair.
+    [[nodiscard]] double ekv_id(EkvPair s) const noexcept {
+        return ekv_id0(s.forward, s.reverse) * clm;
     }
     /// Level-1 current before channel-length modulation; requires the
     /// overdrive vov = vgs - vt0 > 0 (triode below vds, saturation above).
@@ -120,10 +137,8 @@ struct NmosDrainCurrent {
 
     /// Drain current at gate bias vgs.
     [[nodiscard]] double id(double vgs) const noexcept {
-        if (model == MosModel::ekv) {
-            const EkvArgs a = ekv_args(vgs);
-            return ekv_id0(softplus(a.forward), softplus(a.reverse)) * clm;
-        }
+        if (model == MosModel::ekv)
+            return ekv_id(ekv_pair(vgs));
         const double vov = vgs - vt0;
         return vov <= 0.0 ? 0.0 : level1_id0(vov) * clm; // cut-off: no current
     }
@@ -134,7 +149,8 @@ struct NmosDrainCurrent {
 /// the model. A pMOS device is mirrored (vgs, vds -> -vgs, -vds) and a
 /// reverse drain bias swaps drain and source (vgs, vds -> vgs - vds, -vds);
 /// each step negates the terminal current. The compiled monitor kernels
-/// keep one per input leg.
+/// keep one per input leg, and evaluate an EKV leg as ekv_id(ekv_pair(vgs))
+/// so legs in one frame that share a pair evaluate it once.
 struct MosAtDrainBias {
     bool mirror = false;     ///< pMOS: the gate voltage is negated ...
     double gate_shift = 0.0; ///< ... then this is subtracted (swap)
@@ -157,11 +173,28 @@ struct MosAtDrainBias {
         return d;
     }
 
+    /// The model's gate voltage for terminal gate voltage vgs.
+    [[nodiscard]] double model_vgs(double vgs) const noexcept {
+        return (mirror ? -vgs : vgs) - gate_shift;
+    }
     /// Terminal drain current at gate voltage vgs.
     [[nodiscard]] double id(double vgs) const noexcept {
-        const double i = model.id((mirror ? -vgs : vgs) - gate_shift);
-        return negate ? -i : i;
+        return terminal(model.id(model_vgs(vgs)));
     }
+    /// EKV only: the model's softplus arguments and pair at terminal gate
+    /// voltage vgs, and the terminal current from that pair;
+    /// ekv_id(ekv_pair(vgs)) is id(vgs) bit for bit.
+    [[nodiscard]] NmosDrainCurrent::EkvArgs ekv_args(double vgs) const noexcept {
+        return model.ekv_args(model_vgs(vgs));
+    }
+    [[nodiscard]] NmosDrainCurrent::EkvPair ekv_pair(double vgs) const noexcept {
+        return model.ekv_pair(model_vgs(vgs));
+    }
+    [[nodiscard]] double ekv_id(NmosDrainCurrent::EkvPair s) const noexcept {
+        return terminal(model.ekv_id(s));
+    }
+    /// Terminal drain current from the model's current.
+    [[nodiscard]] double terminal(double i) const noexcept { return negate ? -i : i; }
 };
 
 /// Evaluates the drain current of a MOSFET at (vgs, vds), both measured at

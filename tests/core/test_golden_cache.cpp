@@ -2,7 +2,8 @@
 // long-lived sweep service sees an unbounded stream of distinct golden
 // fingerprints, so the cache must evict (LRU) instead of leaking one
 // chronogram per fingerprint forever. The find/insert rows pin the API the
-// scheduler's JobResultCache uses.
+// scheduler's JobResultCache uses, and the WeighedCacheLru rows its second
+// bound, the summed weight of a weigh policy.
 
 #include "core/golden_cache.h"
 
@@ -148,6 +149,87 @@ TEST(GoldenCacheLru, ProcessWideInstanceIsBounded) {
     // unbounded (that is the sweep-service leak this PR closes).
     EXPECT_GE(GoldenSignatureCache::instance().capacity(), 1u);
     EXPECT_LE(GoldenSignatureCache::instance().capacity(), 1u << 20);
+}
+
+/// A string weighs its length, against a 10-byte ceiling.
+struct LengthWeigh {
+    static constexpr std::size_t kCeiling = 10;
+    [[nodiscard]] static std::size_t weigh(const std::string& /*key*/,
+                                           const std::string& value) noexcept {
+        return value.size();
+    }
+};
+using WeighedCache = ExactLruCache<std::string, 8, LengthWeigh>;
+
+TEST(WeighedCacheLru, EvictsLeastRecentlyUsedUntilTheWeightFits) {
+    WeighedCache cache;
+    cache.insert("a", "aaaa");
+    cache.insert("b", "bbbb");
+    EXPECT_EQ(cache.weight(), 8u);
+    EXPECT_NE(cache.find("a"), nullptr); // "b" is now the LRU entry
+    cache.insert("c", "ccc");            // 11 > 10: "b" goes
+    EXPECT_EQ(cache.size(), 2u);
+    EXPECT_EQ(cache.weight(), 7u);
+    EXPECT_EQ(cache.evictions(), 1u);
+    EXPECT_EQ(cache.find("b"), nullptr);
+    EXPECT_EQ(*cache.find("a"), "aaaa");
+    cache.insert("d", "dddddddddd"); // exactly the ceiling: everything else goes
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(cache.weight(), 10u);
+    EXPECT_EQ(cache.evictions(), 3u);
+}
+
+TEST(WeighedCacheLru, EntryBoundStillHolds) {
+    WeighedCache cache;
+    cache.set_capacity(2);
+    cache.insert("a", "a");
+    cache.insert("b", "b");
+    cache.insert("c", "c");
+    EXPECT_EQ(cache.size(), 2u);
+    EXPECT_EQ(cache.weight(), 2u);
+    EXPECT_EQ(cache.evictions(), 1u);
+    EXPECT_EQ(cache.find("a"), nullptr);
+}
+
+TEST(WeighedCacheLru, OverCeilingValueIsReturnedButNeverStored) {
+    WeighedCache cache;
+    cache.insert("small", "ab");
+    const std::string heavy(11, 'x');
+    int computes = 0;
+    const auto get = [&] {
+        return cache.find_or_compute("heavy", [&] {
+            ++computes;
+            return heavy;
+        });
+    };
+    EXPECT_EQ(*get(), heavy);
+    EXPECT_EQ(*get(), heavy);
+    EXPECT_EQ(computes, 2); // never a hit
+    cache.insert("heavy", heavy);
+    EXPECT_EQ(cache.find("heavy"), nullptr);
+    // Storing nothing evicts nothing.
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(cache.weight(), 2u);
+    EXPECT_EQ(cache.evictions(), 0u);
+}
+
+TEST(WeighedCacheLru, ClearResetsTheWeight) {
+    WeighedCache cache;
+    cache.insert("a", "aaaa");
+    cache.insert("b", "bb");
+    EXPECT_EQ(cache.weight(), 6u);
+    cache.clear();
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(cache.weight(), 0u);
+    cache.insert("c", "cccccccccc"); // the full ceiling fits again
+    EXPECT_EQ(cache.weight(), 10u);
+    EXPECT_EQ(cache.evictions(), 0u);
+}
+
+TEST(WeighedCacheLru, UnweighedCachesWeighNothing) {
+    GoldenSignatureCache cache;
+    cache.insert("k", make_chronogram(1));
+    EXPECT_EQ(cache.weight(), 0u);
 }
 
 } // namespace

@@ -7,9 +7,10 @@
 // across pipeline construction plus any number of member evaluations at
 // any thread count. Keys are exact hexfloat fingerprints: a stimulus
 // differing in a single phase bit, a different samples_per_period, or the
-// other sampling mode can never alias. The concurrency test runs a
-// SweepService worker pool over the one shared immutable trace (the TSan
-// CI lane executes this file under ThreadSanitizer).
+// other sampling mode can never alias. The concurrency tests run a
+// SweepService worker pool over the one shared immutable trace, and
+// pipelines built on concurrent threads onto one x pair lane entry (the
+// TSan CI lane executes this file under ThreadSanitizer).
 
 #include "core/trace_cache.h"
 
@@ -18,6 +19,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -229,6 +231,35 @@ TEST_F(TraceCacheTest, SweepServiceWorkersShareOneTrace) {
     ASSERT_EQ(streamed.size(), reference.size());
     for (std::size_t i = 0; i < reference.size(); ++i)
         ASSERT_EQ(streamed[i], reference[i]) << "member " << i;
+}
+
+TEST_F(TraceCacheTest, ConcurrentPipelinesShareOneLaneEntry) {
+    auto& lanes = core::XPairLaneCache::instance();
+    lanes.clear();
+    constexpr std::size_t kThreads = 4;
+    std::vector<std::shared_ptr<const kernels::CompiledMonitorBank::XPairLanes>> bound(
+        kThreads);
+    std::vector<double> ndfs(kThreads);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            core::SignaturePipeline pipe = make_pipeline();
+            pipe.set_golden(filter::BehaviouralCut(core::paper_biquad()));
+            ndfs[t] = pipe.ndf_of(
+                filter::BehaviouralCut(core::paper_biquad().with_f0_shift(0.05)));
+            bound[t] = pipe.compiled_bank().x_lanes();
+        });
+    for (std::thread& th : threads)
+        th.join();
+    ASSERT_NE(bound[0], nullptr);
+    for (std::size_t t = 1; t < kThreads; ++t) {
+        EXPECT_EQ(bound[t], bound[0]) << "thread " << t;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(ndfs[t]),
+                  std::bit_cast<std::uint64_t>(ndfs[0]))
+            << "thread " << t;
+    }
+    EXPECT_EQ(lanes.size(), 1u);
+    EXPECT_EQ(lanes.misses(), 1u); // racing computes insert once
 }
 
 TEST_F(TraceCacheTest, LruEvictionAndSharedPtrKeepAlive) {

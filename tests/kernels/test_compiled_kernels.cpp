@@ -4,14 +4,21 @@
 // traces for every boundary type (linear, MOS, mixed banks, fallback), the
 // fused encode_codes path vs encode_events, and the pipeline's scratch
 // path (the only NDF path) vs its virtual observation path, chronogram(),
-// event for event (noise-free, noisy and capture-quantised).
+// event for event (noise-free, noisy and capture-quantised). The pair-group
+// and x-lane rows pin the grouping, that bound lanes never change a code,
+// and that lanes are read only for a bitwise-equal x in their own mode;
+// the digest rows pin fast_math's codes to the values they had before
+// grouping.
 
 #include "kernels/compiled_monitor_bank.h"
 #include "kernels/compiled_waveform.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,9 +26,11 @@
 #include "capture/chronogram.h"
 #include "common/rng.h"
 #include "core/batch_ndf.h"
+#include "core/golden_cache.h"
 #include "core/ndf.h"
 #include "core/paper_setup.h"
 #include "core/pipeline.h"
+#include "filter/tow_thomas.h"
 #include "monitor/table1.h"
 #include "spice/mosfet.h"
 
@@ -345,6 +354,326 @@ TEST(PipelineKernels, BatchEvaluatorUsesCompiledPath) {
         ASSERT_EQ(ndfs[i], core::ndf(pipe.chronogram(cut), pipe.golden()))
             << "deviation " << devs[i] << "%";
     }
+}
+
+// ---------------------------------------------------------------------------
+// Pair groups and x lanes.
+
+using Lanes = kernels::CompiledMonitorBank::XPairLanes;
+
+/// Table I's rows with every device swapped to another model or type. A
+/// 100 nA comparator offset keeps each monitor's origin probe signed: a
+/// level-1 device carries no current below threshold.
+monitor::MonitorBank table1_variant(spice::MosModel model, spice::MosType type) {
+    monitor::Table1Options opts = monitor::default_table1_options();
+    opts.device.model = model;
+    opts.device.type = type;
+    monitor::MonitorBank bank;
+    for (monitor::MonitorConfig cfg : monitor::table1_configs(opts)) {
+        cfg.offset_current = 1e-7;
+        bank.add(std::make_unique<monitor::MosCurrentBoundary>(cfg));
+    }
+    return bank;
+}
+
+/// Codes of `compiled` over (xs, ys) in `mode`.
+std::vector<unsigned> codes_of(const kernels::CompiledMonitorBank& compiled,
+                               std::span<const double> xs, std::span<const double> ys,
+                               SampleMode mode = SampleMode::exact) {
+    std::vector<unsigned> codes;
+    compiled.codes_into(xs, ys, codes, mode);
+    return codes;
+}
+
+std::vector<unsigned> reference_codes(const monitor::MonitorBank& bank,
+                                      std::span<const double> xs,
+                                      std::span<const double> ys) {
+    std::vector<unsigned> codes(xs.size());
+    for (std::size_t i = 0; i < xs.size(); ++i)
+        codes[i] = bank.code(xs[i], ys[i]);
+    return codes;
+}
+
+/// Lanes over `xs` with every pair zeroed: reading them changes codes, so
+/// a test can tell whether the kernel read them.
+std::shared_ptr<const Lanes> poisoned_lanes(const kernels::CompiledMonitorBank& compiled,
+                                            std::shared_ptr<const std::vector<double>> xs,
+                                            SampleMode mode) {
+    Lanes lanes = compiled.x_pair_lanes(std::move(xs), mode);
+    std::fill(lanes.pairs.begin(), lanes.pairs.end(), 0.0);
+    return std::make_shared<const Lanes>(std::move(lanes));
+}
+
+TEST(CompiledMonitorBank, Table1SharesTwoPairsPerSample) {
+    // The 6 unique legs differ only in W: one x pair and one y pair.
+    const auto compiled = kernels::CompiledMonitorBank::compile(monitor::build_table1_bank());
+    EXPECT_EQ(compiled.unique_leg_count(), 6u);
+    EXPECT_EQ(compiled.pair_count(), 2u);
+}
+
+TEST(CompiledMonitorBank, PerturbedLevel1AndPmosBanksBitIdentical) {
+    Rng rng(8u);
+    const mc::PelgromModel pelgrom;
+    const mc::ProcessVariation process;
+    monitor::MonitorBank perturbed;
+    for (int row = 1; row <= 6; ++row)
+        perturbed.add(std::make_unique<monitor::MosCurrentBoundary>(
+            monitor::perturb_monitor(monitor::table1_config(row), pelgrom, process, rng)));
+    std::vector<double> xs;
+    std::vector<double> ys;
+    random_trace(rng, 2048, xs, ys);
+
+    // Perturbed thresholds split the groups; a level-1 bank has none; a
+    // pMOS bank groups like Table I but in a mirrored frame fast_math does
+    // not batch, so its fast codes are the exact ones.
+    const auto level1 = table1_variant(spice::MosModel::level1, spice::MosType::nmos);
+    const auto pmos = table1_variant(spice::MosModel::ekv, spice::MosType::pmos);
+    EXPECT_GT(kernels::CompiledMonitorBank::compile(perturbed).pair_count(), 2u);
+    EXPECT_EQ(kernels::CompiledMonitorBank::compile(level1).pair_count(), 0u);
+    EXPECT_EQ(kernels::CompiledMonitorBank::compile(pmos).pair_count(), 2u);
+    for (const monitor::MonitorBank* bank : {&std::as_const(perturbed), &level1, &pmos}) {
+        expect_codes_identical(*bank, xs, ys);
+        const std::vector<unsigned> reference = reference_codes(*bank, xs, ys);
+        EXPECT_NE(std::count(reference.begin(), reference.end(), reference[0]),
+                  static_cast<std::ptrdiff_t>(reference.size()))
+            << "the trace must cross some boundary";
+        const auto compiled = kernels::CompiledMonitorBank::compile(*bank);
+        if (bank != &perturbed)
+            EXPECT_EQ(codes_of(compiled, xs, ys, SampleMode::fast_math), reference);
+    }
+}
+
+TEST(CompiledMonitorBank, BoundLanesGiveTheSameCodesInBothModes) {
+    Rng rng(9u);
+    auto trace = std::make_shared<std::vector<double>>();
+    std::vector<double> ys;
+    random_trace(rng, 3000, *trace, ys); // not a multiple of the block
+    const std::shared_ptr<const std::vector<double>> xs = trace;
+    const auto bank = monitor::build_table1_bank();
+    const auto plain = kernels::CompiledMonitorBank::compile(bank);
+    for (const SampleMode mode : {SampleMode::exact, SampleMode::fast_math}) {
+        kernels::CompiledMonitorBank laned = plain;
+        laned.bind_x_lanes(std::make_shared<const Lanes>(plain.x_pair_lanes(xs, mode)));
+        const std::vector<double> copy = *xs; // served through the memcmp
+        EXPECT_EQ(codes_of(laned, *xs, ys, mode), codes_of(plain, *xs, ys, mode));
+        EXPECT_EQ(codes_of(laned, copy, ys, mode), codes_of(plain, *xs, ys, mode));
+    }
+    EXPECT_EQ(codes_of(plain, *xs, ys), reference_codes(bank, *xs, ys));
+}
+
+TEST(CompiledMonitorBank, LanesAreReadOnlyForBitEqualXInTheirMode) {
+    Rng rng(10u);
+    auto trace = std::make_shared<std::vector<double>>();
+    std::vector<double> ys;
+    random_trace(rng, 1024, *trace, ys);
+    const std::shared_ptr<const std::vector<double>> xs = trace;
+    const auto bank = monitor::build_table1_bank();
+    auto compiled = kernels::CompiledMonitorBank::compile(bank);
+    compiled.bind_x_lanes(poisoned_lanes(compiled, xs, SampleMode::exact));
+    const std::vector<unsigned> reference = reference_codes(bank, *xs, ys);
+
+    // Control: the same bits, by pointer or by value, read the lanes.
+    const std::vector<double> copy = *xs;
+    EXPECT_NE(codes_of(compiled, *xs, ys), reference);
+    EXPECT_NE(codes_of(compiled, copy, ys), reference);
+
+    // One ULP on one sample, or the other mode: computed, not read.
+    std::vector<double> nudged = *xs;
+    nudged[517] = std::nextafter(nudged[517], std::numeric_limits<double>::infinity());
+    EXPECT_EQ(codes_of(compiled, nudged, ys), reference_codes(bank, nudged, ys));
+    EXPECT_EQ(codes_of(compiled, *xs, ys, SampleMode::fast_math),
+              codes_of(kernels::CompiledMonitorBank::compile(bank), *xs, ys,
+                       SampleMode::fast_math));
+}
+
+TEST(CompiledMonitorBank, FastLanesFallBackToExactOnAYExcursion) {
+    Rng rng(11u);
+    auto trace = std::make_shared<std::vector<double>>();
+    std::vector<double> ys;
+    random_trace(rng, 1024, *trace, ys);
+    const std::shared_ptr<const std::vector<double>> xs = trace;
+    const auto bank = monitor::build_table1_bank();
+    auto compiled = kernels::CompiledMonitorBank::compile(bank);
+    compiled.bind_x_lanes(poisoned_lanes(compiled, xs, SampleMode::fast_math));
+    // Control: an in-domain y reads the fast lanes.
+    EXPECT_NE(codes_of(compiled, *xs, ys, SampleMode::fast_math),
+              codes_of(kernels::CompiledMonitorBank::compile(bank), *xs, ys,
+                       SampleMode::fast_math));
+    // A softplus argument far outside the vecmath domain: the exact pass,
+    // which computes x rather than reading fast lanes.
+    ys[300] = 1e6;
+    EXPECT_EQ(codes_of(compiled, *xs, ys, SampleMode::fast_math),
+              reference_codes(bank, *xs, ys));
+}
+
+/// Every test of the fixture starts and ends with empty lane and golden
+/// caches: the tests store poisoned lanes, and a golden zoned with them,
+/// under real keys.
+class PipelineLanes : public ::testing::Test {
+protected:
+    void SetUp() override { clear(); }
+    void TearDown() override { clear(); }
+    static void clear() {
+        core::XPairLaneCache::instance().clear();
+        core::GoldenSignatureCache::instance().clear();
+    }
+};
+
+TEST_F(PipelineLanes, NoisyAndSpiceMembersNeverReadTheLanes) {
+    const core::SignaturePipeline clean = make_pipeline();
+    const std::string fp = clean.fingerprint();
+    ASSERT_FALSE(fp.empty());
+    ASSERT_EQ(core::XPairLaneCache::instance().size(), 1u);
+    Lanes poisoned = *clean.compiled_bank().x_lanes();
+    std::fill(poisoned.pairs.begin(), poisoned.pairs.end(), 0.0);
+    core::XPairLaneCache::instance().clear();
+    core::XPairLaneCache::instance().insert(fp, poisoned);
+    core::SignaturePipeline quiet = make_pipeline();
+    core::SignaturePipeline noisy = make_pipeline(0.005);
+    EXPECT_EQ(quiet.compiled_bank().x_lanes(), noisy.compiled_bank().x_lanes());
+
+    // Control: a noise-free stimulus member zones from the lanes.
+    const filter::BehaviouralCut golden(core::paper_biquad());
+    quiet.set_golden(golden);
+    const std::vector<capture::CodeEvent>& laned = quiet.golden().events();
+    const capture::Chronogram computed = quiet.chronogram(golden);
+    EXPECT_FALSE(std::equal(laned.begin(), laned.end(), computed.events().begin(),
+                            computed.events().end(),
+                            [](const capture::CodeEvent& a, const capture::CodeEvent& b) {
+                                return a.code == b.code;
+                            }));
+
+    // A noisy member: its own x, zoned exactly like the virtual path.
+    noisy.set_golden(golden);
+    core::NdfScratch scratch;
+    const filter::BehaviouralCut cut(core::paper_biquad().with_f0_shift(0.05));
+    Rng eval_rng(21u);
+    Rng virtual_rng(21u);
+    expect_same_events(noisy.evaluate(cut, scratch, &eval_rng).observed,
+                       noisy.chronogram(cut, &virtual_rng));
+
+    // A SPICE member: x is a solver node.
+    const filter::TowThomasCircuit ckt = filter::build_tow_thomas(
+        filter::TowThomasDesign::from_biquad(core::paper_biquad().design(), 10e3));
+    const filter::SpiceCut spice_cut(std::make_unique<spice::Netlist>(ckt.netlist.clone()),
+                                     ckt.input_source, ckt.input_node, ckt.lp_node,
+                                     /*settle_periods=*/2);
+    expect_same_events(quiet.evaluate(spice_cut, scratch).observed,
+                       quiet.chronogram(spice_cut));
+}
+
+// ---------------------------------------------------------------------------
+// fast_math bits.
+
+/// splitmix64: a portable integer stream, so the perturbed bank below has
+/// the same bits under every standard library (std distributions do not).
+struct SplitMix {
+    std::uint64_t state;
+    std::uint64_t next_u64() {
+        std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+        return z ^ (z >> 31);
+    }
+    /// Uniform in [-1, 1), exactly representable.
+    double next_signed() {
+        return static_cast<double>(next_u64() >> 11) * 0x1p-52 - 1.0;
+    }
+};
+
+/// Table I with fixed Monte-Carlo-style per-leg perturbations (threshold
+/// shifts within +-8 mV, kp scales within +-4%).
+monitor::MonitorBank fixed_perturbed_bank() {
+    SplitMix rng{0xbadc0ffeeULL};
+    monitor::MonitorBank bank;
+    for (int row = 1; row <= 6; ++row) {
+        monitor::MonitorConfig cfg = monitor::table1_config(row);
+        for (monitor::MonitorLeg& leg : cfg.legs) {
+            leg.vt0_delta += 0.008 * rng.next_signed();
+            leg.kp_scale *= 1.0 + 0.04 * rng.next_signed();
+        }
+        bank.add(std::make_unique<monitor::MosCurrentBoundary>(cfg));
+    }
+    return bank;
+}
+
+/// The fixed trace of the fast_math digest: for every monitor and x in
+/// {1/16, ..., 15/16}, a comb of 8193 samples stepping y by 2^-53 across
+/// the monitor's exact boundary, so a fast pass whose boundary moves by
+/// one step changes a code. The comb's origin comes from dyadic bisection
+/// down to a 2^-40 grid, so libm's last bits could move it only for a
+/// boundary within a few ULPs of a grid point.
+void boundary_comb(const monitor::MonitorBank& bank, std::vector<double>& xs,
+                   std::vector<double>& ys) {
+    xs.clear();
+    ys.clear();
+    for (std::size_t m = 0; m < bank.size(); ++m) {
+        const monitor::Boundary& b = bank.monitor(m);
+        for (int xk = 1; xk < 16; ++xk) {
+            const double x = xk / 16.0;
+            double lo = 0.0;
+            double hi = 0.0;
+            bool found = false;
+            for (int k = -16; k < 80 && !found; ++k) {
+                lo = k / 64.0;
+                hi = (k + 1) / 64.0;
+                found = b.side(x, lo) != b.side(x, hi);
+            }
+            if (!found)
+                continue;
+            const bool side_lo = b.side(x, lo);
+            while (hi - lo > 0x1p-40) {
+                const double mid = 0.5 * (lo + hi);
+                (b.side(x, mid) == side_lo ? lo : hi) = mid;
+            }
+            for (int j = 0; j <= 8192; ++j) {
+                xs.push_back(x);
+                ys.push_back(lo + j * 0x1p-53);
+            }
+        }
+    }
+}
+
+/// FNV-1a over the codes' 32-bit little-endian values.
+std::uint64_t codes_digest(const std::vector<unsigned>& codes) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const unsigned c : codes) {
+        for (int b = 0; b < 4; ++b) {
+            h ^= (static_cast<std::uint64_t>(c) >> (8 * b)) & 0xffu;
+            h *= 0x100000001b3ULL;
+        }
+    }
+    return h;
+}
+
+/// Digest of the fast codes over the bank's boundary comb, plus how many
+/// codes the fast pass flips against the exact one there.
+std::pair<std::uint64_t, std::size_t> fast_digest(const monitor::MonitorBank& bank) {
+    std::vector<double> xs;
+    std::vector<double> ys;
+    boundary_comb(bank, xs, ys);
+    const auto compiled = kernels::CompiledMonitorBank::compile(bank);
+    const std::vector<unsigned> fast = codes_of(compiled, xs, ys, SampleMode::fast_math);
+    const std::vector<unsigned> exact = codes_of(compiled, xs, ys);
+    std::size_t flips = 0;
+    for (std::size_t i = 0; i < fast.size(); ++i)
+        flips += fast[i] != exact[i] ? 1u : 0u;
+    return {codes_digest(fast), flips};
+}
+
+// The constants are the ungrouped kernel's fast_math codes (computed at the
+// commit before pair groups); the flips show the comb resolves the fast
+// pass's own boundary, not just the exact one.
+TEST(FastMathBits, Table1DigestUnchanged) {
+    const auto [digest, flips] = fast_digest(monitor::build_table1_bank());
+    EXPECT_EQ(digest, 0xfa39a8eb8527618eULL);
+    EXPECT_GT(flips, 0u);
+}
+
+TEST(FastMathBits, PerturbedBankDigestUnchanged) {
+    const auto [digest, flips] = fast_digest(fixed_perturbed_bank());
+    EXPECT_EQ(digest, 0x22e4239eea9df982ULL);
+    EXPECT_GT(flips, 0u);
 }
 
 } // namespace

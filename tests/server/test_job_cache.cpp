@@ -3,7 +3,8 @@
 // aliases — for pipelines whose bits cannot be fingerprinted. The cache
 // body itself is core::ExactLruCache (tests/core/test_golden_cache.cpp);
 // full-universe entries serving member slices are pinned in
-// tests/server/test_scheduler.cpp.
+// tests/server/test_scheduler.cpp. JobResultBytes, its weigh policy, is
+// pinned here; the scheduler's over-ceiling job in test_scheduler.cpp.
 
 #include "server/job_cache.h"
 
@@ -65,6 +66,22 @@ TEST(PipelineFingerprint, ExactWhenCacheableEmptyOtherwise) {
     EXPECT_EQ(golden_key.substr(0, 4), "cut{");
     EXPECT_EQ(stim, stim_of(core::stimulus_trace_key(pipe.stimulus(), 256,
                                                      SampleMode::exact)));
+}
+
+TEST(JobResultBytes, BoundsAndWeighKeyPlusEveryResult) {
+    EXPECT_EQ(JobResultCache::kDefaultCapacity, 64u);
+    EXPECT_EQ(JobResultCache::kWeightCeiling, std::size_t{8} << 20);
+    SweepResult nan_member;
+    nan_member.label = "open(R1)";
+    SweepResult member;
+    member.label = "dev(f0,5%)";
+    member.signature = capture::Chronogram(1.0, 6, {{0.0, 1u}, {0.25, 3u}, {0.5, 2u}});
+    EXPECT_EQ(JobResultBytes::result_bytes(nan_member), sizeof(SweepResult) + 8);
+    EXPECT_EQ(JobResultBytes::result_bytes(member),
+              sizeof(SweepResult) + 10 + 3 * sizeof(capture::CodeEvent));
+    EXPECT_EQ(JobResultBytes::weigh("key", {nan_member, member}),
+              3 + JobResultBytes::result_bytes(nan_member) +
+                  JobResultBytes::result_bytes(member));
 }
 
 } // namespace

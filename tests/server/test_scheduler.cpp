@@ -291,6 +291,40 @@ TEST(JobScheduler, MemberRangeSliceServedByCachedSuperset) {
     EXPECT_EQ(sched.cache().size(), 2u);
 }
 
+TEST(JobScheduler, JobOverTheByteCeilingStreamsButIsNotCached) {
+    // spp 64 keeps members cheap; 30000 of them outweigh the 8 MiB ceiling.
+    SweepService service(make_pipeline(64), {.workers = 2, .shard_size = 256});
+    const std::string big_line =
+        R"({"job":"deviations","grid":{"from":-30,"to":30,"count":30000}})";
+    const std::vector<SweepResult> reference =
+        serial_reference(service, wire_job(big_line));
+    ASSERT_GT(JobResultBytes::weigh("", reference), JobResultCache::kWeightCeiling);
+
+    JobScheduler sched(service, JobScheduler::Options{});
+    const std::string small_line =
+        R"({"job":"deviations","grid":{"from":-20,"to":20,"count":9}})";
+    JobHandle small = sched.submit(wire_job(small_line));
+    EXPECT_EQ(drain(small).size(), 9u);
+    JobHandle big = sched.submit(wire_job(big_line));
+    EXPECT_FALSE(big.from_cache());
+    expect_same_stream(drain(big), reference, "over-ceiling job");
+    wait_for([&] { return sched.stats().completed >= 2; });
+    EXPECT_EQ(sched.cache().size(), 1u); // the small job only
+    EXPECT_LE(sched.cache().weight(), JobResultCache::kWeightCeiling);
+
+    // The resubmit runs on workers again, bit-identically; the small job
+    // still hits.
+    JobHandle again = sched.submit(wire_job(big_line));
+    EXPECT_FALSE(again.from_cache());
+    expect_same_stream(drain(again), reference, "over-ceiling resubmit");
+    JobHandle small_again = sched.submit(wire_job(small_line));
+    EXPECT_TRUE(small_again.from_cache());
+    EXPECT_EQ(drain(small_again).size(), 9u);
+    wait_for([&] { return sched.stats().completed >= 4; });
+    EXPECT_EQ(sched.stats().cache_hits, 1u);
+    EXPECT_EQ(sched.cache().size(), 1u);
+}
+
 TEST(JobScheduler, InterleavedQueueBitIdenticalToSerialIncludingNaNs) {
     SweepService service(make_pipeline(), {.workers = 3, .shard_size = 4});
     // References first, straight through the service (the scheduler is not
