@@ -1,6 +1,7 @@
 // Scheduler scaling report: JobScheduler at (queue depth x worker count)
-// combinations over distinct behavioural deviation grids, one concurrent
-// drainer thread per submitted job. Every combination runs twice: a cold
+// combinations over distinct behavioural deviation grids, every job
+// collected by its own JobSink (the same sink API ServerSession uses).
+// Every combination runs twice: a cold
 // pass gated on per-job bit-identity with a serial SweepService::run()
 // reference, and a warm resubmit pass that must additionally be served
 // entirely by the whole-job result cache (zero worker involvement). Any
@@ -14,6 +15,7 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -67,6 +69,20 @@ core::SignaturePipeline make_pipeline(std::size_t spp) {
     return core::SignaturePipeline(monitor::build_table1_bank(),
                                    core::paper_stimulus(), opts);
 }
+
+/// One job's stream, collected from whichever scheduler thread moves it;
+/// read after JobScheduler::wait_idle().
+struct Collect final : server::JobSink {
+    std::vector<server::SweepResult> results;
+    bool from_cache = false;
+
+    void queued(std::size_t, bool) override {}
+    void started() override {}
+    void result(const server::SweepResult& r) override { results.push_back(r); }
+    void finished(const server::JobOutcome& out) override {
+        from_cache = out.from_cache;
+    }
+};
 
 /// Distinct deviation grid per job index so no two queued jobs share a
 /// cache key within a pass; integer endpoints keep the wire line RFC 8259.
@@ -166,29 +182,20 @@ int main(int argc, char** argv) {
                 serial_total += serial_seconds[d];
 
             for (int pass = 0; pass < 2; ++pass) {
-                std::vector<std::vector<server::SweepResult>> streams(depth);
-                std::vector<server::JobHandle> handles;
-                handles.reserve(depth);
-                std::vector<std::thread> drainers;
-                drainers.reserve(depth);
+                std::vector<std::shared_ptr<Collect>> sinks;
                 const double dt = seconds_of([&] {
-                    for (std::size_t d = 0; d < depth; ++d)
-                        handles.push_back(sched.submit(jobs[d]));
-                    for (std::size_t d = 0; d < depth; ++d)
-                        drainers.emplace_back([&, d] {
-                            server::SweepResult r;
-                            while (handles[d].next(r))
-                                streams[d].push_back(r);
-                        });
-                    for (std::thread& t : drainers)
-                        t.join();
+                    for (std::size_t d = 0; d < depth; ++d) {
+                        sinks.push_back(std::make_shared<Collect>());
+                        sched.submit(jobs[d], sinks.back());
+                    }
+                    sched.wait_idle();
                 });
 
                 std::uint64_t cached = 0;
                 bool ok = true;
                 for (std::size_t d = 0; d < depth; ++d) {
-                    ok = ok && same_stream(streams[d], refs[d]);
-                    if (handles[d].outcome().from_cache)
+                    ok = ok && same_stream(sinks[d]->results, refs[d]);
+                    if (sinks[d]->from_cache)
                         ++cached;
                 }
                 // The cold pass runs distinct grids (no hits possible); the

@@ -12,12 +12,14 @@
 // plumbing.
 //
 // Since protocol version 2, the session submits jobs asynchronously — a
-// job is acknowledged with a `queued` event and its results stream from a
-// per-job emitter thread — so serve() on stdin is a single reader thread:
-// cancels take effect on receipt (submission never blocks the reader for
-// the duration of a job), multiple in-flight jobs interleave on one
-// connection, and backpressure comes from the scheduler's bounded queue +
-// the OS pipe. {"cmd":"quit"} drains every in-flight job before the loop
+// job is acknowledged with a `queued` event and its events are written by
+// the scheduler's dispatcher as the job runs, straight from the service's
+// in-order result delivery to stdout — so serve() on stdin is a single
+// reader thread: cancels take effect on receipt, multiple in-flight jobs
+// interleave on one connection, and the process holds no per-job thread or
+// result queue. Backpressure comes from the OS pipe: a reader that stops
+// draining stdout blocks the running job, and queued jobs wait without
+// running. {"cmd":"quit"} drains every in-flight job before the loop
 // exits, as does EOF.
 //
 // With --listen=PORT the same protocol is served over TCP instead of
@@ -28,7 +30,6 @@
 // serve all partitions of a `sweep_fanout --connect` run concurrently.
 //
 // Flags: --workers=N --shard-size=N --spp=N (pipeline samples per period)
-//        --queue=N (max queued jobs before submit blocks)
 //        --job-cache=N (whole-job result cache entries; 0 disables)
 //        --heartbeat=SECONDS (emit v3 heartbeat events; 0 = off)
 //        --listen=PORT (serve TCP connections instead of stdin; 0 picks
@@ -94,8 +95,6 @@ int main(int argc, char** argv) {
             shard_size = std::stoul(arg.substr(13));
         else if (arg.rfind("--spp=", 0) == 0)
             samples_per_period = std::stoul(arg.substr(6));
-        else if (arg.rfind("--queue=", 0) == 0)
-            session_opts.max_pending = std::stoul(arg.substr(8));
         else if (arg.rfind("--job-cache=", 0) == 0)
             session_opts.cache_capacity = std::stoul(arg.substr(12));
         else if (arg.rfind("--heartbeat=", 0) == 0)

@@ -28,6 +28,10 @@ using Clock = std::chrono::steady_clock;
 /// prompt, long enough not to spin.
 constexpr double kPollSliceSeconds = 0.05;
 
+/// Deadline for a fresh peer's ready banner (a missed deadline costs one
+/// dispatch attempt).
+constexpr double kHandshakeTimeoutSeconds = 30.0;
+
 /// Worker threads of the verify_single_process reference service; its
 /// bits do not depend on the count (shards merge in member order).
 constexpr unsigned kVerifyWorkers = 2;
@@ -218,11 +222,11 @@ void FanoutDriver::serve_segment(Shared& shared, std::size_t segment_index) {
         bool handshaken = false;
         {
             last_failure = peer + " sent no ready banner within " +
-                           format_double(options_.handshake_timeout_seconds) +
+                           format_double(kHandshakeTimeoutSeconds) +
                            " s";
             const auto h0 = Clock::now();
             std::string line;
-            while (seconds_since(h0) < options_.handshake_timeout_seconds) {
+            while (seconds_since(h0) < kHandshakeTimeoutSeconds) {
                 const auto status =
                     transport->read_line(line, kPollSliceSeconds);
                 if (status == Transport::ReadStatus::closed) {

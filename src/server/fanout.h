@@ -71,9 +71,6 @@ struct FanoutOptions {
     /// this long is declared dead and its remaining range re-dispatched.
     /// 0 = wait forever.
     double read_timeout_seconds = 0.0;
-    /// Deadline for a fresh peer's ready banner (a missed deadline costs
-    /// one dispatch attempt).
-    double handshake_timeout_seconds = 30.0;
     /// Dispatch attempts per dispatched range (first dispatch included)
     /// before the whole run fails. A stolen tail is its own range with
     /// its own attempt budget.

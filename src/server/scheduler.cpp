@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <utility>
 
 #include "common/contracts.h"
@@ -17,122 +18,47 @@ using Clock = std::chrono::steady_clock;
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
+[[nodiscard]] JobOutcome cancelled_outcome() {
+    JobOutcome out;
+    out.state = JobState::cancelled;
+    return out;
+}
+
 } // namespace
 
-/// Shared job state: the scheduler produces into it, one consumer drains
-/// it. `m` guards everything below it; the WireJob and submit metadata are
-/// immutable after submit() and need no lock.
-struct JobHandle::Record {
+/// One submitted job. Everything but the token is fixed before the record
+/// is queued (submit_seq under mutex_), so no record needs a lock.
+struct JobScheduler::Record {
     WireJob wire;
-    JobScheduler::SubmitOptions opts;
+    std::shared_ptr<JobSink> sink;
     std::string cache_key; ///< "" = cache bypassed for this job
     std::uint64_t submit_seq = 0;
     Clock::time_point submitted_at;
-
-    Mutex m;
-    CondVar cv;
-    JobOutcome out GUARDED_BY(m);
-    std::deque<SweepResult> results GUARDED_BY(m);
-    bool closed GUARDED_BY(m) = false;    ///< no further results; final `out`
-    bool accounted GUARDED_BY(m) = false; ///< terminal state counted once
     SweepCancelToken token; ///< internally atomic; poked from any thread
 };
 
-// ------------------------------------------------------------------ handle
-
-bool JobHandle::next(SweepResult& out) {
-    Record& r = *record_;
-    MutexLock lock(r.m);
-    r.cv.wait(lock, [&]() REQUIRES(r.m) { return !r.results.empty() || r.closed; });
-    if (r.results.empty())
-        return false;
-    out = std::move(r.results.front());
-    r.results.pop_front();
-    return true;
-}
-
-void JobHandle::wait_until_started() {
-    Record& r = *record_;
-    MutexLock lock(r.m);
-    r.cv.wait(lock,
-              [&]() REQUIRES(r.m) { return r.out.state != JobState::queued; });
-}
-
-void JobHandle::cancel() {
-    Record& r = *record_;
-    MutexLock lock(r.m);
-    if (r.out.state == JobState::queued) {
-        // Finalise in place; the dispatcher skips (and accounts) the
-        // record when it eventually pops it.
-        r.out.state = JobState::cancelled;
-        r.closed = true;
-        r.cv.notify_all();
-    } else if (r.out.state == JobState::running) {
-        r.token.cancel();
-    }
-}
-
-JobOutcome JobHandle::outcome() const {
-    Record& r = *record_;
-    MutexLock lock(r.m);
-    XYSIG_EXPECTS(r.closed);
-    return r.out;
-}
-
-bool JobHandle::from_cache() const {
-    Record& r = *record_;
-    MutexLock lock(r.m);
-    return r.out.from_cache;
-}
-
-bool JobHandle::cancelled_before_start() const {
-    Record& r = *record_;
-    MutexLock lock(r.m);
-    return r.closed && r.out.state == JobState::cancelled &&
-           r.out.run_sequence == 0 && !r.out.from_cache && r.results.empty();
-}
-
-const WireJob& JobHandle::wire() const { return record_->wire; }
-
-// --------------------------------------------------------------- scheduler
-
 JobScheduler::JobScheduler(SweepService& service, Options options)
-    : service_(service), options_(options),
+    : service_(service),
       pipeline_fp_(options.cache_capacity == 0
                        ? std::string()
                        : pipeline_fingerprint(service.pipeline())) {
     cache_.set_capacity(std::max<std::size_t>(1, options.cache_capacity));
     dispatcher_thread_ = std::thread([this] { dispatcher_main(); });
-    prefetch_thread_ = std::thread([this] { prefetch_main(); });
 }
 
 JobScheduler::~JobScheduler() {
+    std::vector<RecordPtr> dequeued;
     {
         MutexLock lock(mutex_);
         stopping_ = true;
-        for (auto& [client, queue] : queues_) {
-            for (const RecordPtr& rec : queue) {
-                {
-                    MutexLock rlock(rec->m);
-                    if (rec->out.state == JobState::queued) {
-                        rec->out.state = JobState::cancelled;
-                        rec->closed = true;
-                        rec->cv.notify_all();
-                    }
-                }
-                account_terminal_locked(rec);
-            }
-        }
-        queues_.clear();
-        prefetch_queue_.clear();
-        pending_ = 0;
+        dequeued = take_queued_locked("");
         if (running_ != nullptr)
             running_->token.cancel();
         queue_cv_.notify_all();
-        space_cv_.notify_all();
     }
+    for (const RecordPtr& rec : dequeued)
+        finish(*rec, cancelled_outcome());
     dispatcher_thread_.join();
-    prefetch_thread_.join();
 }
 
 std::string JobScheduler::job_cache_key(const WireJob& wire) const {
@@ -155,100 +81,92 @@ std::string JobScheduler::job_cache_key(const WireJob& wire) const {
     return key;
 }
 
-JobHandle JobScheduler::submit(WireJob wire, SubmitOptions opts) {
-    auto rec = std::make_shared<JobHandle::Record>();
+void JobScheduler::submit(WireJob wire, std::shared_ptr<JobSink> sink) {
+    XYSIG_EXPECTS(sink != nullptr);
+    auto rec = std::make_shared<Record>();
     rec->wire = std::move(wire);
-    rec->opts = std::move(opts);
+    rec->sink = std::move(sink);
     rec->submitted_at = Clock::now();
     rec->cache_key = job_cache_key(rec->wire);
 
-    // Submit-time cache hit: stream without ever entering the queue, so a
-    // resubmitted job interleaves with (and never waits behind) a draining
-    // one.
+    std::size_t position = 0;
+    bool will_wait = false;
+    {
+        MutexLock lock(mutex_);
+        ++stats_.submitted;
+        ++unfinished_;
+        position = pending_;
+        will_wait = paused_ || pending_ > 0 || running_ != nullptr;
+    }
+
+    // Submit-time cache hit: stream on this thread without ever entering
+    // the queue, so a resubmitted job never waits behind a running one.
     if (!rec->cache_key.empty()) {
-        if (const auto hit = cache_.find(rec->cache_key)) {
-            {
-                MutexLock lock(mutex_);
-                ++stats_.submitted;
-            }
-            serve_from_cache(rec, *hit);
-            {
-                MutexLock lock(mutex_);
-                account_terminal_locked(rec);
-            }
-            return JobHandle(rec);
+        if (const CachedUniverse hit = cache_.find(rec->cache_key)) {
+            rec->sink->queued(0, true);
+            execute(*rec, hit);
+            return;
+        }
+    }
+    rec->sink->queued(position, false);
+
+    // Golden prefetch: a behavioural job that will wait builds the pipeline
+    // it will run under now, inserting the exact golden-cache key (mode
+    // included) the dispatcher's job_pipeline call will look up — overlap
+    // with zero effect on result bits. SPICE goldens have no cache key, so
+    // there is nothing to warm.
+    if (will_wait && !rec->wire.is_spice) {
+        try {
+            (void)service_.job_pipeline(rec->wire.job);
+            MutexLock lock(mutex_);
+            ++stats_.goldens_prefetched;
+        } catch (const std::exception&) {
+            // A golden that cannot be computed is reported by the job's own
+            // run; prefetch is best-effort by design.
         }
     }
 
     MutexLock lock(mutex_);
-    space_cv_.wait(lock, [&]() REQUIRES(mutex_) {
-        return stopping_ || pending_ < options_.max_pending;
-    });
-    ++stats_.submitted;
-    if (stopping_) {
-        {
-            MutexLock rlock(rec->m);
-            rec->out.state = JobState::cancelled;
-            rec->closed = true;
-            rec->cv.notify_all();
-        }
-        account_terminal_locked(rec);
-        return JobHandle(rec);
-    }
+    drained_cv_.wait(lock,
+                     [&]() REQUIRES(mutex_) { return pending_ < kMaxPending; });
     rec->submit_seq = next_submit_seq_++;
     // Per-client queue kept sorted: priority descending, submit order
     // within a priority — inserting before the first strictly-lower
     // priority preserves FIFO among equals.
-    std::deque<RecordPtr>& queue = queues_[rec->opts.client];
+    std::deque<RecordPtr>& queue = queues_[rec->wire.client];
     const auto pos = std::find_if(queue.begin(), queue.end(),
                                   [&](const RecordPtr& other) {
-                                      return other->opts.priority <
-                                             rec->opts.priority;
+                                      return other->wire.priority <
+                                             rec->wire.priority;
                                   });
-    queue.insert(pos, rec);
+    queue.insert(pos, std::move(rec));
     ++pending_;
-    if (!rec->wire.is_spice)
-        prefetch_queue_.push_back(rec);
     queue_cv_.notify_all();
-    return JobHandle(rec);
 }
 
 void JobScheduler::cancel(const std::string& wire_id) {
-    MutexLock lock(mutex_);
-    if (!wire_id.empty()) {
-        for (auto it = queues_.begin(); it != queues_.end();) {
-            std::deque<RecordPtr>& queue = it->second;
-            for (auto qi = queue.begin(); qi != queue.end();) {
-                if ((*qi)->wire.id != wire_id) {
-                    ++qi;
-                    continue;
-                }
-                const RecordPtr rec = *qi;
-                {
-                    MutexLock rlock(rec->m);
-                    if (rec->out.state == JobState::queued) {
-                        rec->out.state = JobState::cancelled;
-                        rec->closed = true;
-                        rec->cv.notify_all();
-                    }
-                }
-                account_terminal_locked(rec);
-                qi = queue.erase(qi);
-                --pending_;
-            }
-            it = queue.empty() ? queues_.erase(it) : std::next(it);
-        }
-        space_cv_.notify_all();
+    std::vector<RecordPtr> dequeued;
+    {
+        MutexLock lock(mutex_);
+        if (!wire_id.empty())
+            dequeued = take_queued_locked(wire_id);
+        if (running_ != nullptr &&
+            (wire_id.empty() || running_->wire.id == wire_id))
+            running_->token.cancel();
     }
-    if (running_ != nullptr &&
-        (wire_id.empty() || running_->wire.id == wire_id))
-        running_->token.cancel();
+    for (const RecordPtr& rec : dequeued)
+        finish(*rec, cancelled_outcome());
 }
 
 void JobScheduler::set_paused(bool paused) {
     MutexLock lock(mutex_);
     paused_ = paused;
     queue_cv_.notify_all();
+}
+
+void JobScheduler::wait_idle() {
+    MutexLock lock(mutex_);
+    drained_cv_.wait(lock, [&]() REQUIRES(mutex_) { return unfinished_ == 0; });
 }
 
 JobScheduler::Stats JobScheduler::stats() const {
@@ -258,27 +176,28 @@ JobScheduler::Stats JobScheduler::stats() const {
     return s;
 }
 
-void JobScheduler::account_terminal_locked(const RecordPtr& rec) {
-    MutexLock rlock(rec->m);
-    if (rec->accounted || !rec->closed)
-        return;
-    rec->accounted = true;
-    switch (rec->out.state) {
-    case JobState::done:
-        ++stats_.completed;
-        if (rec->out.from_cache)
-            ++stats_.cache_hits;
-        break;
-    case JobState::failed:
-        ++stats_.failed;
-        break;
-    case JobState::cancelled:
-        ++stats_.cancelled;
-        break;
-    case JobState::queued:
-    case JobState::running:
-        break; // unreachable: closed implies a terminal state
+std::vector<JobScheduler::RecordPtr>
+JobScheduler::take_queued_locked(const std::string& wire_id) {
+    std::vector<RecordPtr> taken;
+    for (auto it = queues_.begin(); it != queues_.end();) {
+        std::deque<RecordPtr>& queue = it->second;
+        const auto kept = std::stable_partition(
+            queue.begin(), queue.end(),
+            [&](const RecordPtr& rec) {
+                return !wire_id.empty() && rec->wire.id != wire_id;
+            });
+        std::move(kept, queue.end(), std::back_inserter(taken));
+        queue.erase(kept, queue.end());
+        it = queue.empty() ? queues_.erase(it) : std::next(it);
     }
+    pending_ -= taken.size();
+    drained_cv_.notify_all();
+    // Finish them in submission order, whichever client queued them.
+    std::sort(taken.begin(), taken.end(),
+              [](const RecordPtr& a, const RecordPtr& b) {
+                  return a->submit_seq < b->submit_seq;
+              });
+    return taken;
 }
 
 JobScheduler::RecordPtr JobScheduler::pick_next_locked() {
@@ -288,8 +207,6 @@ JobScheduler::RecordPtr JobScheduler::pick_next_locked() {
     auto best_queue = queues_.end();
     std::uint64_t best_served = 0;
     for (auto it = queues_.begin(); it != queues_.end(); ++it) {
-        if (it->second.empty())
-            continue;
         const RecordPtr& cand = it->second.front();
         const auto served_it = last_served_.find(it->first);
         const std::uint64_t served =
@@ -300,8 +217,8 @@ JobScheduler::RecordPtr JobScheduler::pick_next_locked() {
             continue;
         }
         const RecordPtr& best = best_queue->second.front();
-        const int cp = cand->opts.priority;
-        const int bp = best->opts.priority;
+        const int cp = cand->wire.priority;
+        const int bp = best->wire.priority;
         if (cp > bp || (cp == bp && (served < best_served ||
                                      (served == best_served &&
                                       cand->submit_seq < best->submit_seq)))) {
@@ -320,201 +237,133 @@ JobScheduler::RecordPtr JobScheduler::pick_next_locked() {
     if (best_queue->second.empty())
         queues_.erase(best_queue);
     --pending_;
-    space_cv_.notify_all();
+    drained_cv_.notify_all();
     return rec;
 }
 
 void JobScheduler::dispatcher_main() {
+    MutexLock lock(mutex_);
     while (true) {
-        RecordPtr rec;
-        {
-            MutexLock lock(mutex_);
-            queue_cv_.wait(lock, [&]() REQUIRES(mutex_) {
-                return stopping_ || (!paused_ && pending_ > 0);
-            });
-            if (stopping_)
-                return;
-            rec = pick_next_locked();
-            running_ = rec;
-        }
-        execute(rec);
-        {
-            MutexLock lock(mutex_);
-            running_ = nullptr;
-            account_terminal_locked(rec);
-        }
+        queue_cv_.wait(lock, [&]() REQUIRES(mutex_) {
+            return stopping_ || (!paused_ && pending_ > 0);
+        });
+        if (stopping_)
+            return;
+        const RecordPtr rec = pick_next_locked();
+        running_ = rec; // until finish() reports it
+        lock.Unlock();
+        // Dispatch-time cache re-check: an identical job completed since
+        // this one was queued (cold duplicates queued back-to-back).
+        execute(*rec, rec->cache_key.empty() ? nullptr
+                                             : cache_.find(rec->cache_key));
+        lock.Lock();
     }
 }
 
-void JobScheduler::execute(const RecordPtr& rec) {
-    {
-        MutexLock lock(rec->m);
-        if (rec->closed)
-            return; // cancelled through its handle while queued
-    }
-    // Dispatch-time cache re-check: an identical job completed since this
-    // one was queued (cold duplicates queued back-to-back).
-    if (!rec->cache_key.empty()) {
-        if (const auto hit = cache_.find(rec->cache_key)) {
-            serve_from_cache(rec, *hit);
-            return;
+void JobScheduler::execute(Record& rec, const CachedUniverse& hit) {
+    const WireJob& wire = rec.wire;
+    JobOutcome out;
+    out.queue_seconds = seconds_since(rec.submitted_at);
+    try {
+        rec.sink->started();
+        if (hit != nullptr) {
+            // The key fixes the universe, so its entry covers every slice.
+            XYSIG_EXPECTS(wire.member_offset + wire.job.size() <= hit->size());
+            const auto t0 = Clock::now();
+            for (std::size_t i = 0; i < wire.job.size(); ++i) {
+                SweepResult local = (*hit)[wire.member_offset + i];
+                local.member_id = i; // stored under global ids
+                rec.sink->result(local);
+            }
+            out.from_cache = true;
+            out.summary.members_total = wire.job.size();
+            out.summary.members_done = wire.job.size();
+            out.summary.seconds = seconds_since(t0);
+        } else {
+            run_on_service(rec, out);
         }
+    } catch (const std::exception& e) {
+        out.error = e.what();
+        out.state = JobState::failed;
     }
+    finish(rec, out);
+}
 
-    // run_counter_ is mutex_ state; fetch the sequence number BEFORE taking
-    // rec->m. Taking mutex_ while holding rec->m would invert the one
-    // sanctioned lock order (mutex_ -> rec->m, see account_terminal_locked)
-    // and could deadlock against the dispatcher/cancel paths.
-    std::uint64_t run_seq = 0;
-    {
-        MutexLock lock(mutex_);
-        run_seq = run_counter_++;
-    }
-    {
-        MutexLock lock(rec->m);
-        rec->out.state = JobState::running;
-        rec->out.queue_seconds = seconds_since(rec->submitted_at);
-        rec->out.run_sequence = run_seq;
-        rec->cv.notify_all();
-    }
-
+void JobScheduler::run_on_service(Record& rec, JobOutcome& out) {
+    const WireJob& wire = rec.wire;
     // Only a full-universe run fills the cache: its entry serves the exact
     // resubmit and every member slice, so slices are never stored. Nor is
     // a universe heavier than the cache's byte ceiling: collection stops,
     // and frees its copy, as soon as the copy outweighs it.
-    bool collect = !rec->cache_key.empty() && rec->wire.member_offset == 0 &&
-                   rec->wire.job.size() == rec->wire.universe_members;
-    std::size_t collected_bytes = rec->cache_key.size();
+    bool collect = !rec.cache_key.empty() && wire.member_offset == 0 &&
+                   wire.job.size() == wire.universe_members;
+    std::size_t collected_bytes = rec.cache_key.size();
     std::vector<SweepResult> collected;
     std::vector<double> streamed;
     if (collect)
-        collected.reserve(std::min(rec->wire.job.size(),
+        collected.reserve(std::min(wire.job.size(),
                                    JobResultCache::kWeightCeiling / sizeof(SweepResult)));
-    if (rec->wire.verify_serial)
-        streamed.reserve(rec->wire.job.size());
-    try {
-        const JobSummary summary = service_.run(
-            rec->wire.job,
-            [&](const SweepResult& r) {
-                if (collect) {
-                    collected_bytes += JobResultBytes::result_bytes(r);
-                    collect = collected_bytes <= JobResultCache::kWeightCeiling;
-                    if (collect)
-                        collected.push_back(r);
-                    else
-                        std::vector<SweepResult>().swap(collected);
-                }
-                if (rec->wire.verify_serial)
-                    streamed.push_back(r.ndf);
-                {
-                    MutexLock lock(rec->m);
-                    rec->results.push_back(r);
-                    rec->cv.notify_all();
-                }
-            },
-            &rec->token);
-
-        bool verify_ran = false, verified = true, skipped = false;
-        std::size_t verify_members = 0;
-        if (rec->wire.verify_serial) {
-            if (summary.cancelled) {
-                skipped = true;
-            } else {
-                const std::vector<double> reference = wire_serial_reference(
-                    rec->wire, service_.job_pipeline(rec->wire.job));
-                verify_ran = true;
-                verify_members = reference.size();
-                verified = streamed.size() == reference.size();
-                if (verified)
-                    for (std::size_t i = 0; i < reference.size(); ++i)
-                        verified = verified &&
-                                   format_double_exact(streamed[i]) ==
-                                       format_double_exact(reference[i]);
+    if (wire.verify_serial)
+        streamed.reserve(wire.job.size());
+    out.summary = service_.run(
+        wire.job,
+        [&](const SweepResult& r) {
+            if (collect) {
+                collected_bytes += JobResultBytes::result_bytes(r);
+                collect = collected_bytes <= JobResultCache::kWeightCeiling;
+                if (collect)
+                    collected.push_back(r);
+                else
+                    std::vector<SweepResult>().swap(collected);
             }
-        }
+            if (wire.verify_serial)
+                streamed.push_back(r.ndf);
+            rec.sink->result(r);
+        },
+        &rec.token);
+    const bool cancelled = out.summary.cancelled;
+    out.state = cancelled ? JobState::cancelled : JobState::done;
 
-        if (collect && !summary.cancelled &&
-            collected.size() == rec->wire.job.size())
-            cache_.insert(rec->cache_key, std::move(collected));
-
-        MutexLock lock(rec->m);
-        rec->out.summary = summary;
-        rec->out.verify_ran = verify_ran;
-        rec->out.verified = verified;
-        rec->out.verify_skipped_cancelled = skipped;
-        rec->out.verify_members = verify_members;
-        rec->out.state =
-            summary.cancelled ? JobState::cancelled : JobState::done;
-        rec->closed = true;
-        rec->cv.notify_all();
-    } catch (const std::exception& e) {
-        MutexLock lock(rec->m);
-        rec->out.error = e.what();
-        rec->out.state = JobState::failed;
-        rec->closed = true;
-        rec->cv.notify_all();
+    if (wire.verify_serial && cancelled) {
+        out.verify_skipped_cancelled = true;
+    } else if (wire.verify_serial) {
+        const std::vector<double> reference =
+            wire_serial_reference(wire, service_.job_pipeline(wire.job));
+        out.verify_ran = true;
+        out.verify_members = reference.size();
+        out.verified = streamed.size() == reference.size();
+        for (std::size_t i = 0; out.verified && i < reference.size(); ++i)
+            out.verified = format_double_exact(streamed[i]) ==
+                           format_double_exact(reference[i]);
     }
+
+    if (collect && !cancelled && collected.size() == wire.job.size())
+        cache_.insert(rec.cache_key, std::move(collected));
 }
 
-void JobScheduler::serve_from_cache(const RecordPtr& rec,
-                                    const std::vector<SweepResult>& universe) {
-    const std::size_t base = rec->wire.member_offset;
-    const std::size_t count = rec->wire.job.size();
-    // The key fixes the universe, so its entry covers every slice of it.
-    XYSIG_EXPECTS(base + count <= universe.size());
-    const auto t0 = Clock::now();
+void JobScheduler::finish(Record& rec, const JobOutcome& out) {
     {
-        MutexLock lock(rec->m);
-        if (rec->closed)
-            return; // cancelled in the submit/dispatch window
-        rec->out.state = JobState::running;
-        rec->out.from_cache = true;
-        rec->out.queue_seconds = seconds_since(rec->submitted_at);
-        rec->cv.notify_all();
-    }
-    JobSummary summary;
-    summary.members_total = count;
-    summary.members_done = count;
-    MutexLock lock(rec->m);
-    for (std::size_t i = 0; i < count; ++i) {
-        SweepResult local = universe[base + i]; // stored under global ids
-        local.member_id = i;
-        rec->results.push_back(std::move(local));
-    }
-    summary.seconds = seconds_since(t0);
-    rec->out.summary = summary;
-    rec->out.state = JobState::done;
-    rec->closed = true;
-    rec->cv.notify_all();
-}
-
-void JobScheduler::prefetch_main() {
-    while (true) {
-        RecordPtr rec;
-        {
-            MutexLock lock(mutex_);
-            queue_cv_.wait(lock, [&]() REQUIRES(mutex_) {
-                return stopping_ || !prefetch_queue_.empty();
-            });
-            if (stopping_)
-                return;
-            rec = prefetch_queue_.front();
-            prefetch_queue_.pop_front();
-        }
-        // The same job_pipeline call the job makes when it runs inserts the
-        // exact golden-cache key (mode included) that call will look up —
-        // overlap with zero effect on result bits. (SPICE goldens have no
-        // cache key, so there is nothing to warm; those records are
-        // filtered at submit.)
-        try {
-            (void)service_.job_pipeline(rec->wire.job);
-            MutexLock lock(mutex_);
-            ++stats_.goldens_prefetched;
-        } catch (const std::exception&) {
-            // A golden the prefetcher cannot compute is the dispatcher's
-            // problem to report; prefetch is best-effort by design.
+        MutexLock lock(mutex_);
+        if (running_.get() == &rec)
+            running_ = nullptr; // idle for submit()'s prefetch decision
+        switch (out.state) {
+        case JobState::done:
+            ++stats_.completed;
+            if (out.from_cache)
+                ++stats_.cache_hits;
+            break;
+        case JobState::failed:
+            ++stats_.failed;
+            break;
+        case JobState::cancelled:
+            ++stats_.cancelled;
+            break;
         }
     }
+    rec.sink->finished(out);
+    MutexLock lock(mutex_);
+    --unfinished_;
+    drained_cv_.notify_all();
 }
 
 } // namespace xysig::server

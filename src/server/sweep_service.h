@@ -24,8 +24,8 @@
 ///    compute the golden once per fingerprint, not once per job;
 ///  * the service pipeline is never written after construction: each job
 ///    runs on its own copy (job_pipeline), so concurrent readers — a
-///    scheduler's prefetcher, another session sharing the service — never
-///    race with a running job;
+///    scheduler's golden prefetch on a submitting thread, another session
+///    sharing the service — never race with a running job;
 ///  * non-convergent members stream as quiet-NaN NDFs with no signature
 ///    (core::Universe::evaluate).
 
@@ -135,7 +135,7 @@ public:
     /// The pipeline `job` evaluates against: a copy of pipeline() with the
     /// job's sampling mode (fast_math_for) pinned and its universe's golden
     /// installed (served from the golden cache when it has an exact key).
-    /// run() calls it for every job; the scheduler's prefetcher calls it to
+    /// run() calls it for every job; the scheduler calls it at submit to
     /// warm the golden cache, and verify_serial for its reference. Throws
     /// ContractError for a job without a universe.
     [[nodiscard]] core::SignaturePipeline job_pipeline(const SweepJob& job) const;

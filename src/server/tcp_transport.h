@@ -104,7 +104,7 @@ public:
         unsigned workers = 0;
         std::size_t shard_size = 64;
         std::size_t samples_per_period = 512;
-        SessionOptions session; ///< queue/cache/heartbeat knobs per session
+        SessionOptions session; ///< cache/heartbeat knobs per session
         /// Serve every connection from ONE SweepService (jobs from
         /// concurrent connections serialise on its worker pool) instead of
         /// one service per connection.

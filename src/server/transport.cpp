@@ -172,9 +172,9 @@ Transport::ReadStatus LoopbackTransport::read_line(std::string& out,
 void LoopbackTransport::shutdown() {
     if (fd_ < 0)
         return;
-    // The session's serve loop reads EOF, its emitters' writes fail with
-    // EPIPE and its teardown cancels every job, so the join below waits
-    // only for the members in flight.
+    // The session's serve loop reads EOF, its line writes fail with EPIPE
+    // and its teardown cancels every job, so the join below waits only for
+    // the members in flight.
     ::shutdown(fd_, SHUT_RDWR);
     thread_.join();
     ::close(fd_);

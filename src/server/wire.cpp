@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <cstdint>
-#include <thread>
 #include <utility>
 
 #include "common/strings.h"
@@ -97,6 +97,16 @@ WireJob parse_wire_job(const JsonValue& v) {
                                                      static_cast<double>(i) /
                                                      static_cast<double>(count - 1));
         }
+        // DeviationUniverse scales by 1 + d/100: a deviation at or below
+        // -100 % would build a filter with a non-positive f0 or Q.
+        const auto bad = std::find_if(
+            wire.deviations.begin(), wire.deviations.end(),
+            [](double d) { return !(d / 100.0 > -1.0); });
+        if (bad != wire.deviations.end())
+            throw InvalidInput(std::string("wire: ") +
+                               (v.has("deviations") ? "deviations" : "grid") +
+                               " holds a deviation of " + format_double(*bad, 6) +
+                               " %; every deviation must be > -100 %");
         // Content-addressed universe key over the MATERIALISED full grid:
         // an explicit list and a grid spelling the same values share one
         // key, and exact hexfloats make a hit bit-identical by definition.
@@ -111,7 +121,11 @@ WireJob parse_wire_job(const JsonValue& v) {
             core::paper_biquad().design(), 10e3));
         capture::FaultUniverseOptions fopts;
         fopts.bridge_resistance = v.number_or("bridge_resistance", 100.0);
+        if (!(fopts.bridge_resistance > 0.0))
+            throw InvalidInput("wire: bridge_resistance must be > 0 (ohms)");
         fopts.open_factor = v.number_or("open_factor", 1e6);
+        if (!(fopts.open_factor > 1.0))
+            throw InvalidInput("wire: open_factor must be > 1");
         fopts.bridge_to_ground = v.bool_or("bridge_to_ground", false);
         const std::string universe = v.string_or("universe", "bridging+open");
         if (universe.find("bridging") != std::string::npos)
@@ -126,6 +140,9 @@ WireJob parse_wire_job(const JsonValue& v) {
             throw InvalidInput(
                 "wire: universe must name 'bridging' and/or 'open'");
         const std::size_t settle = index_or(v, "settle_periods", 2);
+        if (settle < 1 || settle > static_cast<std::size_t>(INT_MAX))
+            throw InvalidInput(
+                "wire: settle_periods must be an integer in [1, 2^31 - 1]");
         // The fault universe is a deterministic function of these options
         // over the built-in circuit (bridging always enumerated before
         // open), so normalised flags — not the raw universe string — key
@@ -379,26 +396,18 @@ void check_protocol_line(const std::string& line) {
 
 // ------------------------------------------------------------ ServerSession
 
-/// One per-job emitter thread plus its completion flag (reaped lazily on
-/// later submits; drain() joins whatever is left).
-struct ServerSession::Emitter {
-    std::thread thread;
-    std::atomic<bool> finished{false};
-};
-
 ServerSession::ServerSession(SweepService& service, LineSink sink,
                              SessionOptions options)
     : service_(service), sink_(std::move(sink)) {
     XYSIG_EXPECTS(sink_ != nullptr);
     JobScheduler::Options sched;
-    sched.max_pending = options.max_pending;
     sched.cache_capacity = options.cache_capacity;
     scheduler_ = std::make_unique<JobScheduler>(service_, sched);
     if (options.heartbeat_seconds > 0.0) {
         // Liveness beacon (protocol v3): one line every interval, whether
-        // or not a job is draining — between result lines it is the only
+        // or not a job is running — between result lines it is the only
         // proof a slow worker is alive, and emit() serialises it against
-        // the emitter threads so it never splices into another line.
+        // the job streams so it never splices into another line.
         heartbeat_thread_ = std::thread([this,
                                          interval = options.heartbeat_seconds] {
             std::uint64_t seq = 0;
@@ -413,7 +422,7 @@ ServerSession::ServerSession(SweepService& service, LineSink sink,
                 JsonValue::Object o;
                 o.emplace("event", "heartbeat");
                 o.emplace("seq", static_cast<std::size_t>(++seq));
-                emit(o);
+                emit(std::move(o));
                 lock.Lock();
             }
         });
@@ -431,15 +440,13 @@ ServerSession::~ServerSession() {
         heartbeat_cv_.notify_all();
         heartbeat_thread_.join();
     }
-    // Tear down the scheduler next: it cancels queued + running jobs and
-    // closes every record, so the emitters below wind down promptly
-    // instead of draining the whole backlog.
+    // The scheduler finishes its queued jobs as cancelled and cancels the
+    // running one; every job's last event is emitted before it returns.
     scheduler_.reset();
-    drain();
 }
 
-void ServerSession::emit(const JsonValue::Object& obj) {
-    const std::string line = JsonValue(obj).dump();
+void ServerSession::emit(JsonValue::Object obj) {
+    const std::string line = JsonValue(std::move(obj)).dump();
     MutexLock lock(sink_mutex_);
     sink_(line);
 }
@@ -451,7 +458,7 @@ void ServerSession::emit_error(const std::string& id,
     if (!id.empty())
         o.emplace("id", id);
     o.emplace("message", message);
-    emit(o);
+    emit(std::move(o));
 }
 
 void ServerSession::emit_ready(std::size_t samples_per_period) {
@@ -461,35 +468,10 @@ void ServerSession::emit_ready(std::size_t samples_per_period) {
     o.emplace("workers", static_cast<std::size_t>(service_.worker_count()));
     o.emplace("shard_size", service_.default_shard_size());
     o.emplace("samples_per_period", samples_per_period);
-    emit(o);
+    emit(std::move(o));
 }
 
-void ServerSession::drain() {
-    while (true) {
-        std::vector<std::unique_ptr<Emitter>> finished;
-        {
-            MutexLock lock(emitters_mutex_);
-            finished.swap(emitters_);
-        }
-        if (finished.empty())
-            return;
-        for (const auto& emitter : finished)
-            if (emitter->thread.joinable())
-                emitter->thread.join();
-    }
-}
-
-void ServerSession::reap_finished_emitters_locked() {
-    auto alive = emitters_.begin();
-    for (auto it = emitters_.begin(); it != emitters_.end(); ++it) {
-        if ((*it)->finished.load(std::memory_order_acquire)) {
-            (*it)->thread.join();
-        } else {
-            *alive++ = std::move(*it);
-        }
-    }
-    emitters_.erase(alive, emitters_.end());
-}
+void ServerSession::drain() { scheduler_->wait_idle(); }
 
 void ServerSession::serve(int fd) {
     std::string buffer;
@@ -532,7 +514,7 @@ bool ServerSession::handle_line(const std::string& line) {
                 o.emplace("event", "pong");
                 if (!id.empty())
                     o.emplace("id", id);
-                emit(o);
+                emit(std::move(o));
                 return true;
             }
             throw InvalidInput("wire: unknown cmd '" + cmd + "'");
@@ -544,122 +526,70 @@ bool ServerSession::handle_line(const std::string& line) {
     return true;
 }
 
-void ServerSession::submit_job(const JsonValue& v) {
-    WireJob wire = parse_wire_job(v);
-    const std::string id = wire.id;
-    const int priority = wire.priority;
-    const std::string client = wire.client;
-    JobScheduler::SubmitOptions sopts;
-    sopts.priority = priority;
-    sopts.client = client;
-    const std::size_t position = scheduler_->stats().queue_depth;
-    JobHandle handle = scheduler_->submit(std::move(wire), std::move(sopts));
+/// One job's events as wire lines. The scheduler makes one call at a time,
+/// from whichever thread moves the job; emit() serialises the lines against
+/// every other job's.
+class ServerSession::JobLines final : public JobSink {
+public:
+    JobLines(ServerSession& session, const WireJob& wire)
+        : session_(session), id_(wire.id), client_(wire.client),
+          priority_(wire.priority), members_(wire.job.size()),
+          first_member_(wire.member_offset),
+          universe_members_(wire.universe_members),
+          progress_every_(wire.progress_every),
+          emit_signatures_(wire.emit_signatures),
+          verify_serial_(wire.verify_serial) {}
 
-    // Acknowledge BEFORE spawning the emitter, so `queued` always precedes
-    // the job's own event stream.
-    const bool cached = handle.from_cache();
-    {
-        JsonValue::Object o;
-        o.emplace("event", "queued");
-        if (!id.empty())
-            o.emplace("id", id);
-        o.emplace("position", cached ? std::size_t{0} : position);
-        o.emplace("priority", priority);
-        if (!client.empty())
-            o.emplace("client", client);
+    void queued(std::size_t position, bool cached) override {
+        JsonValue::Object o = event("queued");
+        o.emplace("position", position);
+        o.emplace("priority", priority_);
+        if (!client_.empty())
+            o.emplace("client", client_);
         o.emplace("cached", cached);
-        emit(o);
+        session_.emit(std::move(o));
     }
 
-    auto emitter = std::make_unique<Emitter>();
-    Emitter* raw = emitter.get();
-    emitter->thread =
-        std::thread([this, raw, h = std::move(handle)]() mutable {
-            emit_job_events(std::move(h));
-            raw->finished.store(true, std::memory_order_release);
-        });
-    MutexLock lock(emitters_mutex_);
-    reap_finished_emitters_locked();
-    emitters_.push_back(std::move(emitter));
-}
-
-void ServerSession::emit_job_events(JobHandle handle) {
-    handle.wait_until_started();
-    const WireJob& wire = handle.wire();
-    const std::string& id = wire.id;
-
-    if (handle.cancelled_before_start()) {
-        // Dequeued by a cancel before the service ever saw it: close the
-        // job on the wire (cancelled, zero members) without a job_start.
-        const JobOutcome out = handle.outcome();
-        JsonValue::Object o;
-        o.emplace("event", "job_done");
-        if (!id.empty())
-            o.emplace("id", id);
-        o.emplace("members_total", wire.job.size());
-        o.emplace("members_done", std::size_t{0});
-        o.emplace("shards_total", std::size_t{0});
-        o.emplace("shards_done", std::size_t{0});
-        o.emplace("cancelled", true);
-        o.emplace("seconds", 0.0);
-        o.emplace("netlist_clones", std::size_t{0});
-        o.emplace("shard_seconds_min", 0.0);
-        o.emplace("shard_seconds_max", 0.0);
-        o.emplace("shard_seconds_mean", 0.0);
-        o.emplace("cached", false);
-        o.emplace("queue_seconds", out.queue_seconds);
-        emit(o);
-        return;
-    }
-
-    {
-        JsonValue::Object o;
-        o.emplace("event", "job_start");
-        if (!id.empty())
-            o.emplace("id", id);
+    void started() override {
+        started_ = true;
+        JsonValue::Object o = event("job_start");
         o.emplace("version", kProtocolVersion);
-        o.emplace("members", wire.job.size());
-        o.emplace("first_member", wire.member_offset);
-        o.emplace("universe_members", wire.universe_members);
-        o.emplace("workers", static_cast<std::size_t>(service_.worker_count()));
-        emit(o);
+        o.emplace("members", members_);
+        o.emplace("first_member", first_member_);
+        o.emplace("universe_members", universe_members_);
+        o.emplace("workers",
+                  static_cast<std::size_t>(session_.service_.worker_count()));
+        session_.emit(std::move(o));
     }
 
-    std::size_t delivered = 0;
-    SweepResult r;
-    while (handle.next(r)) {
-        ++delivered;
-        JsonValue::Object o;
-        o.emplace("event", "result");
-        if (!id.empty())
-            o.emplace("id", id);
-        o.emplace("member", wire.member_offset + r.member_id);
+    void result(const SweepResult& r) override {
+        ++delivered_;
+        JsonValue::Object o = event("result");
+        o.emplace("member", first_member_ + r.member_id);
         o.emplace("ndf", r.ndf);
         o.emplace("ndf_hex", format_double_exact(r.ndf));
         o.emplace("label", r.label);
-        if (wire.emit_signatures && r.signature.has_value()) {
+        if (emit_signatures_ && r.signature.has_value()) {
             o.emplace("signature", signature_string(*r.signature));
             o.emplace("zone_visits", r.signature->zone_visits());
         }
-        emit(o);
-        if (wire.progress_every != 0 && delivered % wire.progress_every == 0) {
-            JsonValue::Object p;
-            p.emplace("event", "progress");
-            if (!id.empty())
-                p.emplace("id", id);
-            p.emplace("done", delivered);
-            p.emplace("total", wire.job.size());
-            emit(p);
+        session_.emit(std::move(o));
+        if (progress_every_ != 0 && delivered_ % progress_every_ == 0) {
+            JsonValue::Object p = event("progress");
+            p.emplace("done", delivered_);
+            p.emplace("total", members_);
+            session_.emit(std::move(p));
         }
     }
 
-    const JobOutcome out = handle.outcome();
-    if (out.state == JobState::failed) {
-        emit_error(id, out.error);
-        return;
-    }
-
-    {
+    void finished(const JobOutcome& out) override {
+        if (out.state == JobState::failed) {
+            session_.emit_error(id_, out.error);
+            return;
+        }
+        // A job dequeued by a cancel never started: the service never saw
+        // it, and its zeroed summary closes it on the wire (cancelled, no
+        // member done) without a job_start.
         const JobSummary& summary = out.summary;
         double shard_min = 0.0, shard_max = 0.0, shard_sum = 0.0;
         for (const auto& st : summary.shard_timings) {
@@ -670,11 +600,8 @@ void ServerSession::emit_job_events(JobHandle handle) {
             shard_max = std::max(shard_max, st.seconds);
             shard_sum += st.seconds;
         }
-        JsonValue::Object o;
-        o.emplace("event", "job_done");
-        if (!id.empty())
-            o.emplace("id", id);
-        o.emplace("members_total", summary.members_total);
+        JsonValue::Object o = event("job_done");
+        o.emplace("members_total", started_ ? summary.members_total : members_);
         o.emplace("members_done", summary.members_done);
         o.emplace("shards_total", summary.shards_total);
         o.emplace("shards_done", summary.shards_done);
@@ -690,29 +617,52 @@ void ServerSession::emit_job_events(JobHandle handle) {
                                         summary.shard_timings.size()));
         o.emplace("cached", out.from_cache);
         o.emplace("queue_seconds", out.queue_seconds);
-        emit(o);
+        session_.emit(std::move(o));
+
+        if (verify_serial_ && out.verify_skipped_cancelled) {
+            // A cancelled job has a legitimately incomplete stream; that is
+            // not a verification failure, there is just nothing to compare.
+            JsonValue::Object v = event("verify");
+            v.emplace("skipped_cancelled", true);
+            session_.emit(std::move(v));
+        } else if (verify_serial_ && out.verify_ran) {
+            if (!out.verified)
+                session_.all_verified_.store(false, std::memory_order_release);
+            JsonValue::Object v = event("verify");
+            v.emplace("bit_identical", out.verified);
+            v.emplace("members", out.verify_members);
+            session_.emit(std::move(v));
+        }
     }
 
-    if (wire.verify_serial && out.verify_skipped_cancelled) {
-        // A cancelled job has a legitimately incomplete stream; that is not
-        // a verification failure, there is just nothing to compare against.
+private:
+    /// A new event object carrying this job's id (when it has one).
+    [[nodiscard]] JsonValue::Object event(const char* name) const {
         JsonValue::Object o;
-        o.emplace("event", "verify");
-        if (!id.empty())
-            o.emplace("id", id);
-        o.emplace("skipped_cancelled", true);
-        emit(o);
-    } else if (wire.verify_serial && out.verify_ran) {
-        if (!out.verified)
-            all_verified_.store(false, std::memory_order_release);
-        JsonValue::Object o;
-        o.emplace("event", "verify");
-        if (!id.empty())
-            o.emplace("id", id);
-        o.emplace("bit_identical", out.verified);
-        o.emplace("members", out.verify_members);
-        emit(o);
+        o.emplace("event", name);
+        if (!id_.empty())
+            o.emplace("id", id_);
+        return o;
     }
+
+    ServerSession& session_;
+    const std::string id_;
+    const std::string client_;
+    const int priority_;
+    const std::size_t members_;
+    const std::size_t first_member_;
+    const std::size_t universe_members_;
+    const std::size_t progress_every_;
+    const bool emit_signatures_;
+    const bool verify_serial_;
+    bool started_ = false;
+    std::size_t delivered_ = 0;
+};
+
+void ServerSession::submit_job(const JsonValue& v) {
+    WireJob wire = parse_wire_job(v);
+    auto lines = std::make_shared<JobLines>(*this, wire);
+    scheduler_->submit(std::move(wire), std::move(lines));
 }
 
 namespace {
@@ -753,7 +703,7 @@ void ServerSession::emit_stats() {
     o.emplace("scheduler", std::move(sched_obj));
     o.emplace("job_cache", cache_stats(scheduler_->cache()));
     o.emplace("trace_cache", cache_stats(core::StimulusTraceCache::instance()));
-    emit(o);
+    emit(std::move(o));
 }
 
 } // namespace xysig::server

@@ -59,7 +59,6 @@
 namespace xysig::server {
 
 class JobScheduler;
-class JobHandle;
 
 /// Protocol version this build speaks (echoed on ready/job_start events).
 inline constexpr int kProtocolVersion = 3;
@@ -144,7 +143,6 @@ void check_protocol_line(const std::string& line);
 /// Scheduler knobs a session forwards to its JobScheduler (mirrored here
 /// so wire.h need not include scheduler.h — scheduler.h includes wire.h).
 struct SessionOptions {
-    std::size_t max_pending = 1024; ///< queued-job bound (submit backpressure)
     /// Whole-job cache entries; 0 = off.
     std::size_t cache_capacity = JobResultCache::kDefaultCapacity;
     /// Emit a `heartbeat` event every this-many seconds (0 = off). The
@@ -158,23 +156,28 @@ struct SessionOptions {
 /// emits NDJSON event lines through the sink. serve() is the one request
 /// loop every peer runs: each request line is handled without blocking on
 /// jobs — a job line is decoded, submitted and acknowledged with a
-/// `queued` event, then its whole event stream (job_start/result/progress/
-/// job_done/verify or error) is emitted by a per-job emitter thread — so
-/// multiple in-flight jobs interleave on one connection while each job's
-/// own events stay in order, and a `cancel` is applied as soon as it is
-/// read. {"cmd":"quit"} drains every in-flight job before serve returns,
-/// so no event line is ever lost to an exiting peer.
+/// `queued` event, and the job's own events (job_start/result/progress/
+/// job_done/verify or error) are emitted by the scheduler's thread that
+/// moves it, through a per-job JobSink. A running job's results go from
+/// the service's in-order delivery straight to the line sink, so multiple
+/// in-flight jobs interleave on one connection while each job's own events
+/// stay in order, and a `cancel` is applied as soon as it is read. A peer
+/// that stops reading blocks the running job inside the line sink; queued
+/// jobs then wait without running. {"cmd":"quit"} drains every in-flight
+/// job before serve returns, so no event line is ever lost to an exiting
+/// peer.
 ///
 /// Thread-safety: serve()/drain() are driven by ONE reader thread, so
-/// every request (cancels included) arrives in-band on it; the sink is
-/// invoked under an internal lock, one complete line at a time.
+/// every request (cancels included) arrives in-band on it; the line sink is
+/// invoked under an internal lock, one complete line at a time, from the
+/// reader, the scheduler's dispatcher or the heartbeat thread.
 class ServerSession {
 public:
     using LineSink = std::function<void(const std::string& line)>;
 
     ServerSession(SweepService& service, LineSink sink,
                   SessionOptions options = {});
-    ~ServerSession(); ///< cancels queued and running jobs, joins emitters
+    ~ServerSession(); ///< cancels queued and running jobs
 
     ServerSession(const ServerSession&) = delete;
     ServerSession& operator=(const ServerSession&) = delete;
@@ -189,8 +192,8 @@ public:
     /// are reported as error events and keep the loop alive.
     void serve(int fd);
 
-    /// Blocks until every submitted job has finished emitting (the EOF
-    /// path of sweep_server; quit calls this internally).
+    /// Blocks until every submitted job has emitted its last event (the
+    /// EOF path of sweep_server; quit calls this internally).
     void drain();
 
     /// False once any verify_serial check has failed (sweep_server exits
@@ -200,16 +203,14 @@ public:
     }
 
 private:
-    struct Emitter; ///< one per-job event-stream thread
+    class JobLines; ///< the JobSink writing one job's events as lines
 
     /// Processes one request line; false when it was {"cmd":"quit"}.
     bool handle_line(const std::string& line);
-    void emit(const JsonValue::Object& obj) EXCLUDES(sink_mutex_);
+    void emit(JsonValue::Object obj) EXCLUDES(sink_mutex_);
     void emit_error(const std::string& id, const std::string& message);
     void submit_job(const JsonValue& v);
-    void emit_job_events(JobHandle handle);
     void emit_stats();
-    void reap_finished_emitters_locked() REQUIRES(emitters_mutex_);
 
     SweepService& service_;
     /// Immutable after construction; sink_mutex_ serialises *invocations*
@@ -225,9 +226,6 @@ private:
     Mutex heartbeat_mutex_;
     CondVar heartbeat_cv_;
     bool heartbeat_stop_ GUARDED_BY(heartbeat_mutex_) = false;
-
-    Mutex emitters_mutex_;
-    std::vector<std::unique_ptr<Emitter>> emitters_ GUARDED_BY(emitters_mutex_);
 };
 
 } // namespace xysig::server

@@ -298,6 +298,40 @@ TEST(Wire, SchedulingFieldsParseAndValidate) {
                  InvalidInput);
 }
 
+TEST(Wire, OutOfRangeNumbersAreRejectedAtDecodeNamingTheField) {
+    // Each value would otherwise pass decoding and fail later as a
+    // precondition violation deep inside the filter or fault-universe code.
+    const auto rejects = [](const std::string& line, const std::string& field) {
+        try {
+            (void)parse_wire_job(JsonValue::parse(line));
+            ADD_FAILURE() << "accepted: " << line;
+        } catch (const InvalidInput& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find(field), std::string::npos) << what;
+            EXPECT_EQ(what.find("precondition"), std::string::npos) << what;
+        }
+    };
+    rejects(R"({"job":"deviations","deviations":[5,-100]})", "deviations");
+    rejects(R"({"job":"deviations","deviations":[-250]})", "deviations");
+    rejects(R"({"job":"deviations","grid":{"from":-100,"to":20,"count":5}})", "grid");
+    // A materialised member out of range is rejected even when the member
+    // range slices it away: the universe is defined over every member.
+    rejects(R"({"job":"deviations","grid":{"from":20,"to":-120,"count":3},"members":{"first":0,"count":1}})",
+            "grid");
+    rejects(R"({"job":"spice_faults","settle_periods":0})", "settle_periods");
+    rejects(R"({"job":"spice_faults","settle_periods":4294967296})", "settle_periods");
+    rejects(R"({"job":"spice_faults","bridge_resistance":0})", "bridge_resistance");
+    rejects(R"({"job":"spice_faults","bridge_resistance":-50})", "bridge_resistance");
+    rejects(R"({"job":"spice_faults","open_factor":1})", "open_factor");
+    rejects(R"({"job":"spice_faults","universe":"bridging","open_factor":0.5})",
+            "open_factor");
+    // Values just inside each bound still decode.
+    EXPECT_NO_THROW((void)parse_wire_job(JsonValue::parse(
+        R"({"job":"deviations","deviations":[-99.9,300]})")));
+    EXPECT_NO_THROW((void)parse_wire_job(JsonValue::parse(
+        R"({"job":"spice_faults","settle_periods":1,"bridge_resistance":1e-3,"open_factor":1.5})")));
+}
+
 TEST(Wire, FastMathFieldIsAlwaysPinned) {
     // Tolerant-reader default: an absent fast_math field means exact mode,
     // and the decoded job always pins the flag (never nullopt/inherit) so

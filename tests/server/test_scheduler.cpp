@@ -1,9 +1,13 @@
-// JobScheduler guarantees: queued submission with per-job result streams
-// that stay ascending and bit-identical to a serial SweepService::run() at
-// any queue depth, fair-share round-robin across client ids, strict
-// priority ordering (no inversion), whole-job cache hits that stream with
-// zero netlist clones, golden prefetch overlap, and clean cancellation of
-// queued and running jobs — including scheduler teardown with a backlog.
+// JobScheduler guarantees: queued submission with per-job event sinks
+// whose result streams stay ascending and bit-identical to a serial
+// SweepService::run() at any queue depth, the sink call order (queued,
+// started, results, finished — stats and cache already updated), fair-share
+// round-robin across client ids, strict priority ordering (no inversion),
+// whole-job cache hits that stream with zero netlist clones, golden
+// prefetch on the submitting thread, and clean cancellation of queued and
+// running jobs — including scheduler teardown with a backlog. The
+// ServerSession tests pin the wire side: no thread per queued job, and a
+// stalled reader holds back every queued job instead of buffering it.
 
 #include "server/scheduler.h"
 
@@ -11,8 +15,11 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <functional>
 #include <map>
+#include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -51,6 +58,81 @@ WireJob wire_job(const std::string& line) {
     return parse_wire_job(JsonValue::parse(line));
 }
 
+/// Records one job's sink calls and checks their order: queued, started,
+/// strictly ascending results, finished. The scheduler calls it from its
+/// own threads; tests read it after wait_idle() (or after the call that
+/// finished the job on the test thread), whose lock hand-off orders every
+/// sink call before the read.
+struct Recorder final : JobSink {
+    std::size_t tag = 0;
+    std::vector<std::size_t>* start_log = nullptr; ///< tags in started() order
+    std::function<void(const SweepResult&)> on_result;
+    std::function<void(const JobOutcome&)> on_finished;
+
+    bool was_queued = false;
+    bool cached = false;
+    bool was_started = false;
+    std::vector<SweepResult> results;
+    std::optional<JobOutcome> outcome;
+    std::thread::id finished_on;
+    std::string violation; ///< first out-of-order call, if any
+
+    void queued(std::size_t, bool from_cache) override {
+        if (was_queued || was_started || outcome)
+            note("queued after another call");
+        was_queued = true;
+        cached = from_cache;
+    }
+    void started() override {
+        if (!was_queued || was_started || outcome)
+            note("started out of order");
+        was_started = true;
+        if (start_log != nullptr)
+            start_log->push_back(tag);
+    }
+    void result(const SweepResult& r) override {
+        if (!was_started || outcome)
+            note("result outside started..finished");
+        if (!results.empty() && r.member_id <= results.back().member_id)
+            note("result ids not ascending");
+        results.push_back(r);
+        if (on_result)
+            on_result(r);
+    }
+    void finished(const JobOutcome& out) override {
+        if (!was_queued || outcome)
+            note("finished out of order");
+        outcome = out;
+        finished_on = std::this_thread::get_id();
+        if (on_finished)
+            on_finished(out);
+    }
+
+private:
+    void note(const char* what) {
+        if (violation.empty())
+            violation = what;
+    }
+};
+
+std::shared_ptr<Recorder> submit(JobScheduler& sched, const std::string& line,
+                                 std::size_t tag = 0,
+                                 std::vector<std::size_t>* start_log = nullptr) {
+    auto rec = std::make_shared<Recorder>();
+    rec->tag = tag;
+    rec->start_log = start_log;
+    sched.submit(wire_job(line), rec);
+    return rec;
+}
+
+/// A finished job whose calls kept the sink contract.
+void expect_finished(const Recorder& rec, JobState state,
+                     const std::string& what) {
+    EXPECT_EQ(rec.violation, "") << what;
+    ASSERT_TRUE(rec.outcome.has_value()) << what;
+    EXPECT_EQ(rec.outcome->state, state) << what;
+}
+
 /// Runs session.serve over a pipe holding `lines` and then EOF, so serve
 /// returns once every line is handled (without draining the jobs).
 void serve_lines(ServerSession& session,
@@ -65,24 +147,6 @@ void serve_lines(ServerSession& session,
     ::close(fds[1]);
     session.serve(fds[0]);
     ::close(fds[0]);
-}
-
-std::vector<SweepResult> drain(JobHandle& handle) {
-    std::vector<SweepResult> out;
-    SweepResult r;
-    while (handle.next(r))
-        out.push_back(std::move(r));
-    return out;
-}
-
-/// Stats for dispatcher-run jobs land moments after the handle closes (the
-/// dispatcher accounts on its own thread once execute returns); tests that
-/// assert on Stats after a drain poll for the expected value first.
-void wait_for(const std::function<bool()>& pred) {
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(5);
-    while (!pred() && std::chrono::steady_clock::now() < deadline)
-        std::this_thread::yield();
 }
 
 /// Serial reference of a decoded job straight through the service — the
@@ -118,38 +182,27 @@ TEST(JobScheduler, FairShareRoundRobinAcrossClients) {
     JobScheduler sched(service, opts);
     sched.set_paused(true);
 
-    const auto submit = [&](const std::string& client) {
-        JobScheduler::SubmitOptions so;
-        so.client = client;
-        return sched.submit(
-            wire_job(R"({"job":"deviations","deviations":[-5,5]})"), so);
-    };
     // Client A floods four jobs before B and C submit two each.
-    std::vector<JobHandle> handles;
-    for (int i = 0; i < 4; ++i)
-        handles.push_back(submit("A"));
-    for (int i = 0; i < 2; ++i)
-        handles.push_back(submit("B"));
-    for (int i = 0; i < 2; ++i)
-        handles.push_back(submit("C"));
+    std::vector<std::size_t> start_order;
+    std::vector<std::shared_ptr<Recorder>> jobs;
+    for (const char* client : {"A", "A", "A", "A", "B", "B", "C", "C"})
+        jobs.push_back(submit(
+            sched,
+            std::string(R"({"job":"deviations","deviations":[-5,5],"client":")") +
+                client + "\"}",
+            jobs.size(), &start_order));
     EXPECT_EQ(sched.stats().queue_depth, 8u);
     sched.set_paused(false);
+    sched.wait_idle();
 
-    std::vector<std::uint64_t> seq;
-    for (JobHandle& h : handles) {
-        EXPECT_EQ(drain(h).size(), 2u);
-        seq.push_back(h.outcome().run_sequence);
+    for (const auto& job : jobs) {
+        expect_finished(*job, JobState::done, "job " + std::to_string(job->tag));
+        EXPECT_EQ(job->results.size(), 2u);
     }
     // Round-robin across A, B, C at equal priority — A's flood cannot
     // starve B or C: A1 B1 C1 A2 B2 C2 A3 A4.
-    const std::vector<std::uint64_t> a = {seq[0], seq[1], seq[2], seq[3]};
-    const std::vector<std::uint64_t> b = {seq[4], seq[5]};
-    const std::vector<std::uint64_t> c = {seq[6], seq[7]};
-    EXPECT_EQ(a, (std::vector<std::uint64_t>{1, 4, 7, 8}));
-    EXPECT_EQ(b, (std::vector<std::uint64_t>{2, 5}));
-    EXPECT_EQ(c, (std::vector<std::uint64_t>{3, 6}));
-
-    wait_for([&] { return sched.stats().completed >= 8; });
+    EXPECT_EQ(start_order,
+              (std::vector<std::size_t>{0, 4, 6, 1, 5, 7, 2, 3}));
     const auto stats = sched.stats();
     EXPECT_EQ(stats.submitted, 8u);
     EXPECT_EQ(stats.completed, 8u);
@@ -163,40 +216,36 @@ TEST(JobScheduler, PriorityOrdersDispatchWithoutInversion) {
     JobScheduler sched(service, opts);
     sched.set_paused(true);
 
-    const auto submit = [&](int priority, const std::string& client) {
-        JobScheduler::SubmitOptions so;
-        so.priority = priority;
-        so.client = client;
-        return sched.submit(
-            wire_job(R"({"job":"deviations","deviations":[-5,5]})"), so);
-    };
     // Submission order deliberately scrambles priorities, and the flood
     // client's low-priority backlog precedes the high-priority late job:
     // fairness must never override priority.
-    std::vector<JobHandle> handles;
-    std::vector<int> priorities = {0, 0, 5, -3, 5};
-    handles.push_back(submit(0, "flood"));
-    handles.push_back(submit(0, "flood"));
-    handles.push_back(submit(5, "flood"));
-    handles.push_back(submit(-3, "background"));
-    handles.push_back(submit(5, "late")); // arrives last, still beats 0s
+    const std::vector<std::pair<int, std::string>> specs = {
+        {0, "flood"}, {0, "flood"}, {5, "flood"}, {-3, "background"},
+        {5, "late"}}; // the last arrives last, still beats the 0s
+    std::vector<std::size_t> start_order;
+    for (std::size_t i = 0; i < specs.size(); ++i)
+        (void)submit(sched,
+                     R"({"job":"deviations","deviations":[-5,5],"priority":)" +
+                         std::to_string(specs[i].first) + R"(,"client":")" +
+                         specs[i].second + "\"}",
+                     i, &start_order);
     sched.set_paused(false);
+    sched.wait_idle();
 
-    std::vector<std::uint64_t> seq;
-    for (JobHandle& h : handles) {
-        (void)drain(h);
-        seq.push_back(h.outcome().run_sequence);
-    }
+    ASSERT_EQ(start_order.size(), specs.size());
+    std::vector<std::size_t> rank(specs.size());
+    for (std::size_t r = 0; r < start_order.size(); ++r)
+        rank[start_order[r]] = r;
     // No inversion: for every pair queued together, the strictly-higher
     // priority ran strictly earlier.
-    for (std::size_t i = 0; i < seq.size(); ++i)
-        for (std::size_t j = 0; j < seq.size(); ++j)
-            if (priorities[i] > priorities[j])
-                EXPECT_LT(seq[i], seq[j]) << i << " vs " << j;
+    for (std::size_t i = 0; i < specs.size(); ++i)
+        for (std::size_t j = 0; j < specs.size(); ++j)
+            if (specs[i].first > specs[j].first)
+                EXPECT_LT(rank[i], rank[j]) << i << " vs " << j;
     // FIFO among the equal-priority pair from one client.
-    EXPECT_LT(seq[0], seq[1]);
+    EXPECT_LT(rank[0], rank[1]);
     // The two priority-5 jobs run 1st/2nd, the -3 job dead last.
-    EXPECT_EQ(seq[3], 5u);
+    EXPECT_EQ(rank[3], 4u);
 }
 
 TEST(JobScheduler, ExactSpiceResubmitStreamsFromCacheWithZeroClones) {
@@ -205,34 +254,46 @@ TEST(JobScheduler, ExactSpiceResubmitStreamsFromCacheWithZeroClones) {
     JobScheduler sched(service, JobScheduler::Options{});
 
     const std::string line = R"({"job":"spice_faults","id":"s1"})";
-    JobHandle first = sched.submit(wire_job(line));
-    const std::vector<SweepResult> reference = drain(first);
+    auto first = std::make_shared<Recorder>();
+    // The stats accounting and the cache insert happen before finished().
+    std::optional<JobScheduler::Stats> stats_at_finish;
+    std::size_t cache_size_at_finish = 0;
+    first->on_finished = [&](const JobOutcome&) {
+        stats_at_finish = sched.stats();
+        cache_size_at_finish = sched.cache().size();
+    };
+    sched.submit(wire_job(line), first);
+    sched.wait_idle();
+    expect_finished(*first, JobState::done, "first run");
+    EXPECT_FALSE(first->cached);
+    EXPECT_FALSE(first->outcome->from_cache);
+    ASSERT_TRUE(stats_at_finish.has_value());
+    EXPECT_EQ(stats_at_finish->completed, 1u);
+    EXPECT_EQ(cache_size_at_finish, 1u);
+    const std::vector<SweepResult>& reference = first->results;
     ASSERT_FALSE(reference.empty());
-    EXPECT_EQ(first.outcome().state, JobState::done);
-    EXPECT_FALSE(first.outcome().from_cache);
     bool any_nan = false;
     for (const SweepResult& r : reference)
         any_nan = any_nan || std::isnan(r.ndf);
     EXPECT_TRUE(any_nan); // the universe contains unsolvable members
 
-
     // Exact resubmit: bit-identical replay, no queue wait, no worker — the
     // netlist clone counter must not move at all (decoded up front so the
-    // probe brackets only the submit-and-stream window).
+    // probe brackets only the submit-and-stream window). A submit-time hit
+    // streams to finished() on the submitting thread before submit returns.
     WireJob resubmit = wire_job(line);
     const std::uint64_t clones_before = spice::Netlist::clone_count();
-    JobHandle again = sched.submit(std::move(resubmit));
-    EXPECT_TRUE(again.from_cache());
-    const std::vector<SweepResult> replayed = drain(again);
+    auto again = std::make_shared<Recorder>();
+    sched.submit(std::move(resubmit), again);
     EXPECT_EQ(spice::Netlist::clone_count(), clones_before);
-    expect_same_stream(replayed, reference, "cached spice resubmit");
-    const JobOutcome out = again.outcome();
-    EXPECT_EQ(out.state, JobState::done);
-    EXPECT_TRUE(out.from_cache);
-    EXPECT_EQ(out.run_sequence, 0u); // never touched the service
-    EXPECT_EQ(out.summary.netlist_clones, 0u);
+    expect_finished(*again, JobState::done, "cached resubmit");
+    EXPECT_TRUE(again->cached);
+    EXPECT_EQ(again->finished_on, std::this_thread::get_id());
+    expect_same_stream(again->results, reference, "cached spice resubmit");
+    EXPECT_TRUE(again->outcome->from_cache);
+    EXPECT_EQ(again->outcome->summary.netlist_clones, 0u);
+    EXPECT_EQ(service.stats().jobs, 1u); // never touched the service
 
-    wait_for([&] { return sched.stats().completed >= 2; });
     const auto stats = sched.stats();
     EXPECT_EQ(stats.submitted, 2u);
     EXPECT_EQ(stats.completed, 2u);
@@ -248,15 +309,17 @@ TEST(JobScheduler, MemberRangeSliceServedByCachedSuperset) {
 
     // A slice of a universe nobody has run yet runs for real, and is not
     // stored: only full-universe results enter the cache.
-    JobHandle cold_slice = sched.submit(wire_job(
-        R"({"job":"deviations","grid":{"from":-20,"to":20,"count":11},"members":{"first":1,"count":2}})"));
-    EXPECT_FALSE(cold_slice.from_cache());
-    EXPECT_EQ(drain(cold_slice).size(), 2u);
+    auto cold_slice = submit(sched,
+        R"({"job":"deviations","grid":{"from":-20,"to":20,"count":11},"members":{"first":1,"count":2}})");
+    sched.wait_idle();
+    EXPECT_FALSE(cold_slice->cached);
+    EXPECT_EQ(cold_slice->results.size(), 2u);
     EXPECT_EQ(sched.cache().size(), 0u);
 
-    JobHandle full = sched.submit(wire_job(full_line));
-    EXPECT_FALSE(full.from_cache());
-    const std::vector<SweepResult> reference = drain(full);
+    auto full = submit(sched, full_line);
+    sched.wait_idle();
+    EXPECT_FALSE(full->cached);
+    const std::vector<SweepResult>& reference = full->results;
     ASSERT_EQ(reference.size(), 11u);
     EXPECT_EQ(sched.cache().size(), 1u);
 
@@ -267,26 +330,26 @@ TEST(JobScheduler, MemberRangeSliceServedByCachedSuperset) {
         R"({"job":"deviations","deviations":[-20,-16,-12,-8,-4,0,4,8,12,16,20],"members":{"first":)";
     for (const auto& [first, count] :
          std::vector<std::pair<std::size_t, std::size_t>>{{3, 4}, {1, 2}, {10, 1}}) {
-        JobHandle slice = sched.submit(wire_job(
-            list_line + std::to_string(first) + R"(,"count":)" +
-            std::to_string(count) + "}}"));
-        EXPECT_TRUE(slice.from_cache()) << first << "+" << count;
-        const std::vector<SweepResult> sliced = drain(slice);
-        ASSERT_EQ(sliced.size(), count);
+        auto slice = submit(sched, list_line + std::to_string(first) +
+                                       R"(,"count":)" + std::to_string(count) +
+                                       "}}");
+        EXPECT_TRUE(slice->cached) << first << "+" << count;
+        expect_finished(*slice, JobState::done, "slice");
+        ASSERT_EQ(slice->results.size(), count);
         for (std::size_t i = 0; i < count; ++i) {
-            EXPECT_EQ(sliced[i].member_id, i); // local ids on the wire
-            EXPECT_TRUE(same_bits(sliced[i].ndf, reference[first + i].ndf));
-            EXPECT_EQ(sliced[i].label, reference[first + i].label);
+            EXPECT_EQ(slice->results[i].member_id, i); // local ids on the wire
+            EXPECT_TRUE(same_bits(slice->results[i].ndf, reference[first + i].ndf));
+            EXPECT_EQ(slice->results[i].label, reference[first + i].label);
         }
     }
     EXPECT_EQ(sched.cache().size(), 1u);
 
     // A different universe runs for real (and then has its own entry).
-    JobHandle wider = sched.submit(wire_job(
-        R"({"job":"deviations","grid":{"from":-20,"to":20,"count":12}})"));
-    EXPECT_FALSE(wider.from_cache());
-    EXPECT_EQ(drain(wider).size(), 12u);
-    wait_for([&] { return sched.stats().completed >= 6; });
+    auto wider = submit(sched,
+        R"({"job":"deviations","grid":{"from":-20,"to":20,"count":12}})");
+    sched.wait_idle();
+    EXPECT_FALSE(wider->cached);
+    EXPECT_EQ(wider->results.size(), 12u);
     EXPECT_EQ(sched.stats().cache_hits, 3u);
     EXPECT_EQ(sched.cache().size(), 2u);
 }
@@ -303,24 +366,25 @@ TEST(JobScheduler, JobOverTheByteCeilingStreamsButIsNotCached) {
     JobScheduler sched(service, JobScheduler::Options{});
     const std::string small_line =
         R"({"job":"deviations","grid":{"from":-20,"to":20,"count":9}})";
-    JobHandle small = sched.submit(wire_job(small_line));
-    EXPECT_EQ(drain(small).size(), 9u);
-    JobHandle big = sched.submit(wire_job(big_line));
-    EXPECT_FALSE(big.from_cache());
-    expect_same_stream(drain(big), reference, "over-ceiling job");
-    wait_for([&] { return sched.stats().completed >= 2; });
+    auto small = submit(sched, small_line);
+    auto big = submit(sched, big_line);
+    sched.wait_idle();
+    EXPECT_EQ(small->results.size(), 9u);
+    EXPECT_FALSE(big->cached);
+    expect_finished(*big, JobState::done, "over-ceiling job");
+    expect_same_stream(big->results, reference, "over-ceiling job");
     EXPECT_EQ(sched.cache().size(), 1u); // the small job only
     EXPECT_LE(sched.cache().weight(), JobResultCache::kWeightCeiling);
 
     // The resubmit runs on workers again, bit-identically; the small job
     // still hits.
-    JobHandle again = sched.submit(wire_job(big_line));
-    EXPECT_FALSE(again.from_cache());
-    expect_same_stream(drain(again), reference, "over-ceiling resubmit");
-    JobHandle small_again = sched.submit(wire_job(small_line));
-    EXPECT_TRUE(small_again.from_cache());
-    EXPECT_EQ(drain(small_again).size(), 9u);
-    wait_for([&] { return sched.stats().completed >= 4; });
+    auto again = submit(sched, big_line);
+    sched.wait_idle();
+    EXPECT_FALSE(again->cached);
+    expect_same_stream(again->results, reference, "over-ceiling resubmit");
+    auto small_again = submit(sched, small_line);
+    EXPECT_TRUE(small_again->cached);
+    EXPECT_EQ(small_again->results.size(), 9u);
     EXPECT_EQ(sched.stats().cache_hits, 1u);
     EXPECT_EQ(sched.cache().size(), 1u);
 }
@@ -330,122 +394,104 @@ TEST(JobScheduler, InterleavedQueueBitIdenticalToSerialIncludingNaNs) {
     // References first, straight through the service (the scheduler is not
     // constructed yet, so nothing interleaves with these).
     const std::vector<std::string> lines = {
-        R"({"job":"deviations","id":"d1","grid":{"from":-20,"to":20,"count":60}})",
-        R"({"job":"spice_faults","id":"s1","universe":"open"})",
-        R"({"job":"deviations","id":"d2","parameter":"q","grid":{"from":-15,"to":15,"count":45}})",
-        R"({"job":"deviations","id":"d1-again","grid":{"from":-20,"to":20,"count":60}})",
-        R"({"job":"deviations","id":"d3","deviations":[-7,-3,3,7]})",
+        R"({"job":"deviations","id":"d1","grid":{"from":-20,"to":20,"count":60})",
+        R"({"job":"spice_faults","id":"s1","universe":"open")",
+        R"({"job":"deviations","id":"d2","parameter":"q","grid":{"from":-15,"to":15,"count":45})",
+        R"({"job":"deviations","id":"d1-again","grid":{"from":-20,"to":20,"count":60})",
+        R"({"job":"deviations","id":"d3","deviations":[-7,-3,3,7])",
     };
     std::vector<std::vector<SweepResult>> references;
     for (const std::string& line : lines)
-        references.push_back(serial_reference(service, wire_job(line)));
+        references.push_back(serial_reference(service, wire_job(line + "}")));
 
-    // Queue everything at once from two clients with mixed priorities and
-    // drain every handle from its own consumer thread — maximum interleave.
+    // Queue everything at once from two clients with mixed priorities.
     JobScheduler sched(service, JobScheduler::Options{});
-    std::vector<JobHandle> handles;
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-        JobScheduler::SubmitOptions so;
-        so.client = i % 2 == 0 ? "alice" : "bob";
-        so.priority = static_cast<int>(i % 3);
-        handles.push_back(sched.submit(wire_job(lines[i]), so));
-    }
-    std::vector<std::vector<SweepResult>> streamed(handles.size());
-    std::vector<std::thread> consumers;
-    for (std::size_t i = 0; i < handles.size(); ++i)
-        consumers.emplace_back(
-            [&, i] { streamed[i] = drain(handles[i]); });
-    for (std::thread& t : consumers)
-        t.join();
+    std::vector<std::shared_ptr<Recorder>> jobs;
+    for (std::size_t i = 0; i < lines.size(); ++i)
+        jobs.push_back(submit(sched, lines[i] + R"(,"client":")" +
+                                         (i % 2 == 0 ? "alice" : "bob") +
+                                         R"(","priority":)" +
+                                         std::to_string(i % 3) + "}"));
+    sched.wait_idle();
 
-    for (std::size_t i = 0; i < handles.size(); ++i) {
-        expect_same_stream(streamed[i], references[i], "job " + lines[i]);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        expect_finished(*jobs[i], JobState::done, lines[i]);
+        expect_same_stream(jobs[i]->results, references[i], "job " + lines[i]);
         // Ascending, gap-free member order per job regardless of queue
         // interleaving.
-        for (std::size_t m = 0; m < streamed[i].size(); ++m)
-            ASSERT_EQ(streamed[i][m].member_id, m) << lines[i];
-        EXPECT_EQ(handles[i].outcome().state, JobState::done);
+        for (std::size_t m = 0; m < jobs[i]->results.size(); ++m)
+            ASSERT_EQ(jobs[i]->results[m].member_id, m) << lines[i];
     }
     // Of the two identical d1 jobs, whichever the priority/fair-share
     // order dispatched second was served by the cache (the dispatch-time
     // re-check) — and its stream was still bit-identical above.
-    EXPECT_NE(handles[0].outcome().from_cache,
-              handles[3].outcome().from_cache);
-    wait_for([&] { return sched.stats().cache_hits >= 1; });
+    EXPECT_NE(jobs[0]->outcome->from_cache, jobs[3]->outcome->from_cache);
     EXPECT_GE(sched.stats().cache_hits, 1u);
 }
 
-TEST(JobScheduler, QueuedJobsCancelWithoutRunning) {
+TEST(JobScheduler, QueuedJobsCancelByIdWithoutRunning) {
     SweepService service(make_pipeline(), {.workers = 2, .shard_size = 8});
     JobScheduler::Options opts;
     opts.cache_capacity = 0;
     JobScheduler sched(service, opts);
     sched.set_paused(true);
 
-    JobHandle keep = sched.submit(
-        wire_job(R"({"job":"deviations","id":"keep","deviations":[-5,5]})"));
-    JobHandle by_handle = sched.submit(
-        wire_job(R"({"job":"deviations","id":"h","deviations":[-5,5]})"));
-    JobHandle by_id = sched.submit(
-        wire_job(R"({"job":"deviations","id":"w","deviations":[-5,5]})"));
-    by_handle.cancel();
+    auto keep = submit(sched,
+        R"({"job":"deviations","id":"keep","deviations":[-5,5]})");
+    auto h = submit(sched, R"({"job":"deviations","id":"h","deviations":[-5,5]})");
+    auto w = submit(sched, R"({"job":"deviations","id":"w","deviations":[-5,5]})");
+    sched.cancel("h");
     sched.cancel("w");
-    // "w" was dequeued on the spot; a handle-cancel leaves a finalised
-    // record in place for the dispatcher to skip, so it still counts here.
-    EXPECT_EQ(sched.stats().queue_depth, 2u);
-    sched.set_paused(false);
-
-    for (JobHandle* h : {&by_handle, &by_id}) {
-        EXPECT_TRUE(drain(*h).empty());
-        EXPECT_TRUE(h->cancelled_before_start());
-        const JobOutcome out = h->outcome();
-        EXPECT_EQ(out.state, JobState::cancelled);
-        EXPECT_EQ(out.run_sequence, 0u); // the service never saw it
+    // Dequeued and finished on the cancelling thread, before cancel()
+    // returned, and already counted.
+    EXPECT_EQ(sched.stats().queue_depth, 1u);
+    EXPECT_EQ(sched.stats().cancelled, 2u);
+    for (const auto* job : {h.get(), w.get()}) {
+        expect_finished(*job, JobState::cancelled, "dequeued");
+        EXPECT_FALSE(job->was_started); // the service never saw it
+        EXPECT_TRUE(job->results.empty());
+        EXPECT_EQ(job->finished_on, std::this_thread::get_id());
     }
-    EXPECT_EQ(drain(keep).size(), 2u);
-    EXPECT_EQ(keep.outcome().state, JobState::done);
-    wait_for([&] {
-        const auto s = sched.stats();
-        return s.cancelled >= 2 && s.completed >= 1;
-    });
+    sched.set_paused(false);
+    sched.wait_idle();
+
+    expect_finished(*keep, JobState::done, "keep");
+    EXPECT_EQ(keep->results.size(), 2u);
+    EXPECT_EQ(service.stats().jobs, 1u);
     const auto stats = sched.stats();
     EXPECT_EQ(stats.cancelled, 2u);
     EXPECT_EQ(stats.completed, 1u);
 }
 
-TEST(JobScheduler, RunningJobCancelsCooperativelyKeepsOrder) {
+TEST(JobScheduler, CancelFromInsideResultStopsTheRunningJobInOrder) {
     SweepService service(make_pipeline(), {.workers = 4, .shard_size = 4});
     JobScheduler::Options opts;
     opts.cache_capacity = 0;
     JobScheduler sched(service, opts);
 
-    JobHandle h = sched.submit(wire_job(
-        R"({"job":"deviations","id":"big","grid":{"from":-20,"to":20,"count":2000}})"));
-    h.wait_until_started();
-    // Cancel through the wire-level path after a few results have streamed.
-    std::vector<SweepResult> got;
-    SweepResult r;
-    while (got.size() < 5 && h.next(r))
-        got.push_back(r);
-    sched.cancel("big");
-    while (h.next(r))
-        got.push_back(r);
+    // The sink cancels its own job by wire id after five results — from the
+    // dispatcher thread, which holds no scheduler lock while it calls out.
+    auto big = std::make_shared<Recorder>();
+    big->on_result = [&](const SweepResult&) {
+        if (big->results.size() == 5)
+            sched.cancel("big");
+    };
+    sched.submit(wire_job(R"({"job":"deviations","id":"big","grid":{"from":-20,"to":20,"count":2000}})"),
+                 big);
+    sched.wait_idle();
 
-    const JobOutcome out = h.outcome();
-    EXPECT_EQ(out.state, JobState::cancelled);
-    EXPECT_TRUE(out.summary.cancelled);
-    EXPECT_GE(got.size(), 5u);
-    EXPECT_LT(got.size(), 2000u); // dispatch really stopped
-    for (std::size_t i = 1; i < got.size(); ++i)
-        EXPECT_LT(got[i - 1].member_id, got[i].member_id);
-    wait_for([&] { return sched.stats().cancelled >= 1; });
+    expect_finished(*big, JobState::cancelled, "big");
+    EXPECT_TRUE(big->outcome->summary.cancelled);
+    EXPECT_GE(big->results.size(), 5u);
+    EXPECT_LT(big->results.size(), 2000u); // dispatch really stopped
     EXPECT_EQ(sched.stats().cancelled, 1u);
     // A cancelled job never poisons the cache: resubmitting runs fresh.
-    JobHandle again = sched.submit(wire_job(
-        R"({"job":"deviations","id":"big2","grid":{"from":-20,"to":20,"count":2000}})"));
-    EXPECT_FALSE(again.from_cache());
-    again.cancel();
-    (void)drain(again);
+    auto again = submit(sched,
+        R"({"job":"deviations","id":"big2","grid":{"from":-20,"to":20,"count":2000}})");
+    EXPECT_FALSE(again->cached);
+    sched.cancel("big2");
+    sched.wait_idle();
+    expect_finished(*again, JobState::cancelled, "big2");
 }
 
 TEST(JobScheduler, FastMathJobsNeverShareCacheEntriesWithExact) {
@@ -460,34 +506,33 @@ TEST(JobScheduler, FastMathJobsNeverShareCacheEntriesWithExact) {
         R"({"job":"deviations","grid":{"from":-10,"to":10,"count":9}})";
     const std::string fast_line =
         R"({"job":"deviations","grid":{"from":-10,"to":10,"count":9},"fast_math":true})";
-    JobHandle exact = sched.submit(wire_job(exact_line));
-    const std::vector<SweepResult> exact_ref = drain(exact);
-    ASSERT_EQ(exact_ref.size(), 9u);
+    auto exact = submit(sched, exact_line);
+    sched.wait_idle();
+    ASSERT_EQ(exact->results.size(), 9u);
 
-    JobHandle fast = sched.submit(wire_job(fast_line));
-    EXPECT_FALSE(fast.from_cache());
-    const std::vector<SweepResult> fast_ref = drain(fast);
-    ASSERT_EQ(fast_ref.size(), 9u);
-    EXPECT_EQ(fast.outcome().state, JobState::done);
+    auto fast = submit(sched, fast_line);
+    EXPECT_FALSE(fast->cached);
+    sched.wait_idle();
+    ASSERT_EQ(fast->results.size(), 9u);
+    expect_finished(*fast, JobState::done, "fast_math run");
 
     // Within one mode, replay works as usual — and each mode replays its
     // own stream bit for bit.
-    JobHandle exact_again = sched.submit(wire_job(exact_line));
-    EXPECT_TRUE(exact_again.from_cache());
-    expect_same_stream(drain(exact_again), exact_ref, "exact replay");
-    JobHandle fast_again = sched.submit(wire_job(fast_line));
-    EXPECT_TRUE(fast_again.from_cache());
-    expect_same_stream(drain(fast_again), fast_ref, "fast_math replay");
-
-    wait_for([&] { return sched.stats().completed >= 4; });
+    auto exact_again = submit(sched, exact_line);
+    EXPECT_TRUE(exact_again->cached);
+    expect_same_stream(exact_again->results, exact->results, "exact replay");
+    auto fast_again = submit(sched, fast_line);
+    EXPECT_TRUE(fast_again->cached);
+    expect_same_stream(fast_again->results, fast->results, "fast_math replay");
     EXPECT_EQ(sched.stats().cache_hits, 2u);
 
     // Wire jobs always pin the mode, so an exact job queued behind the
     // fast_math one evaluates exact — the fast job's mode never leaks.
-    JobHandle after = sched.submit(wire_job(
-        R"({"job":"deviations","grid":{"from":-10,"to":10,"count":10}})"));
-    EXPECT_FALSE(after.from_cache());
-    EXPECT_EQ(drain(after).size(), 10u);
+    auto after = submit(sched,
+        R"({"job":"deviations","grid":{"from":-10,"to":10,"count":10}})");
+    EXPECT_FALSE(after->cached);
+    sched.wait_idle();
+    EXPECT_EQ(after->results.size(), 10u);
     EXPECT_FALSE(service.pipeline().options().fast_math);
 }
 
@@ -500,87 +545,97 @@ TEST(JobScheduler, UnpinnedJobRunsInTheServiceModeNotThePreviousJobs) {
     const std::vector<SweepResult> exact_ref =
         serial_reference(fresh, wire_job(exact_line));
 
-    JobHandle fast = sched.submit(wire_job(
-        R"({"job":"deviations","grid":{"from":-10,"to":10,"count":9},"fast_math":true})"));
-    ASSERT_EQ(drain(fast).size(), 9u);
+    auto fast = submit(sched,
+        R"({"job":"deviations","grid":{"from":-10,"to":10,"count":9},"fast_math":true})");
+    sched.wait_idle();
+    ASSERT_EQ(fast->results.size(), 9u);
 
     // An in-process job that pins no mode runs under the service's
     // construction-time mode (exact), not the mode the fast job left.
     WireJob unpinned = wire_job(exact_line);
     unpinned.job.fast_math.reset();
-    JobHandle h = sched.submit(std::move(unpinned));
-    expect_same_stream(drain(h), exact_ref, "unpinned after fast_math");
+    auto h = std::make_shared<Recorder>();
+    sched.submit(std::move(unpinned), h);
+    sched.wait_idle();
+    expect_same_stream(h->results, exact_ref, "unpinned after fast_math");
     EXPECT_FALSE(service.pipeline().options().fast_math);
 
     // The cache entry it filled is exact, so the exact wire job it serves
     // gets exact bits.
-    JobHandle exact = sched.submit(wire_job(exact_line));
-    EXPECT_TRUE(exact.from_cache());
-    expect_same_stream(drain(exact), exact_ref, "exact replay");
+    auto exact = submit(sched, exact_line);
+    EXPECT_TRUE(exact->cached);
+    expect_same_stream(exact->results, exact_ref, "exact replay");
 }
 
 TEST(JobScheduler, VerifySerialMatchesTheSerialReferenceAndBypassesTheCache) {
     SweepService service(make_pipeline(), {.workers = 2, .shard_size = 4});
     JobScheduler sched(service, JobScheduler::Options{});
-    JobHandle h = sched.submit(wire_job(
-        R"({"job":"deviations","verify_serial":true,"grid":{"from":-10,"to":10,"count":16}})"));
-    EXPECT_EQ(drain(h).size(), 16u);
-    const JobOutcome out = h.outcome();
-    EXPECT_EQ(out.state, JobState::done);
-    EXPECT_TRUE(out.verify_ran);
-    EXPECT_TRUE(out.verified);
-    EXPECT_EQ(out.verify_members, 16u);
+    const std::string line =
+        R"({"job":"deviations","verify_serial":true,"grid":{"from":-10,"to":10,"count":16}})";
+    auto h = submit(sched, line);
+    sched.wait_idle();
+    EXPECT_EQ(h->results.size(), 16u);
+    expect_finished(*h, JobState::done, "verify_serial");
+    EXPECT_TRUE(h->outcome->verify_ran);
+    EXPECT_TRUE(h->outcome->verified);
+    EXPECT_EQ(h->outcome->verify_members, 16u);
     // verify_serial is a test instrument: it must bypass the cache in both
     // directions, so a repeat verifies for real again.
-    JobHandle repeat = sched.submit(wire_job(
-        R"({"job":"deviations","verify_serial":true,"grid":{"from":-10,"to":10,"count":16}})"));
-    EXPECT_EQ(drain(repeat).size(), 16u);
-    EXPECT_FALSE(repeat.outcome().from_cache);
-    EXPECT_TRUE(repeat.outcome().verify_ran);
+    auto repeat = submit(sched, line);
+    sched.wait_idle();
+    EXPECT_EQ(repeat->results.size(), 16u);
+    EXPECT_FALSE(repeat->outcome->from_cache);
+    EXPECT_TRUE(repeat->outcome->verify_ran);
     EXPECT_EQ(sched.stats().cache_hits, 0u);
 }
 
-TEST(JobScheduler, GoldenPrefetchOverlapsTheQueue) {
+TEST(JobScheduler, GoldenPrefetchRunsOnTheSubmitterOnlyForAJobThatWaits) {
     SweepService service(make_pipeline(), {.workers = 2, .shard_size = 8});
     auto& golden_cache = core::GoldenSignatureCache::instance();
     golden_cache.clear();
 
     JobScheduler sched(service, JobScheduler::Options{});
-    sched.set_paused(true); // dispatch held back; prefetch is not
-    JobHandle h = sched.submit(
-        wire_job(R"({"job":"deviations","deviations":[-5,5]})"));
-    // The prefetch thread computes the golden while the queue is paused.
-    for (int i = 0; i < 500 && sched.stats().goldens_prefetched == 0; ++i)
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    sched.set_paused(true); // the job will wait, so submit prefetches
+    auto h = submit(sched, R"({"job":"deviations","deviations":[-5,5]})");
+    // The golden was computed on this thread before submit returned.
     EXPECT_EQ(sched.stats().goldens_prefetched, 1u);
     EXPECT_EQ(golden_cache.misses(), 1u); // the prefetch compute itself
     const std::size_t hits_before = golden_cache.hits();
 
     sched.set_paused(false);
-    EXPECT_EQ(drain(h).size(), 2u);
-    EXPECT_EQ(h.outcome().state, JobState::done);
+    sched.wait_idle();
+    EXPECT_EQ(h->results.size(), 2u);
+    expect_finished(*h, JobState::done, "prefetched job");
     // The dispatched job's own set_golden hit the warmed entry instead of
     // recomputing: overlap with zero effect on result bits.
     EXPECT_EQ(golden_cache.misses(), 1u);
     EXPECT_GE(golden_cache.hits(), hits_before + 1);
+
+    // An idle scheduler dispatches at once, so submit skips the call.
+    auto idle = submit(sched, R"({"job":"deviations","deviations":[-4,4]})");
+    EXPECT_EQ(sched.stats().goldens_prefetched, 1u);
+    sched.wait_idle();
+    EXPECT_EQ(idle->results.size(), 2u);
 }
 
-TEST(JobScheduler, DestructorCancelsBacklogAndHandlesStayValid) {
+TEST(JobScheduler, DestructorFinishesTheBacklogAsCancelled) {
     SweepService service(make_pipeline(), {.workers = 2, .shard_size = 8});
-    std::vector<JobHandle> handles;
+    std::vector<std::shared_ptr<Recorder>> jobs;
     {
         JobScheduler::Options opts;
         opts.cache_capacity = 0;
         JobScheduler sched(service, opts);
         sched.set_paused(true);
         for (int i = 0; i < 3; ++i)
-            handles.push_back(sched.submit(wire_job(
-                R"({"job":"deviations","grid":{"from":-20,"to":20,"count":500}})")));
+            jobs.push_back(submit(sched,
+                R"({"job":"deviations","grid":{"from":-20,"to":20,"count":500}})"));
         // Destroyed with a full backlog: must not hang or leak threads.
     }
-    for (JobHandle& h : handles) {
-        EXPECT_TRUE(drain(h).empty());
-        EXPECT_EQ(h.outcome().state, JobState::cancelled);
+    for (const auto& job : jobs) {
+        expect_finished(*job, JobState::cancelled, "backlog");
+        EXPECT_FALSE(job->was_started);
+        EXPECT_TRUE(job->results.empty());
+        EXPECT_EQ(job->finished_on, std::this_thread::get_id());
     }
     // The service survives its scheduler: direct runs still work.
     std::size_t delivered = 0;
@@ -594,7 +649,7 @@ TEST(JobScheduler, DestructorCancelsBacklogAndHandlesStayValid) {
 // interleaved jobs on one session — one an exact resubmit — and both
 // receive ascending-order result streams bit-identical to serial run(),
 // with the resubmit answered by the whole-job cache while the other job is
-// still draining. Every emitted line must satisfy the protocol schema.
+// still running. Every emitted line must satisfy the protocol schema.
 TEST(ServerSession, InterleavedClientsStreamBitIdenticalAndResubmitIsCached) {
     SweepService service(make_pipeline(), {.workers = 2, .shard_size = 8});
     const std::string small_universe =
@@ -691,7 +746,7 @@ TEST(ServerSession, InterleavedClientsStreamBitIdenticalAndResubmitIsCached) {
     EXPECT_TRUE(jobs["re"].done_cached);
     EXPECT_FALSE(jobs["big"].done_cached);
     EXPECT_GE(wire_cache_hits, 1u);
-    // ...and finished while bob's long job was still draining — the queue
+    // ...and finished while bob's long job was still running — the queue
     // really interleaves, with no head-of-line blocking.
     EXPECT_TRUE(re_done_before_big);
 }
@@ -714,6 +769,153 @@ TEST(ServerSession, ServeIgnoresWhitespaceOnlyLinesOverAPipe) {
     const JsonValue pong = JsonValue::parse(lines.front());
     EXPECT_EQ(pong.string_or("event", ""), "pong");
     EXPECT_EQ(pong.string_or("id", ""), "p");
+}
+
+/// Threads of this process right now.
+std::size_t thread_count() {
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto& task :
+         std::filesystem::directory_iterator("/proc/self/task"))
+        ++n;
+    return n;
+}
+
+/// Events in `lines` named `event` whose id starts with `id_prefix`.
+std::size_t count_events(const std::vector<std::string>& lines,
+                         const std::string& event, const std::string& id_prefix) {
+    std::size_t n = 0;
+    for (const std::string& l : lines) {
+        const JsonValue v = JsonValue::parse(l);
+        if (v.string_or("event", "") == event &&
+            v.string_or("id", "").rfind(id_prefix, 0) == 0)
+            ++n;
+    }
+    return n;
+}
+
+// A queued job costs the session no thread: with one long SPICE job
+// running, sixteen more jobs queued behind it leave the thread count where
+// it was (their events come from the dispatcher when they run).
+TEST(ServerSession, QueuedJobsHoldNoThreadOfTheirOwn) {
+    SweepService service(make_pipeline(), {.workers = 2, .shard_size = 1});
+    xysig::Mutex lines_mutex;
+    xysig::CondVar lines_cv;
+    std::vector<std::string> lines;
+    const auto wait_for_lines = [&](const std::string& event,
+                                    const std::string& id_prefix,
+                                    std::size_t count) {
+        xysig::MutexLock g(lines_mutex);
+        return lines_cv.wait_for(g, std::chrono::seconds(120), [&] {
+            return count_events(lines, event, id_prefix) >= count;
+        });
+    };
+    ServerSession session(service, [&](const std::string& l) {
+        xysig::MutexLock g(lines_mutex);
+        lines.push_back(l);
+        lines_cv.notify_all();
+    });
+    int fds[2] = {-1, -1};
+    ASSERT_EQ(::pipe(fds), 0);
+    std::thread reader([&] { session.serve(fds[0]); });
+    const auto send = [&](const std::string& line) {
+        const std::string bytes = line + "\n";
+        ASSERT_EQ(::write(fds[1], bytes.data(), bytes.size()),
+                  static_cast<ssize_t>(bytes.size()));
+    };
+
+    send(R"({"job":"spice_faults","id":"long","settle_periods":100,"emit_signatures":false})");
+    ASSERT_TRUE(wait_for_lines("job_start", "long", 1));
+    const std::size_t before = thread_count();
+    for (int i = 0; i < 16; ++i)
+        send(R"({"job":"deviations","id":"grid-)" + std::to_string(i) +
+             R"(","grid":{"from":-)" + std::to_string(10 + i) + R"(,"to":10,"count":4}})");
+    ASSERT_TRUE(wait_for_lines("queued", "grid-", 16));
+    const std::size_t after = thread_count();
+    {
+        xysig::MutexLock g(lines_mutex);
+        EXPECT_EQ(count_events(lines, "job_done", "long"), 0u)
+            << "the long job must still be running when threads are counted";
+    }
+    EXPECT_LE(after, before);
+
+    send(R"({"cmd":"cancel","id":"long"})");
+    ::close(fds[1]);
+    reader.join();
+    ::close(fds[0]);
+    session.drain();
+    xysig::MutexLock g(lines_mutex);
+    EXPECT_EQ(count_events(lines, "job_done", "grid-"), 16u);
+}
+
+// Backpressure, not buffering: while the line sink is blocked inside the
+// first job's stream, the service starts no job — the first stays inside
+// its run and the second stays queued — and after release both streams
+// complete, bit-identical to SweepService::run.
+TEST(ServerSession, AStalledReaderHoldsBackEveryQueuedJob) {
+    const std::string line_a =
+        R"({"job":"deviations","id":"a","grid":{"from":-20,"to":20,"count":400}})";
+    const std::string line_b =
+        R"({"job":"deviations","id":"b","parameter":"q","grid":{"from":-15,"to":15,"count":40}})";
+    SweepService reference_service(make_pipeline(), {.workers = 2, .shard_size = 8});
+    const std::vector<SweepResult> ref_a =
+        serial_reference(reference_service, wire_job(line_a));
+    const std::vector<SweepResult> ref_b =
+        serial_reference(reference_service, wire_job(line_b));
+
+    SweepService service(make_pipeline(), {.workers = 2, .shard_size = 8});
+    xysig::Mutex gate_mutex;
+    xysig::CondVar gate_cv;
+    std::vector<std::string> lines;
+    bool b_queued = false, blocked = false, released = false;
+    // Both jobs are submitted before the sink blocks: the session
+    // serialises sink calls, so a blocked sink would also hold the reader.
+    ServerSession session(service, [&](const std::string& l) {
+        const JsonValue v = JsonValue::parse(l);
+        const std::string event = v.string_or("event", "");
+        const std::string id = v.string_or("id", "");
+        xysig::MutexLock g(gate_mutex);
+        lines.push_back(l);
+        b_queued = b_queued || (event == "queued" && id == "b");
+        if (b_queued && !released && event == "result" && id == "a") {
+            blocked = true;
+            gate_cv.notify_all();
+            gate_cv.wait(g, [&] { return released; });
+        }
+    });
+    std::thread reader([&] { serve_lines(session, {line_a, line_b}); });
+    {
+        xysig::MutexLock g(gate_mutex);
+        ASSERT_TRUE(gate_cv.wait_for(g, std::chrono::seconds(120),
+                                     [&] { return blocked; }));
+    }
+    for (int i = 0; i < 10; ++i) {
+        EXPECT_EQ(service.stats().jobs, 0u) << "hold step " << i;
+        std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    }
+    {
+        xysig::MutexLock g(gate_mutex);
+        released = true;
+        gate_cv.notify_all();
+    }
+    reader.join();
+    session.drain();
+    EXPECT_EQ(service.stats().jobs, 2u);
+
+    xysig::MutexLock g(gate_mutex);
+    std::map<std::string, std::vector<std::string>> ndf_hex;
+    for (const std::string& l : lines) {
+        const JsonValue v = JsonValue::parse(l);
+        if (v.string_or("event", "") == "result")
+            ndf_hex[v.string_or("id", "")].push_back(v.at("ndf_hex").as_string());
+    }
+    for (const auto& [id, ref] :
+         {std::pair{std::string("a"), &ref_a}, std::pair{std::string("b"), &ref_b}}) {
+        ASSERT_EQ(ndf_hex[id].size(), ref->size()) << id;
+        for (std::size_t i = 0; i < ref->size(); ++i)
+            EXPECT_EQ(ndf_hex[id][i], format_double_exact((*ref)[i].ndf))
+                << id << " member " << i;
+    }
+    EXPECT_EQ(count_events(lines, "job_done", ""), 2u);
 }
 
 } // namespace
