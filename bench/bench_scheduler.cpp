@@ -153,8 +153,7 @@ int main(int argc, char** argv) {
     // Serial references, one per distinct grid, through a plain
     // single-worker service — the stream every scheduled variant must
     // reproduce bit for bit.
-    server::SweepService ref_service(make_pipeline(spp),
-                                     {.workers = 1, .shard_size = 16});
+    server::SweepService ref_service(make_pipeline(spp), {.workers = 1});
     std::vector<server::WireJob> jobs;
     std::vector<std::vector<server::SweepResult>> refs;
     std::vector<double> serial_seconds;
@@ -175,7 +174,7 @@ int main(int argc, char** argv) {
     for (const unsigned workers : worker_counts) {
         for (const std::size_t depth : depths) {
             server::SweepService service(make_pipeline(spp),
-                                         {.workers = workers, .shard_size = 16});
+                                         {.workers = workers});
             server::JobScheduler sched(service);
             double serial_total = 0.0;
             for (std::size_t d = 0; d < depth; ++d)

@@ -1,10 +1,11 @@
 // Sweep-service scaling report: the sharded SweepService versus the serial
-// scratch-path reference, across (shard size x worker count) combinations,
-// on a behavioural deviation grid and on the Tow-Thomas SPICE fault
-// universe. Every combination is gated on bit-identity with the serial NDFs
-// (nonzero exit when any result diverges, so CI can rely on the exit code)
-// and the SPICE rows additionally gate on the clone-per-worker contract via
-// the Netlist::clone_count() probe.
+// scratch-path reference at 1, 2, 4 and 8 workers, on a behavioural
+// deviation grid and on the Tow-Thomas SPICE fault universe. Each row
+// reports the shard size the service derived (work_unit_size). Every row is
+// gated on bit-identity with the serial NDFs (nonzero exit when any result
+// diverges, so CI can rely on the exit code) and the SPICE rows
+// additionally gate on the clone-per-worker contract via the
+// Netlist::clone_count() probe.
 //
 // Flags: --smoke (reduced sizes for CI), --json=PATH (machine-readable
 // summary; default bench_sweep_service.json).
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "capture/fault_injection.h"
+#include "common/parallel.h"
 #include "common/strings.h"
 #include "common/table.h"
 #include "common/timing.h"
@@ -33,14 +35,10 @@ namespace {
 
 using namespace xysig;
 
-struct Combo {
-    std::size_t shard_size;
-    unsigned workers;
-};
-
 struct Row {
     std::string workload;
-    Combo combo{};
+    unsigned workers = 0; ///< 0: the serial reference
+    std::size_t shard_size = 0;
     double seconds = 0.0;
     double members_per_s = 0.0;
     double speedup = 1.0;
@@ -86,7 +84,7 @@ void write_json(const std::string& path, bool smoke, std::size_t grid_size,
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const Row& r = rows[i];
         out << "    {\"workload\": \"" << r.workload << "\", \"shard_size\": "
-            << r.combo.shard_size << ", \"workers\": " << r.combo.workers
+            << r.shard_size << ", \"workers\": " << r.workers
             << ", \"seconds\": " << format_double(r.seconds, 6)
             << ", \"members_per_s\": " << format_double(r.members_per_s, 6)
             << ", \"speedup\": " << format_double(r.speedup, 4)
@@ -112,7 +110,7 @@ int main(int argc, char** argv) {
 
     const std::size_t grid_size = smoke ? 400 : 4000;
     const std::size_t spp = smoke ? 256 : 1024;
-    const std::vector<Combo> combos = {{1, 1}, {16, 2}, {64, 4}, {256, 8}};
+    const std::vector<unsigned> worker_counts = {1, 2, 4, 8};
 
     std::cout << "=== [sweep service] sharded sweep vs serial reference, "
               << (smoke ? "smoke" : "full") << " mode ===\n";
@@ -142,15 +140,13 @@ int main(int argc, char** argv) {
                 serial[i] = serial_pipe.ndf_of(cut, scratch);
             }
         });
-        rows.push_back({"deviation grid", {0, 0}, t_serial,
+        rows.push_back({"deviation grid", 0, 0, t_serial,
                         static_cast<double>(grid_size) / t_serial, 1.0, true,
                         0});
 
-        for (const Combo combo : combos) {
-            server::SweepServiceOptions sopts;
-            sopts.workers = combo.workers;
-            sopts.shard_size = combo.shard_size;
-            server::SweepService service(make_pipeline(spp), sopts);
+        for (const unsigned workers : worker_counts) {
+            server::SweepService service(make_pipeline(spp),
+                                         server::SweepServiceOptions{workers});
             const server::SweepJob job =
                 server::SweepJob::deviation_grid(nominal, deviations);
             std::vector<double> streamed;
@@ -163,7 +159,8 @@ int main(int argc, char** argv) {
             });
             const bool identical = same_bits(streamed, serial);
             all_identical = all_identical && identical;
-            rows.push_back({"deviation grid", combo, dt,
+            rows.push_back({"deviation grid", workers,
+                            work_unit_size(grid_size, workers), dt,
                             static_cast<double>(grid_size) / dt, t_serial / dt,
                             identical, 0});
         }
@@ -201,17 +198,15 @@ int main(int argc, char** argv) {
                 }
             }
         });
-        rows.push_back({"SPICE fault NDF", {0, 0}, t_serial,
+        rows.push_back({"SPICE fault NDF", 0, 0, t_serial,
                         static_cast<double>(fault_count) / t_serial, 1.0, true,
                         0});
 
         const auto nominal =
             std::make_shared<spice::Netlist>(circuit.netlist.clone());
-        for (const Combo combo : combos) {
-            server::SweepServiceOptions sopts;
-            sopts.workers = combo.workers;
-            sopts.shard_size = combo.shard_size;
-            server::SweepService service(make_pipeline(spp), sopts);
+        for (const unsigned workers : worker_counts) {
+            server::SweepService service(make_pipeline(spp),
+                                         server::SweepServiceOptions{workers});
             const server::SweepJob job =
                 server::SweepJob::fault_universe(nominal, faults, obs);
             std::vector<double> streamed;
@@ -227,9 +222,10 @@ int main(int argc, char** argv) {
             });
             // Gate on bit-identity AND the clone-per-worker contract.
             const bool identical =
-                same_bits(streamed, serial) && clones <= combo.workers;
+                same_bits(streamed, serial) && clones <= workers;
             all_identical = all_identical && identical;
-            rows.push_back({"SPICE fault NDF", combo, dt,
+            rows.push_back({"SPICE fault NDF", workers,
+                            work_unit_size(fault_count, workers), dt,
                             static_cast<double>(fault_count) / dt,
                             t_serial / dt, identical, clones});
         }
@@ -239,13 +235,12 @@ int main(int argc, char** argv) {
                  "speedup", "clones", "bit-identical"});
     for (const Row& r : rows) {
         t.add_row({r.workload,
-                   r.combo.workers == 0 ? "-" : std::to_string(r.combo.shard_size),
-                   r.combo.workers == 0 ? "serial"
-                                        : std::to_string(r.combo.workers),
+                   r.workers == 0 ? "-" : std::to_string(r.shard_size),
+                   r.workers == 0 ? "serial" : std::to_string(r.workers),
                    format_double(r.seconds, 4), format_double(r.members_per_s, 1),
                    format_double(r.speedup, 2), std::to_string(r.clones),
-                   r.combo.workers == 0 ? "-"
-                                        : (r.bit_identical ? "yes" : "NO (BUG)")});
+                   r.workers == 0 ? "-"
+                                  : (r.bit_identical ? "yes" : "NO (BUG)")});
     }
     t.print(std::cout);
     if (!all_identical)

@@ -21,7 +21,6 @@
 //                      `sweep_server --listen` instead of spawning children
 //   --workers=N        worker threads per worker process (0 = its default)
 //   --spp=N            samples per period handed to workers (default 512)
-//   --shard-size=N     in-worker shard size (default 64)
 //   --timeout=SECONDS  per-partition inactivity timeout before re-dispatch
 //   --max-attempts=N   dispatch attempts per dispatched range (default 3)
 //   --steal-threshold=N work-stealing: idle partitions take the top half
@@ -58,7 +57,6 @@ int main(int argc, char** argv) {
     std::string connect_endpoint;
     unsigned workers = 0;
     std::size_t spp = 512;
-    std::size_t shard_size = 64;
     double timeout = 0.0;
     unsigned max_attempts = 3;
     std::size_t steal_threshold = 0;
@@ -79,8 +77,6 @@ int main(int argc, char** argv) {
             workers = static_cast<unsigned>(std::stoul(arg.substr(10)));
         else if (arg.rfind("--spp=", 0) == 0)
             spp = std::stoul(arg.substr(6));
-        else if (arg.rfind("--shard-size=", 0) == 0)
-            shard_size = std::stoul(arg.substr(13));
         else if (arg.rfind("--timeout=", 0) == 0)
             timeout = std::stod(arg.substr(10));
         else if (arg.rfind("--max-attempts=", 0) == 0)
@@ -120,14 +116,12 @@ int main(int argc, char** argv) {
                                                 "--spp=" + std::to_string(spp)};
         if (workers != 0)
             worker_argv.push_back("--workers=" + std::to_string(workers));
-        worker_argv.push_back("--shard-size=" + std::to_string(shard_size));
         factory = [worker_argv] {
             return std::make_unique<server::ProcessTransport>(worker_argv);
         };
     } else {
         server::LoopbackTransport::Options lopts;
         lopts.workers = workers == 0 ? 2 : workers;
-        lopts.shard_size = shard_size;
         lopts.samples_per_period = spp;
         factory = [lopts] {
             return std::make_unique<server::LoopbackTransport>(lopts);

@@ -29,7 +29,7 @@
 // connection also gets its own worker pool, so one listening host can
 // serve all partitions of a `sweep_fanout --connect` run concurrently.
 //
-// Flags: --workers=N --shard-size=N --spp=N (pipeline samples per period)
+// Flags: --workers=N --spp=N (pipeline samples per period)
 //        --job-cache=N (whole-job result cache entries; 0 disables)
 //        --heartbeat=SECONDS (emit v3 heartbeat events; 0 = off)
 //        --listen=PORT (serve TCP connections instead of stdin; 0 picks
@@ -79,7 +79,6 @@ int run_check_mode() {
 
 int main(int argc, char** argv) {
     unsigned workers = 0;
-    std::size_t shard_size = 64;
     std::size_t samples_per_period = 512;
     server::SessionOptions session_opts;
     bool check = false;
@@ -91,8 +90,6 @@ int main(int argc, char** argv) {
         const std::string arg = argv[i];
         if (arg.rfind("--workers=", 0) == 0)
             workers = static_cast<unsigned>(std::stoul(arg.substr(10)));
-        else if (arg.rfind("--shard-size=", 0) == 0)
-            shard_size = std::stoul(arg.substr(13));
         else if (arg.rfind("--spp=", 0) == 0)
             samples_per_period = std::stoul(arg.substr(6));
         else if (arg.rfind("--job-cache=", 0) == 0)
@@ -121,7 +118,6 @@ int main(int argc, char** argv) {
         lopts.bind_address = bind_address;
         lopts.port = listen_port;
         lopts.workers = workers;
-        lopts.shard_size = shard_size;
         lopts.samples_per_period = samples_per_period;
         lopts.session = session_opts;
         lopts.share_service = share_service;
@@ -147,11 +143,8 @@ int main(int argc, char** argv) {
         return 0;
     }
 
-    server::SweepServiceOptions sopts;
-    sopts.workers = workers;
-    sopts.shard_size = shard_size;
     server::SweepService service(server::make_paper_pipeline(samples_per_period),
-                                 sopts);
+                                 server::SweepServiceOptions{workers});
     server::ServerSession session(
         service,
         [](const std::string& line) { std::cout << line << "\n" << std::flush; },

@@ -161,7 +161,7 @@ void parallel_for(std::size_t begin, std::size_t end,
     };
     auto shared = std::make_shared<Shared>();
     shared->next.store(begin, std::memory_order_relaxed);
-    const std::size_t grain = std::max<std::size_t>(1, n / (8u * workers));
+    const std::size_t grain = work_unit_size(n, workers);
 
     const auto run_chunks = [shared, end, grain, &body] {
         RegionGuard guard;

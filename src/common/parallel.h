@@ -18,6 +18,7 @@
 /// to its own output slot and deriving randomness from pre-forked
 /// per-index streams (see mc::run_monte_carlo_parallel).
 
+#include <algorithm>
 #include <cstddef>
 #include <deque>
 #include <exception>
@@ -88,6 +89,18 @@ private:
     bool stopping_ GUARDED_BY(mutex_) = false;
 };
 
+/// Items per work unit when `workers` threads claim contiguous units of
+/// `items` dynamically: about eight units per worker, so ragged item costs
+/// balance while claims stay amortised, and never more than 64 items, so a
+/// job of a few dozen items still reaches every worker and a huge one
+/// parks only a few units of out-of-order results. The one sizing rule of
+/// parallel_for and core::run_universe; no result depends on it.
+[[nodiscard]] constexpr std::size_t work_unit_size(std::size_t items,
+                                                   unsigned workers) noexcept {
+    return std::clamp<std::size_t>(
+        items / (8u * std::size_t{std::max(workers, 1u)}), 1, 64);
+}
+
 /// True while the current thread is executing inside a parallel_for body or
 /// is any ThreadPool worker; nested parallel_for calls (and
 /// BatchNdfEvaluator) detect this and run on the calling thread instead of
@@ -95,14 +108,14 @@ private:
 [[nodiscard]] bool in_parallel_region() noexcept;
 
 /// Runs body(i) for every i in [begin, end), distributing contiguous chunks
-/// over up to `threads` workers (0 means default_thread_count()). Blocks
-/// until the whole range is done. The calling thread participates as one of
-/// the workers, so progress is guaranteed even when the shared pool is
-/// saturated. Calls from inside a parallel_for body or from any ThreadPool
-/// worker thread degrade to a serial loop (a worker blocking on helper
-/// tasks could otherwise starve the pool into deadlock). If any body
-/// invocation throws, remaining chunks are abandoned and the first
-/// exception is rethrown on the caller.
+/// of work_unit_size() indices over up to `threads` workers (0 means
+/// default_thread_count()). Blocks until the whole range is done. The
+/// calling thread participates as one of the workers, so progress is
+/// guaranteed even when the shared pool is saturated. Calls from inside a
+/// parallel_for body or from any ThreadPool worker thread degrade to a
+/// serial loop (a worker blocking on helper tasks could otherwise starve
+/// the pool into deadlock). If any body invocation throws, remaining
+/// chunks are abandoned and the first exception is rethrown on the caller.
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body,
                   unsigned threads = 0);

@@ -1,7 +1,5 @@
 #include "core/batch_ndf.h"
 
-#include <algorithm>
-
 #include "common/contracts.h"
 #include "common/parallel.h"
 
@@ -13,20 +11,13 @@ BatchNdfEvaluator::BatchNdfEvaluator(const SignaturePipeline& pipeline,
 
 std::vector<double> BatchNdfEvaluator::evaluate(const Universe& universe) const {
     XYSIG_EXPECTS(pipeline_->has_golden());
-    const std::size_t n = universe.size();
-    const unsigned requested =
-        options_.threads == 0 ? default_thread_count() : options_.threads;
-    const auto workers = static_cast<unsigned>(
-        std::max<std::size_t>(1, std::min<std::size_t>(requested, n)));
-    // parallel_for's chunking: ~8 work units per worker balances ragged
-    // member costs while amortising claims.
-    Schedule schedule{nullptr, workers,
-                      std::max<std::size_t>(1, n / (8u * workers))};
+    Schedule schedule{nullptr, options_.threads == 0 ? default_thread_count()
+                                                     : options_.threads};
     // Nested calls stay on the calling thread: a pool worker blocking on
     // helper tasks could starve the pool into deadlock.
-    if (workers > 1 && !in_parallel_region())
+    if (schedule.workers > 1 && !in_parallel_region())
         schedule.pool = &ThreadPool::shared();
-    std::vector<double> out(n);
+    std::vector<double> out(universe.size());
     (void)run_universe(universe, *pipeline_, schedule,
                        [&](const MemberResult& r) { out[r.member_id] = r.ndf; });
     return out;

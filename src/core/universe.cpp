@@ -141,15 +141,16 @@ namespace {
 /// Everything the workers of one run_universe call share.
 struct Run {
     Run(const Universe& u, const SignaturePipeline& p, const CancelToken* c,
-        std::size_t per_shard)
+        unsigned workers)
         : universe(u), pipeline(p), cancel(c), members(u.size()),
-          shard_size(per_shard), shards((members + per_shard - 1) / per_shard) {}
+          members_per_shard(work_unit_size(members, workers)),
+          shards((members + members_per_shard - 1) / members_per_shard) {}
 
     const Universe& universe;
     const SignaturePipeline& pipeline;
     const CancelToken* cancel;
     const std::size_t members;
-    const std::size_t shard_size;
+    const std::size_t members_per_shard;
     const std::size_t shards;
 
     std::atomic<std::size_t> next_shard{0};
@@ -182,8 +183,8 @@ struct Run {
                 next_shard.fetch_add(1, std::memory_order_relaxed);
             if (shard >= shards)
                 break;
-            const std::size_t first = shard * shard_size;
-            const std::size_t last = std::min(first + shard_size, members);
+            const std::size_t first = shard * members_per_shard;
+            const std::size_t last = std::min(first + members_per_shard, members);
             const auto t0 = now();
             std::size_t evaluated = 0;
             try {
@@ -254,9 +255,8 @@ RunSummary run_universe(const Universe& universe,
                         const std::function<void(const MemberResult&)>& on_result,
                         const CancelToken* cancel) {
     XYSIG_EXPECTS(on_result != nullptr);
-    XYSIG_EXPECTS(schedule.shard_size >= 1);
     XYSIG_EXPECTS(schedule.pool == nullptr || schedule.workers >= 1);
-    Run run(universe, pipeline, cancel, schedule.shard_size);
+    Run run(universe, pipeline, cancel, schedule.workers);
 
     const unsigned tasks =
         schedule.pool == nullptr

@@ -225,19 +225,18 @@ struct RunSummary {
 struct Schedule {
     ThreadPool* pool = nullptr; ///< null: every member on the calling thread
     unsigned workers = 1;       ///< pool tasks claiming shards
-    std::size_t shard_size = 1; ///< members per claimed work unit
 };
 
 /// Evaluates every member of `universe` against the pipeline's golden,
-/// sharded into contiguous work units of schedule.shard_size that
-/// schedule.workers pool tasks claim dynamically, and invokes on_result
-/// once per evaluated member on the CALLER's thread, in ascending member
-/// order (contiguous from 0 unless cancelled). Blocks until the run
-/// completes, is cancelled, or fails; a non-member error (InvalidInput,
-/// a contract violation, a throwing on_result) stops the workers and is
-/// rethrown once every task has let go of the run. A schedule with one
-/// evaluator (no pool, one worker, or one shard) runs on the calling
-/// thread. Results never depend on the schedule.
+/// sharded into contiguous work units of work_unit_size(members,
+/// schedule.workers) that schedule.workers pool tasks claim dynamically,
+/// and invokes on_result once per evaluated member on the CALLER's thread,
+/// in ascending member order (contiguous from 0 unless cancelled). Blocks
+/// until the run completes, is cancelled, or fails; a non-member error
+/// (InvalidInput, a contract violation, a throwing on_result) stops the
+/// workers and is rethrown once every task has let go of the run. A
+/// schedule with one evaluator (no pool, one worker, or one shard) runs on
+/// the calling thread. Results never depend on the schedule.
 RunSummary run_universe(const Universe& universe,
                         const SignaturePipeline& pipeline,
                         const Schedule& schedule,

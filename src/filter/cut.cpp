@@ -101,22 +101,30 @@ void SpiceCut::respond_into(const MultitoneWaveform& stimulus,
 
     spice::TransientOptions opts;
     opts.t_start = 0.0;
-    opts.t_stop = static_cast<double>(settle_periods_ + 1) * period;
+    // In double: settle_periods_ + 1 overflows int at INT_MAX.
+    opts.t_stop = (static_cast<double>(settle_periods_) + 1.0) * period;
     opts.dt = period / static_cast<double>(samples_per_period);
-    spice::run_transient_into(*netlist_, opts, tran_);
 
-    // Extract the final period and re-base it to t = 0 (the stimulus is
-    // T-periodic, so its phase at k*T equals its phase at 0).
+    // Copy the final period straight out of the stream, re-based to t = 0
+    // (the stimulus is T-periodic, so its phase at k*T equals its phase
+    // at 0).
     const std::size_t first =
         static_cast<std::size_t>(settle_periods_) * samples_per_period;
     const spice::NodeId xn = netlist_->find_node(x_node_);
     const spice::NodeId yn = netlist_->find_node(y_node_);
     xs.resize(samples_per_period);
     ys.resize(samples_per_period);
-    for (std::size_t i = 0; i < samples_per_period; ++i) {
-        xs[i] = tran_.voltage(xn, first + i);
-        ys[i] = tran_.voltage(yn, first + i);
-    }
+    std::size_t captured = 0;
+    (void)spice::stream_transient(
+        *netlist_, opts,
+        [&](std::size_t step, double, std::span<const double> unknowns) {
+            if (step < first || step - first >= samples_per_period)
+                return;
+            xs[step - first] = spice::node_voltage(unknowns, xn);
+            ys[step - first] = spice::node_voltage(unknowns, yn);
+            ++captured;
+        });
+    XYSIG_ENSURES(captured == samples_per_period); // the run covers the window
     dt = opts.dt;
 }
 

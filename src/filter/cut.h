@@ -18,7 +18,6 @@
 #include "signal/sampled.h"
 #include "signal/waveform.h"
 #include "spice/netlist.h"
-#include "spice/transient.h"
 #include "spice/types.h"
 
 namespace xysig::filter {
@@ -114,10 +113,11 @@ private:
 /// caller promises it outlives the cut and is not simulated elsewhere) or by
 /// the cut itself (owning constructor — the building block of SPICE fault
 /// universes, where every cut gets its own deep clone). respond_into() mutates
-/// the netlist (stimulus waveform + device transient state) and reuses an
-/// internal transient buffer, so one instance must never be evaluated from
-/// two threads at once; distinct instances over distinct netlists evaluate
-/// concurrently without contention (see the Cut contract above).
+/// the netlist (stimulus waveform + device transient state), so one instance
+/// must never be evaluated from two threads at once; distinct instances over
+/// distinct netlists evaluate concurrently without contention (see the Cut
+/// contract above). The cut keeps no trajectory: the transient streams
+/// through it and only the observed period lands in x/y.
 class SpiceCut final : public Cut {
 public:
     /// \param netlist        circuit to simulate (kept by reference)
@@ -146,10 +146,6 @@ private:
     std::string x_node_;
     std::string y_node_;
     int settle_periods_;
-    /// Per-instance transient scratch: row buffers survive across
-    /// respond_into() calls, so repeated evaluations stop reallocating the
-    /// trajectory.
-    mutable spice::TransientResult tran_;
 };
 
 } // namespace xysig::filter

@@ -36,10 +36,7 @@ SweepJob SweepJob::fault_universe(std::shared_ptr<const spice::Netlist> nominal,
 
 SweepService::SweepService(core::SignaturePipeline pipeline,
                            SweepServiceOptions options)
-    : pipeline_(std::move(pipeline)), options_(options),
-      pool_(options.workers) {
-    XYSIG_EXPECTS(options_.shard_size >= 1);
-}
+    : pipeline_(std::move(pipeline)), pool_(options.workers) {}
 
 core::SignaturePipeline SweepService::job_pipeline(const SweepJob& job) const {
     XYSIG_EXPECTS(job.universe_ != nullptr);
@@ -60,9 +57,7 @@ JobSummary SweepService::run(const SweepJob& job,
     MutexLock job_lock(job_mutex_); // one job at a time
     const core::SignaturePipeline pipe = job_pipeline(job);
 
-    const core::Schedule schedule{
-        &pool_, worker_count(),
-        job.shard_size != 0 ? job.shard_size : options_.shard_size};
+    const core::Schedule schedule{&pool_, worker_count()};
     JobSummary summary =
         core::run_universe(*job.universe_, pipe, schedule, on_result, cancel);
 

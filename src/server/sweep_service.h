@@ -8,14 +8,14 @@
 /// A sweep job is one member universe (core::Universe) — a SPICE fault
 /// universe, a behavioural deviation grid, or an explicit CUT list —
 /// screened against its golden signature. The executor shards the universe
-/// into contiguous work units, schedules them across the pool, and streams
+/// into contiguous work units (work_unit_size: about eight per worker, at
+/// most 64 members), schedules them across the pool, and streams
 /// (member_id, ndf, signature) results incrementally through a callback, in
 /// member order, instead of materialising one giant result vector.
 ///
 /// Guarantees (pinned by tests/server and bench_sweep_service):
 ///  * NDF values are bit-identical to the serial reference — the
-///    clone-per-fault universe for SPICE jobs — at ANY shard size and
-///    worker count;
+///    clone-per-fault universe for SPICE jobs — at ANY worker count;
 ///  * SPICE universes are evaluated with ONE netlist clone per worker, not
 ///    one per fault (core::FaultUniverse), plus one for the golden, all
 ///    inside run();
@@ -43,11 +43,6 @@ namespace xysig::server {
 struct SweepServiceOptions {
     /// Pool worker threads; 0 = default_thread_count().
     unsigned workers = 0;
-    /// Default members per work unit when a job does not set its own. Small
-    /// shards load-balance ragged universes (SPICE members vary wildly in
-    /// Newton cost); large shards amortise scheduling. Results never depend
-    /// on the choice.
-    std::size_t shard_size = 64;
 };
 
 using SweepResult = core::MemberResult;
@@ -83,9 +78,6 @@ public:
     [[nodiscard]] std::size_t size() const noexcept {
         return universe_ ? universe_->size() : 0;
     }
-
-    /// Members per work unit for this job; 0 = the service default.
-    std::size_t shard_size = 0;
 
     /// Per-job sampling mode: set to pin the pipeline's fast_math flag for
     /// this job; nullopt runs under the mode the service was constructed
@@ -142,10 +134,6 @@ public:
     [[nodiscard]] unsigned worker_count() const noexcept {
         return pool_.thread_count();
     }
-    /// Members per work unit for jobs that do not set their own.
-    [[nodiscard]] std::size_t default_shard_size() const noexcept {
-        return options_.shard_size;
-    }
     /// The sampling mode `job` runs under: its pinned flag, else the
     /// pipeline's mode.
     [[nodiscard]] bool fast_math_for(const SweepJob& job) const noexcept {
@@ -163,7 +151,6 @@ public:
 
 private:
     const core::SignaturePipeline pipeline_;
-    SweepServiceOptions options_;
     ThreadPool pool_;
     /// Guards no state: it queues run() callers so one job at a time owns
     /// the pool — with a service shared across sessions, a job waits here

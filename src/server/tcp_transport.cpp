@@ -219,13 +219,10 @@ TcpListener::TcpListener(Options options)
         port_ =
             ntohs(reinterpret_cast<struct sockaddr_in6*>(&addr)->sin6_port);
 
-    if (options_.share_service) {
-        SweepServiceOptions sopts;
-        sopts.workers = options_.workers;
-        sopts.shard_size = options_.shard_size;
+    if (options_.share_service)
         shared_service_ = std::make_shared<SweepService>(
-            make_paper_pipeline(options_.samples_per_period), sopts);
-    }
+            make_paper_pipeline(options_.samples_per_period),
+            SweepServiceOptions{options_.workers});
 }
 
 TcpListener::~TcpListener() {
@@ -267,7 +264,6 @@ void TcpListener::accept_loop() {
             // down concurrently, so the close (which frees the fd number
             // for reuse) happens in exactly one place — after the join.
             detail::serve_peer(raw->fd, shared_service_, options_.workers,
-                               options_.shard_size,
                                options_.samples_per_period, options_.session);
             raw->finished.store(true, std::memory_order_release);
         });

@@ -102,7 +102,6 @@ public:
         unsigned short port = 0; ///< 0 = ephemeral; see port()
         /// Per-connection service configuration (as sweep_server's flags).
         unsigned workers = 0;
-        std::size_t shard_size = 64;
         std::size_t samples_per_period = 512;
         SessionOptions session; ///< cache/heartbeat knobs per session
         /// Serve every connection from ONE SweepService (jobs from

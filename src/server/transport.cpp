@@ -146,8 +146,8 @@ LoopbackTransport::LoopbackTransport(Options options) : options_(options) {
     server_fd_ = fds[1];
     try {
         thread_ = std::thread([fd = server_fd_, o = options_] {
-            detail::serve_peer(fd, nullptr, o.workers, o.shard_size,
-                               o.samples_per_period, SessionOptions{});
+            detail::serve_peer(fd, nullptr, o.workers, o.samples_per_period,
+                               SessionOptions{});
         });
     } catch (...) {
         ::close(fd_);
@@ -183,24 +183,19 @@ void LoopbackTransport::shutdown() {
 }
 
 std::string LoopbackTransport::describe() const {
-    return "loopback[workers=" + std::to_string(options_.workers) +
-           ", shard=" + std::to_string(options_.shard_size) + "]";
+    return "loopback[workers=" + std::to_string(options_.workers) + "]";
 }
 
 // ----------------------------------------------------------------- serve_peer
 
 void detail::serve_peer(int fd, std::shared_ptr<SweepService> service,
-                        unsigned workers, std::size_t shard_size,
-                        std::size_t samples_per_period,
+                        unsigned workers, std::size_t samples_per_period,
                         const SessionOptions& session) {
     try {
-        if (service == nullptr) {
-            SweepServiceOptions sopts;
-            sopts.workers = workers;
-            sopts.shard_size = shard_size;
+        if (service == nullptr)
             service = std::make_shared<SweepService>(
-                make_paper_pipeline(samples_per_period), sopts);
-        }
+                make_paper_pipeline(samples_per_period),
+                SweepServiceOptions{workers});
         ServerSession peer(
             *service,
             [fd](const std::string& line) {

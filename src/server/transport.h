@@ -90,7 +90,6 @@ class LoopbackTransport final : public Transport {
 public:
     struct Options {
         unsigned workers = 2;
-        std::size_t shard_size = 16;
         std::size_t samples_per_period = 256;
     };
 
@@ -122,14 +121,13 @@ namespace detail {
 /// The server side of one connected stream socket — what TcpListener runs
 /// per accepted connection and LoopbackTransport runs on its socketpair: a
 /// ServerSession on `service` (null = a fresh paper-pipeline SweepService
-/// of `workers` x `shard_size`), the ready banner, ServerSession::serve
+/// of `workers`), the ready banner, ServerSession::serve
 /// until quit or EOF, then ::shutdown of `fd` so the client reads EOF.
 /// Per-connection failures (service construction, OOM) are swallowed: the
 /// client just sees the socket close. Closing `fd` is left to the caller,
 /// after the serving thread is joined.
 void serve_peer(int fd, std::shared_ptr<SweepService> service,
-                unsigned workers, std::size_t shard_size,
-                std::size_t samples_per_period,
+                unsigned workers, std::size_t samples_per_period,
                 const SessionOptions& session);
 
 } // namespace detail

@@ -195,7 +195,6 @@ WireJob parse_wire_job(const JsonValue& v) {
                                             wire.deviations, wire.parameter);
     }
 
-    wire.job.shard_size = index_or(v, "shard_size", 0);
     wire.progress_every = index_or(v, "progress_every", 0);
     wire.emit_signatures = v.bool_or("emit_signatures", true);
     wire.verify_serial = v.bool_or("verify_serial", false);
@@ -274,7 +273,6 @@ void check_event(const JsonValue& v) {
         check_fields(v, "ready event",
                      {{"version", FieldKind::number, true},
                       {"workers", FieldKind::number, true},
-                      {"shard_size", FieldKind::number, true},
                       {"samples_per_period", FieldKind::number, true}});
     } else if (event == "job_start") {
         check_fields(v, "job_start event",
@@ -466,7 +464,6 @@ void ServerSession::emit_ready(std::size_t samples_per_period) {
     o.emplace("event", "ready");
     o.emplace("version", kProtocolVersion);
     o.emplace("workers", static_cast<std::size_t>(service_.worker_count()));
-    o.emplace("shard_size", service_.default_shard_size());
     o.emplace("samples_per_period", samples_per_period);
     emit(std::move(o));
 }

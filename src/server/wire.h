@@ -182,7 +182,7 @@ public:
     ServerSession(const ServerSession&) = delete;
     ServerSession& operator=(const ServerSession&) = delete;
 
-    /// Emits the ready banner (version, workers, shard_size, spp).
+    /// Emits the ready banner (version, workers, spp).
     void emit_ready(std::size_t samples_per_period);
 
     /// Blocking request loop over `fd`: reads '\n'-terminated lines,

@@ -17,10 +17,4 @@ void Device::begin_transient(std::span<const double>) {}
 
 void Device::step_accepted(std::span<const double>, double, double, Integrator) {}
 
-void Device::restore_state(std::span<const double> state) {
-    XYSIG_EXPECTS(state.empty()); // devices with state override this
-}
-
-void Device::save_state_into(std::vector<double>& out) const { out.clear(); }
-
 } // namespace xysig::spice

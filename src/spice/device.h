@@ -7,8 +7,7 @@
 /// A device knows how to stamp its companion/linearised model into the MNA
 /// system for the current Newton iterate (stamp), how to stamp its
 /// small-signal model for AC analysis (stamp_ac), and how to carry reactive
-/// state across transient steps (begin_transient / step_accepted, with
-/// save/restore used by the adaptive step-doubling error control).
+/// state across transient steps (begin_transient / step_accepted).
 
 #include <memory>
 #include <span>
@@ -95,14 +94,6 @@ public:
     /// Called after a transient step converged; x is the accepted solution.
     virtual void step_accepted(std::span<const double> x, double time, double dt,
                                Integrator integrator);
-
-    /// Snapshot/restore of transient state for adaptive step control. The
-    /// snapshot is written into `out` (resized in place): the adaptive
-    /// engine snapshots every device on every attempted step and reuses
-    /// one buffer per device. The defaults suit stateless devices (an
-    /// empty snapshot); stateful devices override both.
-    virtual void save_state_into(std::vector<double>& out) const;
-    virtual void restore_state(std::span<const double> state);
 
 protected:
     /// Copyable by derived clone() implementations only.

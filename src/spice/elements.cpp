@@ -84,18 +84,6 @@ void Capacitor::step_accepted(std::span<const double> x, double /*time*/, double
     v_prev_ = v_now;
 }
 
-void Capacitor::save_state_into(std::vector<double>& out) const {
-    out.resize(2);
-    out[0] = v_prev_;
-    out[1] = i_prev_;
-}
-
-void Capacitor::restore_state(std::span<const double> state) {
-    XYSIG_EXPECTS(state.size() == 2);
-    v_prev_ = state[0];
-    i_prev_ = state[1];
-}
-
 // ---------------------------------------------------------------- Inductor
 
 Inductor::Inductor(std::string name, NodeId n1, NodeId n2, double inductance)
@@ -152,18 +140,6 @@ void Inductor::step_accepted(std::span<const double> x, double /*time*/, double 
                              Integrator /*integrator*/) {
     i_prev_ = x[static_cast<std::size_t>(extra_base())];
     v_prev_ = node_v(x, 0) - node_v(x, 1);
-}
-
-void Inductor::save_state_into(std::vector<double>& out) const {
-    out.resize(2);
-    out[0] = i_prev_;
-    out[1] = v_prev_;
-}
-
-void Inductor::restore_state(std::span<const double> state) {
-    XYSIG_EXPECTS(state.size() == 2);
-    i_prev_ = state[0];
-    v_prev_ = state[1];
 }
 
 // ------------------------------------------------------------ VoltageSource

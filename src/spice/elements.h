@@ -40,8 +40,6 @@ public:
     void begin_transient(std::span<const double> op_solution) override;
     void step_accepted(std::span<const double> x, double time, double dt,
                        Integrator integrator) override;
-    void save_state_into(std::vector<double>& out) const override;
-    void restore_state(std::span<const double> state) override;
 
     [[nodiscard]] double capacitance() const noexcept { return capacitance_; }
     void set_capacitance(double c);
@@ -64,8 +62,6 @@ public:
     void begin_transient(std::span<const double> op_solution) override;
     void step_accepted(std::span<const double> x, double time, double dt,
                        Integrator integrator) override;
-    void save_state_into(std::vector<double>& out) const override;
-    void restore_state(std::span<const double> state) override;
 
     [[nodiscard]] double inductance() const noexcept { return inductance_; }
 

@@ -2,10 +2,15 @@
 #define XYSIG_SPICE_TRANSIENT_H
 
 /// \file transient.h
-/// Time-domain analysis: fixed-step trapezoidal/backward-Euler integration
-/// with an optional step-doubling adaptive mode (Richardson local error
-/// estimate on the node voltages).
+/// Time-domain analysis: one fixed-step trapezoidal/backward-Euler loop that
+/// hands every accepted time point to a callback. A caller that reads a
+/// window (SpiceCut: two nodes over the last period) keeps only that window;
+/// TransientResult is the consumer that records the whole trajectory.
 
+#include <cstddef>
+#include <functional>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "signal/sampled.h"
@@ -15,23 +20,40 @@
 
 namespace xysig::spice {
 
-/// Stored trajectory of every unknown at every accepted time point.
-///
-/// A TransientResult can be reused across runs via run_transient_into():
-/// reset() rewinds the logical length while keeping the row storage, so a
-/// driver that simulates thousands of circuits (the batch fault-universe
-/// engine) stops reallocating one vector per time point per run.
+/// Voltage of `node` in a solution vector (ground is 0 V; the unknown index
+/// of node id k is k - 1).
+[[nodiscard]] inline double node_voltage(std::span<const double> unknowns,
+                                         NodeId node) {
+    return node == kGround ? 0.0 : unknowns[static_cast<std::size_t>(node) - 1];
+}
+
+/// Receives accepted time point `step` at time t with every unknown of its
+/// solution. Step 0 is the DC operating point at t_start; step k is
+/// t_start + k * dt.
+using TransientStepSink = std::function<void(
+    std::size_t step, double t, std::span<const double> unknowns)>;
+
+/// Runs a transient analysis, handing each accepted time point to on_step
+/// as it is accepted. The initial condition is the DC operating point with
+/// sources evaluated at t_start; then come round((t_stop - t_start) / dt)
+/// fixed steps, the first by backward Euler to damp the operating-point
+/// discontinuity and the rest by opts.integrator. Returns the Newton
+/// iterations the steps took. Throws NumericError when the operating point
+/// or a step does not converge. The netlist's device state is mutated
+/// during the run, so one netlist must never be simulated from two threads
+/// at once — clone it per worker (Netlist::clone()).
+std::size_t stream_transient(const Netlist& nl, const TransientOptions& opts,
+                             const TransientStepSink& on_step);
+
+/// Stored trajectory of every unknown at every accepted time point, one
+/// flat row per step. A TransientResult can be reused across runs via
+/// run_transient_into(), which keeps the storage of the previous run as
+/// capacity.
 class TransientResult {
 public:
     /// Empty result awaiting run_transient_into(); any accessor that needs
     /// stored steps requires a run first.
     TransientResult() = default;
-
-    TransientResult(const Netlist& nl, bool fixed_step);
-
-    /// Rebinds to a netlist and rewinds to zero stored steps. Row buffers
-    /// are kept and overwritten in place by subsequent append() calls.
-    void reset(const Netlist& nl, bool fixed_step);
 
     [[nodiscard]] std::span<const double> time() const noexcept { return time_; }
     [[nodiscard]] std::size_t step_count() const noexcept { return time_.size(); }
@@ -43,47 +65,29 @@ public:
     [[nodiscard]] std::vector<double> voltage_trace(NodeId node) const;
     [[nodiscard]] std::vector<double> voltage_trace(const std::string& node) const;
 
-    /// Value of a raw unknown (e.g. a source branch current) at a step.
-    [[nodiscard]] double unknown(std::size_t index, std::size_t step) const;
-
-    /// Uniformly resampled node voltage (linear interpolation); works for
-    /// both fixed and adaptive runs. t range is [t_first, t_last).
-    [[nodiscard]] SampledSignal sampled_voltage(NodeId node, double dt) const;
-    [[nodiscard]] SampledSignal sampled_voltage(const std::string& node,
-                                                double dt) const;
-
-    /// Fixed-step runs only: zero-copy-ish view as a SampledSignal with the
-    /// run's own dt.
+    /// The trajectory of one node as a SampledSignal with the run's dt.
     [[nodiscard]] SampledSignal signal(const std::string& node) const;
 
     /// Total Newton iterations over the whole run (engine benchmark metric).
-    int total_newton_iterations = 0;
-    /// Steps rejected by the adaptive error control.
-    int rejected_steps = 0;
-
-    /// Called by the engine only.
-    void append(double t, std::span<const double> x);
+    std::size_t total_newton_iterations = 0;
 
 private:
+    friend void run_transient_into(const Netlist& nl, const TransientOptions& opts,
+                                   TransientResult& out);
+
     const Netlist* netlist_ = nullptr;
-    bool fixed_step_ = false;
+    std::size_t width_ = 0; ///< unknowns per step
     std::vector<double> time_;
-    /// Row storage; only the first time_.size() rows are live — reset()
-    /// keeps the rest as capacity for the next run.
-    std::vector<std::vector<double>> rows_;
+    std::vector<double> values_; ///< time_.size() rows of width_ unknowns
 };
 
-/// Runs a transient analysis. The initial condition is the DC operating
-/// point with sources evaluated at t_start. Throws NumericError when a step
-/// fails to converge (fixed) or dt_min is reached (adaptive).
+/// Runs the analysis (stream_transient) and records every step.
 [[nodiscard]] TransientResult run_transient(const Netlist& nl,
                                             const TransientOptions& opts);
 
-/// Buffer-reusing variant: resets `out` and runs the analysis into it,
-/// reusing its row storage from previous runs. Numerically identical to
-/// run_transient (same code path). The netlist's device state is mutated
-/// during the run, so one netlist must never be simulated from two threads
-/// at once — clone it per worker (Netlist::clone()).
+/// Buffer-reusing variant: clears `out` and records the run into it,
+/// reusing its storage from previous runs. Numerically identical to
+/// run_transient (same code path).
 void run_transient_into(const Netlist& nl, const TransientOptions& opts,
                         TransientResult& out);
 

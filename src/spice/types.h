@@ -53,13 +53,9 @@ struct DcOptions {
 struct TransientOptions {
     double t_start = 0.0;
     double t_stop = 1e-3;
-    double dt = 1e-6;            ///< fixed step, or initial step when adaptive
+    double dt = 1e-6; ///< fixed step
     Integrator integrator = Integrator::trapezoidal;
-    bool adaptive = false;       ///< step-doubling local error control
-    double lte_tol = 1e-5;       ///< accepted local error (volts) when adaptive
-    double dt_min = 1e-12;       ///< adaptive floor; below this the run fails
-    double dt_max = 0.0;         ///< adaptive ceiling; 0 = 10x initial dt
-    DcOptions dc;                ///< options for the initial operating point
+    DcOptions dc;     ///< options for the initial operating point
 };
 
 /// AC sweep controls (log-spaced points).

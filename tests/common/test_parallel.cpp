@@ -162,6 +162,19 @@ TEST(ParallelFor, FromDirectPoolTasksDegradesToSerialWithoutDeadlock) {
         EXPECT_EQ(hits[i].load(), 1) << "slot " << i;
 }
 
+TEST(WorkUnitSize, EighthOfAWorkerShareClampedToOneAndSixtyFour) {
+    struct Row {
+        std::size_t items;
+        unsigned workers;
+        std::size_t want;
+    };
+    for (const Row row : {Row{16, 4, 1}, Row{29, 4, 1}, Row{1000, 2, 62},
+                          Row{2000, 4, 62}, Row{100000, 4, 64}, Row{0, 4, 1},
+                          Row{5, 0, 1}})
+        EXPECT_EQ(work_unit_size(row.items, row.workers), row.want)
+            << row.items << " items on " << row.workers << " workers";
+}
+
 TEST(ParallelFor, MoreThreadsThanWorkIsFine) {
     std::atomic<int> counter{0};
     parallel_for(0, 3, [&](std::size_t) { ++counter; }, 64);

@@ -193,8 +193,7 @@ TEST_F(TraceCacheTest, NanMembersLeaveSharingIntact) {
 TEST_F(TraceCacheTest, SweepServiceWorkersShareOneTrace) {
     // Four workers, small shards: every worker touches the shared
     // immutable buffer concurrently (the TSan lane runs this file).
-    server::SweepService service(make_pipeline(),
-                                 {.workers = 4, .shard_size = 4});
+    server::SweepService service(make_pipeline(), {.workers = 4});
     auto& cache = StimulusTraceCache::instance();
     ASSERT_EQ(cache.misses(), 1u);
 

@@ -3,17 +3,37 @@
 
 #include "filter/cut.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "capture/fault_injection.h"
 #include "core/paper_setup.h"
 #include "filter/tow_thomas.h"
+#include "spice/elements.h"
+#include "spice/transient.h"
 
 namespace xysig::filter {
 namespace {
+
+TowThomasCircuit paper_tow_thomas() {
+    return build_tow_thomas(
+        TowThomasDesign::from_biquad(core::paper_biquad().design(), 10e3));
+}
+
+/// The wire's default fault universe: every bridge, then every open.
+std::vector<capture::NetlistFault> default_faults(const spice::Netlist& nominal) {
+    const capture::FaultUniverseOptions fopts;
+    auto faults = capture::enumerate_bridging_faults(nominal, fopts);
+    const auto opens = capture::enumerate_open_faults(nominal, fopts);
+    faults.insert(faults.end(), opens.begin(), opens.end());
+    return faults;
+}
 
 TEST(BehaviouralCut, XChannelIsTheStimulus) {
     const BehaviouralCut cut(core::paper_biquad());
@@ -88,8 +108,8 @@ TEST(SpiceCut, RespondIntoBitIdenticalToRespondAndRepeatable) {
     const XyTrace tr = cut.respond(stim, 256);
     std::vector<double> xs, ys;
     double dt = 0.0;
-    // Twice through the scratch path: the reused internal transient buffer
-    // must not leak state between evaluations.
+    // Twice through the scratch path: the netlist's device state must not
+    // leak between evaluations.
     for (int round = 0; round < 2; ++round) {
         cut.respond_into(stim, 256, xs, ys, dt);
         ASSERT_EQ(xs.size(), 256u);
@@ -99,6 +119,77 @@ TEST(SpiceCut, RespondIntoBitIdenticalToRespondAndRepeatable) {
             ASSERT_EQ(ys[i], tr.y()[i]) << "round " << round << " i " << i;
         }
     }
+}
+
+TEST(SpiceCut, ObservedPeriodIsTheLastPeriodOfTheFullTrajectory) {
+    // The cut keeps only the period it observes, straight from the step
+    // stream; it must be, bit for bit, the last period of a full recording
+    // of the same run over a clone.
+    constexpr std::size_t kSpp = 256;
+    constexpr std::size_t kSettle = 2;
+    const TowThomasCircuit ckt = paper_tow_thomas();
+    const MultitoneWaveform stim = core::paper_stimulus();
+    const capture::NetlistFault bridge = default_faults(ckt.netlist).front();
+    ASSERT_EQ(bridge.kind, capture::NetlistFault::Kind::bridging);
+
+    std::vector<spice::Netlist> circuits;
+    circuits.push_back(ckt.netlist.clone());
+    circuits.push_back(capture::apply_fault(ckt.netlist, bridge));
+    for (spice::Netlist& nl : circuits) {
+        spice::Netlist recorded = nl.clone();
+        const SpiceCut cut(nl, ckt.input_source, ckt.input_node, ckt.lp_node,
+                           static_cast<int>(kSettle));
+        std::vector<double> xs, ys;
+        double dt = 0.0;
+        cut.respond_into(stim, kSpp, xs, ys, dt);
+
+        recorded.get<spice::VoltageSource>(ckt.input_source).set_waveform(stim);
+        spice::TransientOptions opts;
+        opts.t_stop = static_cast<double>(kSettle + 1) * stim.period();
+        opts.dt = stim.period() / static_cast<double>(kSpp);
+        const spice::TransientResult full = spice::run_transient(recorded, opts);
+        ASSERT_EQ(full.step_count(), (kSettle + 1) * kSpp + 1);
+        EXPECT_EQ(dt, opts.dt);
+
+        const spice::NodeId xn = recorded.find_node(ckt.input_node);
+        const spice::NodeId yn = recorded.find_node(ckt.lp_node);
+        const std::size_t first = kSettle * kSpp;
+        ASSERT_EQ(xs.size(), kSpp);
+        ASSERT_EQ(ys.size(), kSpp);
+        for (std::size_t i = 0; i < kSpp; ++i) {
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(xs[i]),
+                      std::bit_cast<std::uint64_t>(full.voltage(xn, first + i)))
+                << "x sample " << i;
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(ys[i]),
+                      std::bit_cast<std::uint64_t>(full.voltage(yn, first + i)))
+                << "y sample " << i;
+        }
+    }
+}
+
+TEST(SpiceCut, SettlePeriodsAtIntMaxFailsAsNumericError) {
+    // The capture window is computed without int overflow: a member with no
+    // DC operating point under the stimulus fails as a NumericError (a NaN
+    // member on the wire) however long it would have settled, not as a
+    // contract violation on a wrapped-around stop time.
+    const TowThomasCircuit ckt = paper_tow_thomas();
+    const auto faults = default_faults(ckt.netlist);
+    ASSERT_GT(faults.size(), 22u);
+    ASSERT_EQ(faults[22].description(), "open(Rf,x1e+06)");
+    spice::Netlist nl = capture::apply_fault(ckt.netlist, faults[22]);
+    std::vector<double> xs, ys;
+    double dt = 0.0;
+    // Guard: if this member ever converged, the INT_MAX run below would step
+    // through ~5e11 time points instead of failing; fail fast here instead.
+    const SpiceCut short_cut(nl, ckt.input_source, ckt.input_node, ckt.lp_node,
+                             /*settle_periods=*/2);
+    ASSERT_THROW(
+        short_cut.respond_into(core::paper_stimulus(), 256, xs, ys, dt),
+        NumericError);
+    const SpiceCut cut(nl, ckt.input_source, ckt.input_node, ckt.lp_node,
+                       std::numeric_limits<int>::max());
+    EXPECT_THROW(cut.respond_into(core::paper_stimulus(), 256, xs, ys, dt),
+                 NumericError);
 }
 
 TEST(SpiceCut, OwningConstructorMatchesReferenceForm) {

@@ -31,12 +31,11 @@ constexpr std::size_t kSpp = 256;
 /// 48 members: big enough that every partition at 4-way still sees the
 /// fault fire mid-stream, small enough for a matrix of 20 runs.
 const char* kGridJob =
-    R"({"job":"deviations","grid":{"from":-12,"to":12,"count":48},"shard_size":8})";
+    R"({"job":"deviations","grid":{"from":-12,"to":12,"count":48}})";
 
 [[nodiscard]] FanoutDriver::TransportFactory loopback_factory() {
     LoopbackTransport::Options opts;
     opts.workers = 2;
-    opts.shard_size = 8;
     opts.samples_per_period = kSpp;
     return [opts] { return std::make_unique<LoopbackTransport>(opts); };
 }
@@ -52,8 +51,7 @@ const char* kGridJob =
 [[nodiscard]] FanoutDriver::TransportFactory
 process_factory(const std::string& binary) {
     const std::vector<std::string> argv = {
-        binary, "--spp=" + std::to_string(kSpp), "--workers=2",
-        "--shard-size=8"};
+        binary, "--spp=" + std::to_string(kSpp), "--workers=2"};
     return [argv] { return std::make_unique<ProcessTransport>(argv); };
 }
 

@@ -41,7 +41,6 @@ constexpr std::size_t kSpp = 256;
 [[nodiscard]] LoopbackTransport::Options loopback_options() {
     LoopbackTransport::Options opts;
     opts.workers = 2;
-    opts.shard_size = 8;
     opts.samples_per_period = kSpp;
     return opts;
 }
@@ -162,7 +161,7 @@ TEST(FanoutDriver, DeviationGridMergedBitIdenticalAtMultiplePartitionCounts) {
     // The acceptance gate: a >= 1200-member deviation grid, merged streams
     // at >= 2 partition counts, bit-identical to one in-process run.
     const std::string job =
-        R"({"job":"deviations","grid":{"from":-20,"to":20,"count":1200},"shard_size":16})";
+        R"({"job":"deviations","grid":{"from":-20,"to":20,"count":1200}})";
     const auto reference = single_process_reference(job);
     ASSERT_EQ(reference.size(), 1200u);
 
@@ -200,7 +199,7 @@ TEST(FanoutDriver, SpiceFaultUniverseMergedBitIdenticalIncludingNaN) {
     // solution (quiet-NaN NDFs, no signature); they must merge exactly
     // like finite members.
     const std::string job =
-        R"({"job":"spice_faults","universe":"bridging+open","settle_periods":2,"shard_size":2})";
+        R"({"job":"spice_faults","universe":"bridging+open","settle_periods":2})";
     const auto reference = single_process_reference(job);
     ASSERT_GE(reference.size(), 29u);
 
@@ -314,7 +313,7 @@ TEST(FanoutDriver, EmptyAndSingleMemberPartitions) {
 
 TEST(FanoutDriver, WorkerDeathMidPartitionIsRedispatchedBitIdentically) {
     const std::string job =
-        R"({"job":"deviations","grid":{"from":-15,"to":15,"count":60},"shard_size":4})";
+        R"({"job":"deviations","grid":{"from":-15,"to":15,"count":60}})";
     const auto reference = single_process_reference(job);
 
     // The first transport the factory hands out dies after 5 result
@@ -367,7 +366,7 @@ TEST(FanoutDriver, ExhaustedDispatchAttemptsFailTheRun) {
 
 TEST(FanoutDriver, CancellationFansOutAndKeepsAscendingOrder) {
     const std::string job =
-        R"({"job":"deviations","grid":{"from":-20,"to":20,"count":2000},"shard_size":4})";
+        R"({"job":"deviations","grid":{"from":-20,"to":20,"count":2000}})";
     FanoutOptions opts;
     opts.partitions = 2;
     auto log = std::make_shared<CancelLog>();
@@ -409,7 +408,7 @@ TEST(FanoutDriver, RejectsJobsWithAnExplicitMemberRange) {
 
 TEST(FanoutDriver, ThrowingCallbackStopsPartitionsAndRethrows) {
     const std::string job =
-        R"({"job":"deviations","grid":{"from":-20,"to":20,"count":500},"shard_size":4})";
+        R"({"job":"deviations","grid":{"from":-20,"to":20,"count":500}})";
     FanoutOptions opts;
     opts.partitions = 2;
     FanoutDriver driver(loopback_factory(), opts);
@@ -426,9 +425,7 @@ TEST(LoopbackTransport, EmittedEventStreamPassesProtocolCheck) {
     // Closes the emitter <-> validator loop: every line a real session
     // emits for a real job must satisfy check_protocol_line — the same
     // validator CI replays the docs/PROTOCOL.md examples through.
-    LoopbackTransport::Options lopts = loopback_options();
-    lopts.shard_size = 2;
-    LoopbackTransport peer(lopts);
+    LoopbackTransport peer(loopback_options());
 
     ASSERT_TRUE(peer.send_line(
         R"({"job":"deviations","id":"ev","deviations":[-10,5],"progress_every":1,"verify_serial":true})"));
@@ -517,7 +514,7 @@ TEST(FanoutDriver, WorkStealingRescuesAStragglerBitIdentically) {
     // until the tail is small) — and the merged stream must not show a
     // seam at any stolen boundary.
     const std::string job =
-        R"({"job":"deviations","grid":{"from":-15,"to":15,"count":60},"shard_size":8})";
+        R"({"job":"deviations","grid":{"from":-15,"to":15,"count":60}})";
     const auto reference = single_process_reference(job);
     ASSERT_EQ(reference.size(), 60u);
 
@@ -557,7 +554,7 @@ TEST(FanoutDriver, PartitionWallClockIsRecordedForEveryBusyPartition) {
     // partition reports a positive wall-clock and that the min/max/mean
     // straggler stats are consistent with the per-partition values.
     const std::string job =
-        R"({"job":"deviations","grid":{"from":-12,"to":12,"count":96},"shard_size":8})";
+        R"({"job":"deviations","grid":{"from":-12,"to":12,"count":96}})";
     FanoutOptions opts;
     opts.partitions = 3;
     opts.steal_threshold = 4; // exercise the post-steal accounting path too

@@ -150,7 +150,8 @@ TEST(Json, KindMismatchThrows) {
 
 TEST(Wire, VersionlessPr4JobsStillParse) {
     // Backward compatibility: every PR-4 job line (no "version" field) is
-    // a valid version-1 job, byte for byte.
+    // a valid version-1 job, byte for byte. Its "shard_size" is ignored now
+    // that the worker sizes work units itself.
     const WireJob wire = parse_wire_job(JsonValue::parse(
         R"({"job":"deviations","id":"legacy","parameter":"q","deviations":[-10,-5,5,10],"shard_size":2,"progress_every":3,"cancel_after":0,"emit_signatures":false,"verify_serial":true})"));
     EXPECT_EQ(wire.version, 1);
@@ -159,7 +160,6 @@ TEST(Wire, VersionlessPr4JobsStillParse) {
     EXPECT_EQ(wire.universe_members, 4u);
     EXPECT_EQ(wire.member_offset, 0u);
     EXPECT_EQ(wire.parameter, core::SweptParameter::q);
-    EXPECT_EQ(wire.job.shard_size, 2u);
     EXPECT_EQ(wire.progress_every, 3u);
     EXPECT_FALSE(wire.emit_signatures);
     EXPECT_TRUE(wire.verify_serial);
@@ -247,6 +247,11 @@ TEST(Wire, CheckProtocolLineAcceptsTheSchemaAndRejectsDrift) {
     // Events, including null NDFs (NaN members).
     EXPECT_NO_THROW(check_protocol_line(
         R"x({"event":"result","member":3,"ndf":null,"ndf_hex":"nan","label":"open(R1)"})x"));
+    // The ready banner, and an older one that still carries shard_size.
+    EXPECT_NO_THROW(check_protocol_line(
+        R"({"event":"ready","samples_per_period":256,"version":3,"workers":2})"));
+    EXPECT_NO_THROW(check_protocol_line(
+        R"({"event":"ready","samples_per_period":256,"shard_size":64,"version":3,"workers":2})"));
     // Unknown events / commands, missing required fields, wrong types.
     EXPECT_THROW(check_protocol_line(R"({"event":"nope"})"), InvalidInput);
     EXPECT_THROW(check_protocol_line(R"({"cmd":"reboot"})"), InvalidInput);

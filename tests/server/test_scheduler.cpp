@@ -176,7 +176,7 @@ void expect_same_stream(const std::vector<SweepResult>& got,
 }
 
 TEST(JobScheduler, FairShareRoundRobinAcrossClients) {
-    SweepService service(make_pipeline(), {.workers = 2, .shard_size = 8});
+    SweepService service(make_pipeline(), {.workers = 2});
     JobScheduler::Options opts;
     opts.cache_capacity = 0; // ordering test: every job must really run
     JobScheduler sched(service, opts);
@@ -210,7 +210,7 @@ TEST(JobScheduler, FairShareRoundRobinAcrossClients) {
 }
 
 TEST(JobScheduler, PriorityOrdersDispatchWithoutInversion) {
-    SweepService service(make_pipeline(), {.workers = 2, .shard_size = 8});
+    SweepService service(make_pipeline(), {.workers = 2});
     JobScheduler::Options opts;
     opts.cache_capacity = 0;
     JobScheduler sched(service, opts);
@@ -249,7 +249,7 @@ TEST(JobScheduler, PriorityOrdersDispatchWithoutInversion) {
 }
 
 TEST(JobScheduler, ExactSpiceResubmitStreamsFromCacheWithZeroClones) {
-    SweepService service(make_pipeline(), {.workers = 3, .shard_size = 1});
+    SweepService service(make_pipeline(), {.workers = 3});
     ASSERT_FALSE(pipeline_fingerprint(service.pipeline()).empty());
     JobScheduler sched(service, JobScheduler::Options{});
 
@@ -302,7 +302,7 @@ TEST(JobScheduler, ExactSpiceResubmitStreamsFromCacheWithZeroClones) {
 }
 
 TEST(JobScheduler, MemberRangeSliceServedByCachedSuperset) {
-    SweepService service(make_pipeline(), {.workers = 2, .shard_size = 4});
+    SweepService service(make_pipeline(), {.workers = 2});
     JobScheduler sched(service, JobScheduler::Options{});
     const std::string full_line =
         R"({"job":"deviations","grid":{"from":-20,"to":20,"count":11}})";
@@ -356,7 +356,7 @@ TEST(JobScheduler, MemberRangeSliceServedByCachedSuperset) {
 
 TEST(JobScheduler, JobOverTheByteCeilingStreamsButIsNotCached) {
     // spp 64 keeps members cheap; 30000 of them outweigh the 8 MiB ceiling.
-    SweepService service(make_pipeline(64), {.workers = 2, .shard_size = 256});
+    SweepService service(make_pipeline(64), {.workers = 2});
     const std::string big_line =
         R"({"job":"deviations","grid":{"from":-30,"to":30,"count":30000}})";
     const std::vector<SweepResult> reference =
@@ -390,7 +390,7 @@ TEST(JobScheduler, JobOverTheByteCeilingStreamsButIsNotCached) {
 }
 
 TEST(JobScheduler, InterleavedQueueBitIdenticalToSerialIncludingNaNs) {
-    SweepService service(make_pipeline(), {.workers = 3, .shard_size = 4});
+    SweepService service(make_pipeline(), {.workers = 3});
     // References first, straight through the service (the scheduler is not
     // constructed yet, so nothing interleaves with these).
     const std::vector<std::string> lines = {
@@ -430,7 +430,7 @@ TEST(JobScheduler, InterleavedQueueBitIdenticalToSerialIncludingNaNs) {
 }
 
 TEST(JobScheduler, QueuedJobsCancelByIdWithoutRunning) {
-    SweepService service(make_pipeline(), {.workers = 2, .shard_size = 8});
+    SweepService service(make_pipeline(), {.workers = 2});
     JobScheduler::Options opts;
     opts.cache_capacity = 0;
     JobScheduler sched(service, opts);
@@ -464,7 +464,7 @@ TEST(JobScheduler, QueuedJobsCancelByIdWithoutRunning) {
 }
 
 TEST(JobScheduler, CancelFromInsideResultStopsTheRunningJobInOrder) {
-    SweepService service(make_pipeline(), {.workers = 4, .shard_size = 4});
+    SweepService service(make_pipeline(), {.workers = 4});
     JobScheduler::Options opts;
     opts.cache_capacity = 0;
     JobScheduler sched(service, opts);
@@ -495,7 +495,7 @@ TEST(JobScheduler, CancelFromInsideResultStopsTheRunningJobInOrder) {
 }
 
 TEST(JobScheduler, FastMathJobsNeverShareCacheEntriesWithExact) {
-    SweepService service(make_pipeline(), {.workers = 2, .shard_size = 4});
+    SweepService service(make_pipeline(), {.workers = 2});
     JobScheduler sched(service, JobScheduler::Options{});
 
     // Exact job, then the identical universe under fast_math: the job
@@ -537,11 +537,11 @@ TEST(JobScheduler, FastMathJobsNeverShareCacheEntriesWithExact) {
 }
 
 TEST(JobScheduler, UnpinnedJobRunsInTheServiceModeNotThePreviousJobs) {
-    SweepService service(make_pipeline(), {.workers = 2, .shard_size = 4});
+    SweepService service(make_pipeline(), {.workers = 2});
     JobScheduler sched(service, JobScheduler::Options{});
     const std::string exact_line =
         R"({"job":"deviations","grid":{"from":-10,"to":10,"count":9}})";
-    SweepService fresh(make_pipeline(), {.workers = 2, .shard_size = 4});
+    SweepService fresh(make_pipeline(), {.workers = 2});
     const std::vector<SweepResult> exact_ref =
         serial_reference(fresh, wire_job(exact_line));
 
@@ -568,7 +568,7 @@ TEST(JobScheduler, UnpinnedJobRunsInTheServiceModeNotThePreviousJobs) {
 }
 
 TEST(JobScheduler, VerifySerialMatchesTheSerialReferenceAndBypassesTheCache) {
-    SweepService service(make_pipeline(), {.workers = 2, .shard_size = 4});
+    SweepService service(make_pipeline(), {.workers = 2});
     JobScheduler sched(service, JobScheduler::Options{});
     const std::string line =
         R"({"job":"deviations","verify_serial":true,"grid":{"from":-10,"to":10,"count":16}})";
@@ -590,7 +590,7 @@ TEST(JobScheduler, VerifySerialMatchesTheSerialReferenceAndBypassesTheCache) {
 }
 
 TEST(JobScheduler, GoldenPrefetchRunsOnTheSubmitterOnlyForAJobThatWaits) {
-    SweepService service(make_pipeline(), {.workers = 2, .shard_size = 8});
+    SweepService service(make_pipeline(), {.workers = 2});
     auto& golden_cache = core::GoldenSignatureCache::instance();
     golden_cache.clear();
 
@@ -619,7 +619,7 @@ TEST(JobScheduler, GoldenPrefetchRunsOnTheSubmitterOnlyForAJobThatWaits) {
 }
 
 TEST(JobScheduler, DestructorFinishesTheBacklogAsCancelled) {
-    SweepService service(make_pipeline(), {.workers = 2, .shard_size = 8});
+    SweepService service(make_pipeline(), {.workers = 2});
     std::vector<std::shared_ptr<Recorder>> jobs;
     {
         JobScheduler::Options opts;
@@ -651,7 +651,7 @@ TEST(JobScheduler, DestructorFinishesTheBacklogAsCancelled) {
 // with the resubmit answered by the whole-job cache while the other job is
 // still running. Every emitted line must satisfy the protocol schema.
 TEST(ServerSession, InterleavedClientsStreamBitIdenticalAndResubmitIsCached) {
-    SweepService service(make_pipeline(), {.workers = 2, .shard_size = 8});
+    SweepService service(make_pipeline(), {.workers = 2});
     const std::string small_universe =
         R"("grid":{"from":-10,"to":10,"count":9})";
     const std::string big_universe =
@@ -797,7 +797,7 @@ std::size_t count_events(const std::vector<std::string>& lines,
 // running, sixteen more jobs queued behind it leave the thread count where
 // it was (their events come from the dispatcher when they run).
 TEST(ServerSession, QueuedJobsHoldNoThreadOfTheirOwn) {
-    SweepService service(make_pipeline(), {.workers = 2, .shard_size = 1});
+    SweepService service(make_pipeline(), {.workers = 2});
     xysig::Mutex lines_mutex;
     xysig::CondVar lines_cv;
     std::vector<std::string> lines;
@@ -856,13 +856,13 @@ TEST(ServerSession, AStalledReaderHoldsBackEveryQueuedJob) {
         R"({"job":"deviations","id":"a","grid":{"from":-20,"to":20,"count":400}})";
     const std::string line_b =
         R"({"job":"deviations","id":"b","parameter":"q","grid":{"from":-15,"to":15,"count":40}})";
-    SweepService reference_service(make_pipeline(), {.workers = 2, .shard_size = 8});
+    SweepService reference_service(make_pipeline(), {.workers = 2});
     const std::vector<SweepResult> ref_a =
         serial_reference(reference_service, wire_job(line_a));
     const std::vector<SweepResult> ref_b =
         serial_reference(reference_service, wire_job(line_b));
 
-    SweepService service(make_pipeline(), {.workers = 2, .shard_size = 8});
+    SweepService service(make_pipeline(), {.workers = 2});
     xysig::Mutex gate_mutex;
     xysig::CondVar gate_cv;
     std::vector<std::string> lines;

@@ -1,5 +1,5 @@
 // SweepService guarantees: bit-identity to the serial/batch NDF paths at
-// any (shard size x worker count), one netlist clone per worker on SPICE
+// any (worker count x universe size), one netlist clone per worker on SPICE
 // universes (pinned through the Netlist::clone_count() probe), in-order
 // streaming, mid-job cancellation, golden-cache reuse across jobs, and a
 // service pipeline that jobs never write.
@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <vector>
 
@@ -48,55 +49,55 @@ std::vector<double> grid(double from, double to, std::size_t count) {
 }
 
 TEST(SweepService, DeviationJobBitIdenticalToBatchAtAnyShardAndWorkerCount) {
-    // >= 10^3-member universe, >= 3 (shard size x worker count) combos: the
-    // acceptance gate of the sharded service.
-    const std::vector<double> deviations = grid(-20.0, 20.0, 1200);
+    // A (worker count x universe size) matrix whose derived shard sizes
+    // span 1 to 64 members, up to a 1200-member universe: the acceptance
+    // gate of the sharded service.
     const filter::Biquad nominal = core::paper_biquad();
+    std::set<std::size_t> shard_sizes;
+    for (const std::size_t size : {13u, 200u, 1200u}) {
+        const std::vector<double> deviations = grid(-20.0, 20.0, size);
+        core::SignaturePipeline reference_pipe = make_pipeline();
+        reference_pipe.set_golden(filter::BehaviouralCut(nominal));
+        const core::BatchNdfEvaluator batch(reference_pipe, {.threads = 2});
+        const std::vector<double> reference =
+            batch.evaluate_deviations(nominal, deviations);
 
-    core::SignaturePipeline reference_pipe = make_pipeline();
-    reference_pipe.set_golden(filter::BehaviouralCut(nominal));
-    const core::BatchNdfEvaluator batch(reference_pipe, {.threads = 2});
-    const std::vector<double> reference =
-        batch.evaluate_deviations(nominal, deviations);
+        for (const unsigned workers : {1u, 2u, 4u, 8u}) {
+            SweepService service(make_pipeline(), {.workers = workers});
+            const SweepJob job = SweepJob::deviation_grid(nominal, deviations);
 
-    struct Combo {
-        std::size_t shard_size;
-        unsigned workers;
-    };
-    for (const Combo combo : {Combo{1, 1}, Combo{7, 4}, Combo{64, 3},
-                              Combo{1200, 2}, Combo{500, 8}}) {
-        SweepServiceOptions sopts;
-        sopts.workers = combo.workers;
-        sopts.shard_size = combo.shard_size;
-        SweepService service(make_pipeline(), sopts);
-        SweepJob job = SweepJob::deviation_grid(nominal, deviations);
+            std::vector<double> streamed;
+            std::vector<std::size_t> order;
+            const JobSummary summary = service.run(job, [&](const SweepResult& r) {
+                order.push_back(r.member_id);
+                streamed.push_back(r.ndf);
+            });
 
-        std::vector<double> streamed;
-        std::vector<std::size_t> order;
-        const JobSummary summary = service.run(job, [&](const SweepResult& r) {
-            order.push_back(r.member_id);
-            streamed.push_back(r.ndf);
-        });
-
-        ASSERT_EQ(streamed.size(), reference.size())
-            << "shard " << combo.shard_size << " workers " << combo.workers;
-        for (std::size_t i = 0; i < reference.size(); ++i)
-            ASSERT_TRUE(same_bits(streamed[i], reference[i]))
-                << "member " << i << " shard " << combo.shard_size
-                << " workers " << combo.workers;
-        // In-order, gap-free streaming on an uncancelled job.
-        for (std::size_t i = 0; i < order.size(); ++i)
-            ASSERT_EQ(order[i], i);
-        EXPECT_FALSE(summary.cancelled);
-        EXPECT_EQ(summary.members_done, deviations.size());
-        EXPECT_EQ(summary.shards_done, summary.shards_total);
-        EXPECT_EQ(summary.netlist_clones, 0u); // behavioural: no SPICE clones
-        EXPECT_EQ(summary.shard_timings.size(), summary.shards_total);
+            const std::size_t shard = work_unit_size(size, workers);
+            shard_sizes.insert(shard);
+            ASSERT_EQ(streamed.size(), reference.size())
+                << "size " << size << " workers " << workers;
+            for (std::size_t i = 0; i < reference.size(); ++i)
+                ASSERT_TRUE(same_bits(streamed[i], reference[i]))
+                    << "member " << i << " size " << size << " workers "
+                    << workers;
+            // In-order, gap-free streaming on an uncancelled job.
+            for (std::size_t i = 0; i < order.size(); ++i)
+                ASSERT_EQ(order[i], i);
+            EXPECT_FALSE(summary.cancelled);
+            EXPECT_EQ(summary.members_done, deviations.size());
+            EXPECT_EQ(summary.shards_total, (size + shard - 1) / shard);
+            EXPECT_EQ(summary.shards_done, summary.shards_total);
+            EXPECT_EQ(summary.netlist_clones, 0u); // behavioural: no SPICE clones
+            EXPECT_EQ(summary.shard_timings.size(), summary.shards_total);
+        }
     }
+    EXPECT_EQ(*shard_sizes.begin(), 1u);
+    EXPECT_EQ(*shard_sizes.rbegin(), 64u);
 }
 
 TEST(SweepService, StreamsSignaturesAndLabels) {
-    SweepService service(make_pipeline(), {.workers = 2, .shard_size = 2});
+    SweepService service(make_pipeline(), {.workers = 2});
     const SweepJob job = SweepJob::deviation_grid(
         core::paper_biquad(), {-10.0, 10.0}, core::SweptParameter::f0);
     std::vector<SweepResult> results;
@@ -128,7 +129,7 @@ TEST(SweepService, ExplicitCutListMatchesBatchEvaluate) {
     const core::BatchNdfEvaluator batch(reference_pipe, {.threads = 2});
     const std::vector<double> reference = batch.evaluate(raw);
 
-    SweepService service(make_pipeline(), {.workers = 3, .shard_size = 5});
+    SweepService service(make_pipeline(), {.workers = 3});
     const SweepJob job = SweepJob::from_cuts(raw, &golden);
     std::vector<double> streamed;
     (void)service.run(job,
@@ -147,6 +148,7 @@ TEST(SweepService, SpiceUniverseOneClonePerWorkerAndBitIdenticalToBatch) {
     auto faults = capture::enumerate_bridging_faults(circuit.netlist, fopts);
     const auto opens = capture::enumerate_open_faults(circuit.netlist, fopts);
     faults.insert(faults.end(), opens.begin(), opens.end());
+    ASSERT_EQ(faults.size(), 29u); // the wire's default universe
 
     // Reference: the clone-per-fault universe (one fault-injected deep
     // clone PER FAULT), evaluated serially outside the executor.
@@ -164,8 +166,8 @@ TEST(SweepService, SpiceUniverseOneClonePerWorkerAndBitIdenticalToBatch) {
         }
     }
 
-    constexpr unsigned kWorkers = 3;
-    SweepService service(make_pipeline(), {.workers = kWorkers, .shard_size = 1});
+    constexpr unsigned kWorkers = 4;
+    SweepService service(make_pipeline(), {.workers = kWorkers});
     const SweepJob job = SweepJob::fault_universe(
         std::make_shared<spice::Netlist>(circuit.netlist.clone()), faults, obs);
 
@@ -185,13 +187,18 @@ TEST(SweepService, SpiceUniverseOneClonePerWorkerAndBitIdenticalToBatch) {
         spice::Netlist::clone_count() - clones_before;
 
     // One clone per participating worker — never one per fault — plus
-    // exactly one for the job's golden CUT. shard_size = 1 gives every
-    // worker ample chance to participate, so the probe also caps the total.
+    // exactly one for the job's golden CUT.
     EXPECT_EQ(summary.netlist_clones, clones_during - 1);
     EXPECT_GE(summary.netlist_clones, 1u);
     EXPECT_LE(summary.netlist_clones, kWorkers);
     EXPECT_LT(clones_during, faults.size()); // the clone-per-fault smell test
+    // A universe of a few dozen members is spread one member per shard
+    // over the pool, not run as one shard on the calling thread.
     EXPECT_EQ(summary.shards_total, faults.size());
+    std::set<unsigned> slots;
+    for (const ShardTiming& t : summary.shard_timings)
+        slots.insert(t.worker);
+    EXPECT_GE(slots.size(), 2u);
 
     // Bit identity against the clone-per-fault reference, NaNs included.
     ASSERT_EQ(streamed.size(), reference.size());
@@ -202,7 +209,7 @@ TEST(SweepService, SpiceUniverseOneClonePerWorkerAndBitIdenticalToBatch) {
 }
 
 TEST(SweepService, CancellationMidJobStopsDispatchKeepsOrder) {
-    SweepService service(make_pipeline(), {.workers = 4, .shard_size = 4});
+    SweepService service(make_pipeline(), {.workers = 4});
     // Large enough that the workers cannot plausibly drain the whole
     // universe before the callback has delivered (and cancelled at) 20
     // results on the caller thread.
@@ -235,7 +242,7 @@ TEST(SweepService, CancellationMidJobStopsDispatchKeepsOrder) {
 }
 
 TEST(SweepService, GoldenComputedOncePerFingerprintAcrossJobs) {
-    SweepService service(make_pipeline(), {.workers = 2, .shard_size = 8});
+    SweepService service(make_pipeline(), {.workers = 2});
     const SweepJob job =
         SweepJob::deviation_grid(core::paper_biquad(), grid(-5.0, 5.0, 32));
     auto& cache = core::GoldenSignatureCache::instance();
@@ -259,7 +266,7 @@ TEST(SweepService, PipelineStaysReadOnlyAcrossJobs) {
     // nor its sampling mode is ever written into the service pipeline,
     // which other threads (a scheduler's prefetcher, sessions sharing the
     // service) read concurrently.
-    SweepService service(make_pipeline(), {.workers = 2, .shard_size = 4});
+    SweepService service(make_pipeline(), {.workers = 2});
     const bool construction_mode = service.pipeline().options().fast_math;
     SweepJob exact =
         SweepJob::deviation_grid(core::paper_biquad(), grid(-5.0, 5.0, 6));
@@ -274,7 +281,7 @@ TEST(SweepService, PipelineStaysReadOnlyAcrossJobs) {
 }
 
 TEST(SweepService, JobPipelinePinsTheModeAndInstallsTheGolden) {
-    SweepService service(make_pipeline(), {.workers = 2, .shard_size = 4});
+    SweepService service(make_pipeline(), {.workers = 2});
     SweepJob fast =
         SweepJob::deviation_grid(core::paper_biquad(), grid(-5.0, 5.0, 6));
     fast.fast_math = true;
@@ -308,7 +315,7 @@ TEST(SweepService, WorkerFaultInjectionErrorPropagates) {
     bogus.node_b = circuit.lp_node;
     bogus.value = 100.0;
 
-    SweepService service(make_pipeline(), {.workers = 2, .shard_size = 1});
+    SweepService service(make_pipeline(), {.workers = 2});
     const SweepJob job = SweepJob::fault_universe(
         std::make_shared<spice::Netlist>(circuit.netlist.clone()), {bogus}, obs);
     EXPECT_THROW((void)service.run(job, [](const SweepResult&) {}),
@@ -316,7 +323,7 @@ TEST(SweepService, WorkerFaultInjectionErrorPropagates) {
 }
 
 TEST(SweepService, ThrowingResultCallbackStopsJobAndServiceSurvives) {
-    SweepService service(make_pipeline(), {.workers = 4, .shard_size = 4});
+    SweepService service(make_pipeline(), {.workers = 4});
     const SweepJob job =
         SweepJob::deviation_grid(core::paper_biquad(), grid(-20.0, 20.0, 500));
     // A consumer that throws mid-stream: run() must stop the workers, wait

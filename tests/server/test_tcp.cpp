@@ -29,7 +29,6 @@ constexpr std::size_t kSpp = 256;
     opts.bind_address = "127.0.0.1";
     opts.port = 0; // ephemeral; port() reports the bound one
     opts.workers = 2;
-    opts.shard_size = 8;
     opts.samples_per_period = kSpp;
     return opts;
 }
@@ -110,7 +109,7 @@ TEST(TcpTransport, ConnectRetriesWithBackoffThenFails) {
 
 TEST(TcpFanout, FourPartitionGridMergesBitIdenticallyOverLocalhost) {
     const std::string job =
-        R"({"job":"deviations","grid":{"from":-20,"to":20,"count":96},"shard_size":8})";
+        R"({"job":"deviations","grid":{"from":-20,"to":20,"count":96}})";
     const auto reference = single_process_reference(job);
     ASSERT_EQ(reference.size(), 96u);
 
@@ -134,7 +133,7 @@ TEST(TcpFanout, FourPartitionGridMergesBitIdenticallyOverLocalhost) {
 
 TEST(TcpFanout, DroppedConnectionReconnectsAndResumesBitIdentically) {
     const std::string job =
-        R"({"job":"deviations","grid":{"from":-20,"to":20,"count":96},"shard_size":8})";
+        R"({"job":"deviations","grid":{"from":-20,"to":20,"count":96}})";
     const auto reference = single_process_reference(job);
 
     TcpListener listener(listener_options());
@@ -190,7 +189,7 @@ TEST(TcpFanout, HeartbeatsKeepAQueuedJobAliveThroughATightTimeout) {
     ASSERT_TRUE(fat_started);
 
     const std::string job =
-        R"({"job":"deviations","grid":{"from":-6,"to":6,"count":12},"shard_size":4})";
+        R"({"job":"deviations","grid":{"from":-6,"to":6,"count":12}})";
     const auto reference = single_process_reference(job);
 
     FanoutOptions fopts;

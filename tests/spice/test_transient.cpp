@@ -164,62 +164,26 @@ TEST(Transient, InitialConditionIsOperatingPoint) {
         EXPECT_NEAR(res.voltage(nl.find_node("mid"), i), 1.0, 1e-6);
 }
 
-TEST(Transient, AdaptiveMatchesFixedStepOnRc) {
-    const double r = 1e3, c = 1e-6;
-    Netlist nl_fixed = rc_step_circuit(r, c);
-    Netlist nl_adapt = rc_step_circuit(r, c);
-
-    TransientOptions fixed;
-    fixed.t_stop = 3e-3;
-    fixed.dt = 1e-7;
-    const auto res_fixed = run_transient(nl_fixed, fixed);
-
-    TransientOptions adapt = fixed;
-    adapt.adaptive = true;
-    adapt.dt = 1e-6;
-    adapt.lte_tol = 1e-6;
-    const auto res_adapt = run_transient(nl_adapt, adapt);
-
-    const auto sig_a = res_adapt.sampled_voltage("out", 1e-5);
-    const auto sig_f = res_fixed.sampled_voltage("out", 1e-5);
-    for (std::size_t i = 0; i < std::min(sig_a.size(), sig_f.size()); ++i)
-        EXPECT_NEAR(sig_a[i], sig_f[i], 1e-3);
-}
-
-TEST(Transient, AdaptiveRefinesAroundFastEdge) {
-    // A sharp pulse through an RC: the adaptive run must spend more points
-    // near the edges than a uniform spacing at its maximum dt would.
-    Netlist nl;
-    const NodeId in = nl.node("in");
-    const NodeId out = nl.node("out");
-    nl.add<VoltageSource>("V1", in, kGround,
-                          PulseWaveform(0.0, 1.0, 100e-6, 1e-6, 1e-6, 100e-6, 400e-6));
-    nl.add<Resistor>("R1", in, out, 1e3);
-    nl.add<Capacitor>("C1", out, kGround, 10e-9); // tau = 10 us
-    TransientOptions opts;
-    opts.t_stop = 400e-6;
-    opts.dt = 2e-6;
-    opts.adaptive = true;
-    opts.lte_tol = 1e-4;
-    opts.dt_max = 50e-6;
-    const auto res = run_transient(nl, opts);
-    EXPECT_GT(res.step_count(), 30u);
-    EXPECT_GT(res.rejected_steps, 0);
-    // Final value: pulse off, output discharged.
-    EXPECT_NEAR(res.voltage(nl.find_node("out"), res.step_count() - 1), 0.0, 0.05);
-}
-
-TEST(Transient, SampledVoltageResamplesUniformly) {
+TEST(Transient, StreamHandsOverEveryRecordedStepInOrder) {
+    // run_transient records exactly what stream_transient hands over: every
+    // step index once, in order, at the same time and with the same bits.
     Netlist nl = rc_step_circuit(1e3, 1e-6);
     TransientOptions opts;
-    opts.t_stop = 1e-3;
+    opts.t_stop = 1e-4;
     opts.dt = 1e-6;
-    const auto res = run_transient(nl, opts);
-    const auto sig = res.sampled_voltage("out", 1e-5);
-    EXPECT_NEAR(sig.dt(), 1e-5, 1e-15);
-    EXPECT_GE(sig.size(), 99u);
-    // Spot check against the stored trajectory.
-    EXPECT_NEAR(sig.value_at(5e-4), res.voltage(nl.find_node("out"), 500), 1e-6);
+    const TransientResult recorded = run_transient(nl, opts);
+    const NodeId out = nl.find_node("out");
+    std::size_t next = 0;
+    const std::size_t iterations = stream_transient(
+        nl, opts, [&](std::size_t step, double t, std::span<const double> x) {
+            ASSERT_EQ(step, next++);
+            ASSERT_LT(step, recorded.step_count());
+            EXPECT_EQ(t, recorded.time()[step]);
+            EXPECT_EQ(node_voltage(x, out), recorded.voltage(out, step));
+        });
+    EXPECT_EQ(next, 101u); // the operating point and 100 steps
+    EXPECT_EQ(next, recorded.step_count());
+    EXPECT_EQ(iterations, recorded.total_newton_iterations);
 }
 
 TEST(Transient, RejectsBadTimeWindow) {
