@@ -30,7 +30,6 @@
 // serve all partitions of a `sweep_fanout --connect` run concurrently.
 //
 // Flags: --workers=N --spp=N (pipeline samples per period)
-//        --job-cache=N (whole-job result cache entries; 0 disables)
 //        --heartbeat=SECONDS (emit v3 heartbeat events; 0 = off)
 //        --listen=PORT (serve TCP connections instead of stdin; 0 picks
 //        an ephemeral port, announced on stdout)
@@ -92,8 +91,6 @@ int main(int argc, char** argv) {
             workers = static_cast<unsigned>(std::stoul(arg.substr(10)));
         else if (arg.rfind("--spp=", 0) == 0)
             samples_per_period = std::stoul(arg.substr(6));
-        else if (arg.rfind("--job-cache=", 0) == 0)
-            session_opts.cache_capacity = std::stoul(arg.substr(12));
         else if (arg.rfind("--heartbeat=", 0) == 0)
             session_opts.heartbeat_seconds = std::stod(arg.substr(12));
         else if (arg.rfind("--listen=", 0) == 0) {

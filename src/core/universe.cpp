@@ -4,10 +4,10 @@
 #include <chrono>
 #include <exception>
 #include <limits>
-#include <map>
 
 #include "common/annotated_mutex.h"
 #include "common/contracts.h"
+#include "common/ordered_merge.h"
 #include "common/parallel.h"
 #include "common/strings.h"
 
@@ -160,11 +160,7 @@ struct Run {
     std::atomic<bool> failed{false};
 
     Mutex mutex;
-    CondVar cv; ///< signalled on new results and task exits
-    /// Evaluated, not yet delivered.
-    std::map<std::size_t, MemberResult> ready GUARDED_BY(mutex);
     std::vector<ShardTiming> timings GUARDED_BY(mutex);
-    std::size_t active_tasks GUARDED_BY(mutex) = 0;
     std::exception_ptr error GUARDED_BY(mutex);
 
     [[nodiscard]] bool aborted() const noexcept {
@@ -212,39 +208,6 @@ struct Run {
         }
         clones.fetch_add(worker.netlist_clones, std::memory_order_relaxed);
     }
-
-    /// Caller-thread delivery for pooled runs: ascending member order,
-    /// contiguous while tasks are live, then (after cancellation or
-    /// failure) whatever stragglers completed, still ascending but with
-    /// gaps. Returns once every task has exited.
-    void deliver(const std::function<void(const MemberResult&)>& on_result) {
-        std::size_t next = 0;
-        std::vector<MemberResult> batch;
-        bool finished = false;
-        while (!finished) {
-            {
-                MutexLock lock(mutex);
-                cv.wait(lock, [&]() REQUIRES(mutex) {
-                    return active_tasks == 0 ||
-                           (!ready.empty() && ready.begin()->first == next);
-                });
-                batch.clear();
-                while (!ready.empty() && ready.begin()->first == next) {
-                    batch.push_back(std::move(ready.begin()->second));
-                    ready.erase(ready.begin());
-                    ++next;
-                }
-                finished = active_tasks == 0;
-                if (finished) {
-                    for (auto& entry : ready)
-                        batch.push_back(std::move(entry.second));
-                    ready.clear();
-                }
-            }
-            for (const MemberResult& result : batch)
-                on_result(result);
-        }
-    }
 };
 
 } // namespace
@@ -270,45 +233,30 @@ RunSummary run_universe(const Universe& universe,
         // the evaluation.
         run.work(0, [&](MemberResult&& result) { on_result(result); });
     } else if (run.shards > 0) {
-        {
-            MutexLock lock(run.mutex);
-            run.active_tasks = tasks;
-        }
+        // Pool tasks evaluate; this thread delivers through the merge.
+        OrderedMerge<MemberResult> merge(tasks);
         try {
             for (unsigned slot = 0; slot < tasks; ++slot) {
                 try {
-                    schedule.pool->submit([&run, slot] {
-                        run.work(slot, [&run](MemberResult&& result) {
+                    schedule.pool->submit([&run, &merge, slot] {
+                        run.work(slot, [&merge](MemberResult&& result) {
                             const std::size_t id = result.member_id;
-                            {
-                                MutexLock lock(run.mutex);
-                                run.ready.emplace(id, std::move(result));
-                            }
-                            run.cv.notify_all();
+                            merge.publish(id, std::move(result));
                         });
-                        // Decrement-and-notify under the lock: run_universe
-                        // may destroy `run` the moment it observes zero
-                        // active tasks, so the broadcast must complete
-                        // before this task lets go.
-                        MutexLock lock(run.mutex);
-                        --run.active_tasks;
-                        run.cv.notify_all();
+                        // The task's last touch of `run` and `merge`.
+                        merge.done();
                     });
                 } catch (...) {
-                    MutexLock lock(run.mutex);
-                    run.active_tasks -= tasks - slot; // never submitted
+                    merge.done(tasks - slot); // never submitted
                     throw;
                 }
             }
-            run.deliver(on_result);
+            merge.deliver([&](MemberResult&& result) { on_result(result); });
         } catch (...) {
             // A failed submit or a throwing on_result: stop the tasks and
             // wait until none can touch `run` before it unwinds.
             run.failed.store(true, std::memory_order_relaxed);
-            MutexLock lock(run.mutex);
-            run.cv.wait(lock, [&]() REQUIRES(run.mutex) {
-                return run.active_tasks == 0;
-            });
+            merge.wait_done();
             throw;
         }
     }

@@ -231,12 +231,14 @@ struct Schedule {
 /// sharded into contiguous work units of work_unit_size(members,
 /// schedule.workers) that schedule.workers pool tasks claim dynamically,
 /// and invokes on_result once per evaluated member on the CALLER's thread,
-/// in ascending member order (contiguous from 0 unless cancelled). Blocks
-/// until the run completes, is cancelled, or fails; a non-member error
-/// (InvalidInput, a contract violation, a throwing on_result) stops the
-/// workers and is rethrown once every task has let go of the run. A
-/// schedule with one evaluator (no pool, one worker, or one shard) runs on
-/// the calling thread. Results never depend on the schedule.
+/// in ascending member order (contiguous from 0 unless cancelled); pool
+/// tasks deliver through an OrderedMerge. Blocks until the run completes,
+/// is cancelled, or fails; a non-member error (InvalidInput, a contract
+/// violation, a throwing on_result) stops the workers and is rethrown once
+/// every task has let go of the run, after the members already evaluated
+/// are delivered (unless on_result threw). A schedule with one evaluator
+/// (no pool, one worker, or one shard) runs on the calling thread.
+/// Results never depend on the schedule.
 RunSummary run_universe(const Universe& universe,
                         const SignaturePipeline& pipeline,
                         const Schedule& schedule,

@@ -159,84 +159,46 @@ void clear_forced_isa() noexcept {
     g_forced_isa.store(-1, std::memory_order_relaxed);
 }
 
-void sin_batch(const double* x, double* out, std::size_t n) {
+namespace {
+
+/// The one ISA dispatch of every batch kernel.
+void dispatch(detail::Kernel kernel, const double* x, double* out,
+              std::size_t n) {
     switch (active_isa()) {
 #if defined(__x86_64__) || defined(_M_X64)
     case Isa::avx2:
-        detail::sin_batch_avx2(x, out, n);
+        detail::batch_avx2(kernel, x, out, n);
         return;
     case Isa::sse2:
-        detail::sin_batch_impl<Sse2Pack>(x, out, n);
+        detail::batch<Sse2Pack>(kernel, x, out, n);
         return;
 #elif defined(__aarch64__)
     case Isa::neon:
-        detail::sin_batch_impl<NeonPack>(x, out, n);
+        detail::batch<NeonPack>(kernel, x, out, n);
         return;
 #endif
     default:
-        detail::sin_batch_impl<detail::ScalarPack>(x, out, n);
+        detail::batch<detail::ScalarPack>(kernel, x, out, n);
         return;
     }
+}
+
+} // namespace
+
+void sin_batch(const double* x, double* out, std::size_t n) {
+    dispatch(detail::Kernel::sin, x, out, n);
 }
 
 void exp_batch(const double* x, double* out, std::size_t n) {
-    switch (active_isa()) {
-#if defined(__x86_64__) || defined(_M_X64)
-    case Isa::avx2:
-        detail::exp_batch_avx2(x, out, n);
-        return;
-    case Isa::sse2:
-        detail::exp_batch_impl<Sse2Pack>(x, out, n);
-        return;
-#elif defined(__aarch64__)
-    case Isa::neon:
-        detail::exp_batch_impl<NeonPack>(x, out, n);
-        return;
-#endif
-    default:
-        detail::exp_batch_impl<detail::ScalarPack>(x, out, n);
-        return;
-    }
+    dispatch(detail::Kernel::exp, x, out, n);
 }
 
 void log_batch(const double* x, double* out, std::size_t n) {
-    switch (active_isa()) {
-#if defined(__x86_64__) || defined(_M_X64)
-    case Isa::avx2:
-        detail::log_batch_avx2(x, out, n);
-        return;
-    case Isa::sse2:
-        detail::log_batch_impl<Sse2Pack>(x, out, n);
-        return;
-#elif defined(__aarch64__)
-    case Isa::neon:
-        detail::log_batch_impl<NeonPack>(x, out, n);
-        return;
-#endif
-    default:
-        detail::log_batch_impl<detail::ScalarPack>(x, out, n);
-        return;
-    }
+    dispatch(detail::Kernel::log, x, out, n);
 }
 
 void softplus_batch(const double* x, double* out, std::size_t n) {
-    switch (active_isa()) {
-#if defined(__x86_64__) || defined(_M_X64)
-    case Isa::avx2:
-        detail::softplus_batch_avx2(x, out, n);
-        return;
-    case Isa::sse2:
-        detail::softplus_batch_impl<Sse2Pack>(x, out, n);
-        return;
-#elif defined(__aarch64__)
-    case Isa::neon:
-        detail::softplus_batch_impl<NeonPack>(x, out, n);
-        return;
-#endif
-    default:
-        detail::softplus_batch_impl<detail::ScalarPack>(x, out, n);
-        return;
-    }
+    dispatch(detail::Kernel::softplus, x, out, n);
 }
 
 double sin_scalar(double x) noexcept {

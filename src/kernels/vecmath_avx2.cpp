@@ -57,20 +57,9 @@ struct Avx2Pack {
 
 } // namespace
 
-void sin_batch_avx2(const double* x, double* out, std::size_t n) noexcept {
-    sin_batch_impl<Avx2Pack>(x, out, n);
-}
-
-void exp_batch_avx2(const double* x, double* out, std::size_t n) noexcept {
-    exp_batch_impl<Avx2Pack>(x, out, n);
-}
-
-void log_batch_avx2(const double* x, double* out, std::size_t n) noexcept {
-    log_batch_impl<Avx2Pack>(x, out, n);
-}
-
-void softplus_batch_avx2(const double* x, double* out, std::size_t n) noexcept {
-    softplus_batch_impl<Avx2Pack>(x, out, n);
+void batch_avx2(Kernel kernel, const double* x, double* out,
+                std::size_t n) noexcept {
+    batch<Avx2Pack>(kernel, x, out, n);
 }
 
 } // namespace xysig::kernels::vecmath::detail

@@ -286,54 +286,50 @@ softplus_pack(typename P::pack x) noexcept {
     return P::add(mx, P::select(mask, corr, e));
 }
 
-template <class P>
-inline void sin_batch_impl(const double* x, double* out, std::size_t n) noexcept {
-    constexpr std::size_t w = P::width;
-    std::size_t i = 0;
-    for (; i + w <= n; i += w)
-        P::store(out + i, sin_pack<P>(P::load(x + i)));
-    for (; i < n; ++i)
-        out[i] = sin_pack<ScalarPack>(x[i]); // identical ops, one lane
+/// The batch kernels, one tag each.
+enum class Kernel : std::uint8_t { sin, exp, log, softplus };
+
+template <Kernel K, class P>
+[[nodiscard]] inline typename P::pack kernel_pack(typename P::pack x) noexcept {
+    if constexpr (K == Kernel::sin)
+        return sin_pack<P>(x);
+    else if constexpr (K == Kernel::exp)
+        return exp_pack<P>(x);
+    else if constexpr (K == Kernel::log)
+        return log_pack<P>(x);
+    else
+        return softplus_pack<P>(x);
 }
 
-template <class P>
-inline void exp_batch_impl(const double* x, double* out, std::size_t n) noexcept {
+/// out[i] = K(x[i]): whole packs, then the tail through the identical ops
+/// one lane at a time.
+template <class P, Kernel K>
+inline void batch_impl(const double* x, double* out, std::size_t n) noexcept {
     constexpr std::size_t w = P::width;
     std::size_t i = 0;
     for (; i + w <= n; i += w)
-        P::store(out + i, exp_pack<P>(P::load(x + i)));
+        P::store(out + i, kernel_pack<K, P>(P::load(x + i)));
     for (; i < n; ++i)
-        out[i] = exp_pack<ScalarPack>(x[i]);
+        out[i] = kernel_pack<K, ScalarPack>(x[i]);
 }
 
+/// batch_impl for a kernel chosen at run time.
 template <class P>
-inline void log_batch_impl(const double* x, double* out, std::size_t n) noexcept {
-    constexpr std::size_t w = P::width;
-    std::size_t i = 0;
-    for (; i + w <= n; i += w)
-        P::store(out + i, log_pack<P>(P::load(x + i)));
-    for (; i < n; ++i)
-        out[i] = log_pack<ScalarPack>(x[i]);
-}
-
-template <class P>
-inline void softplus_batch_impl(const double* x, double* out,
-                                std::size_t n) noexcept {
-    constexpr std::size_t w = P::width;
-    std::size_t i = 0;
-    for (; i + w <= n; i += w)
-        P::store(out + i, softplus_pack<P>(P::load(x + i)));
-    for (; i < n; ++i)
-        out[i] = softplus_pack<ScalarPack>(x[i]);
+inline void batch(Kernel kernel, const double* x, double* out,
+                  std::size_t n) noexcept {
+    switch (kernel) {
+    case Kernel::sin: batch_impl<P, Kernel::sin>(x, out, n); return;
+    case Kernel::exp: batch_impl<P, Kernel::exp>(x, out, n); return;
+    case Kernel::log: batch_impl<P, Kernel::log>(x, out, n); return;
+    case Kernel::softplus: batch_impl<P, Kernel::softplus>(x, out, n); return;
+    }
 }
 
 #if defined(__x86_64__) || defined(_M_X64)
 // Implemented in vecmath_avx2.cpp (the one TU built with -mavx2); only
 // dispatched to after __builtin_cpu_supports("avx2") says yes.
-void sin_batch_avx2(const double* x, double* out, std::size_t n) noexcept;
-void exp_batch_avx2(const double* x, double* out, std::size_t n) noexcept;
-void log_batch_avx2(const double* x, double* out, std::size_t n) noexcept;
-void softplus_batch_avx2(const double* x, double* out, std::size_t n) noexcept;
+void batch_avx2(Kernel kernel, const double* x, double* out,
+                std::size_t n) noexcept;
 #endif
 
 } // namespace xysig::kernels::vecmath::detail

@@ -6,11 +6,11 @@
 #include <cmath>
 #include <cstdlib>
 #include <deque>
-#include <map>
 #include <thread>
 
 #include "common/annotated_mutex.h"
 #include "common/contracts.h"
+#include "common/ordered_merge.h"
 #include "common/strings.h"
 #include "server/wire.h"
 
@@ -46,6 +46,10 @@ constexpr unsigned kVerifyWorkers = 2;
 
 /// Everything the partition threads and the merging run() caller share.
 struct FanoutDriver::Shared {
+    /// One merge producer per partition thread.
+    explicit Shared(std::size_t threads) : merge(threads) {}
+
+    OrderedMerge<FanoutRecord> merge;
     JsonValue::Object base_job; ///< the job object, cloned per partition
     std::string base_id;
     SweepCancelToken* cancel = nullptr;
@@ -72,10 +76,6 @@ struct FanoutDriver::Shared {
     };
 
     Mutex mutex; ///< guards everything below
-    CondVar cv;
-    /// Merged, not yet delivered.
-    std::map<std::size_t, FanoutRecord> ready GUARDED_BY(mutex);
-    std::size_t active GUARDED_BY(mutex) = 0; ///< threads still running
     bool failed GUARDED_BY(mutex) = false;
     std::string failure GUARDED_BY(mutex);
     /// From the first ready banner.
@@ -92,7 +92,6 @@ struct FanoutDriver::Shared {
             failed = true;
             failure = why;
         }
-        cv.notify_all();
     }
 
     /// Picks the slowest running range with a stealable tail, halves it,
@@ -157,13 +156,11 @@ void FanoutDriver::partition_main(Shared& shared, std::size_t first_segment) {
         MutexLock lock(shared.mutex);
         // Wall-clock attributed to the thread's home partition: with
         // stealing on it includes time spent rescuing stragglers, which is
-        // exactly the idle time stealing reclaims. Written under the lock:
-        // run() reads outcomes while other partition threads are still
-        // live, so an unguarded write here would race the merge loop.
+        // exactly the idle time stealing reclaims. Under the lock, like
+        // every outcome a sibling thread may touch.
         shared.outcomes[first_segment].seconds = seconds_since(t0);
-        --shared.active;
     }
-    shared.cv.notify_all();
+    shared.merge.done();
 }
 
 void FanoutDriver::serve_segment(Shared& shared, std::size_t segment_index) {
@@ -178,8 +175,8 @@ void FanoutDriver::serve_segment(Shared& shared, std::size_t segment_index) {
         end = seg.end;
     }
     // No cached reference into shared.outcomes here: the accounting entry
-    // is shared with the merge loop and sibling threads, so every access
-    // goes through shared.outcomes[partition] under shared.mutex.
+    // is shared with sibling threads, so every access goes through
+    // shared.outcomes[partition] under shared.mutex.
     unsigned attempts = 0; ///< this segment's own dispatch budget
     bool done = next_needed >= end; // a tail stolen down to nothing
     std::string last_failure; ///< why the latest attempt failed
@@ -214,36 +211,69 @@ void FanoutDriver::serve_segment(Shared& shared, std::size_t segment_index) {
         }
         const std::string peer = transport->describe();
 
-        // Handshake — the one banner check, whatever the transport: wait
-        // for `ready`, then pin the peer's protocol version and its
-        // samples_per_period (the verify gate depends on it). Either
-        // mismatch is deterministic, so it fails the run instead of
-        // costing attempts.
-        bool handshaken = false;
-        {
-            last_failure = peer + " sent no ready banner within " +
-                           format_double(kHandshakeTimeoutSeconds) +
-                           " s";
-            const auto h0 = Clock::now();
-            std::string line;
-            while (seconds_since(h0) < kHandshakeTimeoutSeconds) {
-                const auto status =
-                    transport->read_line(line, kPollSliceSeconds);
-                if (status == Transport::ReadStatus::closed) {
-                    last_failure = peer + " closed before the ready banner";
+        // One read loop per dispatch. The peer's `ready` banner is its first
+        // event — the one banner check, whatever the transport: its protocol
+        // version and samples_per_period are pinned (the verify gate depends
+        // on them) before any job is sent. Either mismatch is deterministic,
+        // so it fails the run instead of costing attempts. Then results
+        // stream into the merge until job_done, peer death or inactivity.
+        const auto attempt_start = Clock::now();
+        auto last_activity = attempt_start;
+        bool dispatched = false;
+        bool cancel_sent = false;
+        std::size_t dispatch_end = 0;
+        std::string cancel_line;
+        std::string line;
+        while (!done) {
+            if (!dispatched && seconds_since(attempt_start) >=
+                                   kHandshakeTimeoutSeconds) {
+                last_failure = peer + " sent no ready banner within " +
+                               format_double(kHandshakeTimeoutSeconds) + " s";
+                break;
+            }
+            if (dispatched && shared.stop_requested() && !cancel_sent) {
+                // Cooperative cancellation fan-out: ask, don't kill — the
+                // peer finishes members in flight and reports a cancelled
+                // job_done, so nothing evaluated is lost.
+                (void)transport->send_line(cancel_line);
+                cancel_sent = true;
+            }
+            const auto status = transport->read_line(line, kPollSliceSeconds);
+            if (status == Transport::ReadStatus::closed) {
+                last_failure = peer + (dispatched
+                                           ? " closed mid-job"
+                                           : " closed before the ready banner");
+                break;
+            }
+            if (status == Transport::ReadStatus::timeout) {
+                // Before the banner a stop request ends the attempt with
+                // nothing sent.
+                if (!dispatched && shared.stop_requested())
+                    break;
+                if (dispatched && options_.read_timeout_seconds > 0.0 &&
+                    seconds_since(last_activity) >
+                        options_.read_timeout_seconds) {
+                    last_failure =
+                        peer + " silent for more than " +
+                        format_double(options_.read_timeout_seconds) + " s";
                     break;
                 }
-                if (status == Transport::ReadStatus::timeout) {
-                    if (shared.stop_requested())
-                        break;
-                    continue;
-                }
-                try {
-                    const JsonValue v = JsonValue::parse(line);
-                    if (!v.is_object() || v.string_or("event", "") != "ready")
-                        continue;
+                continue;
+            }
+            last_activity = Clock::now();
+
+            // Any malformed line — unparseable, wrong field types,
+            // out-of-range counts or members — marks the peer dead (and
+            // re-dispatches the remainder) rather than unwinding the
+            // partition thread or corrupting the merge.
+            try {
+                const JsonValue event = JsonValue::parse(line);
+                if (!dispatched) {
+                    if (!event.is_object() ||
+                        event.string_or("event", "") != "ready")
+                        continue; // not the banner yet
                     const std::size_t version =
-                        v.has("version") ? size_field(v, "version") : 1;
+                        event.has("version") ? size_field(event, "version") : 1;
                     if (version < 1 ||
                         version > static_cast<std::size_t>(kProtocolVersion)) {
                         shared.fail("fanout: peer " + peer +
@@ -253,14 +283,23 @@ void FanoutDriver::serve_segment(Shared& shared, std::size_t segment_index) {
                                     std::to_string(kProtocolVersion));
                         break;
                     }
-                    const std::size_t spp = size_field(v, "samples_per_period");
+                    const std::size_t spp =
+                        size_field(event, "samples_per_period");
                     bool mismatch = false;
                     {
+                        // The range is re-read under the lock: a steal may
+                        // have shrunk the end since the last attempt, and
+                        // dispatching members another thread now owns would
+                        // compute them twice.
                         MutexLock lock(shared.mutex);
                         if (shared.samples_per_period == 0)
                             shared.samples_per_period = spp;
                         else
                             mismatch = shared.samples_per_period != spp;
+                        const Shared::Segment& seg =
+                            shared.segments[segment_index];
+                        next_needed = seg.next_needed;
+                        dispatch_end = seg.end;
                     }
                     if (mismatch) {
                         shared.fail("fanout: workers disagree on "
@@ -268,107 +307,39 @@ void FanoutDriver::serve_segment(Shared& shared, std::size_t segment_index) {
                                     "be comparable");
                         break;
                     }
-                    handshaken = true;
-                    break;
-                } catch (const std::exception& e) {
-                    // Garbage banner: treat the peer as dead.
-                    last_failure = "malformed banner from " + peer + ": " +
-                                   e.what();
-                    break;
+                    if (next_needed >= dispatch_end) {
+                        done = true;
+                        break;
+                    }
+                    // Driver-owned concerns are stripped: progress and
+                    // verify_serial belong to direct sweep_server consumers,
+                    // not to partitions. Cancels name the dispatched job, so
+                    // the peer's scheduler stops it whether it is running or
+                    // still queued behind other jobs.
+                    const std::string job_id =
+                        shared.base_id + "#p" + std::to_string(segment_index) +
+                        "a" + std::to_string(attempts);
+                    JsonValue::Object cancel;
+                    cancel.emplace("cmd", "cancel");
+                    cancel.emplace("id", job_id);
+                    cancel_line = JsonValue(std::move(cancel)).dump();
+                    JsonValue::Object job = shared.base_job;
+                    JsonValue::Object members;
+                    members.emplace("first", next_needed);
+                    members.emplace("count", dispatch_end - next_needed);
+                    job.insert_or_assign("members",
+                                         JsonValue(std::move(members)));
+                    job.insert_or_assign("id", job_id);
+                    job.insert_or_assign("version", JsonValue(kProtocolVersion));
+                    job.insert_or_assign("progress_every", JsonValue(0));
+                    job.insert_or_assign("verify_serial", JsonValue(false));
+                    if (!transport->send_line(JsonValue(std::move(job)).dump())) {
+                        last_failure = peer + " closed before taking the job";
+                        break;
+                    }
+                    dispatched = true;
+                    continue;
                 }
-            }
-        }
-        if (!handshaken) {
-            transport->shutdown();
-            continue; // costs one attempt
-        }
-
-        // Dispatch the (remaining) member range. Driver-owned concerns are
-        // stripped: progress/verify_serial belong to direct sweep_server
-        // consumers, not to partitions. The range is re-read under the
-        // lock: a steal may have shrunk the end since the last attempt,
-        // and dispatching members another thread now owns would compute
-        // them twice.
-        std::size_t dispatch_end = 0;
-        {
-            MutexLock lock(shared.mutex);
-            const Shared::Segment& seg = shared.segments[segment_index];
-            next_needed = seg.next_needed;
-            dispatch_end = seg.end;
-        }
-        if (next_needed >= dispatch_end) {
-            done = true;
-            transport->shutdown();
-            break;
-        }
-        // Cancels name the dispatched job, so the peer's scheduler stops it
-        // whether it is running or still queued behind other jobs.
-        const std::string job_id = shared.base_id + "#p" +
-                                   std::to_string(segment_index) + "a" +
-                                   std::to_string(attempts);
-        std::string cancel_line;
-        {
-            JsonValue::Object cancel;
-            cancel.emplace("cmd", "cancel");
-            cancel.emplace("id", job_id);
-            cancel_line = JsonValue(std::move(cancel)).dump();
-        }
-        {
-            JsonValue::Object job = shared.base_job;
-            JsonValue::Object members;
-            members.emplace("first", next_needed);
-            members.emplace("count", dispatch_end - next_needed);
-            job.insert_or_assign("members", JsonValue(std::move(members)));
-            job.insert_or_assign("id", job_id);
-            job.insert_or_assign("version", JsonValue(kProtocolVersion));
-            job.insert_or_assign("progress_every", JsonValue(0));
-            job.insert_or_assign("verify_serial", JsonValue(false));
-            if (!transport->send_line(JsonValue(std::move(job)).dump())) {
-                last_failure = peer + " closed before taking the job";
-                transport->shutdown();
-                continue;
-            }
-        }
-
-        // Event loop: stream results into the merge map until job_done,
-        // peer death, or inactivity timeout.
-        bool cancel_sent = false;
-        bool peer_dead = false;
-        auto last_activity = Clock::now();
-        std::string line;
-        while (!done && !peer_dead) {
-            if (shared.stop_requested() && !cancel_sent) {
-                // Cooperative cancellation fan-out: ask, don't kill — the
-                // peer finishes members in flight and reports a cancelled
-                // job_done, so nothing evaluated is lost.
-                (void)transport->send_line(cancel_line);
-                cancel_sent = true;
-            }
-            const auto status = transport->read_line(line, kPollSliceSeconds);
-            if (status == Transport::ReadStatus::closed) {
-                last_failure = peer + " closed mid-job";
-                peer_dead = true;
-                break;
-            }
-            if (status == Transport::ReadStatus::timeout) {
-                if (options_.read_timeout_seconds > 0.0 &&
-                    seconds_since(last_activity) >
-                        options_.read_timeout_seconds) {
-                    last_failure =
-                        peer + " silent for more than " +
-                        format_double(options_.read_timeout_seconds) + " s";
-                    peer_dead = true;
-                }
-                continue;
-            }
-            last_activity = Clock::now();
-
-            // Any malformed event — unparseable line, wrong field types,
-            // out-of-range counts or members — marks the peer dead (and
-            // re-dispatches the remainder) rather than unwinding the
-            // partition thread or corrupting the merge.
-            try {
-                const JsonValue event = JsonValue::parse(line);
                 if (!event.is_object())
                     throw InvalidInput("fanout: event line is not an object");
                 const std::string kind = event.string_or("event", "");
@@ -401,16 +372,19 @@ void FanoutDriver::serve_segment(Shared& shared, std::size_t segment_index) {
                             next_needed = record.member + 1;
                             seg.next_needed = next_needed;
                             ++shared.outcomes[partition].members_done;
-                            shared.ready.emplace(record.member,
-                                                 std::move(record));
                         }
                     }
-                    shared.cv.notify_all();
                     if (range_complete) {
                         // Stop the peer from burning CPU on stolen members.
                         (void)transport->send_line(cancel_line);
                         (void)transport->send_line(R"({"cmd":"quit"})");
                         done = true;
+                    } else {
+                        // Outside the lock. A steal splits above
+                        // seg.next_needed, which has just moved past this
+                        // member, so no other segment publishes it.
+                        const std::size_t member = record.member;
+                        shared.merge.publish(member, std::move(record));
                     }
                 } else if (kind == "heartbeat") {
                     // v3 liveness: receiving it already refreshed
@@ -429,21 +403,19 @@ void FanoutDriver::serve_segment(Shared& shared, std::size_t segment_index) {
                     if (job_cancelled) {
                         MutexLock lock(shared.mutex);
                         shared.outcomes[partition].cancelled = true;
-                        done = true;
-                    } else if (next_needed >= current_end) {
-                        // >= not ==: a steal may have shrunk the end below
-                        // the range this peer was dispatched.
-                        done = true;
-                    } else {
-                        // A healthy, uncancelled peer must cover its whole
-                        // range — a short stream is a protocol violation,
-                        // and deterministic, so re-dispatching would loop.
+                    } else if (next_needed < current_end) {
+                        // >= current_end is complete: a steal may have
+                        // shrunk the end below the range this peer was
+                        // dispatched. A healthy, uncancelled peer must cover
+                        // its whole range — a short stream is a protocol
+                        // violation, and deterministic, so re-dispatching
+                        // would loop.
                         shared.fail("fanout: partition " +
                                     std::to_string(partition) +
                                     " completed without covering its member "
                                     "range");
-                        done = true;
                     }
+                    done = true;
                     (void)transport->send_line(R"({"cmd":"quit"})");
                 } else if (kind == "error") {
                     // Job rejection is deterministic (schema/version/
@@ -457,22 +429,16 @@ void FanoutDriver::serve_segment(Shared& shared, std::size_t segment_index) {
                 // ready / progress / stats / verify / pong: ignored.
             } catch (const std::exception& e) {
                 // A peer emitting garbage is a dead peer.
-                last_failure = "malformed event from " + peer + ": " + e.what();
-                peer_dead = true;
+                last_failure = (dispatched ? "malformed event from "
+                                           : "malformed banner from ") +
+                               peer + ": " + e.what();
+                break;
             }
         }
         transport->shutdown();
-
-        if (!done && peer_dead) {
-            if (shared.stop_requested()) {
-                // Don't re-dispatch work the caller no longer wants.
-                MutexLock lock(shared.mutex);
-                shared.outcomes[partition].cancelled = true;
-                done = true;
-            }
-            // else: loop re-dispatches [next_needed, end) — the received
-            // prefix is contiguous, so nothing is recomputed or duplicated.
-        }
+        // A failed attempt loops: a stop request ends the segment at the
+        // top, anything else re-dispatches [next_needed, end) — the received
+        // prefix is contiguous, so nothing is recomputed or duplicated.
     }
 }
 
@@ -522,13 +488,17 @@ FanoutSummary FanoutDriver::run(const JsonValue& job,
         }
     }
 
-    Shared shared;
+    // One thread per non-empty partition.
+    std::vector<std::size_t> member_counts(starts.size(), 0);
+    for (std::size_t i = 0; i < starts.size(); ++i)
+        member_counts[i] =
+            (i + 1 < starts.size() ? starts[i + 1] : total) - starts[i];
+    Shared shared(static_cast<std::size_t>(
+        std::count_if(member_counts.begin(), member_counts.end(),
+                      [](std::size_t count) { return count > 0; })));
     shared.base_job = job.as_object();
     shared.base_id = whole.id.empty() ? "fanout" : whole.id;
     shared.cancel = cancel;
-    // Copied out of the guarded outcomes so the thread-spawn loop below
-    // can size itself without the lock while partition threads run.
-    std::vector<std::size_t> member_counts(starts.size(), 0);
     {
         MutexLock lock(shared.mutex);
         shared.outcomes.resize(starts.size());
@@ -536,9 +506,7 @@ FanoutSummary FanoutDriver::run(const JsonValue& job,
             PartitionOutcome& out = shared.outcomes[i];
             out.partition = i;
             out.first_member = starts[i];
-            out.member_count =
-                (i + 1 < starts.size() ? starts[i + 1] : total) - starts[i];
-            member_counts[i] = out.member_count;
+            out.member_count = member_counts[i];
 
             Shared::Segment seg;
             seg.next_needed = out.first_member;
@@ -547,9 +515,6 @@ FanoutSummary FanoutDriver::run(const JsonValue& job,
             seg.running = out.member_count > 0;
             shared.segments.push_back(seg);
         }
-        for (const std::size_t count : member_counts)
-            if (count > 0)
-                ++shared.active;
     }
 
     FanoutSummary summary;
@@ -568,55 +533,21 @@ FanoutSummary FanoutDriver::run(const JsonValue& job,
             threads.emplace_back(
                 [this, &shared, i] { partition_main(shared, i); });
 
-    // Merge/delivery on this thread, ascending global member order:
-    // contiguous from 0 while everything is healthy, then (after
-    // cancellation) whatever stragglers completed, still ascending with
-    // gaps — the same contract as SweepService::run.
+    // Delivery on this thread through the merge: ascending global member
+    // order, contiguous from 0 while partitions run, then (after a cancel
+    // or a failure) whatever else was merged, still ascending with gaps —
+    // the same contract as SweepService::run.
     std::vector<FanoutRecord> merged; // kept for the verify gate
     std::size_t delivered = 0;
     try {
-        std::size_t next_expected = 0;
-        std::vector<FanoutRecord> batch;
-        bool finished = false;
-        while (!finished) {
-            {
-                MutexLock lock(shared.mutex);
-                shared.cv.wait(lock, [&]() REQUIRES(shared.mutex) {
-                    return shared.active == 0 ||
-                           (!shared.failed && !shared.ready.empty() &&
-                            shared.ready.begin()->first == next_expected);
-                });
-                batch.clear();
-                if (!shared.failed) {
-                    while (!shared.ready.empty() &&
-                           shared.ready.begin()->first == next_expected) {
-                        batch.push_back(std::move(shared.ready.begin()->second));
-                        shared.ready.erase(shared.ready.begin());
-                        ++next_expected;
-                    }
-                    if (shared.active == 0) {
-                        for (auto& entry : shared.ready)
-                            batch.push_back(std::move(entry.second));
-                        shared.ready.clear();
-                    }
-                }
-                finished = shared.active == 0;
-            }
-            for (FanoutRecord& record : batch) {
-                on_result(record);
-                ++delivered;
-                if (options_.verify_single_process)
-                    merged.push_back(std::move(record));
-            }
-        }
+        shared.merge.deliver([&](FanoutRecord&& record) {
+            on_result(record);
+            ++delivered;
+            if (options_.verify_single_process)
+                merged.push_back(std::move(record));
+        });
     } catch (...) {
         shared.abort.store(true, std::memory_order_relaxed);
-        {
-            MutexLock lock(shared.mutex);
-            shared.cv.wait(lock, [&]() REQUIRES(shared.mutex) {
-                return shared.active == 0;
-            });
-        }
         for (std::thread& t : threads)
             t.join();
         throw;

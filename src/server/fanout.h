@@ -8,12 +8,16 @@
 /// (ProcessTransport = child processes, TcpTransport = `--listen` hosts,
 /// LoopbackTransport = in-process socketpair peers for deterministic
 /// tests), and merges the per-partition result streams back into one
-/// stream in ascending global member order.
+/// stream in ascending global member order through an OrderedMerge.
 ///
-/// Handshake: every peer's `ready` banner is checked here, whatever the
-/// transport — its `version` must lie in [1, kProtocolVersion] and its
-/// samples_per_period must match the other peers'. A mismatch is
-/// deterministic, so it fails the run at once instead of being retried.
+/// Handshake: each dispatch attempt reads its peer in one loop, and the
+/// peer's `ready` banner is its first event (lines before it that are not
+/// a `ready` object are skipped). Every banner is checked here, whatever
+/// the transport, before any job is sent — its `version` must lie in
+/// [1, kProtocolVersion] and its samples_per_period must match the other
+/// peers'. A mismatch is deterministic, so it fails the run at once
+/// instead of being retried. A peer that sends no banner within 30 s,
+/// closes first or sends a line that is not JSON costs one attempt.
 ///
 /// Determinism: members are independent and every member's value is a
 /// function of its global id only (parse_wire_job materialises grids over
@@ -34,7 +38,8 @@
 /// peer's dispatched partition job (so a peer stops it whether it is
 /// running or still queued); everything already evaluated still streams
 /// out in ascending order (gaps allowed), exactly like SweepService
-/// cancellation.
+/// cancellation. A failed run fans out the same cancel and delivers what
+/// it merged, in the same order, before it throws.
 ///
 /// Straggler recovery (FanoutOptions::steal_threshold): a partition
 /// thread that finishes early steals the top half of the slowest
@@ -149,12 +154,14 @@ public:
     /// Fans the job (one NDJSON job object — same schema sweep_server
     /// accepts, but without "members": the driver owns partitioning) out
     /// over the partitions and invokes on_result once per member in
-    /// ascending global member order (contiguous from 0 unless
-    /// cancelled), from the caller's thread. Blocks until done. Throws
+    /// ascending global member order (contiguous from 0 unless cancelled
+    /// or failed), from the caller's thread. Blocks until done. Throws
     /// Error when a partition exhausts max_attempts, a peer's banner
-    /// mismatches, a peer rejects its job, or the callback throws (after
-    /// the remaining partitions wind down). `cancel` works exactly like SweepService::run's token and
-    /// may be triggered from the callback.
+    /// mismatches or a peer rejects its job — after the remaining
+    /// partitions wind down and every member they merged is delivered.
+    /// An exception from the callback stops the partitions and is
+    /// rethrown once they have wound down. `cancel` works exactly like
+    /// SweepService::run's token and may be triggered from the callback.
     FanoutSummary run(const JsonValue& job, const ResultCallback& on_result,
                       SweepCancelToken* cancel = nullptr);
     FanoutSummary run(const std::string& job_line,

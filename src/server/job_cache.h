@@ -17,8 +17,8 @@
 /// job streams from the cache without touching a worker.
 ///
 /// Keying, locking, LRU bounding and shared_ptr keep-alive are
-/// core::ExactLruCache's. Two bounds hold: 64 entries (the `--job-cache=N`
-/// count) and 8 MiB of stored results and keys, so a faster server does not
+/// core::ExactLruCache's. Two bounds hold, both constants: 64 entries and
+/// 8 MiB of stored results and keys, so a faster server does not
 /// hold more finished jobs' worth of memory. A job whose results alone
 /// outweigh the ceiling is never cached; the scheduler stops collecting
 /// it as soon as it does.

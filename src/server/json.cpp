@@ -11,8 +11,8 @@ namespace {
 /// Recursive-descent parser over a flat character range.
 class Parser {
 public:
-    Parser(const std::string& text, const JsonParseOptions& options)
-        : text_(text), options_(options) {}
+    Parser(const std::string& text, bool reject_duplicate_keys)
+        : text_(text), reject_duplicate_keys_(reject_duplicate_keys) {}
 
     JsonValue parse_document() {
         JsonValue v = parse_value();
@@ -66,9 +66,8 @@ private:
         case '[': {
             // Depth cap: the parser recurses once per nested container, so
             // untrusted input must not control the stack depth.
-            if (depth_ >= options_.max_depth)
-                fail("nesting depth exceeds " +
-                     std::to_string(options_.max_depth));
+            if (depth_ >= kMaxJsonDepth)
+                fail("nesting depth exceeds " + std::to_string(kMaxJsonDepth));
             ++depth_;
             JsonValue v = c == '{' ? parse_object() : parse_array();
             --depth_;
@@ -106,7 +105,7 @@ private:
             std::string key = parse_string();
             skip_ws();
             expect(':');
-            if (options_.reject_duplicate_keys && obj.count(key) != 0)
+            if (reject_duplicate_keys_ && obj.count(key) != 0)
                 fail("duplicate object key \"" + key + "\"");
             obj.insert_or_assign(std::move(key), parse_value());
             skip_ws();
@@ -260,7 +259,7 @@ private:
     }
 
     const std::string& text_;
-    JsonParseOptions options_;
+    bool reject_duplicate_keys_;
     std::size_t pos_ = 0;
     std::size_t depth_ = 0;
 };
@@ -305,19 +304,11 @@ void dump_number(double v, std::string& out) {
 } // namespace
 
 JsonValue JsonValue::parse(const std::string& text) {
-    return parse(text, JsonParseOptions{});
-}
-
-JsonValue JsonValue::parse(const std::string& text,
-                           const JsonParseOptions& options) {
-    Parser p(text, options);
-    return p.parse_document();
+    return Parser(text, false).parse_document();
 }
 
 JsonValue JsonValue::parse_strict(const std::string& text) {
-    JsonParseOptions options;
-    options.reject_duplicate_keys = true;
-    return parse(text, options);
+    return Parser(text, true).parse_document();
 }
 
 std::string JsonValue::dump() const {

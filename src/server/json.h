@@ -10,6 +10,7 @@
 /// JSON library). Objects keep sorted key order (std::map) so serialised
 /// output is deterministic — CI diffs NDJSON lines textually.
 
+#include <cstddef>
 #include <map>
 #include <string>
 #include <vector>
@@ -18,16 +19,10 @@
 
 namespace xysig::server {
 
-/// Parser hardening knobs. The depth cap is always enforced (the parser is
-/// recursive-descent, so a hostile line of ~100k '[' would otherwise
-/// overflow the network-facing sweep_server's stack); duplicate-key
-/// rejection is opt-in because RFC 8259 leaves duplicate handling to the
-/// application — the wire layer's strict mode rejects them so a job line
-/// with conflicting fields fails loudly instead of silently picking one.
-struct JsonParseOptions {
-    std::size_t max_depth = 64;
-    bool reject_duplicate_keys = false;
-};
+/// Nesting cap of every parse. The parser is recursive-descent, so a
+/// hostile line of ~100k '[' would otherwise overflow the network-facing
+/// sweep_server's stack.
+inline constexpr std::size_t kMaxJsonDepth = 64;
 
 /// One JSON value (null / bool / number / string / array / object).
 class JsonValue {
@@ -52,12 +47,14 @@ public:
     /// strtod-isms accepted by std::from_chars — "inf"/"nan" (reachable
     /// through a leading '-'), leading-zero integers like "01", and
     /// trailing-/leading-dot forms — are rejected.
+    /// Nesting deeper than kMaxJsonDepth is rejected the same way.
     [[nodiscard]] static JsonValue parse(const std::string& text);
-    [[nodiscard]] static JsonValue parse(const std::string& text,
-                                         const JsonParseOptions& options);
 
     /// parse() with duplicate object keys rejected — the wire layer's
-    /// request/validation entry points use this.
+    /// request/validation entry points use this. RFC 8259 leaves duplicate
+    /// handling to the application, so the tolerant parse keeps the last
+    /// value; strict mode makes a job line with conflicting fields fail
+    /// loudly instead of silently picking one.
     [[nodiscard]] static JsonValue parse_strict(const std::string& text);
 
     /// Compact single-line serialisation (no spaces, sorted object keys).

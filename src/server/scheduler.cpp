@@ -37,12 +37,8 @@ struct JobScheduler::Record {
     SweepCancelToken token; ///< internally atomic; poked from any thread
 };
 
-JobScheduler::JobScheduler(SweepService& service, Options options)
-    : service_(service),
-      pipeline_fp_(options.cache_capacity == 0
-                       ? std::string()
-                       : pipeline_fingerprint(service.pipeline())) {
-    cache_.set_capacity(std::max<std::size_t>(1, options.cache_capacity));
+JobScheduler::JobScheduler(SweepService& service)
+    : service_(service), pipeline_fp_(pipeline_fingerprint(service.pipeline())) {
     dispatcher_thread_ = std::thread([this] { dispatcher_main(); });
 }
 

@@ -105,11 +105,6 @@ public:
     /// (backpressure towards the wire reader).
     static constexpr std::size_t kMaxPending = 1024;
 
-    struct Options {
-        /// Whole-job result cache entries; 0 disables job caching.
-        std::size_t cache_capacity = JobResultCache::kDefaultCapacity;
-    };
-
     /// Lifetime totals (all fields monotone except queue_depth).
     struct Stats {
         std::uint64_t submitted = 0;
@@ -121,12 +116,7 @@ public:
         std::size_t queue_depth = 0; ///< currently queued (excl. running)
     };
 
-    // No `Options options = {}` default argument: NSDMIs of a nested class
-    // are parsed only at the end of the outermost class, so the default
-    // would not compile here (same gotcha as SweepJob's universe structs).
-    explicit JobScheduler(SweepService& service)
-        : JobScheduler(service, Options{}) {}
-    JobScheduler(SweepService& service, Options options);
+    explicit JobScheduler(SweepService& service);
     /// Finishes queued jobs as cancelled, cancels the running one and joins
     /// the dispatcher.
     ~JobScheduler();

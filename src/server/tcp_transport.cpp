@@ -64,6 +64,14 @@ void set_nodelay(int fd) {
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
+/// Connect retry budget: attempts (the first included), the backoff
+/// before retry k is kInitialBackoffSeconds * 2^(k-1) capped at
+/// kMaxBackoffSeconds, and the wall-clock across attempts and backoffs.
+constexpr unsigned kMaxConnectAttempts = 5;
+constexpr double kInitialBackoffSeconds = 0.05;
+constexpr double kMaxBackoffSeconds = 1.0;
+constexpr double kConnectTimeoutSeconds = 10.0;
+
 [[nodiscard]] double monotonic_seconds() {
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now().time_since_epoch())
@@ -74,30 +82,26 @@ void set_nodelay(int fd) {
 
 // --------------------------------------------------------------- TcpTransport
 
-TcpTransport::TcpTransport(std::string host, unsigned short port,
-                           TcpTransportOptions options)
+TcpTransport::TcpTransport(std::string host, unsigned short port)
     : host_(std::move(host)), port_(port) {
     detail::ignore_sigpipe_once();
-    connect(options);
+    connect();
 }
 
 TcpTransport::~TcpTransport() { shutdown(); }
 
-void TcpTransport::connect(const TcpTransportOptions& options) {
-    const double deadline =
-        monotonic_seconds() + options.connect_timeout_seconds;
+void TcpTransport::connect() {
+    const double deadline = monotonic_seconds() + kConnectTimeoutSeconds;
     std::string last_error = "no connect attempt made";
-    double backoff = options.initial_backoff_seconds;
+    double backoff = kInitialBackoffSeconds;
 
-    const unsigned max_attempts =
-        options.max_connect_attempts == 0 ? 1 : options.max_connect_attempts;
-    for (unsigned attempt = 1; attempt <= max_attempts; ++attempt) {
+    for (unsigned attempt = 1; attempt <= kMaxConnectAttempts; ++attempt) {
         connect_attempts_ = attempt;
         if (attempt > 1) {
             // Exponential backoff between attempts, clipped to both the
             // per-step cap and the remaining overall budget.
             double sleep_for = backoff;
-            backoff = std::min(backoff * 2.0, options.max_backoff_seconds);
+            backoff = std::min(backoff * 2.0, kMaxBackoffSeconds);
             const double remaining = deadline - monotonic_seconds();
             if (remaining <= 0.0)
                 break;

@@ -48,24 +48,14 @@ namespace xysig::server {
 
 class SweepService;
 
-struct TcpTransportOptions {
-    /// Connection attempts before giving up (first attempt included).
-    unsigned max_connect_attempts = 5;
-    /// Backoff before retry k is initial * 2^(k-1), capped at max.
-    double initial_backoff_seconds = 0.05;
-    double max_backoff_seconds = 1.0;
-    /// Total wall-clock budget across all connect attempts and backoffs.
-    double connect_timeout_seconds = 10.0;
-};
-
 /// One NDJSON connection to a listening sweep server. The constructor
-/// connects (with retry/backoff); it throws Error when the peer cannot be
-/// reached within the budget — FanoutDriver treats a throwing factory as
-/// a failed dispatch attempt.
+/// connects with retry and exponential backoff (5 attempts, 0.05 s first
+/// backoff doubling up to 1 s, 10 s overall); it throws Error when the
+/// peer cannot be reached within that budget — FanoutDriver treats a
+/// throwing factory as a failed dispatch attempt.
 class TcpTransport final : public Transport {
 public:
-    TcpTransport(std::string host, unsigned short port,
-                 TcpTransportOptions options = {});
+    TcpTransport(std::string host, unsigned short port);
     ~TcpTransport() override;
 
     TcpTransport(const TcpTransport&) = delete;
@@ -83,7 +73,7 @@ public:
     }
 
 private:
-    void connect(const TcpTransportOptions& options);
+    void connect();
 
     std::string host_;
     unsigned short port_ = 0;
@@ -103,7 +93,7 @@ public:
         /// Per-connection service configuration (as sweep_server's flags).
         unsigned workers = 0;
         std::size_t samples_per_period = 512;
-        SessionOptions session; ///< cache/heartbeat knobs per session
+        SessionOptions session; ///< per-session heartbeat
         /// Serve every connection from ONE SweepService (jobs from
         /// concurrent connections serialise on its worker pool) instead of
         /// one service per connection.

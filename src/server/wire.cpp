@@ -398,9 +398,7 @@ ServerSession::ServerSession(SweepService& service, LineSink sink,
                              SessionOptions options)
     : service_(service), sink_(std::move(sink)) {
     XYSIG_EXPECTS(sink_ != nullptr);
-    JobScheduler::Options sched;
-    sched.cache_capacity = options.cache_capacity;
-    scheduler_ = std::make_unique<JobScheduler>(service_, sched);
+    scheduler_ = std::make_unique<JobScheduler>(service_);
     if (options.heartbeat_seconds > 0.0) {
         // Liveness beacon (protocol v3): one line every interval, whether
         // or not a job is running — between result lines it is the only

@@ -51,8 +51,6 @@
 #include <vector>
 
 #include "common/annotated_mutex.h"
-
-#include "server/job_cache.h"
 #include "server/json.h"
 #include "server/sweep_service.h"
 
@@ -140,11 +138,8 @@ wire_serial_reference(const WireJob& job, const core::SignaturePipeline& pipe);
 /// (the version rule). Throws InvalidInput with a reason on violation.
 void check_protocol_line(const std::string& line);
 
-/// Scheduler knobs a session forwards to its JobScheduler (mirrored here
-/// so wire.h need not include scheduler.h — scheduler.h includes wire.h).
+/// Per-session settings.
 struct SessionOptions {
-    /// Whole-job cache entries; 0 = off.
-    std::size_t cache_capacity = JobResultCache::kDefaultCapacity;
     /// Emit a `heartbeat` event every this-many seconds (0 = off). The
     /// liveness signal for coordinators with inactivity timeouts: a busy
     /// worker whose results are slow still proves it is alive between

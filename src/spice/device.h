@@ -76,10 +76,6 @@ public:
     void set_extra_base(int base) noexcept { extra_base_ = base; }
     [[nodiscard]] int extra_base() const noexcept { return extra_base_; }
 
-    /// True when the device's stamp depends on the iterate (triggers
-    /// re-stamping every Newton iteration and enables NR-specific limiting).
-    [[nodiscard]] virtual bool is_nonlinear() const { return false; }
-
     /// Adds this device's contribution for the current iterate.
     virtual void stamp(StampContext& ctx) const = 0;
 

@@ -221,7 +221,6 @@ public:
         return std::make_unique<Mosfet>(*this);
     }
 
-    [[nodiscard]] bool is_nonlinear() const override { return true; }
     void stamp(StampContext& ctx) const override;
     void stamp_ac(AcStampContext& ctx) const override;
 

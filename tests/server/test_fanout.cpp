@@ -728,5 +728,113 @@ TEST(FanoutDriver, ExhaustedAttemptsNameTheLastFailure) {
     }
 }
 
+/// A peer that closes before it sends anything.
+class ClosedTransport final : public Transport {
+public:
+    bool send_line(const std::string&) override { return false; }
+    ReadStatus read_line(std::string&, double) override {
+        return ReadStatus::closed;
+    }
+    void shutdown() override {}
+    [[nodiscard]] std::string describe() const override { return "closed"; }
+};
+
+TEST(FanoutDriver, APeerThatFailsBeforeItsBannerNamesWhy) {
+    // One read loop serves the banner and the job; its pre-banner failures
+    // keep their own texts.
+    const auto failure_of = [](FanoutDriver::TransportFactory factory) {
+        FanoutOptions opts;
+        opts.partitions = 1;
+        opts.max_attempts = 1;
+        FanoutDriver driver(std::move(factory), opts);
+        try {
+            (void)driver.run(
+                std::string(R"({"job":"deviations","deviations":[-5,5]})"),
+                [](const FanoutRecord&) {});
+        } catch (const Error& e) {
+            return std::string(e.what());
+        }
+        return std::string("the run did not fail");
+    };
+    const std::string closed =
+        failure_of([] { return std::make_unique<ClosedTransport>(); });
+    EXPECT_NE(closed.find("closed before the ready banner"), std::string::npos)
+        << closed;
+    const std::string garbage = failure_of(
+        [] { return std::make_unique<BannerOnlyTransport>("not json"); });
+    EXPECT_NE(garbage.find("malformed banner"), std::string::npos) << garbage;
+}
+
+/// A peer scripted by the job it receives, so the test does not depend on
+/// the order in which partition threads call the factory. The peer given
+/// members.first == 0 holds its results until the driver cancels it, then
+/// sends members 0 and 1 and a cancelled job_done; any other peer rejects
+/// its job with an error event.
+class ScriptedRangeTransport final : public Transport {
+public:
+    ScriptedRangeTransport() {
+        outbox_.push_back(R"({"event":"ready","samples_per_period":256,"version":)" +
+                          std::to_string(kProtocolVersion) + "}");
+    }
+
+    bool send_line(const std::string& line) override {
+        const JsonValue v = JsonValue::parse(line);
+        if (v.has("job")) {
+            holds_first_range_ = v.at("members").at("first").as_number() == 0;
+            if (!holds_first_range_)
+                outbox_.push_back(
+                    R"({"event":"error","message":"scripted rejection"})");
+        } else if (v.string_or("cmd", "") == "cancel" && holds_first_range_) {
+            holds_first_range_ = false;
+            for (const char* member : {"0", "1"})
+                outbox_.push_back(std::string(R"({"event":"result","member":)") +
+                                  member + R"(,"ndf_hex":"0x1p-3"})");
+            outbox_.push_back(
+                R"({"event":"job_done","cancelled":true,"netlist_clones":0})");
+        }
+        return true;
+    }
+    ReadStatus read_line(std::string& out, double timeout_seconds) override {
+        if (outbox_.empty()) {
+            std::this_thread::sleep_for(
+                std::chrono::duration<double>(timeout_seconds));
+            return ReadStatus::timeout;
+        }
+        out = outbox_.front();
+        outbox_.erase(outbox_.begin());
+        return ReadStatus::line;
+    }
+    void shutdown() override {}
+    [[nodiscard]] std::string describe() const override { return "scripted"; }
+
+private:
+    std::vector<std::string> outbox_;
+    bool holds_first_range_ = false;
+};
+
+TEST(FanoutDriver, AFailedRunDeliversWhatItMergedInOrderThenThrows) {
+    // Partition 1's peer rejects its job, which fails the run and cancels
+    // partition 0's peer; that peer then streams members 0 and 1. The run
+    // still delivers them, in order, before it throws the rejection — the
+    // callback contract of SweepService::run.
+    FanoutOptions opts;
+    opts.partitions = 2;
+    opts.read_timeout_seconds = 10.0;
+    FanoutDriver driver(
+        [] { return std::make_unique<ScriptedRangeTransport>(); }, opts);
+    std::vector<std::size_t> delivered;
+    try {
+        (void)driver.run(
+            std::string(R"({"job":"deviations","deviations":[-10,-5,5,10]})"),
+            [&](const FanoutRecord& r) { delivered.push_back(r.member); });
+        FAIL() << "a rejected partition did not fail the run";
+    } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("scripted rejection"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(delivered, (std::vector<std::size_t>{0, 1}));
+}
+
 } // namespace
 } // namespace xysig::server

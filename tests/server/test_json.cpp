@@ -104,7 +104,7 @@ TEST(Json, RejectsNonRfc8259Numbers) {
 
 TEST(Json, NestingDepthIsBounded) {
     // An adversarial line of ~100k '[' used to recurse once per bracket and
-    // overflow the stack; depth is now capped (default 64) with a clean
+    // overflow the stack; depth is capped at kMaxJsonDepth (64) with a clean
     // InvalidInput instead.
     const auto nested = [](std::size_t depth) {
         return std::string(depth, '[') + "1" + std::string(depth, ']');
@@ -119,11 +119,10 @@ TEST(Json, NestingDepthIsBounded) {
     for (std::size_t i = 0; i < 50; ++i)
         mixed = "{\"k\":[" + mixed + "]}";
     EXPECT_THROW((void)JsonValue::parse(mixed), InvalidInput);
-    // The cap is a parse option, not a hard constant.
-    JsonParseOptions deep;
-    deep.max_depth = 200;
-    EXPECT_NO_THROW((void)JsonValue::parse(nested(200), deep));
-    EXPECT_THROW((void)JsonValue::parse(nested(201), deep), InvalidInput);
+    // The strict parse enforces the same cap.
+    EXPECT_NO_THROW((void)JsonValue::parse_strict(nested(kMaxJsonDepth)));
+    EXPECT_THROW((void)JsonValue::parse_strict(nested(kMaxJsonDepth + 1)),
+                 InvalidInput);
 }
 
 TEST(Json, DuplicateKeysRejectedInStrictMode) {

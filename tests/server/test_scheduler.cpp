@@ -177,19 +177,20 @@ void expect_same_stream(const std::vector<SweepResult>& got,
 
 TEST(JobScheduler, FairShareRoundRobinAcrossClients) {
     SweepService service(make_pipeline(), {.workers = 2});
-    JobScheduler::Options opts;
-    opts.cache_capacity = 0; // ordering test: every job must really run
-    JobScheduler sched(service, opts);
+    JobScheduler sched(service);
     sched.set_paused(true);
 
-    // Client A floods four jobs before B and C submit two each.
+    // Client A floods four jobs before B and C submit two each. Each job
+    // has its own deviation list, so none is served by the whole-job cache:
+    // this ordering test needs every job to really run.
     std::vector<std::size_t> start_order;
     std::vector<std::shared_ptr<Recorder>> jobs;
     for (const char* client : {"A", "A", "A", "A", "B", "B", "C", "C"})
         jobs.push_back(submit(
             sched,
-            std::string(R"({"job":"deviations","deviations":[-5,5],"client":")") +
-                client + "\"}",
+            R"({"job":"deviations","deviations":[-5,)" +
+                std::to_string(jobs.size() + 1) + R"(],"client":")" + client +
+                "\"}",
             jobs.size(), &start_order));
     EXPECT_EQ(sched.stats().queue_depth, 8u);
     sched.set_paused(false);
@@ -206,31 +207,33 @@ TEST(JobScheduler, FairShareRoundRobinAcrossClients) {
     const auto stats = sched.stats();
     EXPECT_EQ(stats.submitted, 8u);
     EXPECT_EQ(stats.completed, 8u);
+    EXPECT_EQ(stats.cache_hits, 0u);
     EXPECT_EQ(stats.queue_depth, 0u);
 }
 
 TEST(JobScheduler, PriorityOrdersDispatchWithoutInversion) {
     SweepService service(make_pipeline(), {.workers = 2});
-    JobScheduler::Options opts;
-    opts.cache_capacity = 0;
-    JobScheduler sched(service, opts);
+    JobScheduler sched(service);
     sched.set_paused(true);
 
     // Submission order deliberately scrambles priorities, and the flood
     // client's low-priority backlog precedes the high-priority late job:
-    // fairness must never override priority.
+    // fairness must never override priority. Each job has its own
+    // deviation list, so every one really runs (no whole-job cache hit).
     const std::vector<std::pair<int, std::string>> specs = {
         {0, "flood"}, {0, "flood"}, {5, "flood"}, {-3, "background"},
         {5, "late"}}; // the last arrives last, still beats the 0s
     std::vector<std::size_t> start_order;
     for (std::size_t i = 0; i < specs.size(); ++i)
         (void)submit(sched,
-                     R"({"job":"deviations","deviations":[-5,5],"priority":)" +
+                     R"({"job":"deviations","deviations":[-5,)" +
+                         std::to_string(i + 1) + R"(],"priority":)" +
                          std::to_string(specs[i].first) + R"(,"client":")" +
                          specs[i].second + "\"}",
                      i, &start_order);
     sched.set_paused(false);
     sched.wait_idle();
+    EXPECT_EQ(sched.stats().cache_hits, 0u);
 
     ASSERT_EQ(start_order.size(), specs.size());
     std::vector<std::size_t> rank(specs.size());
@@ -251,7 +254,7 @@ TEST(JobScheduler, PriorityOrdersDispatchWithoutInversion) {
 TEST(JobScheduler, ExactSpiceResubmitStreamsFromCacheWithZeroClones) {
     SweepService service(make_pipeline(), {.workers = 3});
     ASSERT_FALSE(pipeline_fingerprint(service.pipeline()).empty());
-    JobScheduler sched(service, JobScheduler::Options{});
+    JobScheduler sched(service);
 
     const std::string line = R"({"job":"spice_faults","id":"s1"})";
     auto first = std::make_shared<Recorder>();
@@ -303,7 +306,7 @@ TEST(JobScheduler, ExactSpiceResubmitStreamsFromCacheWithZeroClones) {
 
 TEST(JobScheduler, MemberRangeSliceServedByCachedSuperset) {
     SweepService service(make_pipeline(), {.workers = 2});
-    JobScheduler sched(service, JobScheduler::Options{});
+    JobScheduler sched(service);
     const std::string full_line =
         R"({"job":"deviations","grid":{"from":-20,"to":20,"count":11}})";
 
@@ -363,7 +366,7 @@ TEST(JobScheduler, JobOverTheByteCeilingStreamsButIsNotCached) {
         serial_reference(service, wire_job(big_line));
     ASSERT_GT(JobResultBytes::weigh("", reference), JobResultCache::kWeightCeiling);
 
-    JobScheduler sched(service, JobScheduler::Options{});
+    JobScheduler sched(service);
     const std::string small_line =
         R"({"job":"deviations","grid":{"from":-20,"to":20,"count":9}})";
     auto small = submit(sched, small_line);
@@ -405,7 +408,7 @@ TEST(JobScheduler, InterleavedQueueBitIdenticalToSerialIncludingNaNs) {
         references.push_back(serial_reference(service, wire_job(line + "}")));
 
     // Queue everything at once from two clients with mixed priorities.
-    JobScheduler sched(service, JobScheduler::Options{});
+    JobScheduler sched(service);
     std::vector<std::shared_ptr<Recorder>> jobs;
     for (std::size_t i = 0; i < lines.size(); ++i)
         jobs.push_back(submit(sched, lines[i] + R"(,"client":")" +
@@ -431,9 +434,7 @@ TEST(JobScheduler, InterleavedQueueBitIdenticalToSerialIncludingNaNs) {
 
 TEST(JobScheduler, QueuedJobsCancelByIdWithoutRunning) {
     SweepService service(make_pipeline(), {.workers = 2});
-    JobScheduler::Options opts;
-    opts.cache_capacity = 0;
-    JobScheduler sched(service, opts);
+    JobScheduler sched(service);
     sched.set_paused(true);
 
     auto keep = submit(sched,
@@ -465,9 +466,7 @@ TEST(JobScheduler, QueuedJobsCancelByIdWithoutRunning) {
 
 TEST(JobScheduler, CancelFromInsideResultStopsTheRunningJobInOrder) {
     SweepService service(make_pipeline(), {.workers = 4});
-    JobScheduler::Options opts;
-    opts.cache_capacity = 0;
-    JobScheduler sched(service, opts);
+    JobScheduler sched(service);
 
     // The sink cancels its own job by wire id after five results — from the
     // dispatcher thread, which holds no scheduler lock while it calls out.
@@ -496,7 +495,7 @@ TEST(JobScheduler, CancelFromInsideResultStopsTheRunningJobInOrder) {
 
 TEST(JobScheduler, FastMathJobsNeverShareCacheEntriesWithExact) {
     SweepService service(make_pipeline(), {.workers = 2});
-    JobScheduler sched(service, JobScheduler::Options{});
+    JobScheduler sched(service);
 
     // Exact job, then the identical universe under fast_math: the job
     // cache key embeds the effective mode, so the second submit must run
@@ -538,7 +537,7 @@ TEST(JobScheduler, FastMathJobsNeverShareCacheEntriesWithExact) {
 
 TEST(JobScheduler, UnpinnedJobRunsInTheServiceModeNotThePreviousJobs) {
     SweepService service(make_pipeline(), {.workers = 2});
-    JobScheduler sched(service, JobScheduler::Options{});
+    JobScheduler sched(service);
     const std::string exact_line =
         R"({"job":"deviations","grid":{"from":-10,"to":10,"count":9}})";
     SweepService fresh(make_pipeline(), {.workers = 2});
@@ -569,7 +568,7 @@ TEST(JobScheduler, UnpinnedJobRunsInTheServiceModeNotThePreviousJobs) {
 
 TEST(JobScheduler, VerifySerialMatchesTheSerialReferenceAndBypassesTheCache) {
     SweepService service(make_pipeline(), {.workers = 2});
-    JobScheduler sched(service, JobScheduler::Options{});
+    JobScheduler sched(service);
     const std::string line =
         R"({"job":"deviations","verify_serial":true,"grid":{"from":-10,"to":10,"count":16}})";
     auto h = submit(sched, line);
@@ -594,7 +593,7 @@ TEST(JobScheduler, GoldenPrefetchRunsOnTheSubmitterOnlyForAJobThatWaits) {
     auto& golden_cache = core::GoldenSignatureCache::instance();
     golden_cache.clear();
 
-    JobScheduler sched(service, JobScheduler::Options{});
+    JobScheduler sched(service);
     sched.set_paused(true); // the job will wait, so submit prefetches
     auto h = submit(sched, R"({"job":"deviations","deviations":[-5,5]})");
     // The golden was computed on this thread before submit returned.
@@ -622,9 +621,7 @@ TEST(JobScheduler, DestructorFinishesTheBacklogAsCancelled) {
     SweepService service(make_pipeline(), {.workers = 2});
     std::vector<std::shared_ptr<Recorder>> jobs;
     {
-        JobScheduler::Options opts;
-        opts.cache_capacity = 0;
-        JobScheduler sched(service, opts);
+        JobScheduler sched(service);
         sched.set_paused(true);
         for (int i = 0; i < 3; ++i)
             jobs.push_back(submit(sched,

@@ -100,11 +100,15 @@ TEST(TcpTransport, ConnectRetriesWithBackoffThenFails) {
     const unsigned short dead_port = probe.port();
     probe.stop(); // ...then free it so nothing accepts
 
-    TcpTransportOptions topts;
-    topts.max_connect_attempts = 3;
-    topts.initial_backoff_seconds = 0.01;
-    topts.connect_timeout_seconds = 5.0;
-    EXPECT_THROW(TcpTransport("127.0.0.1", dead_port, topts), Error);
+    try {
+        TcpTransport transport("127.0.0.1", dead_port);
+        FAIL() << "connected to a closed port";
+    } catch (const Error& e) {
+        // Five attempts, ~0.75 s of backoff in all.
+        EXPECT_NE(std::string(e.what()).find("after 5 attempt(s)"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(TcpFanout, FourPartitionGridMergesBitIdenticallyOverLocalhost) {
