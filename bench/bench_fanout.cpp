@@ -35,6 +35,7 @@
 #include "common/timing.h"
 #include "server/chaos.h"
 #include "server/fanout.h"
+#include "server/job_cache.h"
 #include "server/tcp_transport.h"
 #include "server/transport.h"
 #include "server/wire.h"
@@ -195,6 +196,10 @@ int main(int argc, char** argv) {
                         0, 0, true});
 
         for (const unsigned partitions : partition_counts) {
+            // In-process peers share the process-wide job cache: without
+            // this, every row after the 1-partition one would time cache
+            // replays instead of the fan-out.
+            server::JobResultCache::instance().clear();
             server::FanoutOptions fopts;
             fopts.partitions = partitions;
             if (tcp)

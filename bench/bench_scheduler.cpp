@@ -25,6 +25,7 @@
 #include "common/timing.h"
 #include "core/paper_setup.h"
 #include "monitor/table1.h"
+#include "server/job_cache.h"
 #include "server/json.h"
 #include "server/scheduler.h"
 #include "server/sweep_service.h"
@@ -176,6 +177,9 @@ int main(int argc, char** argv) {
             server::SweepService service(make_pipeline(spp),
                                          {.workers = workers});
             server::JobScheduler sched(service);
+            // The whole-job cache is process-wide: without this, a cell's
+            // cold pass would hit the entries of the cells before it.
+            server::JobResultCache::instance().clear();
             double serial_total = 0.0;
             for (std::size_t d = 0; d < depth; ++d)
                 serial_total += serial_seconds[d];

@@ -3,8 +3,10 @@
 //
 // Reads one JSON request (job or command) per stdin line, streams NDJSON
 // events (ready, queued, job_start, result, progress, job_done, verify,
-// stats, error) to stdout, and keeps the service — worker pool, pipeline,
-// golden-signature cache, whole-job result cache — alive across jobs.
+// stats, error) to stdout, and keeps the service — worker pool, pipeline —
+// and the process-wide golden-signature and whole-job result caches alive
+// across jobs. stdin and stdout may be one socket (ProcessTransport hands
+// its child one end of a socketpair as both).
 // docs/PROTOCOL.md is the normative spec of the wire format; the protocol
 // logic itself — the request loop included — lives in
 // src/server/wire.{h,cpp} (ServerSession::serve), the same loop every
@@ -25,16 +27,16 @@
 // With --listen=PORT the same protocol is served over TCP instead of
 // stdin/stdout: the process binds the port (0 = ephemeral), announces
 // `{"event":"listening","address":...,"port":N}` on stdout, and serves
-// every accepted connection with its own session — by default each
-// connection also gets its own worker pool, so one listening host can
-// serve all partitions of a `sweep_fanout --connect` run concurrently.
+// every accepted connection with its own session and worker pool, so one
+// listening host can serve all partitions of a `sweep_fanout --connect`
+// run concurrently. The caches are the process's, so a job one connection
+// ran is served from the whole-job cache on any other.
 //
 // Flags: --workers=N --spp=N (pipeline samples per period)
 //        --heartbeat=SECONDS (emit v3 heartbeat events; 0 = off)
 //        --listen=PORT (serve TCP connections instead of stdin; 0 picks
 //        an ephemeral port, announced on stdout)
 //        --bind=ADDR (listen address, default 0.0.0.0)
-//        --share-service (one worker pool shared by every connection)
 //        --check (schema-validate stdin lines, exit non-zero on the first
 //        invalid one)
 
@@ -84,7 +86,6 @@ int main(int argc, char** argv) {
     bool listen = false;
     unsigned short listen_port = 0;
     std::string bind_address = "0.0.0.0";
-    bool share_service = false;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--workers=", 0) == 0)
@@ -98,8 +99,6 @@ int main(int argc, char** argv) {
             listen_port = static_cast<unsigned short>(std::stoul(arg.substr(9)));
         } else if (arg.rfind("--bind=", 0) == 0)
             bind_address = arg.substr(7);
-        else if (arg == "--share-service")
-            share_service = true;
         else if (arg == "--check")
             check = true;
         else {
@@ -117,7 +116,6 @@ int main(int argc, char** argv) {
         lopts.workers = workers;
         lopts.samples_per_period = samples_per_period;
         lopts.session = session_opts;
-        lopts.share_service = share_service;
         try {
             server::TcpListener listener(lopts);
             {

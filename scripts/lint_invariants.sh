@@ -41,6 +41,14 @@
 #       one drain-current model, spice::NmosDrainCurrent). A kernel that
 #       needs a drain current evaluates that model instead of copying the
 #       EKV expressions, where bit identity could drift.
+#
+#   R7  the NDJSON line framing is written once: in src/, calls to
+#       fd_read_line( or fd_write_line( (outside comments) appear only in
+#       server/fd_io.h (their definitions), server/transport.cpp (the
+#       client end, StreamTransport, and the server end's writes,
+#       detail::ServedPeer) and server/wire.cpp (the request loop,
+#       ServerSession::serve). A transport that needs lines derives from
+#       StreamTransport instead of framing its own fd.
 set -u
 
 self_test=0
@@ -159,6 +167,23 @@ run_lint() {
         fi
     fi
 
+    # R7: line-framing calls outside the two peer bodies and the request
+    # loop; awk drops // comments before matching.
+    if [ -d "$root/src" ]; then
+        r7_hits=$(find "$root/src" -type f \( -name '*.cpp' -o -name '*.h' \) |
+            grep -vE '/src/server/(fd_io\.h|transport\.cpp|wire\.cpp)$' |
+            xargs -r awk '{
+                code = $0
+                sub(/\/\/.*/, "", code)
+                if (code ~ /(^|[^[:alnum:]_])fd_(read|write)_line[[:space:]]*\(/)
+                    printf "%s:%d: %s\n", FILENAME, FNR, $0
+            }' /dev/null 2>/dev/null || true)
+        if [ -n "$r7_hits" ]; then
+            printf '%s\n' "$r7_hits" >&2
+            fail "fd_read_line()/fd_write_line() call outside server/fd_io.h, server/transport.cpp and server/wire.cpp — derive from StreamTransport instead of framing an fd again (R7)"
+        fi
+    fi
+
     # R4: bench bit-identity gates.
     if [ -d "$root/bench" ]; then
         for bench in "$root"/bench/bench_*.cpp; do
@@ -250,11 +275,31 @@ run_self_test() {
         >"$tmp/src/bad.h"
     check_fires R6-logistic
 
+    # R7: a transport framing its own fd, by read or by write.
+    stage
+    mkdir -p "$tmp/src/server"
+    printf 'bool PipeTransport::send_line(const std::string& l) {\n    return detail::fd_write_line(fd_, l);\n}\n' \
+        >"$tmp/src/server/pipe_transport.cpp"
+    check_fires R7
+    stage
+    mkdir -p "$tmp/src/server"
+    printf 'auto s = detail::fd_read_line (fd_, buffer_, out, 1.0);\n' \
+        >"$tmp/src/server/pipe_transport.cpp"
+    check_fires R7-read
+
     # Clean tree passes: comment-only catch, annotated mutex, marked and
     # allowlisted benches, identifiers merely ending in "rand", softplus
-    # calls in the drain-current model, the batched kernel and comments.
+    # calls in the drain-current model, the batched kernel and comments,
+    # and line framing in the peer bodies, the request loop and comments.
     stage
-    mkdir -p "$tmp/src/common" "$tmp/src/spice" "$tmp/src/kernels"
+    mkdir -p "$tmp/src/common" "$tmp/src/spice" "$tmp/src/kernels" \
+        "$tmp/src/server"
+    printf 'bool StreamTransport::send_line(const std::string& l) {\n    return detail::fd_write_line(fd_, l);\n}\n' \
+        >"$tmp/src/server/transport.cpp" # R7 exempt by path
+    printf 'void ServerSession::serve(int fd) { fd_read_line(fd, b, l, 0.0); }\n' \
+        >"$tmp/src/server/wire.cpp" # R7 exempt by path
+    printf '// framed by fd_read_line(fd, buffer, out, t) in StreamTransport\n' \
+        >"$tmp/src/server/fanout.cpp"
     printf 'inline double id(double u) { return softplus(u) * logistic(u); }\n' \
         >"$tmp/src/spice/mosfet.h" # R6 exempt by path
     printf '// softplus(u) evaluated in bulk\nvoid f() { vecmath::softplus_batch(a, b, n); }\n' \

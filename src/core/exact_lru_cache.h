@@ -16,8 +16,9 @@
 /// refresh recency; returned shared_ptrs keep evicted values alive for
 /// callers that still hold them.
 ///
-/// Two bounds hold after every insertion: at most capacity() entries, and
-/// a summed weight of at most kWeightCeiling, where the Weigh policy
+/// Two bounds hold after every insertion, both constants of the
+/// instantiation: at most kCapacity entries, and a summed weight of at most
+/// kWeightCeiling, where the Weigh policy
 /// prices an entry as Weigh::weigh(key, value). Least-recently-used
 /// entries are evicted until both hold, and an entry heavier than the
 /// ceiling on its own is never stored (find_or_compute still returns it).
@@ -33,7 +34,6 @@
 #include <utility>
 
 #include "common/annotated_mutex.h"
-#include "common/contracts.h"
 
 namespace xysig::core {
 
@@ -47,10 +47,11 @@ struct Weightless {
     }
 };
 
-template <class V, std::size_t DefaultCapacity, class Weigh = Weightless>
+template <class V, std::size_t Capacity, class Weigh = Weightless>
 class ExactLruCache {
 public:
-    static constexpr std::size_t kDefaultCapacity = DefaultCapacity;
+    static_assert(Capacity >= 1);
+    static constexpr std::size_t kCapacity = Capacity;
     static constexpr std::size_t kWeightCeiling = Weigh::kCeiling;
 
     /// The process-wide instance of this instantiation.
@@ -98,17 +99,9 @@ public:
             emplace_locked(key, std::move(stored));
     }
 
-    /// Maximum number of retained entries (>= 1). Shrinking below the
-    /// current size evicts LRU entries immediately.
-    void set_capacity(std::size_t capacity) EXCLUDES(mutex_) {
-        XYSIG_EXPECTS(capacity >= 1);
-        MutexLock lock(mutex_);
-        capacity_ = capacity;
-        evict_to_bounds_locked();
-    }
-    [[nodiscard]] std::size_t capacity() const EXCLUDES(mutex_) {
-        MutexLock lock(mutex_);
-        return capacity_;
+    /// Maximum number of retained entries.
+    [[nodiscard]] static constexpr std::size_t capacity() noexcept {
+        return kCapacity;
     }
 
     /// Statistics (tests, the `stats` wire event, capacity tuning).
@@ -135,7 +128,7 @@ public:
     }
 
     /// Drops every entry and resets the counters and the weight (test
-    /// isolation). The configured capacity is kept.
+    /// isolation).
     void clear() EXCLUDES(mutex_) {
         MutexLock lock(mutex_);
         map_.clear();
@@ -181,7 +174,7 @@ private:
     }
 
     void evict_to_bounds_locked() REQUIRES(mutex_) {
-        while (map_.size() > capacity_ || weight_ > kWeightCeiling) {
+        while (map_.size() > kCapacity || weight_ > kWeightCeiling) {
             weight_ -= lru_.back().weight;
             map_.erase(lru_.back().key);
             lru_.pop_back();
@@ -193,7 +186,6 @@ private:
     LruList lru_ GUARDED_BY(mutex_);
     std::unordered_map<std::string, typename LruList::iterator> map_
         GUARDED_BY(mutex_);
-    std::size_t capacity_ GUARDED_BY(mutex_) = DefaultCapacity;
     std::size_t weight_ GUARDED_BY(mutex_) = 0;
     std::size_t hits_ GUARDED_BY(mutex_) = 0;
     std::size_t misses_ GUARDED_BY(mutex_) = 0;

@@ -16,16 +16,16 @@
 ///
 /// The cache is bounded: a long-lived sweep service sees an unbounded
 /// stream of distinct fingerprints (every job may carry a new golden CUT),
-/// so entries beyond `capacity` are evicted least-recently-used — an
-/// eviction only costs one recomputation if the key ever returns. Keying,
-/// locking and eviction rules are ExactLruCache's.
+/// so entries beyond its 1024-entry bound are evicted least-recently-used
+/// — an eviction only costs one recomputation if the key ever returns.
+/// Keying, locking and eviction rules are ExactLruCache's.
 
 #include "capture/chronogram.h"
 #include "core/exact_lru_cache.h"
 
 namespace xysig::core {
 
-/// Goldens are tiny (tens of events), so the default bound is sized for
+/// Goldens are tiny (tens of events), so the bound is sized for
 /// "every concurrently useful experimental setup" rather than for memory
 /// pressure. instance() is the one SignaturePipeline::set_golden uses.
 using GoldenSignatureCache = ExactLruCache<capture::Chronogram, 1024>;

@@ -43,7 +43,7 @@ namespace xysig::core {
                                              SampleMode mode);
 
 /// Traces are samples_per_period doubles (64 KiB at the paper's 8192), so
-/// the default bound is far smaller than the golden cache's: a process
+/// the bound is far smaller than the golden cache's: a process
 /// rarely juggles more than a handful of (stimulus, spp, mode) setups at
 /// once. instance() is the one SignaturePipeline uses.
 using StimulusTraceCache = ExactLruCache<std::vector<double>, 64>;

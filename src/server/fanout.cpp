@@ -522,7 +522,7 @@ FanoutSummary FanoutDriver::run(const JsonValue& job,
     if (options_.read_timeout_seconds <= 0.0)
         summary.warnings.push_back(
             "read_timeout_seconds is 0: a worker that wedges without closing "
-            "its pipe or socket will hang the run forever — set an "
+            "its socket will hang the run forever — set an "
             "inactivity timeout (server heartbeats keep slow-but-alive "
             "workers from being shot)");
 

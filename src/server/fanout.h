@@ -27,7 +27,7 @@
 /// verify_single_process gate re-runs the whole universe in-process and
 /// compares exact hexfloat NDFs (and signature strings) member by member.
 ///
-/// Fault handling: a partition whose peer dies (pipe EOF, injected death)
+/// Fault handling: a partition whose peer dies (socket EOF, injected death)
 /// or goes silent past read_timeout_seconds is re-dispatched on a fresh
 /// transport, resuming at the first member not yet received — the
 /// in-partition stream is contiguous, so the received prefix is exact and

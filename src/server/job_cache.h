@@ -17,11 +17,14 @@
 /// job streams from the cache without touching a worker.
 ///
 /// Keying, locking, LRU bounding and shared_ptr keep-alive are
-/// core::ExactLruCache's. Two bounds hold, both constants: 64 entries and
-/// 8 MiB of stored results and keys, so a faster server does not
-/// hold more finished jobs' worth of memory. A job whose results alone
-/// outweigh the ceiling is never cached; the scheduler stops collecting
-/// it as soon as it does.
+/// core::ExactLruCache's. Like the golden and trace caches there is one
+/// instance per process (JobResultCache::instance()), shared by every
+/// scheduler, so a job resubmitted on another connection is served from
+/// it too. Two bounds hold, both constants: 64 entries and 8 MiB of stored
+/// results and keys, for the whole process, so neither a faster server nor
+/// more connections hold more finished jobs' worth of memory. A job whose
+/// results alone outweigh the ceiling is never cached; the scheduler stops
+/// collecting it as soon as it does.
 
 #include <cstddef>
 #include <string>

@@ -7,6 +7,7 @@
 
 #include "common/contracts.h"
 #include "common/strings.h"
+#include "server/job_cache.h"
 
 namespace xysig::server {
 
@@ -98,7 +99,8 @@ void JobScheduler::submit(WireJob wire, std::shared_ptr<JobSink> sink) {
     // Submit-time cache hit: stream on this thread without ever entering
     // the queue, so a resubmitted job never waits behind a running one.
     if (!rec->cache_key.empty()) {
-        if (const CachedUniverse hit = cache_.find(rec->cache_key)) {
+        if (const CachedUniverse hit =
+                JobResultCache::instance().find(rec->cache_key)) {
             rec->sink->queued(0, true);
             execute(*rec, hit);
             return;
@@ -250,8 +252,9 @@ void JobScheduler::dispatcher_main() {
         lock.Unlock();
         // Dispatch-time cache re-check: an identical job completed since
         // this one was queued (cold duplicates queued back-to-back).
-        execute(*rec, rec->cache_key.empty() ? nullptr
-                                             : cache_.find(rec->cache_key));
+        execute(*rec, rec->cache_key.empty()
+                          ? nullptr
+                          : JobResultCache::instance().find(rec->cache_key));
         lock.Lock();
     }
 }
@@ -334,7 +337,8 @@ void JobScheduler::run_on_service(Record& rec, JobOutcome& out) {
     }
 
     if (collect && !cancelled && collected.size() == wire.job.size())
-        cache_.insert(rec.cache_key, std::move(collected));
+        JobResultCache::instance().insert(rec.cache_key,
+                                          std::move(collected));
 }
 
 void JobScheduler::finish(Record& rec, const JobOutcome& out) {

@@ -23,9 +23,10 @@
 ///    it runs hits the cache (bit-identically — the cache key scheme
 ///    guarantees it). A job submitted to an idle scheduler skips the call:
 ///    the dispatcher makes the same call at once.
-///  * A content-addressed JobResultCache (see job_cache.h) short-circuits
-///    whole jobs: an exact resubmit — or any member-range slice of a cached
-///    full universe — streams results without touching a worker.
+///  * The process-wide content-addressed JobResultCache (see job_cache.h)
+///    short-circuits whole jobs: an exact resubmit — or any member-range
+///    slice of a cached full universe — streams results without touching a
+///    worker, whichever scheduler (connection) ran the job first.
 ///
 /// Bit-identity contract: at ANY queue depth × worker count, every job's
 /// result stream is in ascending member order and bit-identical to a serial
@@ -45,7 +46,6 @@
 #include <vector>
 
 #include "common/annotated_mutex.h"
-#include "server/job_cache.h"
 #include "server/sweep_service.h"
 #include "server/wire.h"
 
@@ -96,9 +96,9 @@ public:
     virtual void finished(const JobOutcome& outcome) = 0;
 };
 
-/// The scheduler. Owns the dispatcher thread and the job cache; borrows
-/// the SweepService (whose run() it is the only caller of) and holds no
-/// pipeline of its own.
+/// The scheduler. Owns the dispatcher thread; borrows the SweepService
+/// (whose run() it is the only caller of) and holds no pipeline or cache
+/// of its own.
 class JobScheduler {
 public:
     /// Queued-job bound; submit() blocks once this many jobs wait
@@ -147,10 +147,6 @@ public:
     void wait_idle();
 
     [[nodiscard]] Stats stats() const;
-    [[nodiscard]] JobResultCache& cache() noexcept { return cache_; }
-    [[nodiscard]] const JobResultCache& cache() const noexcept {
-        return cache_;
-    }
 
 private:
     struct Record;
@@ -175,7 +171,6 @@ private:
     [[nodiscard]] std::string job_cache_key(const WireJob& wire) const;
 
     SweepService& service_;
-    JobResultCache cache_;
     const std::string pipeline_fp_; ///< empty = job caching off for this pipeline
 
     mutable Mutex mutex_; ///< queue + stats state below

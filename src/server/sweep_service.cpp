@@ -54,7 +54,6 @@ JobSummary SweepService::run(const SweepJob& job,
                              SweepCancelToken* cancel) {
     XYSIG_EXPECTS(on_result != nullptr);
     XYSIG_EXPECTS(job.universe_ != nullptr);
-    MutexLock job_lock(job_mutex_); // one job at a time
     const core::SignaturePipeline pipe = job_pipeline(job);
 
     const core::Schedule schedule{&pool_, worker_count()};

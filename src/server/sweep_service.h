@@ -23,9 +23,9 @@
 ///    so repeated jobs over the same (cut, bank, stimulus) fingerprint
 ///    compute the golden once per fingerprint, not once per job;
 ///  * the service pipeline is never written after construction: each job
-///    runs on its own copy (job_pipeline), so concurrent readers — a
-///    scheduler's golden prefetch on a submitting thread, another session
-///    sharing the service — never race with a running job;
+///    runs on its own copy (job_pipeline), so a concurrent reader — a
+///    scheduler's golden prefetch on a submitting thread — never races
+///    with a running job;
 ///  * non-convergent members stream as quiet-NaN NDFs with no signature
 ///    (core::Universe::evaluate).
 
@@ -94,10 +94,10 @@ private:
 /// The service. Owns a read-only pipeline (each job evaluates against its
 /// own copy, see job_pipeline) and a ThreadPool whose workers live across
 /// jobs; run() is the blocking submit-and-stream entry point and may be
-/// called repeatedly. One job runs at a time (concurrent run() calls queue
-/// for the pool); results within a job are produced on the pool (a
-/// single-shard job on the caller's thread) and always delivered from the
-/// run() caller's thread.
+/// called repeatedly, from one thread at a time — its owner's (a session's
+/// scheduler dispatcher), so one job at a time owns the pool. Results
+/// within a job are produced on the pool (a single-shard job on the
+/// caller's thread) and always delivered from the run() caller's thread.
 class SweepService {
 public:
     using ResultCallback = std::function<void(const SweepResult&)>;
@@ -152,10 +152,6 @@ public:
 private:
     const core::SignaturePipeline pipeline_;
     ThreadPool pool_;
-    /// Guards no state: it queues run() callers so one job at a time owns
-    /// the pool — with a service shared across sessions, a job waits here
-    /// behind another session's job.
-    Mutex job_mutex_;
 
     mutable Mutex stats_mutex_;
     ServiceStats stats_ GUARDED_BY(stats_mutex_);

@@ -14,8 +14,6 @@
 #include <unistd.h>
 
 #include "common/error.h"
-#include "server/fd_io.h"
-#include "server/sweep_service.h"
 
 namespace xysig::server {
 
@@ -84,11 +82,8 @@ constexpr double kConnectTimeoutSeconds = 10.0;
 
 TcpTransport::TcpTransport(std::string host, unsigned short port)
     : host_(std::move(host)), port_(port) {
-    detail::ignore_sigpipe_once();
     connect();
 }
-
-TcpTransport::~TcpTransport() { shutdown(); }
 
 void TcpTransport::connect() {
     const double deadline = monotonic_seconds() + kConnectTimeoutSeconds;
@@ -139,37 +134,12 @@ void TcpTransport::connect() {
                 last_error);
 }
 
-bool TcpTransport::send_line(const std::string& line) {
-    if (fd_ < 0)
-        return false;
-    return detail::fd_write_line(fd_, line);
-}
-
-Transport::ReadStatus TcpTransport::read_line(std::string& out,
-                                              double timeout_seconds) {
-    return detail::fd_read_line(fd_, buffer_, out, timeout_seconds);
-}
-
-void TcpTransport::shutdown() {
-    if (fd_ >= 0) {
-        ::shutdown(fd_, SHUT_RDWR);
-        ::close(fd_);
-        fd_ = -1;
-    }
-}
-
 std::string TcpTransport::describe() const {
     return "tcp[" + host_ + ":" + std::to_string(port_) +
            (fd_ >= 0 ? "" : ", closed") + "]";
 }
 
 // ---------------------------------------------------------------- TcpListener
-
-struct TcpListener::Connection {
-    int fd = -1;
-    std::thread thread;
-    std::atomic<bool> finished{false};
-};
 
 namespace {
 
@@ -206,8 +176,6 @@ namespace {
 TcpListener::TcpListener(Options options)
     : options_(std::move(options)),
       listen_fd_(listen_socket(options_.bind_address, options_.port)) {
-    detail::ignore_sigpipe_once();
-
     // Resolve the ephemeral port before anyone asks for it.
     struct sockaddr_storage addr {};
     socklen_t len = sizeof(addr);
@@ -222,11 +190,6 @@ TcpListener::TcpListener(Options options)
     else if (addr.ss_family == AF_INET6)
         port_ =
             ntohs(reinterpret_cast<struct sockaddr_in6*>(&addr)->sin6_port);
-
-    if (options_.share_service)
-        shared_service_ = std::make_shared<SweepService>(
-            make_paper_pipeline(options_.samples_per_period),
-            SweepServiceOptions{options_.workers});
 }
 
 TcpListener::~TcpListener() {
@@ -243,49 +206,32 @@ void TcpListener::run() { accept_loop(); }
 void TcpListener::accept_loop() {
     while (!stopping_.load(std::memory_order_acquire)) {
         const int fd = ::accept(listen_fd_, nullptr, nullptr);
-        if (fd < 0) {
-            if (errno == EINTR)
-                continue;
-            break; // listener closed (stop()) or hard error
-        }
         if (stopping_.load(std::memory_order_acquire)) {
-            ::close(fd);
+            if (fd >= 0)
+                ::close(fd);
             break;
         }
+        if (fd < 0 && errno != EINTR) {
+            // Only stop() ends the loop. Any other failure (EMFILE/ENFILE
+            // at the fd limit, ECONNABORTED, ...) is retried after a
+            // pause; the reap below meanwhile frees the fds of finished
+            // connections, which would otherwise wait for the next
+            // successful accept.
+            ::usleep(10'000);
+        }
+        MutexLock lock(connections_mutex_);
+        std::erase_if(connections_,
+                      [](const auto& peer) { return peer->finished(); });
+        if (fd < 0)
+            continue;
         set_nodelay(fd);
         connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-
-        auto conn = std::make_unique<Connection>();
-        conn->fd = fd;
-        Connection* raw = conn.get();
-        MutexLock lock(connections_mutex_);
-        reap_finished_connections_locked();
-        conn->thread = std::thread([this, raw] {
-            // One service per connection unless shared: a fan-out driver
-            // opening N connections to one host gets N independent worker
-            // pools, mirroring the N-child process topology. serve_peer
-            // sends FIN but does NOT close: stop() may be shutting this fd
-            // down concurrently, so the close (which frees the fd number
-            // for reuse) happens in exactly one place — after the join.
-            detail::serve_peer(raw->fd, shared_service_, options_.workers,
-                               options_.samples_per_period, options_.session);
-            raw->finished.store(true, std::memory_order_release);
-        });
-        connections_.push_back(std::move(conn));
-    }
-}
-
-void TcpListener::reap_finished_connections_locked() {
-    for (auto it = connections_.begin(); it != connections_.end();) {
-        if ((*it)->finished.load(std::memory_order_acquire)) {
-            if ((*it)->thread.joinable())
-                (*it)->thread.join();
-            if ((*it)->fd >= 0)
-                ::close((*it)->fd);
-            it = connections_.erase(it);
-        } else {
-            ++it;
-        }
+        // One service per connection: a fan-out driver opening N
+        // connections to one host gets N independent worker pools,
+        // mirroring the N-child process topology.
+        connections_.push_back(std::make_unique<detail::ServedPeer>(
+            fd, options_.workers, options_.samples_per_period,
+            options_.session));
     }
 }
 
@@ -299,19 +245,12 @@ void TcpListener::stop() {
     if (accept_thread_.joinable())
         accept_thread_.join();
 
-    std::vector<std::unique_ptr<Connection>> conns;
+    std::vector<std::unique_ptr<detail::ServedPeer>> peers;
     {
         MutexLock lock(connections_mutex_);
-        conns.swap(connections_);
+        peers.swap(connections_);
     }
-    for (auto& conn : conns) {
-        if (conn->fd >= 0)
-            ::shutdown(conn->fd, SHUT_RDWR); // its serve loop reads EOF
-        if (conn->thread.joinable())
-            conn->thread.join();
-        if (conn->fd >= 0)
-            ::close(conn->fd);
-    }
+    peers.clear(); // each shuts its socket down, joins, then closes it
 }
 
 } // namespace xysig::server

@@ -11,22 +11,20 @@
 ///    bounded exponential-backoff retry (a worker that is still booting,
 ///    or a connection broken mid-job, is retried rather than failed on
 ///    the first ECONNREFUSED); the peer's ready banner is then the first
-///    line read_line() returns, exactly as on the pipe transports, and
+///    line read_line() returns, exactly as on the other transports, and
 ///    FanoutDriver's handshake checks its `version` like every other
-///    peer's. Line framing is shared with the other transports (fd_io.h)
-///    — one '\n'-terminated JSON object per line, short writes and EINTR
-///    looped.
+///    peer's. Line framing is StreamTransport's (transport.h).
 ///
 ///  * TcpListener — the accept loop behind `sweep_server --listen`: binds
 ///    a port (0 = ephemeral; port() reports the bound one), accepts
-///    connections, and serves each with detail::serve_peer (its own
-///    ServerSession and request loop) — by default over its own
-///    SweepService (own worker pool, so N fan-out partitions connecting
-///    to one host actually run concurrently), or over one shared service
-///    (Options::share_service) when the host's core budget must be pinned.
-///    Usable in-process (tests, bench) and from the sweep_server binary;
-///    `run()` serves on the calling thread, `start()`/`stop()` manage a
-///    background accept thread.
+///    connections, and serves each with a detail::ServedPeer — its own
+///    ServerSession, request loop and SweepService (own worker pool, so N
+///    fan-out partitions connecting to one host actually run
+///    concurrently). Only stop() ends the accept loop: a failed accept()
+///    (the fd limit, an aborted connection) frees the finished
+///    connections' fds and retries. Usable in-process (tests, bench) and
+///    from the sweep_server binary; `run()` serves on the calling thread,
+///    `start()`/`stop()` manage a background accept thread.
 ///
 /// Thread-safety: TcpTransport follows the Transport contract (one
 /// coordinator thread). TcpListener::start/stop may be called from one
@@ -46,24 +44,15 @@
 
 namespace xysig::server {
 
-class SweepService;
-
 /// One NDJSON connection to a listening sweep server. The constructor
 /// connects with retry and exponential backoff (5 attempts, 0.05 s first
 /// backoff doubling up to 1 s, 10 s overall); it throws Error when the
 /// peer cannot be reached within that budget — FanoutDriver treats a
 /// throwing factory as a failed dispatch attempt.
-class TcpTransport final : public Transport {
+class TcpTransport final : public StreamTransport {
 public:
     TcpTransport(std::string host, unsigned short port);
-    ~TcpTransport() override;
 
-    TcpTransport(const TcpTransport&) = delete;
-    TcpTransport& operator=(const TcpTransport&) = delete;
-
-    bool send_line(const std::string& line) override;
-    ReadStatus read_line(std::string& out, double timeout_seconds) override;
-    void shutdown() override;
     [[nodiscard]] std::string describe() const override;
 
     /// Connect attempts the constructor consumed (>= 1; exposed so tests
@@ -77,14 +66,12 @@ private:
 
     std::string host_;
     unsigned short port_ = 0;
-    int fd_ = -1;
-    std::string buffer_; ///< partial-line carry between reads
     unsigned connect_attempts_ = 0;
 };
 
 /// Accept loop serving ServerSessions over TCP. One listener per
-/// process/port; one session (and by default one SweepService) per
-/// accepted connection.
+/// process/port; one session and one SweepService per accepted
+/// connection.
 class TcpListener {
 public:
     struct Options {
@@ -94,10 +81,6 @@ public:
         unsigned workers = 0;
         std::size_t samples_per_period = 512;
         SessionOptions session; ///< per-session heartbeat
-        /// Serve every connection from ONE SweepService (jobs from
-        /// concurrent connections serialise on its worker pool) instead of
-        /// one service per connection.
-        bool share_service = false;
     };
 
     explicit TcpListener(Options options); ///< binds + listens; throws Error
@@ -124,22 +107,19 @@ public:
     }
 
 private:
-    struct Connection;
-
     void accept_loop();
-    void reap_finished_connections_locked() REQUIRES(connections_mutex_);
 
     Options options_;
     const int listen_fd_; ///< closed by the destructor only
     unsigned short port_ = 0;
     std::atomic<bool> stopping_{false};
     std::atomic<std::size_t> connections_accepted_{0};
-    std::thread accept_thread_;
-    std::shared_ptr<SweepService> shared_service_; ///< when share_service
 
     Mutex connections_mutex_;
-    std::vector<std::unique_ptr<Connection>> connections_
+    std::vector<std::unique_ptr<detail::ServedPeer>> connections_
         GUARDED_BY(connections_mutex_);
+
+    std::thread accept_thread_;
 };
 
 } // namespace xysig::server

@@ -15,6 +15,7 @@
 #include "filter/tow_thomas.h"
 #include "monitor/table1.h"
 #include "server/fd_io.h"
+#include "server/job_cache.h"
 #include "server/scheduler.h"
 
 namespace xysig::server {
@@ -696,7 +697,7 @@ void ServerSession::emit_stats() {
     o.emplace("workers", static_cast<std::size_t>(service_.worker_count()));
     o.emplace("golden_cache", cache_stats(core::GoldenSignatureCache::instance()));
     o.emplace("scheduler", std::move(sched_obj));
-    o.emplace("job_cache", cache_stats(scheduler_->cache()));
+    o.emplace("job_cache", cache_stats(JobResultCache::instance()));
     o.emplace("trace_cache", cache_stats(core::StimulusTraceCache::instance()));
     emit(std::move(o));
 }

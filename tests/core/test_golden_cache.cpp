@@ -19,9 +19,12 @@ capture::Chronogram make_chronogram(unsigned code) {
     return capture::Chronogram(1.0, 6, {{0.0, code}});
 }
 
+/// GoldenSignatureCache's body at a bound small enough to evict.
+template <std::size_t Capacity>
+using ChronogramCache = ExactLruCache<capture::Chronogram, Capacity>;
+
 TEST(GoldenCacheLru, EvictsLeastRecentlyUsedBeyondCapacity) {
-    GoldenSignatureCache cache;
-    cache.set_capacity(2);
+    ChronogramCache<2> cache;
 
     int computes = 0;
     const auto get = [&](const std::string& key, unsigned code) {
@@ -54,8 +57,7 @@ TEST(GoldenCacheLru, EvictsLeastRecentlyUsedBeyondCapacity) {
 }
 
 TEST(GoldenCacheLru, EvictedEntriesStayAliveForHolders) {
-    GoldenSignatureCache cache;
-    cache.set_capacity(1);
+    ChronogramCache<1> cache;
     const auto held =
         cache.find_or_compute("x", [] { return make_chronogram(7); });
     (void)cache.find_or_compute("y", [] { return make_chronogram(8); });
@@ -73,22 +75,8 @@ TEST(GoldenCacheLru, EvictedEntriesStayAliveForHolders) {
     EXPECT_EQ(found->events()[0].code, 8u);
 }
 
-TEST(GoldenCacheLru, ShrinkingCapacityEvictsImmediately) {
-    GoldenSignatureCache cache;
-    cache.set_capacity(8);
-    for (unsigned i = 0; i < 5; ++i)
-        (void)cache.find_or_compute("k" + std::to_string(i),
-                                    [&] { return make_chronogram(i); });
-    EXPECT_EQ(cache.size(), 5u);
-    cache.set_capacity(2);
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.evictions(), 3u);
-    EXPECT_EQ(cache.capacity(), 2u);
-}
-
 TEST(GoldenCacheLru, StatsAndClear) {
-    GoldenSignatureCache cache;
-    cache.set_capacity(4);
+    ChronogramCache<4> cache;
     (void)cache.find_or_compute("k", [] { return make_chronogram(1); });
     (void)cache.find_or_compute("k", [] { return make_chronogram(1); });
     EXPECT_EQ(cache.hits(), 1u);
@@ -98,12 +86,10 @@ TEST(GoldenCacheLru, StatsAndClear) {
     EXPECT_EQ(cache.hits(), 0u);
     EXPECT_EQ(cache.misses(), 0u);
     EXPECT_EQ(cache.evictions(), 0u);
-    EXPECT_EQ(cache.capacity(), 4u); // clear keeps the configured bound
 }
 
 TEST(GoldenCacheLru, FindCountsHitsAndMissesAndRefreshesRecency) {
-    GoldenSignatureCache cache;
-    cache.set_capacity(2);
+    ChronogramCache<2> cache;
     EXPECT_EQ(cache.find("a"), nullptr);
     EXPECT_EQ(cache.misses(), 1u);
     cache.insert("a", make_chronogram(1));
@@ -132,8 +118,7 @@ TEST(GoldenCacheLru, FindCountsHitsAndMissesAndRefreshesRecency) {
 }
 
 TEST(GoldenCacheLru, InsertKeepsAnExistingEntry) {
-    GoldenSignatureCache cache;
-    cache.set_capacity(4);
+    ChronogramCache<4> cache;
     cache.insert("k", make_chronogram(1));
     const auto first = cache.find("k");
     cache.insert("k", make_chronogram(2));
@@ -180,8 +165,7 @@ TEST(WeighedCacheLru, EvictsLeastRecentlyUsedUntilTheWeightFits) {
 }
 
 TEST(WeighedCacheLru, EntryBoundStillHolds) {
-    WeighedCache cache;
-    cache.set_capacity(2);
+    ExactLruCache<std::string, 2, LengthWeigh> cache;
     cache.insert("a", "a");
     cache.insert("b", "b");
     cache.insert("c", "c");

@@ -38,15 +38,10 @@ namespace {
 using core::StimulusTraceCache;
 
 /// Every test starts from an empty cache with zeroed counters so the
-/// misses() probe counts only its own samplings; capacity is restored in
-/// case an LRU test shrank it.
+/// misses() probe counts only its own samplings.
 class TraceCacheTest : public ::testing::Test {
 protected:
-    void SetUp() override {
-        StimulusTraceCache::instance().set_capacity(
-            StimulusTraceCache::kDefaultCapacity);
-        StimulusTraceCache::instance().clear();
-    }
+    void SetUp() override { StimulusTraceCache::instance().clear(); }
 };
 
 core::SignaturePipeline make_pipeline(bool fast_math = false,
@@ -262,9 +257,8 @@ TEST_F(TraceCacheTest, ConcurrentPipelinesShareOneLaneEntry) {
 }
 
 TEST_F(TraceCacheTest, LruEvictionAndSharedPtrKeepAlive) {
-    auto& cache = StimulusTraceCache::instance();
-    cache.set_capacity(2);
-    EXPECT_EQ(cache.capacity(), 2u);
+    // StimulusTraceCache's body at a bound small enough to evict.
+    core::ExactLruCache<std::vector<double>, 2> cache;
 
     const auto make = [](double v) {
         return [v] { return std::vector<double>(8, v); };
@@ -299,7 +293,6 @@ TEST_F(TraceCacheTest, LruEvictionAndSharedPtrKeepAlive) {
     EXPECT_EQ(cache.size(), 0u);
     EXPECT_EQ(cache.misses(), 0u);
     EXPECT_EQ(cache.hits(), 0u);
-    cache.set_capacity(StimulusTraceCache::kDefaultCapacity);
 }
 
 } // namespace

@@ -30,6 +30,7 @@
 #include "common/error.h"
 #include "common/strings.h"
 #include "server/chaos.h"
+#include "server/fd_io.h"
 #include "server/transport.h"
 #include "server/wire.h"
 
@@ -629,6 +630,18 @@ TEST(LoopbackTransport, WhitespaceOnlyLinesAreIgnored) {
     EXPECT_EQ(pong.string_or("id", ""), "after-blank");
 }
 
+TEST(LoopbackTransport, AnOverlongRequestLineEndsTheSession) {
+    // A peer streaming more than kMaxLineBytes without a newline is not
+    // speaking the protocol: the session ends as on EOF instead of
+    // buffering the line whole.
+    LoopbackTransport peer(loopback_options());
+    (void)peer.send_line(std::string(2 * detail::kMaxLineBytes, 'x'));
+
+    const std::vector<std::string> lines = read_until_closed(peer);
+    ASSERT_EQ(lines.size(), 1u);
+    EXPECT_EQ(JsonValue::parse(lines[0]).string_or("event", ""), "ready");
+}
+
 TEST(LoopbackTransport, InBandCancelClosesASlowSpiceJob) {
     // Cancels travel in-band like every other request: the session's
     // reader handles the job line (decode, submit, `queued`) before it
@@ -769,10 +782,14 @@ TEST(FanoutDriver, APeerThatFailsBeforeItsBannerNamesWhy) {
 /// the order in which partition threads call the factory. The peer given
 /// members.first == 0 holds its results until the driver cancels it, then
 /// sends members 0 and 1 and a cancelled job_done; any other peer rejects
-/// its job with an error event.
+/// its job with an error event, but only once the first range's job has
+/// been sent (`first_dispatched`): a rejection that fails the run before
+/// then would stop the first partition before it dispatches anything.
 class ScriptedRangeTransport final : public Transport {
 public:
-    ScriptedRangeTransport() {
+    explicit ScriptedRangeTransport(
+        std::shared_ptr<std::atomic<bool>> first_dispatched)
+        : first_dispatched_(std::move(first_dispatched)) {
         outbox_.push_back(R"({"event":"ready","samples_per_period":256,"version":)" +
                           std::to_string(kProtocolVersion) + "}");
     }
@@ -781,9 +798,10 @@ public:
         const JsonValue v = JsonValue::parse(line);
         if (v.has("job")) {
             holds_first_range_ = v.at("members").at("first").as_number() == 0;
-            if (!holds_first_range_)
-                outbox_.push_back(
-                    R"({"event":"error","message":"scripted rejection"})");
+            if (holds_first_range_)
+                first_dispatched_->store(true);
+            else
+                rejects_ = true;
         } else if (v.string_or("cmd", "") == "cancel" && holds_first_range_) {
             holds_first_range_ = false;
             for (const char* member : {"0", "1"})
@@ -795,6 +813,10 @@ public:
         return true;
     }
     ReadStatus read_line(std::string& out, double timeout_seconds) override {
+        if (rejects_ && first_dispatched_->load()) {
+            rejects_ = false;
+            outbox_.push_back(R"({"event":"error","message":"scripted rejection"})");
+        }
         if (outbox_.empty()) {
             std::this_thread::sleep_for(
                 std::chrono::duration<double>(timeout_seconds));
@@ -808,8 +830,10 @@ public:
     [[nodiscard]] std::string describe() const override { return "scripted"; }
 
 private:
+    std::shared_ptr<std::atomic<bool>> first_dispatched_;
     std::vector<std::string> outbox_;
     bool holds_first_range_ = false;
+    bool rejects_ = false; ///< owes its rejection, once the first range runs
 };
 
 TEST(FanoutDriver, AFailedRunDeliversWhatItMergedInOrderThenThrows) {
@@ -820,8 +844,12 @@ TEST(FanoutDriver, AFailedRunDeliversWhatItMergedInOrderThenThrows) {
     FanoutOptions opts;
     opts.partitions = 2;
     opts.read_timeout_seconds = 10.0;
+    auto first_dispatched = std::make_shared<std::atomic<bool>>(false);
     FanoutDriver driver(
-        [] { return std::make_unique<ScriptedRangeTransport>(); }, opts);
+        [first_dispatched] {
+            return std::make_unique<ScriptedRangeTransport>(first_dispatched);
+        },
+        opts);
     std::vector<std::size_t> delivered;
     try {
         (void)driver.run(

@@ -69,7 +69,7 @@ TEST(PipelineFingerprint, ExactWhenCacheableEmptyOtherwise) {
 }
 
 TEST(JobResultBytes, BoundsAndWeighKeyPlusEveryResult) {
-    EXPECT_EQ(JobResultCache::kDefaultCapacity, 64u);
+    EXPECT_EQ(JobResultCache::kCapacity, 64u);
     EXPECT_EQ(JobResultCache::kWeightCeiling, std::size_t{8} << 20);
     SweepResult nan_member;
     nan_member.label = "open(R1)";

@@ -43,6 +43,19 @@
 namespace xysig::server {
 namespace {
 
+/// The whole-job cache is process-wide: every test starts from an empty
+/// one, so a job an earlier test ran is not served from its entry.
+class ClearJobCacheAtTestStart final : public ::testing::EmptyTestEventListener {
+    void OnTestStart(const ::testing::TestInfo& /*test*/) override {
+        JobResultCache::instance().clear();
+    }
+};
+[[maybe_unused]] const bool kJobCacheClearedPerTest = [] {
+    ::testing::UnitTest::GetInstance()->listeners().Append(
+        new ClearJobCacheAtTestStart);
+    return true;
+}();
+
 bool same_bits(double a, double b) {
     return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
@@ -263,7 +276,7 @@ TEST(JobScheduler, ExactSpiceResubmitStreamsFromCacheWithZeroClones) {
     std::size_t cache_size_at_finish = 0;
     first->on_finished = [&](const JobOutcome&) {
         stats_at_finish = sched.stats();
-        cache_size_at_finish = sched.cache().size();
+        cache_size_at_finish = JobResultCache::instance().size();
     };
     sched.submit(wire_job(line), first);
     sched.wait_idle();
@@ -301,7 +314,7 @@ TEST(JobScheduler, ExactSpiceResubmitStreamsFromCacheWithZeroClones) {
     EXPECT_EQ(stats.submitted, 2u);
     EXPECT_EQ(stats.completed, 2u);
     EXPECT_EQ(stats.cache_hits, 1u);
-    EXPECT_EQ(sched.cache().hits(), 1u);
+    EXPECT_EQ(JobResultCache::instance().hits(), 1u);
 }
 
 TEST(JobScheduler, MemberRangeSliceServedByCachedSuperset) {
@@ -317,14 +330,14 @@ TEST(JobScheduler, MemberRangeSliceServedByCachedSuperset) {
     sched.wait_idle();
     EXPECT_FALSE(cold_slice->cached);
     EXPECT_EQ(cold_slice->results.size(), 2u);
-    EXPECT_EQ(sched.cache().size(), 0u);
+    EXPECT_EQ(JobResultCache::instance().size(), 0u);
 
     auto full = submit(sched, full_line);
     sched.wait_idle();
     EXPECT_FALSE(full->cached);
     const std::vector<SweepResult>& reference = full->results;
     ASSERT_EQ(reference.size(), 11u);
-    EXPECT_EQ(sched.cache().size(), 1u);
+    EXPECT_EQ(JobResultCache::instance().size(), 1u);
 
     // Slices of the SAME universe (grid spelled as the explicit list — the
     // content key is over materialised values) are served by indexing the
@@ -345,7 +358,7 @@ TEST(JobScheduler, MemberRangeSliceServedByCachedSuperset) {
             EXPECT_EQ(slice->results[i].label, reference[first + i].label);
         }
     }
-    EXPECT_EQ(sched.cache().size(), 1u);
+    EXPECT_EQ(JobResultCache::instance().size(), 1u);
 
     // A different universe runs for real (and then has its own entry).
     auto wider = submit(sched,
@@ -354,7 +367,7 @@ TEST(JobScheduler, MemberRangeSliceServedByCachedSuperset) {
     EXPECT_FALSE(wider->cached);
     EXPECT_EQ(wider->results.size(), 12u);
     EXPECT_EQ(sched.stats().cache_hits, 3u);
-    EXPECT_EQ(sched.cache().size(), 2u);
+    EXPECT_EQ(JobResultCache::instance().size(), 2u);
 }
 
 TEST(JobScheduler, JobOverTheByteCeilingStreamsButIsNotCached) {
@@ -376,8 +389,8 @@ TEST(JobScheduler, JobOverTheByteCeilingStreamsButIsNotCached) {
     EXPECT_FALSE(big->cached);
     expect_finished(*big, JobState::done, "over-ceiling job");
     expect_same_stream(big->results, reference, "over-ceiling job");
-    EXPECT_EQ(sched.cache().size(), 1u); // the small job only
-    EXPECT_LE(sched.cache().weight(), JobResultCache::kWeightCeiling);
+    EXPECT_EQ(JobResultCache::instance().size(), 1u); // the small job only
+    EXPECT_LE(JobResultCache::instance().weight(), JobResultCache::kWeightCeiling);
 
     // The resubmit runs on workers again, bit-identically; the small job
     // still hits.
@@ -389,7 +402,7 @@ TEST(JobScheduler, JobOverTheByteCeilingStreamsButIsNotCached) {
     EXPECT_TRUE(small_again->cached);
     EXPECT_EQ(small_again->results.size(), 9u);
     EXPECT_EQ(sched.stats().cache_hits, 1u);
-    EXPECT_EQ(sched.cache().size(), 1u);
+    EXPECT_EQ(JobResultCache::instance().size(), 1u);
 }
 
 TEST(JobScheduler, InterleavedQueueBitIdenticalToSerialIncludingNaNs) {

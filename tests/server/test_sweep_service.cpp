@@ -264,8 +264,7 @@ TEST(SweepService, GoldenComputedOncePerFingerprintAcrossJobs) {
 TEST(SweepService, PipelineStaysReadOnlyAcrossJobs) {
     // Jobs evaluate against their own pipeline copy: neither a job's golden
     // nor its sampling mode is ever written into the service pipeline,
-    // which other threads (a scheduler's prefetcher, sessions sharing the
-    // service) read concurrently.
+    // which another thread (a scheduler's prefetcher) reads concurrently.
     SweepService service(make_pipeline(), {.workers = 2});
     const bool construction_mode = service.pipeline().options().fast_math;
     SweepJob exact =

@@ -1,22 +1,34 @@
 // TcpTransport / TcpListener guarantees: a localhost listen/connect pair
-// speaks byte-for-byte the same protocol as the pipe transport (the
+// speaks byte-for-byte the same protocol as the other transports (the
 // fan-out driver cannot tell them apart: the ready banner is the first
 // line, blank request lines are ignored), a dropped connection
-// re-dispatches and resumes bit-identically, and v3 heartbeats keep a
-// slow-but-alive worker from being shot by a tight inactivity timeout.
+// re-dispatches and resumes bit-identically, v3 heartbeats keep a
+// slow-but-alive worker from being shot by a tight inactivity timeout,
+// the whole-job cache serves a job across connections, and the accept
+// loop outlives a failed accept().
 
 #include "server/tcp_transport.h"
 
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include "common/error.h"
 #include "common/strings.h"
 #include "server/chaos.h"
 #include "server/fanout.h"
+#include "server/fd_io.h"
+#include "server/job_cache.h"
 #include "server/wire.h"
 
 namespace xysig::server {
@@ -165,40 +177,26 @@ TEST(TcpFanout, DroppedConnectionReconnectsAndResumesBitIdentically) {
     EXPECT_GE(listener.connections_accepted(), 3u); // 2 + the replacement
 }
 
-TEST(TcpFanout, HeartbeatsKeepAQueuedJobAliveThroughATightTimeout) {
-    // One shared single-worker service serialises jobs across
-    // connections. A fat job occupies it; the driver's job then waits in
-    // line, receiving nothing but heartbeats — with a read timeout far
-    // smaller than the wait, only the v3 liveness channel keeps the
-    // driver from shooting a healthy worker.
+TEST(TcpFanout, HeartbeatsKeepASlowPeerAliveThroughATightTimeout) {
+    // One worker runs 8 SPICE members of ~0.1 s each, so the result lines
+    // arrive further apart than the driver's read timeout: only the v3
+    // heartbeats between them keep the driver from shooting a healthy
+    // worker. The job runs on the worker, not from the process-wide job
+    // cache, whatever ran before.
+    JobResultCache::instance().clear();
     TcpListener::Options opts = listener_options();
-    opts.share_service = true;
     opts.workers = 1;
-    opts.session.heartbeat_seconds = 0.02;
+    opts.session.heartbeat_seconds = 0.01;
     TcpListener listener(opts);
     listener.start();
 
-    // Occupy the service with a deliberately slow job and wait until it
-    // actually starts (its job_start event) so the ordering is pinned.
-    TcpTransport fat("127.0.0.1", listener.port());
-    ASSERT_TRUE(fat.send_line(
-        R"({"job":"spice_faults","universe":"bridging+open","settle_periods":20,"emit_signatures":false,"id":"fat"})"));
-    std::string line;
-    bool fat_started = false;
-    for (int i = 0; i < 1000 && !fat_started; ++i) {
-        ASSERT_NE(fat.read_line(line, 10.0), Transport::ReadStatus::closed);
-        if (line.find("\"event\":\"job_start\"") != std::string::npos)
-            fat_started = true;
-    }
-    ASSERT_TRUE(fat_started);
-
     const std::string job =
-        R"({"job":"deviations","grid":{"from":-6,"to":6,"count":12}})";
+        R"({"job":"spice_faults","universe":"open","settle_periods":200,"emit_signatures":false})";
     const auto reference = single_process_reference(job);
 
     FanoutOptions fopts;
     fopts.partitions = 1;
-    fopts.read_timeout_seconds = 0.35; // far below the fat job's runtime
+    fopts.read_timeout_seconds = 0.05; // below one member's runtime
     fopts.max_attempts = 1;            // a single false kill fails the run
     FanoutDriver driver(tcp_factory(listener.port()), fopts);
     std::vector<FanoutRecord> merged;
@@ -211,10 +209,95 @@ TEST(TcpFanout, HeartbeatsKeepAQueuedJobAliveThroughATightTimeout) {
     EXPECT_EQ(summary.redispatches, 0u);
     ASSERT_EQ(summary.partitions.size(), 1u);
     EXPECT_EQ(summary.partitions[0].attempts, 1u);
-    // The wait was bridged by heartbeats, and the driver saw them.
+    // The silences were bridged by heartbeats, and the driver saw them.
     EXPECT_GT(summary.heartbeats, 0u);
+}
 
-    fat.shutdown(); // abandon the fat job; the listener tears it down
+/// One job on its own connection, to completion: its result lines
+/// (ndf_hex and signature) and its job_done event.
+struct ConnectionRun {
+    std::vector<std::string> results;
+    JsonValue job_done;
+};
+
+[[nodiscard]] ConnectionRun run_on_new_connection(unsigned short port,
+                                                  const std::string& job) {
+    TcpTransport transport("127.0.0.1", port);
+    EXPECT_TRUE(transport.send_line(job));
+    EXPECT_TRUE(transport.send_line(R"({"cmd":"quit"})"));
+    ConnectionRun run;
+    std::string line;
+    while (transport.read_line(line, 30.0) == Transport::ReadStatus::line) {
+        JsonValue v = JsonValue::parse(line);
+        const std::string event = v.string_or("event", "");
+        if (event == "result")
+            run.results.push_back(v.string_or("ndf_hex", "") + " " +
+                                  v.string_or("signature", ""));
+        else if (event == "job_done")
+            run.job_done = std::move(v);
+    }
+    return run;
+}
+
+TEST(TcpListener, AResubmitOnAnotherConnectionIsServedFromTheCache) {
+    // The whole-job cache is the process's, not a connection's: a job one
+    // connection ran streams from it on the next, bit-identically and
+    // without cloning a netlist.
+    JobResultCache::instance().clear();
+    TcpListener listener(listener_options());
+    listener.start();
+    const std::string job =
+        R"({"job":"spice_faults","universe":"open","settle_periods":2})";
+
+    const ConnectionRun first = run_on_new_connection(listener.port(), job);
+    ASSERT_TRUE(first.job_done.is_object());
+    EXPECT_FALSE(first.job_done.at("cached").as_bool());
+    ASSERT_FALSE(first.results.empty());
+
+    const ConnectionRun second = run_on_new_connection(listener.port(), job);
+    ASSERT_TRUE(second.job_done.is_object());
+    EXPECT_TRUE(second.job_done.at("cached").as_bool());
+    EXPECT_EQ(second.job_done.at("netlist_clones").as_number(), 0.0);
+    EXPECT_EQ(second.results, first.results);
+    EXPECT_EQ(listener.connections_accepted(), 2u);
+}
+
+TEST(TcpListener, AcceptSurvivesTheFdLimit) {
+    // A failed accept() — EMFILE here — must not end the accept loop: once
+    // fds are free again, the waiting connection is served.
+    TcpListener listener(listener_options());
+    listener.start();
+    const int client = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    ASSERT_GE(client, 0);
+    struct sockaddr_in addr {};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(listener.port());
+    ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+
+    // Every fd below the lowest free one is open, so a soft limit at that
+    // number makes this process's next accept() fail with EMFILE. Only
+    // this process's own limit is touched, and only for 100 ms.
+    const int lowest_free = ::dup(client);
+    ASSERT_GE(lowest_free, 0);
+    ::close(lowest_free);
+    struct rlimit saved {};
+    ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+    struct rlimit lowered = saved;
+    lowered.rlim_cur = static_cast<rlim_t>(lowest_free);
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+    const int connected = ::connect(
+        client, reinterpret_cast<const struct sockaddr*>(&addr), sizeof(addr));
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+    ASSERT_EQ(connected, 0);
+
+    std::string buffer;
+    std::string line;
+    const Transport::ReadStatus status =
+        detail::fd_read_line(client, buffer, line, 10.0);
+    ::close(client);
+    ASSERT_EQ(status, Transport::ReadStatus::line) << "no ready banner";
+    EXPECT_EQ(JsonValue::parse(line).string_or("event", ""), "ready");
 }
 
 } // namespace
