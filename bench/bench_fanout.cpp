@@ -32,13 +32,13 @@
 
 #include "common/strings.h"
 #include "common/table.h"
-#include "common/timing.h"
-#include "server/chaos.h"
 #include "server/fanout.h"
 #include "server/job_cache.h"
 #include "server/tcp_transport.h"
 #include "server/transport.h"
 #include "server/wire.h"
+#include "support/chaos.h"
+#include "support/timing.h"
 
 namespace {
 

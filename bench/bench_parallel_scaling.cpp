@@ -12,11 +12,11 @@
 
 #include "common/strings.h"
 #include "common/table.h"
-#include "common/timing.h"
 #include "core/batch_ndf.h"
 #include "core/paper_setup.h"
 #include "mc/monte_carlo.h"
 #include "monitor/table1.h"
+#include "support/timing.h"
 
 namespace {
 

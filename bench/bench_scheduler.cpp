@@ -22,7 +22,6 @@
 
 #include "common/strings.h"
 #include "common/table.h"
-#include "common/timing.h"
 #include "core/paper_setup.h"
 #include "monitor/table1.h"
 #include "server/job_cache.h"
@@ -30,6 +29,7 @@
 #include "server/scheduler.h"
 #include "server/sweep_service.h"
 #include "server/wire.h"
+#include "support/timing.h"
 
 namespace {
 

@@ -16,7 +16,6 @@
 #include "capture/fault_injection.h"
 #include "common/strings.h"
 #include "common/table.h"
-#include "common/timing.h"
 #include "core/batch_ndf.h"
 #include "core/paper_setup.h"
 #include "filter/tow_thomas.h"
@@ -26,6 +25,7 @@
 #include "spice/dc.h"
 #include "spice/elements.h"
 #include "spice/transient.h"
+#include "support/timing.h"
 
 namespace {
 

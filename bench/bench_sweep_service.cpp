@@ -24,12 +24,12 @@
 #include "common/parallel.h"
 #include "common/strings.h"
 #include "common/table.h"
-#include "common/timing.h"
 #include "core/batch_ndf.h"
 #include "core/paper_setup.h"
 #include "filter/tow_thomas.h"
 #include "monitor/table1.h"
 #include "server/sweep_service.h"
+#include "support/timing.h"
 
 namespace {
 

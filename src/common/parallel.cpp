@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <memory>
-#include <stdexcept>
 #include <utility>
 
 #include "common/contracts.h"
@@ -33,19 +33,22 @@ bool in_parallel_region() noexcept {
     return t_in_parallel_region || t_is_pool_worker;
 }
 
-ThreadPool::ThreadPool(unsigned threads, std::size_t queue_capacity)
-    : thread_count_(threads == 0 ? default_thread_count() : threads),
-      capacity_(queue_capacity) {
-    XYSIG_EXPECTS(queue_capacity >= 1);
-    // Workers start pulling on mutex_ immediately, so populate workers_
-    // under the lock like every other access to it.
-    MutexLock lock(mutex_);
-    workers_.reserve(thread_count_);
-    for (unsigned i = 0; i < thread_count_; ++i)
+ThreadPool::ThreadPool(unsigned threads) {
+    const unsigned count = threads == 0 ? default_thread_count() : threads;
+    workers_.reserve(count);
+    for (unsigned i = 0; i < count; ++i)
         workers_.emplace_back([this] { worker_loop(); });
 }
 
-ThreadPool::~ThreadPool() { shutdown(); }
+ThreadPool::~ThreadPool() {
+    {
+        MutexLock lock(mutex_);
+        stopping_ = true;
+    }
+    cv_task_.notify_all();
+    for (auto& w : workers_)
+        w.join();
+}
 
 void ThreadPool::worker_loop() {
     t_is_pool_worker = true;
@@ -60,20 +63,8 @@ void ThreadPool::worker_loop() {
                 return; // stopping_ and drained
             task = std::move(queue_.front());
             queue_.pop_front();
-            cv_space_.notify_one();
         }
-        try {
-            task();
-        } catch (...) {
-            MutexLock lock(mutex_);
-            if (!first_error_)
-                first_error_ = std::current_exception();
-        }
-        {
-            MutexLock lock(mutex_);
-            if (--in_flight_ == 0)
-                cv_idle_.notify_all();
-        }
+        task();
     }
 }
 
@@ -81,42 +72,9 @@ void ThreadPool::submit(std::function<void()> task) {
     XYSIG_EXPECTS(task != nullptr);
     {
         MutexLock lock(mutex_);
-        cv_space_.wait(lock, [this]() REQUIRES(mutex_) {
-            return stopping_ || queue_.size() < capacity_;
-        });
-        if (stopping_)
-            throw std::runtime_error("ThreadPool::submit after shutdown");
         queue_.push_back(std::move(task));
-        ++in_flight_;
     }
     cv_task_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-    MutexLock lock(mutex_);
-    cv_idle_.wait(lock, [this]() REQUIRES(mutex_) { return in_flight_ == 0; });
-    if (first_error_) {
-        std::exception_ptr err = std::exchange(first_error_, nullptr);
-        lock.Unlock();
-        std::rethrow_exception(err);
-    }
-}
-
-void ThreadPool::shutdown() {
-    // Claim the worker handles under the lock so concurrent shutdown()
-    // calls (e.g. an explicit shutdown racing the destructor) each join a
-    // disjoint — possibly empty — set of threads.
-    std::vector<std::thread> claimed;
-    {
-        MutexLock lock(mutex_);
-        stopping_ = true;
-        claimed.swap(workers_);
-    }
-    cv_task_.notify_all();
-    cv_space_.notify_all();
-    for (auto& w : claimed)
-        if (w.joinable())
-            w.join();
 }
 
 ThreadPool& ThreadPool::shared() {

@@ -7,8 +7,7 @@
 /// The Monte-Carlo studies and fault-universe sweeps evaluate thousands of
 /// independent (CUT, RNG stream) samples; this header provides the two
 /// primitives they build on:
-///  * ThreadPool — a fixed set of workers draining a bounded task queue
-///    (submission applies backpressure instead of growing without bound);
+///  * ThreadPool — a fixed set of workers draining a FIFO task queue;
 ///  * parallel_for — a blocking data-parallel loop on a process-wide shared
 ///    pool, with chunked work stealing, exception propagation to the
 ///    caller, and serial fallback for nested invocations.
@@ -21,7 +20,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -35,39 +33,29 @@ namespace xysig {
 /// sweeps behave the same on small CI machines.
 [[nodiscard]] unsigned default_thread_count() noexcept;
 
-/// Fixed-size worker pool with a bounded FIFO task queue.
+/// Fixed-size worker pool with a FIFO task queue.
 ///
-/// submit() blocks while the queue is full (backpressure). Tasks should not
-/// throw; if one does, the first exception is captured and rethrown from the
-/// next wait_idle() call (the destructor drains and swallows instead, since
-/// destructors must not throw).
+/// Its callers (parallel_for, core::run_universe) queue at most one task
+/// per worker and wait on their own completion state, so the pool offers
+/// no wait, no queue bound and no error channel: a task must not throw
+/// (one that does terminates the process). The destructor runs every
+/// queued task, then joins the workers.
 class ThreadPool {
 public:
-    /// \param threads        worker count; 0 means default_thread_count()
-    /// \param queue_capacity maximum queued (not yet running) tasks
-    explicit ThreadPool(unsigned threads = 0, std::size_t queue_capacity = 1024);
+    /// \param threads worker count; 0 means default_thread_count()
+    explicit ThreadPool(unsigned threads = 0);
     ~ThreadPool();
 
     ThreadPool(const ThreadPool&) = delete;
     ThreadPool& operator=(const ThreadPool&) = delete;
 
-    /// Enqueues a task; blocks while the queue is at capacity. Throws
-    /// std::runtime_error if the pool has been shut down.
+    /// Enqueues a task for the next free worker.
     void submit(std::function<void()> task) EXCLUDES(mutex_);
 
-    /// Blocks until every submitted task has finished; rethrows the first
-    /// exception a task leaked since the previous wait (if any).
-    void wait_idle() EXCLUDES(mutex_);
-
-    /// Drains outstanding tasks and joins the workers. Idempotent; submit()
-    /// afterwards throws.
-    void shutdown() EXCLUDES(mutex_);
-
-    /// The pool's worker count, fixed at construction. Deliberately an
-    /// immutable copy rather than workers_.size(): shutdown() swaps the
-    /// worker handles out under mutex_, so sizing off the vector would race
-    /// with (and change answer across) a concurrent shutdown.
-    [[nodiscard]] unsigned thread_count() const noexcept { return thread_count_; }
+    /// The pool's worker count, fixed at construction.
+    [[nodiscard]] unsigned thread_count() const noexcept {
+        return static_cast<unsigned>(workers_.size());
+    }
 
     /// Process-wide pool used by parallel_for. Created on first use with
     /// default_thread_count() workers; never destroyed before exit.
@@ -76,17 +64,13 @@ public:
 private:
     void worker_loop() EXCLUDES(mutex_);
 
-    const unsigned thread_count_;
-    mutable Mutex mutex_;
-    std::vector<std::thread> workers_ GUARDED_BY(mutex_);
+    Mutex mutex_;
     std::deque<std::function<void()>> queue_ GUARDED_BY(mutex_);
-    CondVar cv_task_;  ///< signalled when work is available
-    CondVar cv_space_; ///< signalled when queue space frees
-    CondVar cv_idle_;  ///< signalled when in-flight hits zero
-    const std::size_t capacity_;
-    std::size_t in_flight_ GUARDED_BY(mutex_) = 0; ///< queued + running tasks
-    std::exception_ptr first_error_ GUARDED_BY(mutex_);
+    CondVar cv_task_; ///< signalled when work is available or stopping
     bool stopping_ GUARDED_BY(mutex_) = false;
+    /// Filled by the constructor and joined by the destructor; no worker
+    /// touches it, so it needs no lock.
+    std::vector<std::thread> workers_;
 };
 
 /// Items per work unit when `workers` threads claim contiguous units of

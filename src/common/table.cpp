@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/contracts.h"
-#include "common/strings.h"
 
 namespace xysig {
 
@@ -14,14 +13,6 @@ TextTable::TextTable(std::vector<std::string> header) : header_(std::move(header
 void TextTable::add_row(std::vector<std::string> cells) {
     XYSIG_EXPECTS(cells.size() == header_.size());
     rows_.push_back(std::move(cells));
-}
-
-void TextTable::add_numeric_row(const std::vector<double>& values) {
-    std::vector<std::string> cells;
-    cells.reserve(values.size());
-    for (double v : values)
-        cells.push_back(format_double(v, 6));
-    add_row(std::move(cells));
 }
 
 void TextTable::print(std::ostream& out) const {

@@ -8,8 +8,9 @@
 /// zone-code chronograms over one Lissajous period.
 ///
 /// The integral is evaluated exactly by merging the two event sequences
-/// (the integrand is piecewise constant), so there is no sampling error; a
-/// sampled estimator is provided as an independent cross-check for tests.
+/// (the integrand is piecewise constant), so there is no sampling error.
+/// The tests cross-check it against a Riemann sum, core::ndf_sampled in
+/// tests/support/ndf_sampled.h.
 
 #include <vector>
 
@@ -36,10 +37,6 @@ struct HammingSegment {
 /// The full piecewise Hamming profile dH(S_O(t), S_G(t)) over one period.
 [[nodiscard]] std::vector<HammingSegment> hamming_profile(
     const capture::Chronogram& observed, const capture::Chronogram& golden);
-
-/// Riemann-sum NDF with n samples (tests only; converges to ndf()).
-[[nodiscard]] double ndf_sampled(const capture::Chronogram& observed,
-                                 const capture::Chronogram& golden, std::size_t n);
 
 } // namespace xysig::core
 

@@ -169,8 +169,10 @@ struct Run {
     }
 
     /// Claims shards until none are left or the run aborts, handing every
-    /// evaluated member to `publish`. A throw from either parks the first
-    /// error for run_universe to rethrow and stops the whole run.
+    /// evaluated member to `publish`. Never throws, because a pool task
+    /// must not: a throw from evaluation, `publish` or the shard's
+    /// bookkeeping parks the first error for run_universe to rethrow and
+    /// stops the whole run.
     template <class Publish>
     void work(unsigned slot, const Publish& publish) {
         UniverseWorker worker;
@@ -190,6 +192,9 @@ struct Run {
                     members_done.fetch_add(1, std::memory_order_relaxed);
                     publish(std::move(result));
                 }
+                MutexLock lock(mutex);
+                timings.push_back(
+                    {shard, first, evaluated, slot, seconds_since(t0)});
             } catch (...) {
                 {
                     MutexLock lock(mutex);
@@ -197,11 +202,6 @@ struct Run {
                         error = std::current_exception();
                 }
                 failed.store(true, std::memory_order_relaxed);
-            }
-            {
-                MutexLock lock(mutex);
-                timings.push_back(
-                    {shard, first, evaluated, slot, seconds_since(t0)});
             }
             if (first + evaluated == last)
                 shards_done.fetch_add(1, std::memory_order_relaxed);

@@ -32,11 +32,6 @@ public:
     /// Zone code of a plane point. At most 32 monitors.
     [[nodiscard]] unsigned code(double x, double y) const;
 
-    /// Maximum representable code + 1 (2^size).
-    [[nodiscard]] unsigned code_space() const noexcept {
-        return 1u << monitors_.size();
-    }
-
     /// Exact identity of the whole bank (ordered concatenation of monitor
     /// fingerprints): two banks with equal non-empty fingerprints produce
     /// identical zone codes everywhere. Empty when any monitor is of a

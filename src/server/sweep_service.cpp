@@ -11,13 +11,6 @@ SweepJob::SweepJob(std::shared_ptr<const core::Universe> universe)
     XYSIG_EXPECTS(universe_ != nullptr);
 }
 
-SweepJob SweepJob::from_cuts(std::vector<const filter::Cut*> cuts,
-                             const filter::Cut* golden) {
-    XYSIG_EXPECTS(golden != nullptr);
-    return SweepJob(
-        std::make_shared<core::CutListUniverse>(std::move(cuts), golden));
-}
-
 SweepJob SweepJob::deviation_grid(filter::Biquad nominal,
                                   std::vector<double> deviations_percent,
                                   core::SweptParameter parameter) {

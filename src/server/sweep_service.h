@@ -58,10 +58,6 @@ public:
     SweepJob() = default;
     explicit SweepJob(std::shared_ptr<const core::Universe> universe);
 
-    /// Explicit CUT list (see core::CutListUniverse for the lifetime rules).
-    [[nodiscard]] static SweepJob from_cuts(std::vector<const filter::Cut*> cuts,
-                                            const filter::Cut* golden);
-
     /// Behavioural deviation grid (core::DeviationUniverse).
     [[nodiscard]] static SweepJob deviation_grid(
         filter::Biquad nominal, std::vector<double> deviations_percent,

@@ -18,7 +18,7 @@
 ///    TcpListener runs: its own SweepService, the ready banner,
 ///    ServerSession::serve. Fan-out tests thus take the real peers' path
 ///    with no child processes; a dying worker is injected by decorating
-///    the transport (chaos.h, ChaosMode::disconnect).
+///    the transport (tests/support/chaos.h, ChaosMode::disconnect).
 ///  * TcpTransport (tcp_transport.h) connects to a `sweep_server --listen`
 ///    host.
 ///

@@ -51,7 +51,6 @@ public:
     [[nodiscard]] double time_at(std::size_t i) const;
     [[nodiscard]] double operator[](std::size_t i) const;
     [[nodiscard]] std::span<const double> samples() const noexcept { return samples_; }
-    [[nodiscard]] std::span<double> mutable_samples() noexcept { return samples_; }
 
     /// Linear interpolation at arbitrary time t inside the sampled span;
     /// clamps to the first/last sample outside it.

@@ -95,10 +95,4 @@ void Mosfet::stamp_ac(AcStampContext& ctx) const {
     ctx.mna->transconductance(d, s, g, s, {e.gm, 0.0});
 }
 
-double Mosfet::drain_current(std::span<const double> x) const {
-    const double vgs = node_v(x, 1) - node_v(x, 2);
-    const double vds = node_v(x, 0) - node_v(x, 2);
-    return mos_evaluate(params_, vgs, vds).id;
-}
-
 } // namespace xysig::spice

@@ -225,11 +225,6 @@ public:
     void stamp_ac(AcStampContext& ctx) const override;
 
     [[nodiscard]] const MosParams& params() const noexcept { return params_; }
-    /// Parameter update used by Monte-Carlo (process/mismatch sampling).
-    void set_params(const MosParams& p) noexcept { params_ = p; }
-
-    /// Drain current in a given solution vector.
-    [[nodiscard]] double drain_current(std::span<const double> x) const;
 
 private:
     MosParams params_;

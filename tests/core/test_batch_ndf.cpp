@@ -6,6 +6,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <latch>
 #include <memory>
 #include <vector>
 
@@ -115,11 +116,14 @@ TEST(BatchNdfEvaluator, NestedCallsRunOnTheCallingThread) {
             runs[i] = batch.evaluate_deviations(paper_biquad(), devs);
         },
         shared.thread_count());
+    std::latch pool_runs_done(
+        static_cast<std::ptrdiff_t>(runs.size() - shared.thread_count()));
     for (std::size_t i = shared.thread_count(); i < runs.size(); ++i)
         shared.submit([&, i] {
             runs[i] = batch.evaluate_deviations(paper_biquad(), devs);
+            pool_runs_done.count_down();
         });
-    shared.wait_idle();
+    pool_runs_done.wait();
 
     for (const std::vector<double>& run : runs) {
         ASSERT_EQ(run.size(), direct.size());

@@ -1,14 +1,11 @@
-// Noise detectability study (paper Section IV-C) and the regression
-// estimator extension.
+// Noise detectability study (paper Section IV-C).
 
-#include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/detectability.h"
-#include "core/estimator.h"
 #include "core/paper_setup.h"
-#include "core/sweep.h"
 #include "monitor/table1.h"
 
 namespace xysig::core {
@@ -78,46 +75,6 @@ TEST(Detectability, DeterministicInSeed) {
     const auto b = noise_detectability(pipe, paper_biquad(), devs, opts, 31);
     EXPECT_DOUBLE_EQ(a.threshold, b.threshold);
     EXPECT_DOUBLE_EQ(a.points[0].ndf_mean, b.points[0].ndf_mean);
-}
-
-TEST(Estimator, RecoversDeviationFromSignature) {
-    // Train on a coarse sweep, predict held-out intermediate deviations.
-    SignaturePipeline pipe = make_pipeline();
-    pipe.set_golden(filter::BehaviouralCut(paper_biquad()));
-
-    std::vector<capture::Chronogram> train;
-    std::vector<double> targets;
-    for (double dev = -20.0; dev <= 20.0; dev += 2.0) {
-        const filter::BehaviouralCut cut(paper_biquad().with_f0_shift(dev / 100.0));
-        train.push_back(pipe.chronogram(cut));
-        targets.push_back(dev);
-    }
-    SignatureRegressor reg(6);
-    reg.fit(train, targets, 1e-4);
-
-    for (double dev : {-13.0, -5.0, 3.0, 11.0}) {
-        const filter::BehaviouralCut cut(paper_biquad().with_f0_shift(dev / 100.0));
-        const double predicted = reg.predict(pipe.chronogram(cut));
-        EXPECT_NEAR(predicted, dev, 2.5) << "dev=" << dev;
-    }
-}
-
-TEST(Estimator, FeaturesAreDwellFractions) {
-    const capture::Chronogram ch(1.0, 2, {{0.0, 0u}, {0.25, 1u}, {0.75, 3u}});
-    const SignatureRegressor reg(2);
-    const auto f = reg.features(ch);
-    ASSERT_EQ(f.size(), 5u); // 4 codes + bias
-    EXPECT_DOUBLE_EQ(f[0], 0.25);
-    EXPECT_DOUBLE_EQ(f[1], 0.5);
-    EXPECT_DOUBLE_EQ(f[2], 0.0);
-    EXPECT_DOUBLE_EQ(f[3], 0.25);
-    EXPECT_DOUBLE_EQ(f[4], 1.0);
-}
-
-TEST(Estimator, PredictBeforeFitRejected) {
-    const SignatureRegressor reg(2);
-    const capture::Chronogram ch(1.0, 2, {{0.0, 0u}});
-    EXPECT_THROW((void)reg.predict(ch), ContractError);
 }
 
 } // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.h"
+#include "support/ndf_sampled.h"
 
 namespace xysig::core {
 namespace {

@@ -10,6 +10,7 @@
 
 #include "common/rng.h"
 #include "core/ndf.h"
+#include "support/ndf_sampled.h"
 
 namespace xysig::core {
 namespace {

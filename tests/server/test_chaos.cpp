@@ -7,7 +7,7 @@
 // The matrix runs every fault over both transports (in-process loopback
 // and real sweep_server child processes) at 2 and 4 partitions.
 
-#include "server/chaos.h"
+#include "support/chaos.h"
 
 #include <cstdlib>
 #include <memory>
@@ -18,27 +18,18 @@
 
 #include <unistd.h>
 
-#include "common/strings.h"
 #include "server/fanout.h"
 #include "server/transport.h"
 #include "server/wire.h"
+#include "support/server_helpers.h"
 
 namespace xysig::server {
 namespace {
-
-constexpr std::size_t kSpp = 256;
 
 /// 48 members: big enough that every partition at 4-way still sees the
 /// fault fire mid-stream, small enough for a matrix of 20 runs.
 const char* kGridJob =
     R"({"job":"deviations","grid":{"from":-12,"to":12,"count":48}})";
-
-[[nodiscard]] FanoutDriver::TransportFactory loopback_factory() {
-    LoopbackTransport::Options opts;
-    opts.workers = 2;
-    opts.samples_per_period = kSpp;
-    return [opts] { return std::make_unique<LoopbackTransport>(opts); };
-}
 
 /// Server binary for process rows: ctest runs in the build directory, so
 /// the default relative path resolves; XYSIG_SWEEP_SERVER overrides (the
@@ -55,25 +46,12 @@ process_factory(const std::string& binary) {
     return [argv] { return std::make_unique<ProcessTransport>(argv); };
 }
 
-[[nodiscard]] std::vector<std::string>
-single_process_reference(const std::string& job_line) {
-    WireJob wire = parse_wire_job(JsonValue::parse(job_line));
-    SweepServiceOptions sopts;
-    sopts.workers = 2;
-    SweepService service(make_paper_pipeline(kSpp), sopts);
-    std::vector<std::string> out;
-    (void)service.run(wire.job, [&](const SweepResult& r) {
-        out.push_back(format_double_exact(r.ndf));
-    });
-    return out;
-}
-
 /// One matrix cell: run the grid job under `plan` with the first
 /// transport poisoned, assert exact merge and bounded attempts.
 void run_chaos_cell(const FanoutDriver::TransportFactory& base,
                     const char* transport_name, ChaosPlan plan,
                     unsigned partitions,
-                    const std::vector<std::string>& reference) {
+                    const std::vector<ExpectedMember>& reference) {
     SCOPED_TRACE(std::string(chaos_mode_name(plan.mode)) + " over " +
                  transport_name + " at " + std::to_string(partitions) +
                  " partitions");
@@ -97,7 +75,7 @@ void run_chaos_cell(const FanoutDriver::TransportFactory& base,
     ASSERT_EQ(merged.size(), reference.size());
     for (std::size_t i = 0; i < reference.size(); ++i) {
         EXPECT_EQ(merged[i].member, i);
-        EXPECT_EQ(merged[i].ndf_hex, reference[i]) << "member " << i;
+        EXPECT_EQ(merged[i].ndf_hex, reference[i].ndf_hex) << "member " << i;
     }
     EXPECT_EQ(summary.members_done, reference.size());
     EXPECT_FALSE(summary.cancelled);

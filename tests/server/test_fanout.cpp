@@ -17,7 +17,6 @@
 #include <cstddef>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -29,26 +28,14 @@
 #include "common/annotated_mutex.h"
 #include "common/error.h"
 #include "common/strings.h"
-#include "server/chaos.h"
 #include "server/fd_io.h"
 #include "server/transport.h"
 #include "server/wire.h"
+#include "support/chaos.h"
+#include "support/server_helpers.h"
 
 namespace xysig::server {
 namespace {
-
-constexpr std::size_t kSpp = 256;
-
-[[nodiscard]] LoopbackTransport::Options loopback_options() {
-    LoopbackTransport::Options opts;
-    opts.workers = 2;
-    opts.samples_per_period = kSpp;
-    return opts;
-}
-
-[[nodiscard]] FanoutDriver::TransportFactory loopback_factory() {
-    return [] { return std::make_unique<LoopbackTransport>(loopback_options()); };
-}
 
 /// The event lines a peer emits before a job's first result: ready,
 /// queued, job_start. A disconnect after this many plus N lines is a
@@ -121,30 +108,6 @@ recording_factory(FanoutDriver::TransportFactory base,
     return [base = std::move(base), log = std::move(log)] {
         return std::make_unique<CancelRecordingTransport>(base(), log);
     };
-}
-
-struct ExpectedMember {
-    std::string ndf_hex;
-    std::optional<std::string> signature;
-};
-
-/// Single-process reference over the same wire job (the thing the merged
-/// stream must be bit-identical to).
-[[nodiscard]] std::vector<ExpectedMember>
-single_process_reference(const std::string& job_line) {
-    WireJob wire = parse_wire_job(JsonValue::parse(job_line));
-    SweepServiceOptions sopts;
-    sopts.workers = 2;
-    SweepService service(make_paper_pipeline(kSpp), sopts);
-    std::vector<ExpectedMember> out;
-    (void)service.run(wire.job, [&](const SweepResult& r) {
-        ExpectedMember m;
-        m.ndf_hex = format_double_exact(r.ndf);
-        if (r.signature.has_value())
-            m.signature = signature_string(*r.signature);
-        out.push_back(std::move(m));
-    });
-    return out;
 }
 
 void expect_merged_identical(const std::vector<FanoutRecord>& merged,

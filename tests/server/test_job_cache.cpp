@@ -14,15 +14,10 @@
 
 #include "core/paper_setup.h"
 #include "core/trace_cache.h"
-#include "monitor/table1.h"
+#include "support/server_helpers.h"
 
 namespace xysig::server {
 namespace {
-
-core::SignaturePipeline make_pipeline(core::PipelineOptions opts = {}) {
-    return core::SignaturePipeline(monitor::build_table1_bank(),
-                                   core::paper_stimulus(), opts);
-}
 
 TEST(PipelineFingerprint, ExactWhenCacheableEmptyOtherwise) {
     core::PipelineOptions opts;

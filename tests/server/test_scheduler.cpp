@@ -11,7 +11,6 @@
 
 #include "server/scheduler.h"
 
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -34,11 +33,11 @@
 #include "core/golden_cache.h"
 #include "core/paper_setup.h"
 #include "core/trace_cache.h"
-#include "monitor/table1.h"
 #include "server/job_cache.h"
 #include "server/json.h"
 #include "server/wire.h"
 #include "spice/netlist.h"
+#include "support/server_helpers.h"
 
 namespace xysig::server {
 namespace {
@@ -55,17 +54,6 @@ class ClearJobCacheAtTestStart final : public ::testing::EmptyTestEventListener 
         new ClearJobCacheAtTestStart);
     return true;
 }();
-
-bool same_bits(double a, double b) {
-    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-
-core::SignaturePipeline make_pipeline(std::size_t samples_per_period = 256) {
-    core::PipelineOptions opts;
-    opts.samples_per_period = samples_per_period;
-    return core::SignaturePipeline(monitor::build_table1_bank(),
-                                   core::paper_stimulus(), opts);
-}
 
 WireJob wire_job(const std::string& line) {
     return parse_wire_job(JsonValue::parse(line));
@@ -372,7 +360,7 @@ TEST(JobScheduler, MemberRangeSliceServedByCachedSuperset) {
 
 TEST(JobScheduler, JobOverTheByteCeilingStreamsButIsNotCached) {
     // spp 64 keeps members cheap; 30000 of them outweigh the 8 MiB ceiling.
-    SweepService service(make_pipeline(64), {.workers = 2});
+    SweepService service(make_pipeline({.samples_per_period = 64}), {.workers = 2});
     const std::string big_line =
         R"({"job":"deviations","grid":{"from":-30,"to":30,"count":30000}})";
     const std::vector<SweepResult> reference =

@@ -6,7 +6,6 @@
 
 #include "server/sweep_service.h"
 
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -23,21 +22,10 @@
 #include "core/paper_setup.h"
 #include "filter/cut.h"
 #include "filter/tow_thomas.h"
-#include "monitor/table1.h"
+#include "support/server_helpers.h"
 
 namespace xysig::server {
 namespace {
-
-bool same_bits(double a, double b) {
-    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-
-core::SignaturePipeline make_pipeline(std::size_t samples_per_period = 256) {
-    core::PipelineOptions opts;
-    opts.samples_per_period = samples_per_period;
-    return core::SignaturePipeline(monitor::build_table1_bank(),
-                                   core::paper_stimulus(), opts);
-}
 
 std::vector<double> grid(double from, double to, std::size_t count) {
     std::vector<double> out;
@@ -130,7 +118,7 @@ TEST(SweepService, ExplicitCutListMatchesBatchEvaluate) {
     const std::vector<double> reference = batch.evaluate(raw);
 
     SweepService service(make_pipeline(), {.workers = 3});
-    const SweepJob job = SweepJob::from_cuts(raw, &golden);
+    const SweepJob job(std::make_shared<core::CutListUniverse>(raw, &golden));
     std::vector<double> streamed;
     (void)service.run(job,
                       [&](const SweepResult& r) { streamed.push_back(r.ndf); });

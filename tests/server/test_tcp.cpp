@@ -9,6 +9,7 @@
 
 #include "server/tcp_transport.h"
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -24,17 +25,15 @@
 #include <unistd.h>
 
 #include "common/error.h"
-#include "common/strings.h"
-#include "server/chaos.h"
 #include "server/fanout.h"
 #include "server/fd_io.h"
 #include "server/job_cache.h"
 #include "server/wire.h"
+#include "support/chaos.h"
+#include "support/server_helpers.h"
 
 namespace xysig::server {
 namespace {
-
-constexpr std::size_t kSpp = 256;
 
 [[nodiscard]] TcpListener::Options listener_options() {
     TcpListener::Options opts;
@@ -49,19 +48,6 @@ constexpr std::size_t kSpp = 256;
     return [port] {
         return std::make_unique<TcpTransport>("127.0.0.1", port);
     };
-}
-
-[[nodiscard]] std::vector<std::string>
-single_process_reference(const std::string& job_line) {
-    WireJob wire = parse_wire_job(JsonValue::parse(job_line));
-    SweepServiceOptions sopts;
-    sopts.workers = 2;
-    SweepService service(make_paper_pipeline(kSpp), sopts);
-    std::vector<std::string> out;
-    (void)service.run(wire.job, [&](const SweepResult& r) {
-        out.push_back(format_double_exact(r.ndf));
-    });
-    return out;
 }
 
 TEST(TcpTransport, FirstLineIsTheReadyBannerThenPingPongs) {
@@ -142,7 +128,7 @@ TEST(TcpFanout, FourPartitionGridMergesBitIdenticallyOverLocalhost) {
 
     ASSERT_EQ(merged.size(), reference.size());
     for (std::size_t i = 0; i < reference.size(); ++i)
-        EXPECT_EQ(merged[i].ndf_hex, reference[i]) << "member " << i;
+        EXPECT_EQ(merged[i].ndf_hex, reference[i].ndf_hex) << "member " << i;
     EXPECT_EQ(summary.redispatches, 0u);
     EXPECT_EQ(listener.connections_accepted(), 4u);
 }
@@ -172,45 +158,57 @@ TEST(TcpFanout, DroppedConnectionReconnectsAndResumesBitIdentically) {
 
     ASSERT_EQ(merged.size(), reference.size());
     for (std::size_t i = 0; i < reference.size(); ++i)
-        EXPECT_EQ(merged[i].ndf_hex, reference[i]) << "member " << i;
+        EXPECT_EQ(merged[i].ndf_hex, reference[i].ndf_hex) << "member " << i;
     EXPECT_GE(summary.redispatches, 1u);
     EXPECT_GE(listener.connections_accepted(), 3u); // 2 + the replacement
 }
 
 TEST(TcpFanout, HeartbeatsKeepASlowPeerAliveThroughATightTimeout) {
-    // One worker runs 8 SPICE members of ~0.1 s each, so the result lines
-    // arrive further apart than the driver's read timeout: only the v3
-    // heartbeats between them keep the driver from shooting a healthy
-    // worker. The job runs on the worker, not from the process-wide job
-    // cache, whatever ran before.
+    // One worker runs 8 SPICE members, 6 of them slow (~0.05 s each in
+    // Release at settle 100), so result lines arrive further apart than
+    // the driver's read timeout: only the v3 heartbeats between them keep
+    // the driver from shooting a healthy worker. The job runs on the
+    // worker, not from the process-wide job cache, whatever ran before.
     JobResultCache::instance().clear();
     TcpListener::Options opts = listener_options();
     opts.workers = 1;
-    opts.session.heartbeat_seconds = 0.01;
+    opts.session.heartbeat_seconds = 0.005;
     TcpListener listener(opts);
     listener.start();
 
     const std::string job =
-        R"({"job":"spice_faults","universe":"open","settle_periods":200,"emit_signatures":false})";
+        R"({"job":"spice_faults","universe":"open","settle_periods":100,"emit_signatures":false})";
     const auto reference = single_process_reference(job);
 
     FanoutOptions fopts;
     fopts.partitions = 1;
-    fopts.read_timeout_seconds = 0.05; // below one member's runtime
-    fopts.max_attempts = 1;            // a single false kill fails the run
+    fopts.read_timeout_seconds = 0.025; // 5 heartbeats, below one member
+    fopts.max_attempts = 1;             // a single false kill fails the run
     FanoutDriver driver(tcp_factory(listener.port()), fopts);
     std::vector<FanoutRecord> merged;
+    std::vector<std::chrono::steady_clock::time_point> arrivals;
     const FanoutSummary summary =
-        driver.run(job, [&](const FanoutRecord& r) { merged.push_back(r); });
+        driver.run(job, [&](const FanoutRecord& r) {
+            merged.push_back(r);
+            arrivals.push_back(std::chrono::steady_clock::now());
+        });
 
     ASSERT_EQ(merged.size(), reference.size());
     for (std::size_t i = 0; i < reference.size(); ++i)
-        EXPECT_EQ(merged[i].ndf_hex, reference[i]) << "member " << i;
+        EXPECT_EQ(merged[i].ndf_hex, reference[i].ndf_hex) << "member " << i;
     EXPECT_EQ(summary.redispatches, 0u);
     ASSERT_EQ(summary.partitions.size(), 1u);
     EXPECT_EQ(summary.partitions[0].attempts, 1u);
     // The silences were bridged by heartbeats, and the driver saw them.
     EXPECT_GT(summary.heartbeats, 0u);
+    // The premise: some silence between results outlasted the read
+    // timeout, so without heartbeats the driver would have shot the peer.
+    double widest_gap = 0.0;
+    for (std::size_t i = 1; i < arrivals.size(); ++i)
+        widest_gap = std::max(
+            widest_gap,
+            std::chrono::duration<double>(arrivals[i] - arrivals[i - 1]).count());
+    EXPECT_GT(widest_gap, fopts.read_timeout_seconds);
 }
 
 /// One job on its own connection, to completion: its result lines

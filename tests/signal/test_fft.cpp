@@ -1,6 +1,6 @@
 // Unit tests for the FFT and tone-extraction helpers.
 
-#include "signal/fft.h"
+#include "support/fft.h"
 
 #include <cmath>
 

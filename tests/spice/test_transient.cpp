@@ -7,8 +7,8 @@
 #include <gtest/gtest.h>
 
 #include "common/math_util.h"
-#include "signal/fft.h"
 #include "spice/elements.h"
+#include "support/fft.h"
 
 namespace xysig::spice {
 namespace {

@@ -1,4 +1,4 @@
-#include "server/chaos.h"
+#include "support/chaos.h"
 
 #include <algorithm>
 #include <atomic>

@@ -1,5 +1,5 @@
-#ifndef XYSIG_SERVER_CHAOS_H
-#define XYSIG_SERVER_CHAOS_H
+#ifndef XYSIG_SUPPORT_CHAOS_H
+#define XYSIG_SUPPORT_CHAOS_H
 
 /// \file chaos.h
 /// Deterministic fault injection for the sweep fabric.
@@ -103,4 +103,4 @@ chaos_factory(FanoutDriver::TransportFactory base, ChaosPlan plan,
 
 } // namespace xysig::server
 
-#endif // XYSIG_SERVER_CHAOS_H
+#endif // XYSIG_SUPPORT_CHAOS_H

@@ -1,4 +1,4 @@
-#include "signal/fft.h"
+#include "support/fft.h"
 
 #include <cmath>
 

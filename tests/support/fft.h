@@ -1,5 +1,5 @@
-#ifndef XYSIG_SIGNAL_FFT_H
-#define XYSIG_SIGNAL_FFT_H
+#ifndef XYSIG_SUPPORT_FFT_H
+#define XYSIG_SUPPORT_FFT_H
 
 /// \file fft.h
 /// Radix-2 FFT and single-bin Goertzel evaluation.
@@ -35,4 +35,4 @@ void fft_radix2(std::vector<std::complex<double>>& data, bool inverse = false);
 
 } // namespace xysig
 
-#endif // XYSIG_SIGNAL_FFT_H
+#endif // XYSIG_SUPPORT_FFT_H

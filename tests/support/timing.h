@@ -1,5 +1,5 @@
-#ifndef XYSIG_COMMON_TIMING_H
-#define XYSIG_COMMON_TIMING_H
+#ifndef XYSIG_SUPPORT_TIMING_H
+#define XYSIG_SUPPORT_TIMING_H
 
 /// \file timing.h
 /// Wall-clock stopwatch shared by the bench drivers' scaling reports.
@@ -19,4 +19,4 @@ inline double seconds_of(const std::function<void()>& fn) {
 
 } // namespace xysig
 
-#endif // XYSIG_COMMON_TIMING_H
+#endif // XYSIG_SUPPORT_TIMING_H

@@ -83,13 +83,11 @@ ANNOTATION_TAGS = {
 }
 
 # D2 file allowlist: repo-relative path -> justification. These are the
-# timing/transport layers — wall-clock here feeds telemetry (shard
-# timings, heartbeats, backoff, queue-wait seconds), never member values,
-# signatures, or orderings. Every entry must carry a why; an empty string
-# is rejected at startup.
+# serving layers' telemetry — wall-clock here feeds heartbeats, timeouts,
+# backoff and queue-wait seconds, never member values, signatures, or
+# orderings. Every entry must carry a why; an empty string is rejected at
+# startup.
 D2_FILE_ALLOWLIST = {
-    "src/common/timing.h": "bench/example wall-clock helper; results never depend on it",
-    "src/server/chaos.cpp": "fallback chaos seed when the plan gives none; injected faults stay seed-deterministic",
     "src/server/fanout.cpp": "heartbeat scheduling, inactivity timeouts and per-partition telemetry",
     "src/server/scheduler.cpp": "queue-wait telemetry (queue_seconds) on emitted events",
     "src/server/tcp_transport.cpp": "connect backoff deadlines and heartbeat pacing",
