@@ -2,14 +2,21 @@
 // AC, MOSFET evaluation) and the comparator netlist, plus the SPICE
 // fault-universe scaling report — batch NDF over a bridging/open universe,
 // serial vs N worker threads, gated on bit-identity (nonzero exit when any
-// parallel result diverges, so CI can rely on the exit code).
+// parallel result diverges, so CI can rely on the exit code) — and the
+// nominal member's solver counts (Newton iterations, LU factorisations).
+//
+// Flags: --json=PATH (the report's rows and counts, machine-readable;
+// default bench_spice_perf.json); every other flag goes to google-benchmark.
 
 #include <bit>
 #include <cstdint>
+#include <fstream>
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -90,10 +97,66 @@ void BM_NewtonDcLadder(benchmark::State& state) {
 }
 BENCHMARK(BM_NewtonDcLadder)->Unit(benchmark::kMicrosecond);
 
+/// One row of the scaling report: the serial reference, or the batch
+/// engine at `threads` workers.
+struct ScalingRow {
+    bool serial = false;
+    unsigned threads = 1;
+    double seconds = 0.0;
+    double faults_per_s = 0.0;
+    double speedup = 1.0;
+    bool bit_identical = true;
+};
+
+struct ScalingReport {
+    std::size_t samples_per_period = 0;
+    int settle_periods = 0;
+    std::size_t faults = 0;
+    /// The nominal member's transient at the report's settings.
+    std::size_t nominal_steps = 0;
+    std::size_t nominal_newton_iterations = 0;
+    std::size_t nominal_lu_factorisations = 0;
+    std::vector<ScalingRow> rows;
+    bool all_identical = true;
+};
+
+void write_json(const std::string& path, const ScalingReport& report) {
+    std::ofstream out(path);
+    if (!out) {
+        std::cerr << "warning: cannot write " << path << "\n";
+        return;
+    }
+    out << "{\n";
+    out << "  \"bench\": \"spice_perf\",\n";
+    out << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
+        << ",\n";
+    out << "  \"samples_per_period\": " << report.samples_per_period << ",\n";
+    out << "  \"settle_periods\": " << report.settle_periods << ",\n";
+    out << "  \"faults\": " << report.faults << ",\n";
+    out << "  \"nominal\": {\"steps\": " << report.nominal_steps
+        << ", \"newton_iterations\": " << report.nominal_newton_iterations
+        << ", \"lu_factorisations\": " << report.nominal_lu_factorisations
+        << "},\n";
+    out << "  \"all_bit_identical\": " << (report.all_identical ? "true" : "false")
+        << ",\n";
+    out << "  \"rows\": [\n";
+    for (std::size_t i = 0; i < report.rows.size(); ++i) {
+        const ScalingRow& r = report.rows[i];
+        out << "    {\"runner\": \"" << (r.serial ? "serial" : "batch")
+            << "\", \"threads\": " << r.threads
+            << ", \"seconds\": " << format_double(r.seconds, 6)
+            << ", \"faults_per_s\": " << format_double(r.faults_per_s, 6)
+            << ", \"speedup\": " << format_double(r.speedup, 4)
+            << ", \"bit_identical\": " << (r.bit_identical ? "true" : "false")
+            << "}" << (i + 1 < report.rows.size() ? "," : "") << "\n";
+    }
+    out << "  ]\n}\n";
+}
+
 // Batch NDF over the Tow-Thomas bridging/open fault universe: serial
-// reference vs the batch engine at 1/2/4/8 threads. Returns false when any
-// parallel result is not bit-identical to the serial one.
-[[nodiscard]] bool print_spice_scaling_report(std::ostream& out) {
+// reference vs the batch engine at 1/2/4/8 threads. all_identical is false
+// when any parallel result is not bit-identical to the serial one.
+[[nodiscard]] ScalingReport print_spice_scaling_report(std::ostream& out) {
     using namespace xysig;
 
     out << "=== [spice scaling] batch NDF over a bridging/open fault universe "
@@ -104,6 +167,7 @@ BENCHMARK(BM_NewtonDcLadder)->Unit(benchmark::kMicrosecond);
     const filter::TowThomasCircuit nominal = filter::build_tow_thomas(
         filter::TowThomasDesign::from_biquad(core::paper_biquad().design(), 10e3));
 
+    ScalingReport report;
     core::PipelineOptions popts;
     popts.samples_per_period = 1024;
     core::SignaturePipeline pipe(monitor::build_table1_bank(),
@@ -124,6 +188,9 @@ BENCHMARK(BM_NewtonDcLadder)->Unit(benchmark::kMicrosecond);
         << faults.size() - opens.size() << " bridging, " << opens.size()
         << " open) over '" << nominal.netlist.devices().size()
         << "-device Tow-Thomas'\n";
+    report.samples_per_period = popts.samples_per_period;
+    report.settle_periods = obs.settle_periods;
+    report.faults = faults.size();
 
     // Serial reference: one cut at a time through the scratch path, with the
     // same NaN-on-non-convergence policy the batch engine uses (catastrophic
@@ -154,36 +221,76 @@ BENCHMARK(BM_NewtonDcLadder)->Unit(benchmark::kMicrosecond);
         return true;
     };
 
-    bool all_identical = true;
+    const auto members = static_cast<double>(universe.size());
     TextTable t({"workload", "threads", "time (s)", "faults/s", "speedup",
                  "bit-identical"});
     t.add_row({"SPICE fault NDF", "serial", format_double(t_serial, 4),
-               format_double(static_cast<double>(universe.size()) / t_serial, 1),
-               "1.00", "-"});
+               format_double(members / t_serial, 1), "1.00", "-"});
+    report.rows.push_back({.serial = true,
+                           .threads = 1,
+                           .seconds = t_serial,
+                           .faults_per_s = members / t_serial});
     for (const unsigned threads : {1u, 2u, 4u, 8u}) {
         const core::BatchNdfEvaluator batch(pipe, {.threads = threads});
         std::vector<double> ndfs;
         const double dt = seconds_of([&] { ndfs = batch.evaluate(universe); });
         const bool identical = same_bits(ndfs, serial);
-        all_identical = all_identical && identical;
+        report.all_identical = report.all_identical && identical;
         t.add_row({"SPICE fault NDF", std::to_string(threads),
-                   format_double(dt, 4),
-                   format_double(static_cast<double>(universe.size()) / dt, 1),
+                   format_double(dt, 4), format_double(members / dt, 1),
                    format_double(t_serial / dt, 2),
                    identical ? "yes" : "NO (BUG)"});
+        report.rows.push_back({.threads = threads,
+                               .seconds = dt,
+                               .faults_per_s = members / dt,
+                               .speedup = t_serial / dt,
+                               .bit_identical = identical});
     }
     t.print(out);
-    if (!all_identical)
+
+    // The nominal member's solver work: one transient over the same window
+    // SpiceCut runs (settle periods plus the observed one), after the timed
+    // rows so that it warms nothing they time.
+    {
+        spice::Netlist member = nominal.netlist.clone();
+        member.get<spice::VoltageSource>(obs.input_source)
+            .set_waveform(core::paper_stimulus());
+        const double period = core::paper_stimulus().period();
+        spice::TransientOptions opts;
+        opts.t_stop = (obs.settle_periods + 1) * period;
+        opts.dt = period / static_cast<double>(popts.samples_per_period);
+        const spice::TransientResult run = spice::run_transient(member, opts);
+        report.nominal_steps = run.step_count() - 1;
+        report.nominal_newton_iterations = run.total_newton_iterations;
+        report.nominal_lu_factorisations = run.lu_factorisations;
+        out << "nominal member: " << report.nominal_steps << " steps, "
+            << report.nominal_newton_iterations << " Newton iterations, "
+            << report.nominal_lu_factorisations << " LU factorisations\n";
+    }
+
+    if (!report.all_identical)
         out << "ERROR: parallel SPICE NDFs diverged from serial (determinism "
                "bug)\n";
-    return all_identical;
+    return report;
 }
 
 } // namespace
 
 int main(int argc, char** argv) {
-    const bool identical = print_spice_scaling_report(std::cout);
-    benchmark::Initialize(&argc, argv);
+    std::string json_path = "bench_spice_perf.json";
+    std::vector<char*> bench_args{argv[0]};
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg.rfind("--json=", 0) == 0)
+            json_path = arg.substr(7);
+        else
+            bench_args.push_back(argv[i]);
+    }
+    const ScalingReport report = print_spice_scaling_report(std::cout);
+    write_json(json_path, report);
+    std::cout << "json: " << json_path << "\n";
+    int bench_argc = static_cast<int>(bench_args.size());
+    benchmark::Initialize(&bench_argc, bench_args.data());
     benchmark::RunSpecifiedBenchmarks();
-    return identical ? 0 : 1;
+    return report.all_identical ? 0 : 1;
 }

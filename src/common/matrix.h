@@ -9,8 +9,12 @@
 /// than a sparse solver at this scale. The template parameter supports both
 /// double (DC/transient) and std::complex<double> (AC analysis).
 
+#include <algorithm>
 #include <complex>
 #include <cstddef>
+#include <optional>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/contracts.h"
@@ -39,23 +43,14 @@ public:
         return data_[r * cols_ + c];
     }
 
-    /// Sets every element to value (used to reuse an MNA matrix between
-    /// Newton iterations without reallocating).
-    void fill(T value) { std::fill(data_.begin(), data_.end(), value); }
+    /// The rows() * cols() elements, row after row; row r starts at
+    /// data() + r * cols().
+    [[nodiscard]] T* data() noexcept { return data_.data(); }
+    [[nodiscard]] const T* data() const noexcept { return data_.data(); }
 
-    /// Matrix-vector product. x.size() must equal cols().
-    [[nodiscard]] std::vector<T> multiply(const std::vector<T>& x) const {
-        XYSIG_EXPECTS(x.size() == cols_);
-        std::vector<T> y(rows_, T{});
-        for (std::size_t r = 0; r < rows_; ++r) {
-            T acc{};
-            const T* row = &data_[r * cols_];
-            for (std::size_t c = 0; c < cols_; ++c)
-                acc += row[c] * x[c];
-            y[r] = acc;
-        }
-        return y;
-    }
+    /// Sets every element to value, keeping the storage (an MNA workspace
+    /// re-zeroes its matrix this way at every Newton iteration).
+    void fill(T value) { std::fill(data_.begin(), data_.end(), value); }
 
 private:
     std::size_t rows_ = 0;
@@ -68,112 +63,102 @@ inline double lu_abs(double v) noexcept { return v < 0 ? -v : v; }
 inline double lu_abs(const std::complex<double>& v) noexcept { return std::abs(v); }
 } // namespace detail
 
-/// LU decomposition with partial pivoting (Doolittle, in-place).
-///
-/// Factorises a square matrix once, then solves any number of right-hand
-/// sides — the access pattern of a Newton-Raphson loop where the Jacobian is
-/// refactorised every iteration but transient analysis with a fixed step can
-/// reuse the factors for the linear part.
-template <typename T>
-class LuSolver {
-public:
-    /// Factorises a. Throws NumericError if the matrix is singular to working
-    /// precision (pivot magnitude below pivot_tol).
-    explicit LuSolver(Matrix<T> a, double pivot_tol = 1e-13)
-        : lu_(std::move(a)), perm_(lu_.rows()) {
-        XYSIG_EXPECTS(lu_.rows() == lu_.cols());
-        const std::size_t n = lu_.rows();
-        for (std::size_t i = 0; i < n; ++i)
-            perm_[i] = i;
+/// Pivot magnitude below which a matrix is singular to working precision.
+inline constexpr double kLuPivotTolerance = 1e-13;
 
-        for (std::size_t k = 0; k < n; ++k) {
-            // Partial pivoting: pick the largest magnitude in column k.
-            std::size_t pivot_row = k;
-            double best = detail::lu_abs(lu_(k, k));
-            for (std::size_t r = k + 1; r < n; ++r) {
-                const double mag = detail::lu_abs(lu_(r, k));
-                if (mag > best) {
-                    best = mag;
-                    pivot_row = r;
-                }
-            }
-            if (best < pivot_tol)
-                throw NumericError("LuSolver: singular matrix (pivot " +
-                                   std::to_string(best) + " at column " +
-                                   std::to_string(k) + ")");
-            if (pivot_row != k) {
-                for (std::size_t c = 0; c < n; ++c)
-                    std::swap(lu_(k, c), lu_(pivot_row, c));
-                std::swap(perm_[k], perm_[pivot_row]);
-            }
-            const T pivot = lu_(k, k);
-            for (std::size_t r = k + 1; r < n; ++r) {
-                const T factor = lu_(r, k) / pivot;
-                lu_(r, k) = factor;
-                for (std::size_t c = k + 1; c < n; ++c)
-                    lu_(r, c) -= factor * lu_(k, c);
-            }
-        }
-    }
-
-    /// Solves A x = b for the factorised A. b.size() must equal n.
-    [[nodiscard]] std::vector<T> solve(const std::vector<T>& b) const {
-        const std::size_t n = lu_.rows();
-        XYSIG_EXPECTS(b.size() == n);
-        std::vector<T> x(n);
-        // Apply permutation, then forward substitution (unit lower factor).
-        for (std::size_t i = 0; i < n; ++i) {
-            T acc = b[perm_[i]];
-            for (std::size_t j = 0; j < i; ++j)
-                acc -= lu_(i, j) * x[j];
-            x[i] = acc;
-        }
-        // Back substitution.
-        for (std::size_t ii = n; ii-- > 0;) {
-            T acc = x[ii];
-            for (std::size_t j = ii + 1; j < n; ++j)
-                acc -= lu_(ii, j) * x[j];
-            x[ii] = acc / lu_(ii, ii);
-        }
-        return x;
-    }
-
-private:
-    Matrix<T> lu_;
-    std::vector<std::size_t> perm_;
+/// The column at which an LU factorisation found no usable pivot, and the
+/// largest magnitude it found there.
+struct SingularPivot {
+    std::size_t column = 0;
+    double magnitude = 0.0;
 };
 
-/// Convenience one-shot solve of A x = b.
+/// LU decomposition with partial pivoting (Doolittle), in place: afterwards
+/// the strict lower triangle of `a` holds the unit-lower factor, the rest the
+/// upper factor, and row i holds original row perm[i]. Returns the first
+/// column whose best pivot is below kLuPivotTolerance (a and perm are then
+/// only partly factorised), or nothing on success. The element and operation
+/// order is fixed, so the factors are a function of a's bits alone.
 template <typename T>
-[[nodiscard]] std::vector<T> solve_linear_system(Matrix<T> a, const std::vector<T>& b) {
-    return LuSolver<T>(std::move(a)).solve(b);
+[[nodiscard]] std::optional<SingularPivot> lu_factor_in_place(
+    Matrix<T>& a, std::vector<std::size_t>& perm) {
+    XYSIG_EXPECTS(a.rows() == a.cols() && perm.size() == a.rows());
+    const std::size_t n = a.rows();
+    T* const m = a.data();
+    for (std::size_t i = 0; i < n; ++i)
+        perm[i] = i;
+
+    for (std::size_t k = 0; k < n; ++k) {
+        T* const row_k = m + k * n;
+        // Partial pivoting: pick the largest magnitude in column k; the
+        // first maximum wins.
+        std::size_t pivot_row = k;
+        double best = detail::lu_abs(row_k[k]);
+        for (std::size_t r = k + 1; r < n; ++r) {
+            const double mag = detail::lu_abs(m[r * n + k]);
+            if (mag > best) {
+                best = mag;
+                pivot_row = r;
+            }
+        }
+        if (best < kLuPivotTolerance)
+            return SingularPivot{k, best};
+        if (pivot_row != k) {
+            std::swap_ranges(row_k, row_k + n, m + pivot_row * n);
+            std::swap(perm[k], perm[pivot_row]);
+        }
+        const T pivot = row_k[k];
+        for (std::size_t r = k + 1; r < n; ++r) {
+            T* const row_r = m + r * n;
+            const T factor = row_r[k] / pivot;
+            row_r[k] = factor;
+            for (std::size_t c = k + 1; c < n; ++c)
+                row_r[c] -= factor * row_k[c];
+        }
+    }
+    return std::nullopt;
 }
 
-/// Solves the normal equations for least squares: min ||A x - b||_2.
-/// Small, dense problems only (used by the regression estimator).
-[[nodiscard]] inline std::vector<double> solve_least_squares(const Matrix<double>& a,
-                                                             const std::vector<double>& b,
-                                                             double ridge = 0.0) {
-    XYSIG_EXPECTS(b.size() == a.rows());
-    XYSIG_EXPECTS(ridge >= 0.0);
-    const std::size_t m = a.rows();
-    const std::size_t n = a.cols();
-    Matrix<double> ata(n, n);
-    std::vector<double> atb(n, 0.0);
+/// Solves A x = b into x, given the factors and permutation that
+/// lu_factor_in_place left for A. x must not overlap b.
+template <typename T>
+void solve_into(const Matrix<T>& lu, const std::vector<std::size_t>& perm,
+                std::span<const T> b, std::span<T> x) {
+    const std::size_t n = lu.rows();
+    XYSIG_EXPECTS(lu.cols() == n && perm.size() == n && b.size() == n &&
+                  x.size() == n);
+    const T* const m = lu.data();
+    // Apply permutation, then forward substitution (unit lower factor).
     for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < n; ++j) {
-            double acc = 0.0;
-            for (std::size_t k = 0; k < m; ++k)
-                acc += a(k, i) * a(k, j);
-            ata(i, j) = acc;
-        }
-        ata(i, i) += ridge;
-        double acc = 0.0;
-        for (std::size_t k = 0; k < m; ++k)
-            acc += a(k, i) * b[k];
-        atb[i] = acc;
+        const T* const row = m + i * n;
+        T acc = b[perm[i]];
+        for (std::size_t j = 0; j < i; ++j)
+            acc -= row[j] * x[j];
+        x[i] = acc;
     }
-    return solve_linear_system(std::move(ata), atb);
+    // Back substitution.
+    for (std::size_t ii = n; ii-- > 0;) {
+        const T* const row = m + ii * n;
+        T acc = x[ii];
+        for (std::size_t j = ii + 1; j < n; ++j)
+            acc -= row[j] * x[j];
+        x[ii] = acc / row[ii];
+    }
+}
+
+/// One-shot solve of A x = b. Throws NumericError if A is singular to
+/// working precision (a pivot magnitude below kLuPivotTolerance).
+template <typename T>
+[[nodiscard]] std::vector<T> solve_linear_system(Matrix<T> a, const std::vector<T>& b) {
+    std::vector<std::size_t> perm(a.rows());
+    // "LuSolver:" is this error's fixed name, not a class.
+    if (const auto singular = lu_factor_in_place(a, perm))
+        throw NumericError("LuSolver: singular matrix (pivot " +
+                           std::to_string(singular->magnitude) + " at column " +
+                           std::to_string(singular->column) + ")");
+    std::vector<T> x(a.rows());
+    solve_into(a, perm, std::span<const T>(b), std::span<T>(x));
+    return x;
 }
 
 } // namespace xysig

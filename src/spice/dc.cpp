@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/contracts.h"
-#include "common/matrix.h"
-#include "spice/elements.h"
 
 namespace xysig::spice {
 
@@ -23,19 +22,58 @@ double OperatingPoint::voltage(const std::string& node_name) const {
     return voltage(netlist_->find_node(node_name));
 }
 
+namespace {
+
+/// Bitwise equality of two runs of doubles.
+bool same_bits(const double* a, const double* b, std::size_t count) {
+    return count == 0 || std::memcmp(a, b, count * sizeof(double)) == 0;
+}
+
+} // namespace
+
+MnaWorkspace::MnaWorkspace(std::size_t unknowns)
+    : a_(unknowns, unknowns), b_(unknowns, 0.0), factored_(unknowns, unknowns),
+      lu_(unknowns, unknowns), perm_(unknowns), solved_b_(unknowns, 0.0),
+      x_(unknowns, 0.0) {}
+
+void MnaWorkspace::clear() {
+    a_.fill(0.0);
+    std::fill(b_.begin(), b_.end(), 0.0);
+}
+
+bool MnaWorkspace::solve() {
+    const std::size_t n = x_.size();
+    XYSIG_EXPECTS(a_.rows() == n && a_.cols() == n && b_.size() == n);
+    // Bitwise, not ==: -0.0 == +0.0, yet the factors are a function of the bits.
+    if (!have_lu_ || !same_bits(a_.data(), factored_.data(), n * n)) {
+        have_lu_ = false;
+        std::copy_n(a_.data(), n * n, factored_.data());
+        std::copy_n(a_.data(), n * n, lu_.data());
+        ++lu_factorisations_;
+        if (lu_factor_in_place(lu_, perm_))
+            return false;
+        have_lu_ = true;
+    } else if (same_bits(b_.data(), solved_b_.data(), n)) {
+        return true; // the same system as last time: x_ already solves it
+    }
+    solve_into(lu_, perm_, std::span<const double>(b_), std::span<double>(x_));
+    std::copy(b_.begin(), b_.end(), solved_b_.begin());
+    return true;
+}
+
 namespace detail {
 
-int newton_solve(const Netlist& nl, std::vector<double>& x, std::size_t n_unknowns,
+int newton_solve(const Netlist& nl, MnaWorkspace& ws, std::vector<double>& x,
                  const NewtonOptions& opts, AnalysisMode mode, Integrator integrator,
                  double time, double dt, double gmin, double source_scale) {
-    Matrix<double> a(n_unknowns, n_unknowns);
-    std::vector<double> b(n_unknowns, 0.0);
+    const std::size_t n_unknowns = ws.unknowns();
+    XYSIG_EXPECTS(x.size() == n_unknowns);
     const std::size_t n_node_vars = nl.node_count() - 1;
 
+    Matrix<double>& a = ws.matrix();
     for (int iter = 1; iter <= opts.max_iterations; ++iter) {
-        a.fill(0.0);
-        std::fill(b.begin(), b.end(), 0.0);
-        RealAssembler mna(a, b, nl.node_count());
+        ws.clear();
+        RealAssembler mna(a, ws.rhs(), nl.node_count());
 
         StampContext ctx;
         ctx.mode = mode;
@@ -52,13 +90,9 @@ int newton_solve(const Netlist& nl, std::vector<double>& x, std::size_t n_unknow
         for (std::size_t i = 0; i < n_node_vars; ++i)
             a(i, i) += gmin;
 
-        std::vector<double> x_new;
-        try {
-            x_new = solve_linear_system(std::move(a), b);
-        } catch (const NumericError&) {
+        if (!ws.solve())
             return -1; // singular at this iterate; let the caller escalate
-        }
-        a = Matrix<double>(n_unknowns, n_unknowns); // solve consumed it
+        const std::span<const double> x_new = ws.solution();
 
         // Damping: scale the update so no unknown moves more than max_step.
         double max_delta = 0.0;
@@ -80,31 +114,31 @@ int newton_solve(const Netlist& nl, std::vector<double>& x, std::size_t n_unknow
     return -1;
 }
 
-} // namespace detail
-
 OperatingPoint dc_operating_point(const Netlist& nl, const DcOptions& opts,
-                                  double time) {
-    nl.validate();
-    const std::size_t n = nl.assign_unknowns();
+                                  double time, MnaWorkspace& ws) {
+    const std::size_t n = ws.unknowns();
+    const std::size_t factorised_before = ws.lu_factorisations();
     std::vector<double> x(n, 0.0);
+    const auto solved = [&](int newton_iterations) {
+        OperatingPoint op(nl, std::move(x));
+        op.newton_iterations = newton_iterations;
+        op.lu_factorisations = ws.lu_factorisations() - factorised_before;
+        return op;
+    };
 
     // Ladder 1: plain Newton from a zero start.
-    int iters = detail::newton_solve(nl, x, n, opts.newton, AnalysisMode::dc_op,
-                                     Integrator::trapezoidal, time, 0.0, opts.gmin,
-                                     1.0);
-    if (iters > 0) {
-        OperatingPoint op(nl, std::move(x));
-        op.newton_iterations = iters;
-        return op;
-    }
+    int iters = newton_solve(nl, ws, x, opts.newton, AnalysisMode::dc_op,
+                             Integrator::trapezoidal, time, 0.0, opts.gmin, 1.0);
+    if (iters > 0)
+        return solved(iters);
 
     // Ladder 2: gmin stepping — start heavily damped and relax.
     bool gmin_ok = true;
     std::fill(x.begin(), x.end(), 0.0);
     int total_iters = 0;
     for (double g = opts.gmin_stepping_start; g >= opts.gmin; g /= 10.0) {
-        iters = detail::newton_solve(nl, x, n, opts.newton, AnalysisMode::dc_op,
-                                     Integrator::trapezoidal, time, 0.0, g, 1.0);
+        iters = newton_solve(nl, ws, x, opts.newton, AnalysisMode::dc_op,
+                             Integrator::trapezoidal, time, 0.0, g, 1.0);
         if (iters < 0) {
             gmin_ok = false;
             break;
@@ -113,12 +147,10 @@ OperatingPoint dc_operating_point(const Netlist& nl, const DcOptions& opts,
     }
     if (gmin_ok) {
         // Final polish at the target gmin.
-        iters = detail::newton_solve(nl, x, n, opts.newton, AnalysisMode::dc_op,
-                                     Integrator::trapezoidal, time, 0.0, opts.gmin,
-                                     1.0);
+        iters = newton_solve(nl, ws, x, opts.newton, AnalysisMode::dc_op,
+                             Integrator::trapezoidal, time, 0.0, opts.gmin, 1.0);
         if (iters > 0) {
-            OperatingPoint op(nl, std::move(x));
-            op.newton_iterations = total_iters + iters;
+            OperatingPoint op = solved(total_iters + iters);
             op.used_gmin_stepping = true;
             return op;
         }
@@ -130,9 +162,8 @@ OperatingPoint dc_operating_point(const Netlist& nl, const DcOptions& opts,
     bool source_ok = true;
     for (int s = 1; s <= opts.source_steps; ++s) {
         const double scale = static_cast<double>(s) / opts.source_steps;
-        iters = detail::newton_solve(nl, x, n, opts.newton, AnalysisMode::dc_op,
-                                     Integrator::trapezoidal, time, 0.0, opts.gmin,
-                                     scale);
+        iters = newton_solve(nl, ws, x, opts.newton, AnalysisMode::dc_op,
+                             Integrator::trapezoidal, time, 0.0, opts.gmin, scale);
         if (iters < 0) {
             source_ok = false;
             break;
@@ -140,8 +171,7 @@ OperatingPoint dc_operating_point(const Netlist& nl, const DcOptions& opts,
         total_iters += iters;
     }
     if (source_ok) {
-        OperatingPoint op(nl, std::move(x));
-        op.newton_iterations = total_iters;
+        OperatingPoint op = solved(total_iters);
         op.used_source_stepping = true;
         return op;
     }
@@ -150,38 +180,13 @@ OperatingPoint dc_operating_point(const Netlist& nl, const DcOptions& opts,
                        "stepping and source stepping all failed)");
 }
 
-std::vector<double> dc_sweep(Netlist& nl, const std::string& source_name,
-                             std::span<const double> levels,
-                             const std::string& probe_node, const DcOptions& opts) {
-    auto& src = nl.get<VoltageSource>(source_name);
-    const NodeId probe = nl.find_node(probe_node);
-    std::vector<double> out;
-    out.reserve(levels.size());
+} // namespace detail
 
-    const std::size_t n = nl.assign_unknowns();
-    std::vector<double> x(n, 0.0);
-    bool have_previous = false;
-    for (const double level : levels) {
-        src.set_waveform(DcWaveform(level));
-        if (have_previous) {
-            // Warm start from the previous point; fall back to the full
-            // ladder when the fast path fails.
-            const int iters = detail::newton_solve(
-                nl, x, n, opts.newton, AnalysisMode::dc_op,
-                Integrator::trapezoidal, 0.0, 0.0, opts.gmin, 1.0);
-            if (iters > 0) {
-                out.push_back(probe == kGround
-                                  ? 0.0
-                                  : x[static_cast<std::size_t>(probe) - 1]);
-                continue;
-            }
-        }
-        OperatingPoint op = dc_operating_point(nl, opts);
-        x.assign(op.unknowns().begin(), op.unknowns().end());
-        have_previous = true;
-        out.push_back(op.voltage(probe));
-    }
-    return out;
+OperatingPoint dc_operating_point(const Netlist& nl, const DcOptions& opts,
+                                  double time) {
+    nl.validate();
+    MnaWorkspace ws(nl.assign_unknowns());
+    return detail::dc_operating_point(nl, opts, time, ws);
 }
 
 } // namespace xysig::spice

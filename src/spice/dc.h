@@ -5,8 +5,12 @@
 /// Nonlinear DC solution: damped Newton-Raphson with gmin stepping and
 /// source stepping fallbacks (the standard SPICE convergence ladder).
 
+#include <cstddef>
+#include <span>
+#include <string>
 #include <vector>
 
+#include "common/matrix.h"
 #include "spice/netlist.h"
 #include "spice/types.h"
 
@@ -24,6 +28,7 @@ public:
 
     /// Diagnostics filled in by dc_operating_point().
     int newton_iterations = 0;
+    std::size_t lu_factorisations = 0;
     bool used_gmin_stepping = false;
     bool used_source_stepping = false;
 
@@ -32,26 +37,74 @@ private:
     std::vector<double> x_;
 };
 
+/// The MNA system of one run and the LU factors of the last one solved.
+///
+/// Every Newton iteration of a run stamps into the same matrix and
+/// right-hand side, so the loop allocates nothing. solve() factorises only
+/// when the stamped matrix differs bit for bit from the one whose factors it
+/// holds, and substitutes only when the right-hand side differs too. LU and
+/// substitution are functions of the bits they read, so the reuse changes no
+/// result bit, and no device has to declare itself linear. A run owns its
+/// workspace: nothing is shared between runs, members or threads.
+class MnaWorkspace {
+public:
+    /// A workspace for a system of `unknowns` unknowns
+    /// (Netlist::assign_unknowns()).
+    explicit MnaWorkspace(std::size_t unknowns);
+
+    /// The system the next solve() solves: zeroed by clear(), then stamped.
+    [[nodiscard]] Matrix<double>& matrix() noexcept { return a_; }
+    [[nodiscard]] std::vector<double>& rhs() noexcept { return b_; }
+
+    /// Zeroes the matrix and the right-hand side, keeping their storage.
+    void clear();
+
+    /// Solves the stamped system; false when its matrix is singular to
+    /// working precision, which also drops the held factors.
+    [[nodiscard]] bool solve();
+
+    /// The solution of the last successful solve().
+    [[nodiscard]] std::span<const double> solution() const noexcept { return x_; }
+
+    [[nodiscard]] std::size_t unknowns() const noexcept { return x_.size(); }
+
+    /// Factorisations started so far, singular ones included.
+    [[nodiscard]] std::size_t lu_factorisations() const noexcept {
+        return lu_factorisations_;
+    }
+
+private:
+    Matrix<double> a_;             ///< stamping target
+    std::vector<double> b_;        ///< stamping target
+    Matrix<double> factored_;      ///< the matrix whose factors lu_ holds
+    Matrix<double> lu_;
+    std::vector<std::size_t> perm_;
+    std::vector<double> solved_b_; ///< the right-hand side x_ solves
+    std::vector<double> x_;
+    /// lu_ holds factors, and x_ solves them for solved_b_ (every
+    /// factorisation that succeeds is followed by a substitution).
+    bool have_lu_ = false;
+    std::size_t lu_factorisations_ = 0;
+};
+
 /// Solves the DC operating point with sources evaluated at the given time.
 /// Throws NumericError when all convergence aids fail.
 [[nodiscard]] OperatingPoint dc_operating_point(const Netlist& nl,
                                                 const DcOptions& opts = {},
                                                 double time = 0.0);
 
-/// DC transfer sweep: sets the named VoltageSource to each level in turn
-/// (warm-starting Newton from the previous solution) and records the voltage
-/// of the probe node.
-[[nodiscard]] std::vector<double> dc_sweep(Netlist& nl, const std::string& source_name,
-                                           std::span<const double> levels,
-                                           const std::string& probe_node,
-                                           const DcOptions& opts = {});
-
 namespace detail {
 
-/// One damped-Newton solve at fixed gmin / source_scale; x is the initial
-/// guess on entry and the solution on success. Returns iterations used, or
-/// -1 when not converged (including singular-matrix failures).
-int newton_solve(const Netlist& nl, std::vector<double>& x, std::size_t n_unknowns,
+/// dc_operating_point inside a caller's workspace, which must be sized by
+/// nl.assign_unknowns() after nl.validate().
+[[nodiscard]] OperatingPoint dc_operating_point(const Netlist& nl,
+                                                const DcOptions& opts,
+                                                double time, MnaWorkspace& ws);
+
+/// One damped-Newton solve at fixed gmin / source_scale in ws; x is the
+/// initial guess on entry and the solution on success. Returns iterations
+/// used, or -1 when not converged (including singular-matrix failures).
+int newton_solve(const Netlist& nl, MnaWorkspace& ws, std::vector<double>& x,
                  const NewtonOptions& opts, AnalysisMode mode, Integrator integrator,
                  double time, double dt, double gmin, double source_scale);
 

@@ -6,8 +6,8 @@
 
 namespace xysig::spice {
 
-std::size_t stream_transient(const Netlist& nl, const TransientOptions& opts,
-                             const TransientStepSink& on_step) {
+TransientCounts stream_transient(const Netlist& nl, const TransientOptions& opts,
+                                 const TransientStepSink& on_step) {
     XYSIG_EXPECTS(opts.t_stop > opts.t_start);
     XYSIG_EXPECTS(opts.dt > 0.0);
     XYSIG_EXPECTS(on_step != nullptr);
@@ -15,30 +15,32 @@ std::size_t stream_transient(const Netlist& nl, const TransientOptions& opts,
         std::llround((opts.t_stop - opts.t_start) / opts.dt));
     XYSIG_EXPECTS(steps >= 1);
 
-    const OperatingPoint op = dc_operating_point(nl, opts.dc, opts.t_start);
-    const std::size_t n = nl.assign_unknowns();
+    nl.validate();
+    MnaWorkspace ws(nl.assign_unknowns());
+    const OperatingPoint op = detail::dc_operating_point(nl, opts.dc, opts.t_start, ws);
     for (const auto& dev : nl.devices())
         dev->begin_transient(op.unknowns());
     on_step(0, opts.t_start, op.unknowns());
 
     std::vector<double> x(op.unknowns().begin(), op.unknowns().end());
-    std::size_t newton_iterations = 0;
+    TransientCounts counts;
     for (std::size_t k = 1; k <= steps; ++k) {
         const double t_new = opts.t_start + static_cast<double>(k) * opts.dt;
         const Integrator integ =
             (k == 1) ? Integrator::backward_euler : opts.integrator;
         const int iters = detail::newton_solve(
-            nl, x, n, opts.dc.newton, AnalysisMode::transient, integ, t_new,
+            nl, ws, x, opts.dc.newton, AnalysisMode::transient, integ, t_new,
             opts.dt, opts.dc.gmin, 1.0);
         if (iters < 0)
             throw NumericError("run_transient: step did not converge at t = " +
                                std::to_string(t_new));
-        newton_iterations += static_cast<std::size_t>(iters);
+        counts.newton_iterations += static_cast<std::size_t>(iters);
         for (const auto& dev : nl.devices())
             dev->step_accepted(x, t_new, opts.dt, integ);
         on_step(k, t_new, x);
     }
-    return newton_iterations;
+    counts.lu_factorisations = ws.lu_factorisations();
+    return counts;
 }
 
 double TransientResult::voltage(NodeId node, std::size_t step) const {
@@ -76,12 +78,15 @@ void run_transient_into(const Netlist& nl, const TransientOptions& opts,
     out.time_.clear();
     out.values_.clear();
     out.total_newton_iterations = 0; // not the previous run's if this throws
-    out.total_newton_iterations = stream_transient(
+    out.lu_factorisations = 0;
+    const TransientCounts counts = stream_transient(
         nl, opts, [&out](std::size_t, double t, std::span<const double> x) {
             out.width_ = x.size();
             out.time_.push_back(t);
             out.values_.insert(out.values_.end(), x.begin(), x.end());
         });
+    out.total_newton_iterations = counts.newton_iterations;
+    out.lu_factorisations = counts.lu_factorisations;
 }
 
 } // namespace xysig::spice

@@ -33,17 +33,24 @@ namespace xysig::spice {
 using TransientStepSink = std::function<void(
     std::size_t step, double t, std::span<const double> unknowns)>;
 
+/// Solver work of one transient run.
+struct TransientCounts {
+    std::size_t newton_iterations = 0; ///< over the steps, not the operating point
+    std::size_t lu_factorisations = 0; ///< over the whole run, operating point included
+};
+
 /// Runs a transient analysis, handing each accepted time point to on_step
 /// as it is accepted. The initial condition is the DC operating point with
 /// sources evaluated at t_start; then come round((t_stop - t_start) / dt)
 /// fixed steps, the first by backward Euler to damp the operating-point
-/// discontinuity and the rest by opts.integrator. Returns the Newton
-/// iterations the steps took. Throws NumericError when the operating point
-/// or a step does not converge. The netlist's device state is mutated
-/// during the run, so one netlist must never be simulated from two threads
-/// at once — clone it per worker (Netlist::clone()).
-std::size_t stream_transient(const Netlist& nl, const TransientOptions& opts,
-                             const TransientStepSink& on_step);
+/// discontinuity and the rest by opts.integrator. The operating point and
+/// every step solve in one MnaWorkspace owned by the run. Throws
+/// NumericError when the operating point or a step does not converge. The
+/// netlist's device state is mutated during the run, so one netlist must
+/// never be simulated from two threads at once — clone it per worker
+/// (Netlist::clone()).
+TransientCounts stream_transient(const Netlist& nl, const TransientOptions& opts,
+                                 const TransientStepSink& on_step);
 
 /// Stored trajectory of every unknown at every accepted time point, one
 /// flat row per step. A TransientResult can be reused across runs via
@@ -68,8 +75,10 @@ public:
     /// The trajectory of one node as a SampledSignal with the run's dt.
     [[nodiscard]] SampledSignal signal(const std::string& node) const;
 
-    /// Total Newton iterations over the whole run (engine benchmark metric).
+    /// Newton iterations over the run's steps (engine benchmark metric).
     std::size_t total_newton_iterations = 0;
+    /// LU factorisations over the whole run, operating point included.
+    std::size_t lu_factorisations = 0;
 
 private:
     friend void run_transient_into(const Netlist& nl, const TransientOptions& opts,

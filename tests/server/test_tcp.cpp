@@ -164,8 +164,8 @@ TEST(TcpFanout, DroppedConnectionReconnectsAndResumesBitIdentically) {
 }
 
 TEST(TcpFanout, HeartbeatsKeepASlowPeerAliveThroughATightTimeout) {
-    // One worker runs 8 SPICE members, 6 of them slow (~0.05 s each in
-    // Release at settle 100), so result lines arrive further apart than
+    // One worker runs 8 SPICE members, 6 of them slow (~0.08 s each in
+    // Release at settle 400), so result lines arrive further apart than
     // the driver's read timeout: only the v3 heartbeats between them keep
     // the driver from shooting a healthy worker. The job runs on the
     // worker, not from the process-wide job cache, whatever ran before.
@@ -177,7 +177,7 @@ TEST(TcpFanout, HeartbeatsKeepASlowPeerAliveThroughATightTimeout) {
     listener.start();
 
     const std::string job =
-        R"({"job":"spice_faults","universe":"open","settle_periods":100,"emit_signatures":false})";
+        R"({"job":"spice_faults","universe":"open","settle_periods":400,"emit_signatures":false})";
     const auto reference = single_process_reference(job);
 
     FanoutOptions fopts;

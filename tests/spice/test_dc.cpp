@@ -180,11 +180,11 @@ TEST(DcSweep, NmosInverterTransferIsMonotonicDecreasing) {
     p.l = 180e-9;
     nl.add<Mosfet>("M1", d, g, kGround, p);
 
-    std::vector<double> levels;
-    for (int i = 0; i <= 12; ++i)
-        levels.push_back(0.1 * i);
-    const auto vout = dc_sweep(nl, "VG", levels, "d");
-    ASSERT_EQ(vout.size(), levels.size());
+    std::vector<double> vout;
+    for (int i = 0; i <= 12; ++i) {
+        nl.get<VoltageSource>("VG").set_waveform(DcWaveform(0.1 * i));
+        vout.push_back(dc_operating_point(nl).voltage("d"));
+    }
     EXPECT_NEAR(vout.front(), 1.2, 1e-3); // off: pulled to VDD
     EXPECT_LT(vout.back(), 0.3);          // on: pulled low
     for (std::size_t i = 1; i < vout.size(); ++i)
