@@ -111,7 +111,6 @@ bool events_equal(const std::vector<capture::CodeEvent>& a,
 
 void write_json(const std::string& path, bool smoke, std::size_t samples,
                 std::size_t universe, const monitor::MonitorBank& bank,
-                const kernels::CompiledMonitorBank& compiled,
                 const std::vector<StageResult>& stages, bool all_identical,
                 bool all_passed) {
     std::ofstream out(path);
@@ -124,8 +123,6 @@ void write_json(const std::string& path, bool smoke, std::size_t samples,
     out << "  \"mode\": \"" << (smoke ? "smoke" : "full") << "\",\n";
     out << "  \"setup\": {\n";
     out << "    \"monitors\": " << bank.size() << ",\n";
-    out << "    \"compiled_monitors\": " << compiled.compiled_count() << ",\n";
-    out << "    \"fallback_monitors\": " << compiled.fallback_count() << ",\n";
     out << "    \"samples_per_period\": " << samples << ",\n";
     out << "    \"universe_cuts\": " << universe << "\n";
     out << "  },\n";
@@ -167,9 +164,7 @@ void write_json(const std::string& path, bool smoke, std::size_t samples,
     const monitor::MonitorBank bank = make_bench_bank();
     const auto compiled_bank = kernels::CompiledMonitorBank::compile(bank);
     const MultitoneWaveform stimulus = core::paper_stimulus();
-    out << "bank: " << bank.size() << " monitors ("
-        << compiled_bank.compiled_count() << " compiled, "
-        << compiled_bank.fallback_count() << " fallback), stimulus: "
+    out << "bank: " << bank.size() << " monitors, stimulus: "
         << stimulus.tones().size() << " tones, " << samples
         << " samples/period, " << universe_size << " CUTs\n";
 
@@ -552,8 +547,8 @@ void write_json(const std::string& path, bool smoke, std::size_t samples,
         out << "ERROR: a kernel gate failed (divergence from the exact path "
                "or a missed tolerance)\n";
 
-    write_json(json_path, smoke, samples, universe_size, bank, compiled_bank,
-               stages, all_identical, all_passed);
+    write_json(json_path, smoke, samples, universe_size, bank, stages, all_identical,
+               all_passed);
     return all_passed;
 }
 

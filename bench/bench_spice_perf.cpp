@@ -4,10 +4,14 @@
 // serial vs N worker threads, gated on bit-identity (nonzero exit when any
 // parallel result diverges, so CI can rely on the exit code) — and the
 // nominal member's solver counts (Newton iterations, LU factorisations).
+// Before the scaling rows a spin probe measures how much parallel capacity
+// the host has at that moment: on a shared host the N-thread rows scale
+// only as far as that capacity allows.
 //
 // Flags: --json=PATH (the report's rows and counts, machine-readable;
 // default bench_spice_perf.json); every other flag goes to google-benchmark.
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <fstream>
@@ -97,6 +101,45 @@ void BM_NewtonDcLadder(benchmark::State& state) {
 }
 BENCHMARK(BM_NewtonDcLadder)->Unit(benchmark::kMicrosecond);
 
+/// The host's parallel capacity, measured just before the scaling rows: one
+/// fixed arithmetic spin on one thread, then the same spin on each of
+/// `threads` threads at once. Every thread does the same work, so on
+/// `threads` free cores the two times match and capacity =
+/// threads * one_thread_s / n_threads_s reads `threads`; cores taken by
+/// other work read as less. No row's time includes the probe.
+struct SpinProbe {
+    unsigned threads = 1;
+    double one_thread_s = 0.0;
+    double n_threads_s = 0.0;
+    double capacity = 0.0;
+};
+
+/// A dependent multiply-add chain of 5e7 steps (no reassociation without
+/// fast-math, so nothing to vectorise): about a tenth of a second on one
+/// core.
+double spin() {
+    double x = 1.0;
+    benchmark::DoNotOptimize(x); // a run-time start: nothing to fold
+    for (int i = 0; i < 50'000'000; ++i)
+        x = x * 1.0000001 + 1e-9;
+    return x;
+}
+
+SpinProbe probe_parallel_capacity(unsigned threads) {
+    SpinProbe probe;
+    probe.threads = threads;
+    probe.one_thread_s = seconds_of([] { benchmark::DoNotOptimize(spin()); });
+    probe.n_threads_s = seconds_of([threads] {
+        std::vector<std::thread> spinners;
+        for (unsigned t = 0; t < threads; ++t)
+            spinners.emplace_back([] { benchmark::DoNotOptimize(spin()); });
+        for (std::thread& s : spinners)
+            s.join();
+    });
+    probe.capacity = threads * probe.one_thread_s / probe.n_threads_s;
+    return probe;
+}
+
 /// One row of the scaling report: the serial reference, or the batch
 /// engine at `threads` workers.
 struct ScalingRow {
@@ -116,6 +159,7 @@ struct ScalingReport {
     std::size_t nominal_steps = 0;
     std::size_t nominal_newton_iterations = 0;
     std::size_t nominal_lu_factorisations = 0;
+    SpinProbe spin;
     std::vector<ScalingRow> rows;
     bool all_identical = true;
 };
@@ -137,6 +181,10 @@ void write_json(const std::string& path, const ScalingReport& report) {
         << ", \"newton_iterations\": " << report.nominal_newton_iterations
         << ", \"lu_factorisations\": " << report.nominal_lu_factorisations
         << "},\n";
+    out << "  \"spin_probe\": {\"threads\": " << report.spin.threads
+        << ", \"one_thread_s\": " << format_double(report.spin.one_thread_s, 6)
+        << ", \"n_threads_s\": " << format_double(report.spin.n_threads_s, 6)
+        << ", \"capacity\": " << format_double(report.spin.capacity, 4) << "},\n";
     out << "  \"all_bit_identical\": " << (report.all_identical ? "true" : "false")
         << ",\n";
     out << "  \"rows\": [\n";
@@ -221,9 +269,17 @@ void write_json(const std::string& path, const ScalingReport& report) {
         return true;
     };
 
+    // The capacity the rows below can use; its "speedup" is
+    // threads * t1 / tN, what a perfectly parallel workload would reach.
+    report.spin = probe_parallel_capacity(std::max(1u, std::thread::hardware_concurrency()));
     const auto members = static_cast<double>(universe.size());
     TextTable t({"workload", "threads", "time (s)", "faults/s", "speedup",
                  "bit-identical"});
+    t.add_row({"spin probe", "1", format_double(report.spin.one_thread_s, 4), "-",
+               "1.00", "-"});
+    t.add_row({"spin probe", std::to_string(report.spin.threads),
+               format_double(report.spin.n_threads_s, 4), "-",
+               format_double(report.spin.capacity, 2), "-"});
     t.add_row({"SPICE fault NDF", "serial", format_double(t_serial, 4),
                format_double(members / t_serial, 1), "1.00", "-"});
     report.rows.push_back({.serial = true,
@@ -247,6 +303,8 @@ void write_json(const std::string& path, const ScalingReport& report) {
                                .bit_identical = identical});
     }
     t.print(out);
+    out << "parallel capacity (spin probe): " << format_double(report.spin.capacity, 2)
+        << " of " << report.spin.threads << " threads\n";
 
     // The nominal member's solver work: one transient over the same window
     // SpiceCut runs (settle periods plus the observed one), after the timed

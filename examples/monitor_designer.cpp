@@ -26,7 +26,6 @@ int main() {
     // reference, slightly asymmetric widths to tilt the arc.
     monitor::MonitorConfig cfg;
     cfg.name = "custom-arc";
-    cfg.device = monitor::default_table1_options().device;
     cfg.vds_eval = 0.6;
     cfg.legs[0] = {MonitorInput::y_axis, 0.0, 2.2e-6, 0.0, 1.0};
     cfg.legs[1] = {MonitorInput::x_axis, 0.0, 1.5e-6, 0.0, 1.0};

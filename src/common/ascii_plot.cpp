@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/contracts.h"
-#include "common/statistics.h"
 #include "common/strings.h"
 
 namespace xysig {
@@ -62,26 +61,6 @@ void AsciiCanvas::print(std::ostream& out, const std::string& title) const {
     out << "x: [" << format_double(x_min_, 4) << ", " << format_double(x_max_, 4)
         << "]  y: [" << format_double(y_min_, 4) << ", " << format_double(y_max_, 4)
         << "]\n";
-}
-
-void ascii_plot_series(std::ostream& out, std::span<const double> xs,
-                       std::span<const double> ys, const std::string& title,
-                       char glyph) {
-    XYSIG_EXPECTS(xs.size() == ys.size());
-    XYSIG_EXPECTS(!xs.empty());
-    const double x_lo = min_value(xs);
-    const double x_hi = max_value(xs);
-    double y_lo = min_value(ys);
-    double y_hi = max_value(ys);
-    // xylint: exact-compare(exactly-flat series degenerate-window guard)
-    if (y_hi == y_lo) { // flat series: open a window around the value
-        y_lo -= 1.0;
-        y_hi += 1.0;
-    }
-    // xylint: exact-compare(exactly-degenerate x range guard)
-    AsciiCanvas canvas(x_lo, x_hi == x_lo ? x_lo + 1.0 : x_hi, y_lo, y_hi);
-    canvas.polyline(xs, ys, glyph);
-    canvas.print(out, title);
 }
 
 } // namespace xysig

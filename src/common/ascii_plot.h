@@ -37,11 +37,6 @@ private:
     std::vector<std::string> grid_;
 };
 
-/// One-call line chart of y(x) with autoscaled window.
-void ascii_plot_series(std::ostream& out, std::span<const double> xs,
-                       std::span<const double> ys, const std::string& title,
-                       char glyph = '*');
-
 } // namespace xysig
 
 #endif // XYSIG_COMMON_ASCII_PLOT_H

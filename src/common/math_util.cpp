@@ -8,11 +8,6 @@
 
 namespace xysig {
 
-bool approx_equal(double a, double b, double rtol, double atol) noexcept {
-    const double scale = std::max(std::abs(a), std::abs(b));
-    return std::abs(a - b) <= atol + rtol * scale;
-}
-
 std::vector<double> linspace(double lo, double hi, std::size_t n) {
     XYSIG_EXPECTS(n >= 2);
     std::vector<double> out(n);
@@ -46,8 +41,9 @@ double logistic(double x) noexcept {
     return e / (1.0 + e);
 }
 
-double bisect(const std::function<double(double)>& f, double lo, double hi,
-              const BisectOptions& opts) {
+double bisect(const std::function<double(double)>& f, double lo, double hi) {
+    constexpr double kXTol = 1e-12;
+    constexpr int kMaxIterations = 200;
     XYSIG_EXPECTS(lo <= hi);
     double flo = f(lo);
     double fhi = f(hi);
@@ -58,11 +54,11 @@ double bisect(const std::function<double(double)>& f, double lo, double hi,
     if ((flo > 0.0) == (fhi > 0.0))
         throw NumericError("bisect: endpoints do not bracket a root");
 
-    for (int i = 0; i < opts.max_iterations; ++i) {
+    for (int i = 0; i < kMaxIterations; ++i) {
         const double mid = 0.5 * (lo + hi);
         const double fmid = f(mid);
         // xylint: exact-compare(an exact root ends bisection early)
-        if (fmid == 0.0 || (hi - lo) < opts.xtol)
+        if (fmid == 0.0 || (hi - lo) < kXTol)
             return mid;
         if ((fmid > 0.0) == (flo > 0.0)) {
             lo = mid;

@@ -2,8 +2,8 @@
 #define XYSIG_COMMON_MATH_UTIL_H
 
 /// \file math_util.h
-/// Small numerical helpers shared across the library: tolerant comparison,
-/// grids, scalar root finding, rational arithmetic for period computation.
+/// Small numerical helpers shared across the library: grids, scalar root
+/// finding, rational arithmetic for period computation.
 
 #include <cstdint>
 #include <functional>
@@ -16,10 +16,6 @@ inline constexpr double kTwoPi = 2.0 * kPi;
 
 /// Thermal voltage kT/q at 300 K, used by the MOSFET models.
 inline constexpr double kThermalVoltage300K = 0.025852;
-
-/// True when |a-b| <= atol + rtol*max(|a|,|b|).
-[[nodiscard]] bool approx_equal(double a, double b, double rtol = 1e-9,
-                                double atol = 1e-12) noexcept;
 
 /// Linear interpolation between a and b; t in [0,1] maps to [a,b].
 [[nodiscard]] constexpr double lerp(double a, double b, double t) noexcept {
@@ -42,18 +38,13 @@ inline constexpr double kThermalVoltage300K = 0.025852;
 /// Derivative of softplus: logistic function 1/(1+exp(-x)).
 [[nodiscard]] double logistic(double x) noexcept;
 
-/// Options for bisection root finding.
-struct BisectOptions {
-    double xtol = 1e-12;       ///< stop when the bracket is narrower than this
-    int max_iterations = 200;  ///< hard iteration cap
-};
-
-/// Finds a root of f in [lo, hi] by bisection.
+/// Finds a root of f in [lo, hi] by bisection, stopping once the bracket
+/// is narrower than 1e-12 or after 200 halvings.
 ///
 /// Requires f(lo) and f(hi) to have opposite signs (a zero at an endpoint is
 /// accepted). Throws NumericError when the bracket is invalid.
 [[nodiscard]] double bisect(const std::function<double(double)>& f, double lo,
-                            double hi, const BisectOptions& opts = {});
+                            double hi);
 
 /// Exact rational number with i64 numerator/denominator, always normalised
 /// (den > 0, gcd(num, den) == 1). Used to compute the common period of

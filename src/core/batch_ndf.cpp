@@ -60,14 +60,4 @@ std::vector<std::unique_ptr<filter::Cut>> BatchNdfEvaluator::build_fault_univers
     return universe;
 }
 
-std::vector<double> BatchNdfEvaluator::evaluate_netlist_faults(
-    const spice::Netlist& nominal, std::span<const capture::NetlistFault> faults,
-    const SpiceObservation& observation) const {
-    // Non-owning handle: the universe lives only for this call.
-    const std::shared_ptr<const spice::Netlist> borrowed(
-        std::shared_ptr<const spice::Netlist>(), &nominal);
-    return evaluate(FaultUniverse(borrowed, {faults.begin(), faults.end()},
-                                  observation));
-}
-
 } // namespace xysig::core

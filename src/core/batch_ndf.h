@@ -61,14 +61,6 @@ public:
                          std::span<const capture::NetlistFault> faults,
                          const SpiceObservation& observation);
 
-    /// Batch NDF of a bridging/open fault universe over a SPICE netlist, in
-    /// fault order (a FaultUniverse: one netlist clone per worker), and
-    /// bit-identical to simulating the clone-per-fault universe serially.
-    [[nodiscard]] std::vector<double> evaluate_netlist_faults(
-        const spice::Netlist& nominal,
-        std::span<const capture::NetlistFault> faults,
-        const SpiceObservation& observation) const;
-
 private:
     /// NDF of every member against the golden signature, in member order.
     [[nodiscard]] std::vector<double> evaluate(const Universe& universe) const;

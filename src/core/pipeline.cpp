@@ -44,11 +44,8 @@ void SignaturePipeline::refresh_stimulus_trace() {
                                                 trace, mode);
             return trace;
         });
-    const auto lanes = [&] { return compiled_bank_.x_pair_lanes(stimulus_trace_, mode); };
-    const std::string key = fingerprint();
-    compiled_bank_.bind_x_lanes(
-        key.empty() ? std::make_shared<const kernels::CompiledMonitorBank::XPairLanes>(lanes())
-                    : XPairLaneCache::instance().find_or_compute(key, lanes));
+    compiled_bank_.bind_x_lanes(XPairLaneCache::instance().find_or_compute(
+        fingerprint(), [&] { return compiled_bank_.x_pair_lanes(stimulus_trace_, mode); }));
 }
 
 XyTrace SignaturePipeline::trace(const filter::Cut& cut, Rng* noise_rng) const {
@@ -76,14 +73,11 @@ capture::CaptureResult SignaturePipeline::capture(const filter::Cut& cut,
 }
 
 std::string SignaturePipeline::fingerprint() const {
-    const std::string bank_fp = bank_.fingerprint();
-    if (bank_fp.empty())
-        return {};
     // Built with discrete appends: the `"x" + std::string&&` concat chain
     // trips GCC's -Wrestrict false positive at -O3 once inlined, and the
     // hardening lane builds with -Werror.
     std::string fp = "bank{";
-    fp += bank_fp;
+    fp += bank_.fingerprint();
     fp += "}|";
     fp += stimulus_fingerprint(stimulus_);
     fp += "|spp=" + std::to_string(options_.samples_per_period);
@@ -99,13 +93,10 @@ std::string SignaturePipeline::golden_cache_key(const filter::Cut& cut) const {
     const std::string cut_key = cut.cache_key();
     if (cut_key.empty())
         return {};
-    const std::string fp = fingerprint();
-    if (fp.empty())
-        return {};
     std::string key = "cut{";
     key += cut_key;
     key += "}|";
-    key += fp;
+    key += fingerprint();
     return key;
 }
 

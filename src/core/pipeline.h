@@ -118,14 +118,14 @@ public:
     /// Exact fingerprint of everything this pipeline contributes to the
     /// bits of an ideal chronogram: `bank{…}|stim{…}|spp=…|fm=…` (monitor
     /// bank, stimulus, samples_per_period, fast_math). Noise and capture
-    /// options are not in it. Empty when a monitor cannot produce an exact
-    /// fingerprint.
+    /// options are not in it. Never empty: the constructor compiles the
+    /// bank, which admits only the boundary types that fingerprint
+    /// themselves.
     [[nodiscard]] std::string fingerprint() const;
 
     /// The cache key set_golden files the ideal golden chronogram under:
-    /// `cut{…}|` + fingerprint(). Empty when the cut or a monitor cannot
-    /// produce an exact fingerprint — set_golden then computes without
-    /// caching.
+    /// `cut{…}|` + fingerprint(). Empty when the cut has no cache_key()
+    /// (a SpiceCut) — set_golden then computes without caching.
     [[nodiscard]] std::string golden_cache_key(const filter::Cut& cut) const;
 
     /// Flips options().fast_math in place (the sweep service applies the
@@ -185,8 +185,7 @@ private:
 
     /// (Re)fetches stimulus_trace_ from the StimulusTraceCache for the
     /// current (stimulus, samples_per_period, mode), and the x pair lanes
-    /// over it from the XPairLaneCache (computed uncached when
-    /// fingerprint() is empty), bound to compiled_bank_; called at
+    /// over it from the XPairLaneCache, bound to compiled_bank_; called at
     /// construction and on set_fast_math.
     void refresh_stimulus_trace();
 

@@ -100,7 +100,6 @@ void SpiceCut::respond_into(const MultitoneWaveform& stimulus,
     src.set_waveform(stimulus);
 
     spice::TransientOptions opts;
-    opts.t_start = 0.0;
     // In double: settle_periods_ + 1 overflows int at INT_MAX.
     opts.t_stop = (static_cast<double>(settle_periods_) + 1.0) * period;
     opts.dt = period / static_cast<double>(samples_per_period);

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/contracts.h"
+#include "common/error.h"
 #include "common/math_util.h"
 #include "kernels/vecmath.h"
 #include "monitor/mos_boundary.h"
@@ -101,26 +103,11 @@ CompiledMonitorBank CompiledMonitorBank::compile(const monitor::MonitorBank& ban
             out.mos_.push_back(m);
             continue;
         }
-        out.fallback_.push_back({mask, b.clone()});
+        throw InvalidInput("CompiledMonitorBank: monitor " + std::to_string(i) +
+                           " of " + std::to_string(n) +
+                           " is neither a LinearBoundary nor a MosCurrentBoundary");
     }
     return out;
-}
-
-CompiledMonitorBank::CompiledMonitorBank(const CompiledMonitorBank& other)
-    : n_monitors_(other.n_monitors_), linear_(other.linear_), groups_(other.groups_),
-      x_groups_(other.x_groups_), legs_(other.legs_), constants_(other.constants_),
-      mos_(other.mos_), x_lanes_(other.x_lanes_) {
-    fallback_.reserve(other.fallback_.size());
-    for (const FallbackMonitor& f : other.fallback_)
-        fallback_.push_back({f.mask, f.boundary->clone()});
-}
-
-CompiledMonitorBank& CompiledMonitorBank::operator=(const CompiledMonitorBank& other) {
-    if (this != &other) {
-        CompiledMonitorBank tmp(other);
-        *this = std::move(tmp);
-    }
-    return *this;
 }
 
 bool CompiledMonitorBank::batched(const PairGroup& g) noexcept {
@@ -314,13 +301,6 @@ void CompiledMonitorBank::codes_into(std::span<const double> xs,
             lanes = lanes_for(xs, mode);
         }
         mos_codes(px, py, n, mode, lanes, out);
-    }
-
-    for (const FallbackMonitor& f : fallback_) {
-        const monitor::Boundary& b = *f.boundary;
-        const unsigned mask = f.mask;
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] |= b.side(px[i], py[i]) ? mask : 0u;
     }
 }
 

@@ -15,8 +15,9 @@
 ///    change and the per-leg constants of spice::NmosDrainCurrent hoisted
 ///    out of the sample loop), and legs that are identical across
 ///    monitors — the paper's Table I shares its X and Y input devices
-///    between rows — are deduplicated;
-///  * anything else   -> a cloned fallback boundary kept on the virtual path.
+///    between rows — are deduplicated.
+/// These are the only boundary types the library defines; compile() rejects
+/// any other.
 ///
 /// Pair groups. An EKV leg's softplus pair (NmosDrainCurrent::ekv_pair)
 /// reads only the gate voltage, the frame (mirror, gate_shift, negate),
@@ -36,13 +37,12 @@
 /// a SPICE member, a one-ULP change) evaluates its pairs as if no lanes
 /// were bound. Correctness therefore never depends on who binds what.
 ///
-/// codes_into walks the trace once per linear/fallback monitor (bit-plane
-/// OR) and once, in blocks, for all MOS monitors together (the groups'
-/// pairs, then each leg's current, then the per-monitor current
-/// comparisons), so the hot loop is free of virtual dispatch for every
-/// compilable monitor. Codes are bit-identical to MonitorBank::code at
-/// every sample, whatever the mix of compiled and fallback monitors,
-/// lanes or no lanes.
+/// codes_into walks the trace once per linear monitor (bit-plane OR) and
+/// once, in blocks, for all MOS monitors together (the groups' pairs, then
+/// each leg's current, then the per-monitor current comparisons), so the
+/// hot loop is free of virtual dispatch. Codes are bit-identical to
+/// MonitorBank::code at every sample, whatever the mix of linear and MOS
+/// monitors, lanes or no lanes.
 ///
 /// Under SampleMode::fast_math the groups already in the model's frame
 /// (EKV nMOS at forward drain bias, as in every monitor of the paper)
@@ -85,24 +85,13 @@ public:
 
     CompiledMonitorBank() = default;
 
-    /// Lowers every monitor of the bank. Never fails: non-compilable
-    /// boundaries are cloned into the fallback list, so the compiled bank is
-    /// self-contained and does not reference `bank` afterwards.
+    /// Lowers every monitor of the bank; the compiled bank does not
+    /// reference `bank` afterwards. Throws InvalidInput naming the first
+    /// monitor that is neither a LinearBoundary nor a MosCurrentBoundary.
     [[nodiscard]] static CompiledMonitorBank compile(const monitor::MonitorBank& bank);
 
-    CompiledMonitorBank(const CompiledMonitorBank& other);
-    CompiledMonitorBank& operator=(const CompiledMonitorBank& other);
-    CompiledMonitorBank(CompiledMonitorBank&&) noexcept = default;
-    CompiledMonitorBank& operator=(CompiledMonitorBank&&) noexcept = default;
-
-    /// Total monitors / how many were lowered / how many stayed virtual.
+    /// Total monitors.
     [[nodiscard]] std::size_t size() const noexcept { return n_monitors_; }
-    [[nodiscard]] std::size_t fallback_count() const noexcept {
-        return fallback_.size();
-    }
-    [[nodiscard]] std::size_t compiled_count() const noexcept {
-        return n_monitors_ - fallback_.size();
-    }
     /// Deduplicated dynamic MOS legs (tests pin the Table I sharing: 12
     /// legs collapse to 6).
     [[nodiscard]] std::size_t unique_leg_count() const noexcept {
@@ -127,9 +116,8 @@ public:
     /// Zone code of every (x, y) sample, one monitor pass at a time; codes
     /// is resized to xs.size(). In exact mode (the default) bit-identical
     /// to calling MonitorBank::code per sample. fast_math batches the EKV
-    /// softplus pairs through vecmath (see the file comment); linear and
-    /// fallback monitors always take the exact path. The bank must be
-    /// non-empty.
+    /// softplus pairs through vecmath (see the file comment); linear
+    /// monitors always take the exact path. The bank must be non-empty.
     void codes_into(std::span<const double> xs, std::span<const double> ys,
                     std::vector<unsigned>& codes,
                     SampleMode mode = SampleMode::exact) const;
@@ -176,11 +164,6 @@ private:
         double orientation;
     };
 
-    struct FallbackMonitor {
-        unsigned mask;
-        std::unique_ptr<monitor::Boundary> boundary;
-    };
-
     /// True when fast_math may batch group g: an EKV pair already in the
     /// model's frame.
     [[nodiscard]] static bool batched(const PairGroup& g) noexcept;
@@ -210,7 +193,6 @@ private:
     std::vector<MosLeg> legs_;       ///< deduplicated dynamic legs
     std::vector<double> constants_;  ///< DC-driven legs' drain currents
     std::vector<MosMonitor> mos_;
-    std::vector<FallbackMonitor> fallback_;
     std::shared_ptr<const XPairLanes> x_lanes_;
 };
 

@@ -24,11 +24,6 @@ void Placement::set_device(std::size_t r, std::size_t c, int device) {
     cells_[r * cols_ + c] = device;
 }
 
-std::size_t Placement::unit_count(int device) const {
-    return static_cast<std::size_t>(
-        std::count(cells_.begin(), cells_.end(), device));
-}
-
 double Placement::centroid_error(int device) const {
     double sum_r = 0.0, sum_c = 0.0;
     std::size_t n = 0;

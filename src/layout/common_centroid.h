@@ -23,9 +23,6 @@ public:
     [[nodiscard]] int device_at(std::size_t r, std::size_t c) const;
     void set_device(std::size_t r, std::size_t c, int device);
 
-    /// Number of cells assigned to a device.
-    [[nodiscard]] std::size_t unit_count(int device) const;
-
     /// Distance between a device's unit centroid and the array centre, in
     /// cell pitches. Exactly 0 for a common-centroid placement.
     [[nodiscard]] double centroid_error(int device) const;

@@ -13,6 +13,8 @@ namespace {
 /// a point just off the origin, below the diagonal (see DESIGN.md).
 constexpr double kRefX = 0.05;
 constexpr double kRefY = 0.0;
+/// y samples of trace_boundary's sign scan per column.
+constexpr std::size_t kTraceYScan = 256;
 } // namespace
 
 LinearBoundary::LinearBoundary(double a, double b, double c) : a_(a), b_(b), c_(c) {
@@ -42,13 +44,13 @@ std::string LinearBoundary::fingerprint() const {
 
 std::vector<CurvePoint> trace_boundary(const Boundary& boundary, double x_lo,
                                        double x_hi, std::size_t n_x, double y_lo,
-                                       double y_hi, std::size_t y_scan) {
+                                       double y_hi) {
     XYSIG_EXPECTS(x_hi > x_lo && y_hi > y_lo);
-    XYSIG_EXPECTS(n_x >= 2 && y_scan >= 8);
+    XYSIG_EXPECTS(n_x >= 2);
 
     std::vector<CurvePoint> points;
     const auto xs = linspace(x_lo, x_hi, n_x);
-    const auto ys = linspace(y_lo, y_hi, y_scan);
+    const auto ys = linspace(y_lo, y_hi, kTraceYScan);
     for (const double x : xs) {
         double prev = boundary.h(x, ys[0]);
         for (std::size_t j = 1; j < ys.size(); ++j) {

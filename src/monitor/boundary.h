@@ -38,8 +38,10 @@ public:
 
     /// Exact identity for caching: two boundaries with equal non-empty
     /// fingerprints must classify every (x, y) identically. The default
-    /// (empty) marks a boundary type as non-cacheable, which simply opts
-    /// pipelines using it out of the golden-signature cache.
+    /// (empty) marks a boundary type without one; such a type can still be
+    /// traced and zoned on the virtual path (MonitorBank::code), but a
+    /// pipeline accepts only the types its compiled kernel lowers, which
+    /// all fingerprint themselves.
     [[nodiscard]] virtual std::string fingerprint() const { return {}; }
 
 protected:
@@ -72,13 +74,13 @@ private:
 };
 
 /// Traces the control curve of a boundary inside a window: for each of n_x
-/// columns, every y root of h(x, .) found by sign-scan + bisection is
-/// returned. Multi-branch curves simply produce several points per column.
+/// columns, every y root of h(x, .) found by a sign scan over 256 evenly
+/// spaced y samples plus bisection is returned. Multi-branch curves simply
+/// produce several points per column.
 [[nodiscard]] std::vector<CurvePoint> trace_boundary(const Boundary& boundary,
                                                      double x_lo, double x_hi,
                                                      std::size_t n_x, double y_lo,
-                                                     double y_hi,
-                                                     std::size_t y_scan = 256);
+                                                     double y_hi);
 
 } // namespace xysig::monitor
 

@@ -6,21 +6,27 @@
 
 namespace xysig::monitor {
 
-ComparatorCircuit build_comparator(const MonitorConfig& config,
-                                   const ComparatorOptions& options) {
-    XYSIG_EXPECTS(options.vdd > 0.0);
-    XYSIG_EXPECTS(options.feedback_ratio > 0.0 && options.feedback_ratio <= 1.0);
+namespace {
+// The pMOS loads (see the header comment).
+constexpr double kLoadWidth = 2e-6; ///< W of M5/M8
+/// W(M6,M7) / W(M5,M8). It must stay at most 1: above 1 the cross-coupled
+/// pair regenerates and the DC solution is no longer unique.
+constexpr double kFeedbackRatio = 0.8;
+static_assert(kFeedbackRatio > 0.0 && kFeedbackRatio <= 1.0);
+constexpr double kLoadVt0 = 0.30;
+constexpr double kLoadKp = 100e-6;
+} // namespace
 
+ComparatorCircuit build_comparator(const MonitorConfig& config) {
     ComparatorCircuit ckt;
     ckt.config = config;
-    ckt.options = options;
     spice::Netlist& nl = ckt.netlist;
 
     const auto vdd = nl.node("vdd");
     const auto out1 = nl.node("vout1");
     const auto out2 = nl.node("vout2");
 
-    nl.add<spice::VoltageSource>("VDD", vdd, spice::kGround, options.vdd);
+    nl.add<spice::VoltageSource>("VDD", vdd, spice::kGround, kComparatorVdd);
 
     // Input devices: gates driven by dedicated sources (set per plane point).
     for (int i = 0; i < 4; ++i) {
@@ -43,15 +49,15 @@ ComparatorCircuit build_comparator(const MonitorConfig& config,
     load.type = spice::MosType::pmos;
     load.model = config.device.model;
     load.l = config.device.l;
-    load.vt0 = options.load_vt0;
-    load.kp = options.load_kp;
+    load.vt0 = kLoadVt0;
+    load.kp = kLoadKp;
     load.n_slope = config.device.n_slope;
     load.lambda = config.device.lambda;
 
-    load.w = options.load_width;
+    load.w = kLoadWidth;
     nl.add<spice::Mosfet>("M5", out1, out1, vdd, load); // diode load, left
     nl.add<spice::Mosfet>("M8", out2, out2, vdd, load); // diode load, right
-    load.w = options.load_width * options.feedback_ratio;
+    load.w = kLoadWidth * kFeedbackRatio;
     nl.add<spice::Mosfet>("M6", out1, out2, vdd, load); // cross feedback
     nl.add<spice::Mosfet>("M7", out2, out1, vdd, load);
 

@@ -9,10 +9,11 @@
 /// curve, sign(v(out2) - v(out1)) of the solved circuit must equal the
 /// boundary's current-difference sign.
 ///
-/// The cross-coupled pair is sized at feedback_ratio * load width. The
-/// paper's silicon uses equal sizes (regenerative limit) plus a high-gain
-/// output stage; simulations default to 0.8 so the DC solution stays unique
-/// (see DESIGN.md).
+/// The pMOS loads are 2 um wide with |Vt| = 0.30 V and kp = 100 uA/V^2
+/// (lower hole mobility), and the cross-coupled pair is 0.8 times as wide.
+/// The paper's silicon uses equal sizes (regenerative limit) plus a
+/// high-gain output stage; the simulated pair stays at 0.8 so the DC
+/// solution stays unique.
 
 #include <string>
 
@@ -21,14 +22,8 @@
 
 namespace xysig::monitor {
 
-/// Electrical choices for the comparator build.
-struct ComparatorOptions {
-    double vdd = 1.2;
-    double load_width = 2e-6;    ///< W of M5/M8
-    double feedback_ratio = 0.8; ///< W(M6,M7) / W(M5,M8)
-    double load_vt0 = 0.30;      ///< |Vt| of the pMOS devices
-    double load_kp = 100e-6;     ///< pMOS kp (lower hole mobility)
-};
+/// Supply voltage of the comparator (V).
+inline constexpr double kComparatorVdd = 1.2;
 
 /// A built comparator with the handles needed to drive and read it.
 struct ComparatorCircuit {
@@ -37,13 +32,11 @@ struct ComparatorCircuit {
     std::string out_left = "vout1";  ///< drains of M1, M2
     std::string out_right = "vout2"; ///< drains of M3, M4
     MonitorConfig config;
-    ComparatorOptions options;
 };
 
 /// Builds the Fig. 2 circuit for a monitor configuration. The four input
 /// sources are created at 0 V; drive them per plane point before solving.
-[[nodiscard]] ComparatorCircuit build_comparator(const MonitorConfig& config,
-                                                 const ComparatorOptions& options = {});
+[[nodiscard]] ComparatorCircuit build_comparator(const MonitorConfig& config);
 
 /// Solves the comparator DC point with the inputs set for (x, y) and
 /// returns the raw decision: true when v(out2) > v(out1), which corresponds

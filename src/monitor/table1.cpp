@@ -7,19 +7,6 @@
 
 namespace xysig::monitor {
 
-Table1Options default_table1_options() {
-    Table1Options opts;
-    opts.device.type = spice::MosType::nmos;
-    opts.device.model = spice::MosModel::ekv;
-    opts.device.l = 180e-9;
-    opts.device.vt0 = 0.30;
-    opts.device.kp = 250e-6;
-    opts.device.n_slope = 1.35;
-    opts.device.lambda = 0.1;
-    opts.vds_eval = 0.6;
-    return opts;
-}
-
 namespace {
 
 MonitorLeg leg_axis(MonitorInput axis, double width_nm) {
@@ -39,11 +26,9 @@ MonitorLeg leg_dc(double level, double width_nm) {
 
 } // namespace
 
-MonitorConfig table1_config(int row, const Table1Options& opts) {
+MonitorConfig table1_config(int row) {
     XYSIG_EXPECTS(row >= 1 && row <= 6);
     MonitorConfig cfg;
-    cfg.device = opts.device;
-    cfg.vds_eval = opts.vds_eval;
     cfg.name = "table1-curve-" + std::to_string(row);
     using MI = MonitorInput;
     switch (row) {
@@ -77,35 +62,25 @@ MonitorConfig table1_config(int row, const Table1Options& opts) {
     return cfg;
 }
 
-std::vector<MonitorConfig> table1_configs(const Table1Options& opts) {
+std::vector<MonitorConfig> table1_configs() {
     std::vector<MonitorConfig> out;
     out.reserve(6);
     for (int row = 1; row <= 6; ++row)
-        out.push_back(table1_config(row, opts));
+        out.push_back(table1_config(row));
     return out;
 }
 
-MonitorBank build_table1_bank(const Table1Options& opts) {
+MonitorBank build_table1_bank() {
     MonitorBank bank;
-    for (auto& cfg : table1_configs(opts))
+    for (auto& cfg : table1_configs())
         bank.add(std::make_unique<MosCurrentBoundary>(std::move(cfg)));
     return bank;
 }
 
-MonitorConfig table1_config(int row) {
-    return table1_config(row, default_table1_options());
-}
-std::vector<MonitorConfig> table1_configs() {
-    return table1_configs(default_table1_options());
-}
-MonitorBank build_table1_bank() {
-    return build_table1_bank(default_table1_options());
-}
-
-MonitorBank build_linear_approximation_bank(const Table1Options& opts) {
+MonitorBank build_linear_approximation_bank() {
     MonitorBank bank;
     for (int row = 1; row <= 6; ++row) {
-        const MosCurrentBoundary nonlinear(table1_config(row, opts));
+        const MosCurrentBoundary nonlinear(table1_config(row));
         const auto pts = trace_boundary(nonlinear, 0.0, 1.0, 64, 0.0, 1.0);
         XYSIG_ASSERT(pts.size() >= 2);
         std::vector<double> xs, ys;
@@ -130,10 +105,6 @@ MonitorBank build_linear_approximation_bank(const Table1Options& opts) {
         }
     }
     return bank;
-}
-
-MonitorBank build_linear_approximation_bank() {
-    return build_linear_approximation_bank(default_table1_options());
 }
 
 } // namespace xysig::monitor

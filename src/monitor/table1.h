@@ -22,34 +22,22 @@
 
 namespace xysig::monitor {
 
-/// Process choices shared by all Table I monitors.
-struct Table1Options {
-    spice::MosParams device{}; ///< vt0/kp/n/lambda + L (w is per leg)
-    double vds_eval = 0.6;
-};
-
-/// Returns the default 65 nm-flavoured device template used throughout the
-/// reproduction (vt0 = 0.30 V, kp = 250 uA/V^2, n = 1.35, L = 180 nm).
-[[nodiscard]] Table1Options default_table1_options();
-
-/// Configuration of one Table I row; row in [1, 6].
-[[nodiscard]] MonitorConfig table1_config(int row, const Table1Options& opts);
+/// Configuration of one Table I row; row in [1, 6]. Every row uses the
+/// device template and drain bias that MonitorConfig defaults to: the
+/// 65 nm-flavoured nMOS EKV device of spice::MosParams (vt0 = 0.30 V,
+/// kp = 250 uA/V^2, n = 1.35, lambda = 0.1 /V, L = 180 nm; W is per leg)
+/// evaluated at vds = 0.6 V.
+[[nodiscard]] MonitorConfig table1_config(int row);
 
 /// All six configurations in row order.
-[[nodiscard]] std::vector<MonitorConfig> table1_configs(const Table1Options& opts);
+[[nodiscard]] std::vector<MonitorConfig> table1_configs();
 
 /// The full six-monitor bank (monitor i = Table I row i+1 = bit i from MSB).
-[[nodiscard]] MonitorBank build_table1_bank(const Table1Options& opts);
-
-/// Convenience overloads with the default options.
-[[nodiscard]] MonitorConfig table1_config(int row);
-[[nodiscard]] std::vector<MonitorConfig> table1_configs();
 [[nodiscard]] MonitorBank build_table1_bank();
 
 /// Straight-line baseline bank ([12],[13]): six lines approximating the
 /// Table I curves (least-squares fit of each traced control curve inside
 /// the unit window), used by the linear-vs-nonlinear ablation.
-[[nodiscard]] MonitorBank build_linear_approximation_bank(const Table1Options& opts);
 [[nodiscard]] MonitorBank build_linear_approximation_bank();
 
 } // namespace xysig::monitor

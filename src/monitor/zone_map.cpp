@@ -73,11 +73,6 @@ ZoneMap::ZoneMap(const MonitorBank& bank, double x_lo, double x_hi, double y_lo,
             : static_cast<double>(violations) / static_cast<double>(boundary_edges);
 }
 
-bool ZoneMap::has_zone(unsigned code) const {
-    return std::any_of(zones_.begin(), zones_.end(),
-                       [&](const Zone& z) { return z.code == code; });
-}
-
 const Zone& ZoneMap::zone(unsigned code) const {
     const auto it = std::find_if(zones_.begin(), zones_.end(),
                                  [&](const Zone& z) { return z.code == code; });

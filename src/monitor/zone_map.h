@@ -33,7 +33,6 @@ public:
     /// Zones sorted by code.
     [[nodiscard]] const std::vector<Zone>& zones() const noexcept { return zones_; }
     [[nodiscard]] std::size_t zone_count() const noexcept { return zones_.size(); }
-    [[nodiscard]] bool has_zone(unsigned code) const;
     [[nodiscard]] const Zone& zone(unsigned code) const;
 
     /// Pairs of codes that share at least one grid edge (a < b order).

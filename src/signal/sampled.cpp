@@ -1,7 +1,6 @@
 #include "signal/sampled.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/contracts.h"
 #include "common/rng.h"
@@ -58,26 +57,6 @@ double SampledSignal::operator[](std::size_t i) const {
     return samples_[i];
 }
 
-double SampledSignal::value_at(double t) const {
-    XYSIG_EXPECTS(!samples_.empty());
-    const double pos = (t - start_time_) / dt_;
-    if (pos <= 0.0)
-        return samples_.front();
-    if (pos >= static_cast<double>(samples_.size() - 1))
-        return samples_.back();
-    const auto i = static_cast<std::size_t>(pos);
-    const double frac = pos - static_cast<double>(i);
-    return samples_[i] + frac * (samples_[i + 1] - samples_[i]);
-}
-
-double SampledSignal::rms() const {
-    XYSIG_EXPECTS(!samples_.empty());
-    double acc = 0.0;
-    for (double s : samples_)
-        acc += s * s;
-    return std::sqrt(acc / static_cast<double>(samples_.size()));
-}
-
 double SampledSignal::min() const {
     XYSIG_EXPECTS(!samples_.empty());
     return *std::min_element(samples_.begin(), samples_.end());
@@ -86,35 +65,6 @@ double SampledSignal::min() const {
 double SampledSignal::max() const {
     XYSIG_EXPECTS(!samples_.empty());
     return *std::max_element(samples_.begin(), samples_.end());
-}
-
-SampledSignal SampledSignal::slice_time(double t_begin, double t_end) const {
-    XYSIG_EXPECTS(t_end > t_begin);
-    const std::size_t n = samples_.size();
-    const auto time_of = [this](std::size_t i) {
-        return start_time_ + static_cast<double>(i) * dt_;
-    };
-    // The kept range is contiguous (times are monotone), so compute the
-    // index bounds arithmetically, then nudge by at most a step or two so
-    // the boundary samples satisfy exactly the same floating-point
-    // predicate (t >= t_begin && t < t_end) the previous full scan applied.
-    const auto first_index_at_or_after = [&](double t_limit, std::size_t lo) {
-        const double pos = std::ceil((t_limit - start_time_) / dt_);
-        std::size_t i = lo;
-        if (pos > static_cast<double>(lo))
-            i = pos >= static_cast<double>(n) ? n : static_cast<std::size_t>(pos);
-        while (i > lo && time_of(i - 1) >= t_limit)
-            --i;
-        while (i < n && time_of(i) < t_limit)
-            ++i;
-        return i;
-    };
-    const std::size_t first = first_index_at_or_after(t_begin, 0);
-    const std::size_t end = first_index_at_or_after(t_end, first);
-    XYSIG_ENSURES(end > first);
-    std::vector<double> out(samples_.begin() + static_cast<std::ptrdiff_t>(first),
-                            samples_.begin() + static_cast<std::ptrdiff_t>(end));
-    return SampledSignal(time_of(first), dt_, std::move(out));
 }
 
 void SampledSignal::add_white_noise(Rng& rng, double sigma) {
@@ -130,10 +80,6 @@ XyTrace::XyTrace(SampledSignal x, SampledSignal y) : x_(std::move(x)), y_(std::m
     XYSIG_EXPECTS(x_.dt() == y_.dt());
     // xylint: exact-compare(contract: both channels start at the identical instant, bit for bit)
     XYSIG_EXPECTS(x_.start_time() == y_.start_time());
-}
-
-XyTrace::Box XyTrace::bounding_box() const {
-    return Box{x_.min(), x_.max(), y_.min(), y_.max()};
 }
 
 void XyTrace::add_white_noise(Rng& rng, double sigma) {

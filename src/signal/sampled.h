@@ -52,17 +52,8 @@ public:
     [[nodiscard]] double operator[](std::size_t i) const;
     [[nodiscard]] std::span<const double> samples() const noexcept { return samples_; }
 
-    /// Linear interpolation at arbitrary time t inside the sampled span;
-    /// clamps to the first/last sample outside it.
-    [[nodiscard]] double value_at(double t) const;
-
-    /// Root-mean-square of the samples.
-    [[nodiscard]] double rms() const;
     [[nodiscard]] double min() const;
     [[nodiscard]] double max() const;
-
-    /// New signal keeping samples with time in [t_begin, t_end).
-    [[nodiscard]] SampledSignal slice_time(double t_begin, double t_end) const;
 
     /// Adds white Gaussian noise of the given sigma in place. The paper's
     /// robustness study uses null-mean noise with 3*sigma = 15 mV.
@@ -87,12 +78,6 @@ public:
     [[nodiscard]] double dt() const noexcept { return x_.dt(); }
     [[nodiscard]] double start_time() const noexcept { return x_.start_time(); }
     [[nodiscard]] double time_at(std::size_t i) const { return x_.time_at(i); }
-
-    /// Bounding box of the trace; used to auto-window plots.
-    struct Box {
-        double x_min, x_max, y_min, y_max;
-    };
-    [[nodiscard]] Box bounding_box() const;
 
     /// Adds independent white noise to both channels (paper Section IV-C).
     void add_white_noise(Rng& rng, double sigma);

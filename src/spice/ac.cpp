@@ -47,7 +47,7 @@ AcResult run_ac(const Netlist& nl, const AcOptions& opts) {
     XYSIG_EXPECTS(opts.f_stop > opts.f_start);
     XYSIG_EXPECTS(opts.points_per_decade >= 1);
 
-    const OperatingPoint op = dc_operating_point(nl, opts.dc);
+    const OperatingPoint op = dc_operating_point(nl);
     const std::size_t n = nl.assign_unknowns();
     const std::size_t n_node_vars = nl.node_count() - 1;
 
@@ -74,7 +74,7 @@ AcResult run_ac(const Netlist& nl, const AcOptions& opts) {
         for (const auto& dev : nl.devices())
             dev->stamp_ac(ctx);
         for (std::size_t i = 0; i < n_node_vars; ++i)
-            a(i, i) += std::complex<double>(opts.dc.gmin, 0.0);
+            a(i, i) += std::complex<double>(kGmin, 0.0);
 
         result.append(f, solve_linear_system(std::move(a), b));
     }

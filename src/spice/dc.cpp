@@ -29,6 +29,14 @@ bool same_bits(const double* a, const double* b, std::size_t count) {
     return count == 0 || std::memcmp(a, b, count * sizeof(double)) == 0;
 }
 
+// The Newton solve and the convergence ladder (see dc.h).
+constexpr int kMaxNewtonIterations = 200;
+constexpr double kAbsTol = 1e-9;  ///< volts or amperes
+constexpr double kRelTol = 1e-6;  ///< per unknown: |delta| <= kAbsTol + kRelTol * |x|
+constexpr double kMaxStep = 0.5;  ///< volts: keeps the exponential models in range
+constexpr double kGminSteppingStart = 1e-3;
+constexpr int kSourceSteps = 10;
+
 } // namespace
 
 MnaWorkspace::MnaWorkspace(std::size_t unknowns)
@@ -64,14 +72,14 @@ bool MnaWorkspace::solve() {
 namespace detail {
 
 int newton_solve(const Netlist& nl, MnaWorkspace& ws, std::vector<double>& x,
-                 const NewtonOptions& opts, AnalysisMode mode, Integrator integrator,
-                 double time, double dt, double gmin, double source_scale) {
+                 AnalysisMode mode, Integrator integrator, double time, double dt,
+                 double gmin, double source_scale) {
     const std::size_t n_unknowns = ws.unknowns();
     XYSIG_EXPECTS(x.size() == n_unknowns);
     const std::size_t n_node_vars = nl.node_count() - 1;
 
     Matrix<double>& a = ws.matrix();
-    for (int iter = 1; iter <= opts.max_iterations; ++iter) {
+    for (int iter = 1; iter <= kMaxNewtonIterations; ++iter) {
         ws.clear();
         RealAssembler mna(a, ws.rhs(), nl.node_count());
 
@@ -81,7 +89,6 @@ int newton_solve(const Netlist& nl, MnaWorkspace& ws, std::vector<double>& x,
         ctx.time = time;
         ctx.dt = dt;
         ctx.source_scale = source_scale;
-        ctx.gmin = gmin;
         ctx.x = x;
         ctx.mna = &mna;
 
@@ -98,12 +105,12 @@ int newton_solve(const Netlist& nl, MnaWorkspace& ws, std::vector<double>& x,
         double max_delta = 0.0;
         for (std::size_t i = 0; i < n_unknowns; ++i)
             max_delta = std::max(max_delta, std::abs(x_new[i] - x[i]));
-        const double damp = (max_delta > opts.max_step) ? opts.max_step / max_delta : 1.0;
+        const double damp = (max_delta > kMaxStep) ? kMaxStep / max_delta : 1.0;
 
         bool converged = true;
         for (std::size_t i = 0; i < n_unknowns; ++i) {
             const double delta = x_new[i] - x[i];
-            if (std::abs(delta) > opts.abstol + opts.reltol * std::abs(x[i]))
+            if (std::abs(delta) > kAbsTol + kRelTol * std::abs(x[i]))
                 converged = false;
             x[i] += damp * delta;
         }
@@ -114,11 +121,14 @@ int newton_solve(const Netlist& nl, MnaWorkspace& ws, std::vector<double>& x,
     return -1;
 }
 
-OperatingPoint dc_operating_point(const Netlist& nl, const DcOptions& opts,
-                                  double time, MnaWorkspace& ws) {
+OperatingPoint dc_operating_point(const Netlist& nl, MnaWorkspace& ws) {
     const std::size_t n = ws.unknowns();
     const std::size_t factorised_before = ws.lu_factorisations();
     std::vector<double> x(n, 0.0);
+    const auto solve = [&](double gmin, double source_scale) {
+        return newton_solve(nl, ws, x, AnalysisMode::dc_op, Integrator::trapezoidal,
+                            0.0, 0.0, gmin, source_scale);
+    };
     const auto solved = [&](int newton_iterations) {
         OperatingPoint op(nl, std::move(x));
         op.newton_iterations = newton_iterations;
@@ -127,8 +137,7 @@ OperatingPoint dc_operating_point(const Netlist& nl, const DcOptions& opts,
     };
 
     // Ladder 1: plain Newton from a zero start.
-    int iters = newton_solve(nl, ws, x, opts.newton, AnalysisMode::dc_op,
-                             Integrator::trapezoidal, time, 0.0, opts.gmin, 1.0);
+    int iters = solve(kGmin, 1.0);
     if (iters > 0)
         return solved(iters);
 
@@ -136,9 +145,8 @@ OperatingPoint dc_operating_point(const Netlist& nl, const DcOptions& opts,
     bool gmin_ok = true;
     std::fill(x.begin(), x.end(), 0.0);
     int total_iters = 0;
-    for (double g = opts.gmin_stepping_start; g >= opts.gmin; g /= 10.0) {
-        iters = newton_solve(nl, ws, x, opts.newton, AnalysisMode::dc_op,
-                             Integrator::trapezoidal, time, 0.0, g, 1.0);
+    for (double g = kGminSteppingStart; g >= kGmin; g /= 10.0) {
+        iters = solve(g, 1.0);
         if (iters < 0) {
             gmin_ok = false;
             break;
@@ -147,8 +155,7 @@ OperatingPoint dc_operating_point(const Netlist& nl, const DcOptions& opts,
     }
     if (gmin_ok) {
         // Final polish at the target gmin.
-        iters = newton_solve(nl, ws, x, opts.newton, AnalysisMode::dc_op,
-                             Integrator::trapezoidal, time, 0.0, opts.gmin, 1.0);
+        iters = solve(kGmin, 1.0);
         if (iters > 0) {
             OperatingPoint op = solved(total_iters + iters);
             op.used_gmin_stepping = true;
@@ -160,10 +167,8 @@ OperatingPoint dc_operating_point(const Netlist& nl, const DcOptions& opts,
     std::fill(x.begin(), x.end(), 0.0);
     total_iters = 0;
     bool source_ok = true;
-    for (int s = 1; s <= opts.source_steps; ++s) {
-        const double scale = static_cast<double>(s) / opts.source_steps;
-        iters = newton_solve(nl, ws, x, opts.newton, AnalysisMode::dc_op,
-                             Integrator::trapezoidal, time, 0.0, opts.gmin, scale);
+    for (int s = 1; s <= kSourceSteps; ++s) {
+        iters = solve(kGmin, static_cast<double>(s) / kSourceSteps);
         if (iters < 0) {
             source_ok = false;
             break;
@@ -182,11 +187,10 @@ OperatingPoint dc_operating_point(const Netlist& nl, const DcOptions& opts,
 
 } // namespace detail
 
-OperatingPoint dc_operating_point(const Netlist& nl, const DcOptions& opts,
-                                  double time) {
+OperatingPoint dc_operating_point(const Netlist& nl) {
     nl.validate();
     MnaWorkspace ws(nl.assign_unknowns());
-    return detail::dc_operating_point(nl, opts, time, ws);
+    return detail::dc_operating_point(nl, ws);
 }
 
 } // namespace xysig::spice

@@ -4,6 +4,19 @@
 /// \file dc.h
 /// Nonlinear DC solution: damped Newton-Raphson with gmin stepping and
 /// source stepping fallbacks (the standard SPICE convergence ladder).
+///
+/// Every solve runs one fixed configuration:
+///  * a Newton solve takes at most 200 iterations; it converges when every
+///    unknown moves by at most 1e-9 + 1e-6 * |x|, and each update is scaled
+///    so no unknown moves more than 0.5 (volts) per iteration;
+///  * every node has kGmin (1e-12 S) to ground;
+///  * the ladder, each rung starting from all-zero unknowns: plain Newton;
+///    then gmin stepping, from 1e-3 S down by decades to kGmin, plus a
+///    final solve at kGmin; then source stepping, every independent source
+///    ramped in 10 equal steps at kGmin. NumericError when all three fail;
+///  * sources are evaluated at t = 0, where a transient starts.
+/// No cache key (SignaturePipeline::fingerprint, WireJob::universe_key)
+/// records a solver setting; one configuration is what makes that sound.
 
 #include <cstddef>
 #include <span>
@@ -87,26 +100,22 @@ private:
     std::size_t lu_factorisations_ = 0;
 };
 
-/// Solves the DC operating point with sources evaluated at the given time.
-/// Throws NumericError when all convergence aids fail.
-[[nodiscard]] OperatingPoint dc_operating_point(const Netlist& nl,
-                                                const DcOptions& opts = {},
-                                                double time = 0.0);
+/// Solves the DC operating point (sources at t = 0) through the ladder of
+/// the file comment. Throws NumericError when all convergence aids fail.
+[[nodiscard]] OperatingPoint dc_operating_point(const Netlist& nl);
 
 namespace detail {
 
 /// dc_operating_point inside a caller's workspace, which must be sized by
 /// nl.assign_unknowns() after nl.validate().
-[[nodiscard]] OperatingPoint dc_operating_point(const Netlist& nl,
-                                                const DcOptions& opts,
-                                                double time, MnaWorkspace& ws);
+[[nodiscard]] OperatingPoint dc_operating_point(const Netlist& nl, MnaWorkspace& ws);
 
 /// One damped-Newton solve at fixed gmin / source_scale in ws; x is the
 /// initial guess on entry and the solution on success. Returns iterations
 /// used, or -1 when not converged (including singular-matrix failures).
 int newton_solve(const Netlist& nl, MnaWorkspace& ws, std::vector<double>& x,
-                 const NewtonOptions& opts, AnalysisMode mode, Integrator integrator,
-                 double time, double dt, double gmin, double source_scale);
+                 AnalysisMode mode, Integrator integrator, double time, double dt,
+                 double gmin, double source_scale);
 
 } // namespace detail
 

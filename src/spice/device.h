@@ -26,7 +26,6 @@ struct StampContext {
     double time = 0.0;         ///< evaluation time for sources (end of step)
     double dt = 0.0;           ///< current step; 0 in DC
     double source_scale = 1.0; ///< source stepping ramp; 1 in normal solves
-    double gmin = 1e-12;
     std::span<const double> x; ///< current Newton iterate
     RealAssembler* mna = nullptr;
 

@@ -93,8 +93,6 @@ public:
         (*b_)[static_cast<std::size_t>(row)] += v;
     }
 
-    [[nodiscard]] std::size_t unknown_count() const noexcept { return b_->size(); }
-
 private:
     Matrix<T>* a_;
     std::vector<T>* b_;

@@ -8,29 +8,27 @@ namespace xysig::spice {
 
 TransientCounts stream_transient(const Netlist& nl, const TransientOptions& opts,
                                  const TransientStepSink& on_step) {
-    XYSIG_EXPECTS(opts.t_stop > opts.t_start);
+    XYSIG_EXPECTS(opts.t_stop > 0.0);
     XYSIG_EXPECTS(opts.dt > 0.0);
     XYSIG_EXPECTS(on_step != nullptr);
-    const auto steps = static_cast<std::size_t>(
-        std::llround((opts.t_stop - opts.t_start) / opts.dt));
+    const auto steps = static_cast<std::size_t>(std::llround(opts.t_stop / opts.dt));
     XYSIG_EXPECTS(steps >= 1);
 
     nl.validate();
     MnaWorkspace ws(nl.assign_unknowns());
-    const OperatingPoint op = detail::dc_operating_point(nl, opts.dc, opts.t_start, ws);
+    const OperatingPoint op = detail::dc_operating_point(nl, ws);
     for (const auto& dev : nl.devices())
         dev->begin_transient(op.unknowns());
-    on_step(0, opts.t_start, op.unknowns());
+    on_step(0, 0.0, op.unknowns());
 
     std::vector<double> x(op.unknowns().begin(), op.unknowns().end());
     TransientCounts counts;
     for (std::size_t k = 1; k <= steps; ++k) {
-        const double t_new = opts.t_start + static_cast<double>(k) * opts.dt;
+        const double t_new = static_cast<double>(k) * opts.dt;
         const Integrator integ =
-            (k == 1) ? Integrator::backward_euler : opts.integrator;
-        const int iters = detail::newton_solve(
-            nl, ws, x, opts.dc.newton, AnalysisMode::transient, integ, t_new,
-            opts.dt, opts.dc.gmin, 1.0);
+            (k == 1) ? Integrator::backward_euler : Integrator::trapezoidal;
+        const int iters = detail::newton_solve(nl, ws, x, AnalysisMode::transient,
+                                               integ, t_new, opts.dt, kGmin, 1.0);
         if (iters < 0)
             throw NumericError("run_transient: step did not converge at t = " +
                                std::to_string(t_new));

@@ -2,10 +2,13 @@
 #define XYSIG_SPICE_TRANSIENT_H
 
 /// \file transient.h
-/// Time-domain analysis: one fixed-step trapezoidal/backward-Euler loop that
-/// hands every accepted time point to a callback. A caller that reads a
-/// window (SpiceCut: two nodes over the last period) keeps only that window;
-/// TransientResult is the consumer that records the whole trajectory.
+/// Time-domain analysis: one fixed-step loop that hands every accepted time
+/// point to a callback. A run starts at t = 0 from the DC operating point
+/// (dc.h, with its one solver configuration); its first step is backward
+/// Euler, which damps the operating-point discontinuity, and every later
+/// step is trapezoidal. A caller that reads a window (SpiceCut: two nodes
+/// over the last period) keeps only that window; TransientResult is the
+/// consumer that records the whole trajectory.
 
 #include <cstddef>
 #include <functional>
@@ -28,8 +31,7 @@ namespace xysig::spice {
 }
 
 /// Receives accepted time point `step` at time t with every unknown of its
-/// solution. Step 0 is the DC operating point at t_start; step k is
-/// t_start + k * dt.
+/// solution. Step 0 is the DC operating point at t = 0; step k is k * dt.
 using TransientStepSink = std::function<void(
     std::size_t step, double t, std::span<const double> unknowns)>;
 
@@ -41,14 +43,13 @@ struct TransientCounts {
 
 /// Runs a transient analysis, handing each accepted time point to on_step
 /// as it is accepted. The initial condition is the DC operating point with
-/// sources evaluated at t_start; then come round((t_stop - t_start) / dt)
-/// fixed steps, the first by backward Euler to damp the operating-point
-/// discontinuity and the rest by opts.integrator. The operating point and
-/// every step solve in one MnaWorkspace owned by the run. Throws
-/// NumericError when the operating point or a step does not converge. The
-/// netlist's device state is mutated during the run, so one netlist must
-/// never be simulated from two threads at once — clone it per worker
-/// (Netlist::clone()).
+/// sources evaluated at t = 0; then come round(t_stop / dt) fixed steps,
+/// the first by backward Euler and the rest by the trapezoidal rule. The
+/// operating point and every step solve in one MnaWorkspace owned by the
+/// run. Throws NumericError when the operating point or a step does not
+/// converge. The netlist's device state is mutated during the run, so one
+/// netlist must never be simulated from two threads at once — clone it per
+/// worker (Netlist::clone()).
 TransientCounts stream_transient(const Netlist& nl, const TransientOptions& opts,
                                  const TransientStepSink& on_step);
 

@@ -92,24 +92,5 @@ TEST(AsciiCanvas, NonFinitePointsIgnored) {
     EXPECT_EQ(os.str().find('N'), std::string::npos);
 }
 
-TEST(AsciiPlotSeries, RendersWithoutThrowing) {
-    std::vector<double> xs, ys;
-    for (int i = 0; i <= 100; ++i) {
-        xs.push_back(static_cast<double>(i));
-        ys.push_back(static_cast<double>(i * i));
-    }
-    std::ostringstream os;
-    ascii_plot_series(os, xs, ys, "parabola");
-    EXPECT_NE(os.str().find("parabola"), std::string::npos);
-    EXPECT_NE(os.str().find('*'), std::string::npos);
-}
-
-TEST(AsciiPlotSeries, FlatSeriesGetsWindow) {
-    const std::vector<double> xs = {0.0, 1.0, 2.0};
-    const std::vector<double> ys = {5.0, 5.0, 5.0};
-    std::ostringstream os;
-    EXPECT_NO_THROW(ascii_plot_series(os, xs, ys, "flat"));
-}
-
 } // namespace
 } // namespace xysig

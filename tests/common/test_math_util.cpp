@@ -1,5 +1,5 @@
-// Unit tests for common/math_util: tolerant comparison, grids, root finding
-// and the exact rational arithmetic behind Lissajous period computation.
+// Unit tests for common/math_util: grids, root finding and the exact
+// rational arithmetic behind Lissajous period computation.
 
 #include "common/math_util.h"
 
@@ -11,21 +11,6 @@
 
 namespace xysig {
 namespace {
-
-TEST(ApproxEqual, ExactValuesMatch) {
-    EXPECT_TRUE(approx_equal(1.0, 1.0));
-    EXPECT_TRUE(approx_equal(0.0, 0.0));
-}
-
-TEST(ApproxEqual, RelativeToleranceScalesWithMagnitude) {
-    EXPECT_TRUE(approx_equal(1e9, 1e9 * (1 + 1e-10)));
-    EXPECT_FALSE(approx_equal(1e9, 1e9 * (1 + 1e-6)));
-}
-
-TEST(ApproxEqual, AbsoluteToleranceNearZero) {
-    EXPECT_TRUE(approx_equal(0.0, 1e-13));
-    EXPECT_FALSE(approx_equal(0.0, 1e-3));
-}
 
 TEST(Linspace, EndpointsAndSpacing) {
     const auto g = linspace(0.0, 1.0, 5);

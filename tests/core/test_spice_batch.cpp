@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "capture/fault_injection.h"
+#include "common/parallel.h"
 #include "core/paper_setup.h"
 #include "filter/tow_thomas.h"
 #include "monitor/table1.h"
@@ -169,7 +170,7 @@ TEST(SpiceBatch, BatchMatchesSerialBitIdenticallyAtAnyThreadCount) {
     }
 }
 
-TEST(SpiceBatch, EvaluateNetlistFaultsMatchesManualUniverseAndDetects) {
+TEST(SpiceBatch, FaultUniverseOnAPoolMatchesManualUniverseAndDetects) {
     const auto ckt = nominal_circuit();
     const auto obs = observation(ckt);
     SignaturePipeline pipe = make_pipeline();
@@ -178,9 +179,13 @@ TEST(SpiceBatch, EvaluateNetlistFaultsMatchesManualUniverseAndDetects) {
         obs.x_node, obs.y_node, obs.settle_periods));
 
     const auto faults = small_universe(ckt.netlist);
-    const BatchNdfEvaluator batch(pipe, {.threads = 4});
+    const FaultUniverse universe(std::make_shared<const spice::Netlist>(ckt.netlist.clone()),
+                                 faults, obs);
+    ThreadPool pool(4);
+    std::vector<double> ndfs(universe.size());
     const std::uint64_t clones_before = spice::Netlist::clone_count();
-    const auto ndfs = batch.evaluate_netlist_faults(ckt.netlist, faults, obs);
+    (void)run_universe(universe, pipe, {&pool, 4},
+                       [&](const MemberResult& r) { ndfs[r.member_id] = r.ndf; });
     // One clone per participating worker (inject/repair), not one per fault.
     EXPECT_LE(spice::Netlist::clone_count() - clones_before, 4u);
 

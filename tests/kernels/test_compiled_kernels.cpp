@@ -1,7 +1,8 @@
 // Bit-identity of the compiled signature kernels against the virtual path:
 // mos_id vs mos_evaluate().id, tone-table sampling vs per-sample
 // Waveform::value, compiled zoning vs MonitorBank::code over randomized
-// traces for every boundary type (linear, MOS, mixed banks, fallback), the
+// traces for every boundary type (linear, MOS, mixed banks; any other type
+// is rejected), the
 // fused encode_codes path vs encode_events, and the pipeline's scratch
 // path (the only NDF path) vs its virtual observation path, chronogram(),
 // event for event (noise-free, noisy and capture-quantised). The pair-group
@@ -18,12 +19,14 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "capture/chronogram.h"
+#include "common/error.h"
 #include "common/rng.h"
 #include "core/batch_ndf.h"
 #include "core/golden_cache.h"
@@ -37,8 +40,9 @@
 namespace xysig {
 namespace {
 
-/// A boundary the compiler cannot lower: circle of radius r around
-/// (cx, cy), origin outside -> h < 0 at the origin already.
+/// A boundary type the library does not define, so the compiler cannot
+/// lower it: circle of radius r around (cx, cy), origin outside -> h < 0 at
+/// the origin already.
 class CircleBoundary final : public monitor::Boundary {
 public:
     CircleBoundary(double cx, double cy, double r) : cx_(cx), cy_(cy), r_(r) {}
@@ -167,8 +171,6 @@ TEST(CompiledMonitorBank, Table1MosBankBitIdentical) {
     random_trace(rng, 2048, xs, ys);
     const auto bank = monitor::build_table1_bank();
     const auto compiled = kernels::CompiledMonitorBank::compile(bank);
-    EXPECT_EQ(compiled.compiled_count(), bank.size());
-    EXPECT_EQ(compiled.fallback_count(), 0u);
     // Table I shares its X/Y input devices across rows: the 12 dynamic
     // legs deduplicate to 6 unique currents per sample.
     EXPECT_EQ(compiled.unique_leg_count(), 6u);
@@ -198,12 +200,12 @@ TEST(CompiledMonitorBank, LinearBankBitIdentical) {
     std::vector<double> ys;
     random_trace(rng, 2048, xs, ys);
     const auto bank = monitor::build_linear_approximation_bank();
-    const auto compiled = kernels::CompiledMonitorBank::compile(bank);
-    EXPECT_EQ(compiled.fallback_count(), 0u);
     expect_codes_identical(bank, xs, ys);
 }
 
-TEST(CompiledMonitorBank, MixedBankWithFallbackBitIdentical) {
+TEST(CompiledMonitorBank, LowersLinearAndMosMonitorsAndRejectsOtherTypes) {
+    // A bank mixing the two boundary types the library defines zones bit
+    // for bit like the virtual path; any other type is refused by name.
     Rng rng(44u);
     std::vector<double> xs;
     std::vector<double> ys;
@@ -211,45 +213,19 @@ TEST(CompiledMonitorBank, MixedBankWithFallbackBitIdentical) {
     monitor::MonitorBank bank;
     bank.add(std::make_unique<monitor::LinearBoundary>(1.0, 1.0, -1.0));
     bank.add(std::make_unique<monitor::MosCurrentBoundary>(monitor::table1_config(3)));
-    bank.add(std::make_unique<CircleBoundary>(0.7, 0.7, 0.2));
     bank.add(std::make_unique<monitor::LinearBoundary>(-1.0, 2.0, -0.4));
-    const auto compiled = kernels::CompiledMonitorBank::compile(bank);
-    EXPECT_EQ(compiled.size(), 4u);
-    EXPECT_EQ(compiled.compiled_count(), 3u);
-    EXPECT_EQ(compiled.fallback_count(), 1u);
     expect_codes_identical(bank, xs, ys);
-}
 
-TEST(CompiledMonitorBank, EmptyCompilableSubsetStillCorrect) {
-    // Every monitor non-compilable: the kernel degrades to the virtual path
-    // wholesale and must still produce identical codes.
-    Rng rng(45u);
-    std::vector<double> xs;
-    std::vector<double> ys;
-    random_trace(rng, 512, xs, ys);
-    monitor::MonitorBank bank;
-    bank.add(std::make_unique<CircleBoundary>(0.3, 0.3, 0.25));
-    bank.add(std::make_unique<CircleBoundary>(0.7, 0.5, 0.15));
-    const auto compiled = kernels::CompiledMonitorBank::compile(bank);
-    EXPECT_EQ(compiled.compiled_count(), 0u);
-    EXPECT_EQ(compiled.fallback_count(), 2u);
-    expect_codes_identical(bank, xs, ys);
-}
-
-TEST(CompiledMonitorBank, CopyIsDeep) {
-    monitor::MonitorBank bank;
-    bank.add(std::make_unique<CircleBoundary>(0.3, 0.3, 0.25));
-    bank.add(std::make_unique<monitor::LinearBoundary>(1.0, 0.0, -0.5));
-    const auto compiled = kernels::CompiledMonitorBank::compile(bank);
-    const kernels::CompiledMonitorBank copy(compiled); // clones the fallback
-    const std::vector<double> xs{0.3, 0.9};
-    const std::vector<double> ys{0.4, 0.9};
-    std::vector<unsigned> copy_codes;
-    std::vector<unsigned> codes;
-    copy.codes_into(xs, ys, copy_codes);
-    compiled.codes_into(xs, ys, codes);
-    EXPECT_EQ(copy_codes[0], codes[0]);
-    EXPECT_EQ(copy_codes[1], bank.code(0.9, 0.9));
+    bank.add(std::make_unique<CircleBoundary>(0.7, 0.7, 0.2));
+    try {
+        (void)kernels::CompiledMonitorBank::compile(bank);
+        FAIL() << "a CircleBoundary was compiled";
+    } catch (const InvalidInput& e) {
+        EXPECT_NE(std::string(e.what()).find("monitor 3 of 4"), std::string::npos)
+            << e.what();
+    }
+    // A pipeline compiles its bank, so it refuses the bank too.
+    EXPECT_THROW((void)core::SignaturePipeline(bank, core::paper_stimulus()), InvalidInput);
 }
 
 TEST(EncodeCodes, MatchesEncodeEvents) {
@@ -365,11 +341,10 @@ using Lanes = kernels::CompiledMonitorBank::XPairLanes;
 /// 100 nA comparator offset keeps each monitor's origin probe signed: a
 /// level-1 device carries no current below threshold.
 monitor::MonitorBank table1_variant(spice::MosModel model, spice::MosType type) {
-    monitor::Table1Options opts = monitor::default_table1_options();
-    opts.device.model = model;
-    opts.device.type = type;
     monitor::MonitorBank bank;
-    for (monitor::MonitorConfig cfg : monitor::table1_configs(opts)) {
+    for (monitor::MonitorConfig cfg : monitor::table1_configs()) {
+        cfg.device.model = model;
+        cfg.device.type = type;
         cfg.offset_current = 1e-7;
         bank.add(std::make_unique<monitor::MosCurrentBoundary>(cfg));
     }

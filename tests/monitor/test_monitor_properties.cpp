@@ -2,6 +2,8 @@
 // the zone structure the paper relies on must be robust to the device
 // template, not an artefact of one calibration point.
 
+#include <memory>
+
 #include <gtest/gtest.h>
 
 #include "monitor/table1.h"
@@ -19,29 +21,36 @@ struct Corner {
 
 class MonitorCorners : public ::testing::TestWithParam<Corner> {
 protected:
-    Table1Options options() const {
-        Table1Options opts = default_table1_options();
-        opts.device.vt0 = GetParam().vt0;
-        opts.device.kp = GetParam().kp;
-        opts.device.n_slope = GetParam().n_slope;
-        return opts;
+    /// Table I row `row` with the corner's device template.
+    MonitorConfig config(int row) const {
+        MonitorConfig cfg = table1_config(row);
+        cfg.device.vt0 = GetParam().vt0;
+        cfg.device.kp = GetParam().kp;
+        cfg.device.n_slope = GetParam().n_slope;
+        return cfg;
+    }
+    /// The Table I bank at the corner.
+    MonitorBank bank() const {
+        MonitorBank out;
+        for (int row = 1; row <= 6; ++row)
+            out.add(std::make_unique<MosCurrentBoundary>(config(row)));
+        return out;
     }
 };
 
 TEST_P(MonitorCorners, OriginZoneIsAllZeros) {
-    const MonitorBank bank = build_table1_bank(options());
-    EXPECT_EQ(bank.code(0.02, 0.005), 0u);
+    EXPECT_EQ(bank().code(0.02, 0.005), 0u);
 }
 
 TEST_P(MonitorCorners, GrayPropertyHolds) {
-    const MonitorBank bank = build_table1_bank(options());
+    const MonitorBank bank = this->bank();
     const ZoneMap zm(bank, 0.0, 1.0, 0.0, 1.0, 128);
     EXPECT_LT(zm.gray_violation_fraction(), 0.03) << GetParam().name;
 }
 
 TEST_P(MonitorCorners, ZoneCountStaysNearSixteen) {
     // Corner shifts move the curves but must not collapse the partition.
-    const MonitorBank bank = build_table1_bank(options());
+    const MonitorBank bank = this->bank();
     const ZoneMap zm(bank, 0.0, 1.0, 0.0, 1.0, 128);
     EXPECT_GE(zm.zone_count(), 12u) << GetParam().name;
     EXPECT_LE(zm.zone_count(), 20u) << GetParam().name;
@@ -49,7 +58,7 @@ TEST_P(MonitorCorners, ZoneCountStaysNearSixteen) {
 
 TEST_P(MonitorCorners, DiagonalMonitorStaysDiagonal) {
     // Curve 6 is set by symmetry, not by absolute device parameters.
-    const MosCurrentBoundary b(table1_config(6, options()));
+    const MosCurrentBoundary b(config(6));
     for (double v : {0.2, 0.5, 0.8}) {
         EXPECT_TRUE(b.side(v - 0.05, v + 0.05)) << GetParam().name;
         EXPECT_FALSE(b.side(v + 0.05, v - 0.05)) << GetParam().name;
@@ -60,9 +69,8 @@ TEST_P(MonitorCorners, BoundariesRespondMonotonicallyAlongY) {
     // For monitors with Y on the left branch, h grows with y at fixed x
     // (more left current): the zone bit can flip at most once along a
     // vertical line — required for the signature's run-length structure.
-    const auto opts = options();
     for (int row : {1, 3, 4, 5}) {
-        const MosCurrentBoundary b(table1_config(row, opts));
+        const MosCurrentBoundary b(config(row));
         for (double x : {0.1, 0.5, 0.9}) {
             double prev = b.h(x, 0.0);
             for (double y = 0.05; y <= 1.0; y += 0.05) {

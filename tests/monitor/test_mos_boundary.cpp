@@ -4,6 +4,8 @@
 #include "monitor/mos_boundary.h"
 
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -11,6 +13,21 @@
 
 namespace xysig::monitor {
 namespace {
+
+TEST(Table1, BankFingerprintIsPinned) {
+    // Every Table I row takes its device template and drain bias from the
+    // MosParams and MonitorConfig defaults. The bank's fingerprint spells
+    // each parameter out as an exact hexfloat, so it is the same on every
+    // platform, and a moved default changes it.
+    const std::string fp = build_table1_bank().fingerprint();
+    std::uint64_t fnv1a = 0xcbf29ce484222325ULL;
+    for (const unsigned char c : fp) {
+        fnv1a ^= c;
+        fnv1a *= 0x100000001b3ULL;
+    }
+    EXPECT_EQ(fp.size(), 2331u);
+    EXPECT_EQ(fnv1a, 0x770f0a426566c580ULL);
+}
 
 TEST(MosCurrentBoundary, OriginSideIsZeroForAllTable1Curves) {
     for (int row = 1; row <= 6; ++row) {

@@ -35,105 +35,11 @@ TEST(SampledSignal, EndpointExcludedSoPeriodsConcatenate) {
     EXPECT_NEAR(s.time_at(9), 0.9, 1e-12);
 }
 
-TEST(SampledSignal, ValueAtInterpolatesLinearly) {
-    SampledSignal s(0.0, 1.0, {0.0, 10.0, 20.0});
-    EXPECT_DOUBLE_EQ(s.value_at(0.5), 5.0);
-    EXPECT_DOUBLE_EQ(s.value_at(1.25), 12.5);
-    EXPECT_DOUBLE_EQ(s.value_at(-1.0), 0.0);  // clamp low
-    EXPECT_DOUBLE_EQ(s.value_at(10.0), 20.0); // clamp high
-}
-
-TEST(SampledSignal, RmsOfSine) {
-    const SineWaveform w(0.0, 1.0, 1.0);
-    const auto s = SampledSignal::from_waveform(w, 0.0, 1.0, 1000);
-    EXPECT_NEAR(s.rms(), 1.0 / std::sqrt(2.0), 1e-3);
-}
-
 TEST(SampledSignal, MinMax) {
     const SineWaveform w(0.5, 0.3, 1.0);
     const auto s = SampledSignal::from_waveform(w, 0.0, 1.0, 1000);
     EXPECT_NEAR(s.min(), 0.2, 1e-4);
     EXPECT_NEAR(s.max(), 0.8, 1e-4);
-}
-
-TEST(SampledSignal, SliceTimeKeepsAlignment) {
-    SampledSignal s(0.0, 0.1, {0.0, 1.0, 2.0, 3.0, 4.0, 5.0});
-    const auto cut = s.slice_time(0.15, 0.45);
-    ASSERT_EQ(cut.size(), 3u);
-    EXPECT_NEAR(cut.start_time(), 0.2, 1e-12);
-    EXPECT_DOUBLE_EQ(cut[0], 2.0);
-    EXPECT_DOUBLE_EQ(cut[2], 4.0);
-}
-
-/// Reference implementation of the pre-arithmetic slice_time: scan every
-/// index and apply the predicate directly. The arithmetic version must
-/// select exactly the same samples under floating-point rounding.
-SampledSignal slice_time_by_scan(const SampledSignal& s, double t_begin,
-                                 double t_end) {
-    std::vector<double> out;
-    double new_start = t_begin;
-    bool first = true;
-    for (std::size_t i = 0; i < s.size(); ++i) {
-        const double t = s.time_at(i);
-        if (t >= t_begin && t < t_end) {
-            if (first) {
-                new_start = t;
-                first = false;
-            }
-            out.push_back(s[i]);
-        }
-    }
-    return SampledSignal(new_start, s.dt(), std::move(out));
-}
-
-TEST(SampledSignal, SliceTimeMatchesFullScanOnRandomWindows) {
-    Rng rng(99u);
-    for (int rep = 0; rep < 200; ++rep) {
-        const double start = rng.uniform(-1.0, 1.0);
-        const double dt = rng.uniform(1e-6, 0.3);
-        const std::size_t n = 2 + static_cast<std::size_t>(rng.uniform(0.0, 64.0));
-        std::vector<double> samples(n);
-        for (double& v : samples)
-            v = rng.uniform(-1.0, 1.0);
-        const SampledSignal s(start, dt, samples);
-
-        // Windows that straddle the signal, clip an edge or land exactly on
-        // sample instants (the FP-sensitive case).
-        double t_begin = rng.uniform(start - 2.0 * dt,
-                                     start + static_cast<double>(n) * dt);
-        if (rep % 3 == 0)
-            t_begin = s.time_at(static_cast<std::size_t>(
-                rng.uniform(0.0, static_cast<double>(n - 1))));
-        const double t_end =
-            t_begin + rng.uniform(dt, static_cast<double>(n + 2) * dt);
-
-        const SampledSignal ref = slice_time_by_scan(s, t_begin, t_end);
-        if (ref.empty()) {
-            EXPECT_THROW((void)s.slice_time(t_begin, t_end), ContractError)
-                << "rep " << rep;
-            continue;
-        }
-        const SampledSignal got = s.slice_time(t_begin, t_end);
-        ASSERT_EQ(got.size(), ref.size()) << "rep " << rep;
-        EXPECT_EQ(got.start_time(), ref.start_time()) << "rep " << rep;
-        for (std::size_t i = 0; i < got.size(); ++i)
-            ASSERT_EQ(got[i], ref[i]) << "rep " << rep << " sample " << i;
-    }
-}
-
-TEST(SampledSignal, SliceTimeWholeSignalAndEdges) {
-    const SampledSignal s(1.0, 0.25, {10.0, 11.0, 12.0, 13.0});
-    const auto all = s.slice_time(0.0, 100.0);
-    ASSERT_EQ(all.size(), 4u);
-    EXPECT_DOUBLE_EQ(all.start_time(), 1.0);
-    // t_begin exactly on a sample keeps it; t_end exactly on one drops it.
-    const auto half = s.slice_time(1.25, 1.75);
-    ASSERT_EQ(half.size(), 2u);
-    EXPECT_DOUBLE_EQ(half[0], 11.0);
-    EXPECT_DOUBLE_EQ(half[1], 12.0);
-    // Window entirely outside the samples: nothing to keep.
-    EXPECT_THROW((void)s.slice_time(3.0, 4.0), ContractError);
-    EXPECT_THROW((void)s.slice_time(-2.0, -1.0), ContractError);
 }
 
 TEST(SampledSignal, WhiteNoiseHasRequestedSigma) {
@@ -160,17 +66,6 @@ TEST(XyTrace, RequiresMatchingTimeBase) {
     EXPECT_THROW(XyTrace(x, y_len), ContractError);
     SampledSignal y_dt(0.0, 0.5, {5.0, 6.0, 7.0});
     EXPECT_THROW(XyTrace(x, y_dt), ContractError);
-}
-
-TEST(XyTrace, BoundingBox) {
-    SampledSignal x(0.0, 1.0, {0.1, 0.9, 0.5});
-    SampledSignal y(0.0, 1.0, {0.2, 0.4, 0.8});
-    const XyTrace tr(x, y);
-    const auto box = tr.bounding_box();
-    EXPECT_DOUBLE_EQ(box.x_min, 0.1);
-    EXPECT_DOUBLE_EQ(box.x_max, 0.9);
-    EXPECT_DOUBLE_EQ(box.y_min, 0.2);
-    EXPECT_DOUBLE_EQ(box.y_max, 0.8);
 }
 
 TEST(XyTrace, NoiseAffectsBothChannels) {

@@ -2,11 +2,15 @@
 
 #include "spice/dc.h"
 
+#include <cstring>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "spice/diode.h"
 #include "spice/elements.h"
 #include "spice/mosfet.h"
+#include "support/reference_transient.h"
 
 namespace xysig::spice {
 namespace {
@@ -189,6 +193,53 @@ TEST(DcSweep, NmosInverterTransferIsMonotonicDecreasing) {
     EXPECT_LT(vout.back(), 0.3);          // on: pulled low
     for (std::size_t i = 1; i < vout.size(); ++i)
         EXPECT_LE(vout[i], vout[i - 1] + 1e-9);
+}
+
+TEST(DcOp, EachLadderRungIsReachedAndMatchesTheReference) {
+    // A diode behind 1 kOhm. Plain Newton walks the anode up from zero in
+    // damped steps of at most 0.5 V, so the source sets how far it has to
+    // go: 50 V converges in 107 of its 200 iterations, 99 V does not and
+    // falls to gmin stepping, 101 V defeats that too and falls to source
+    // stepping, and at 1100 V even one tenth of the source is too far. The
+    // counts pin the ladder's constants; the reference ladder keeps its own
+    // copies of them, and its operating point must match bit for bit.
+    const auto diode_circuit = [](double volts) {
+        Netlist nl;
+        const NodeId in = nl.node("in");
+        const NodeId a = nl.node("a");
+        nl.add<VoltageSource>("V1", in, kGround, volts);
+        nl.add<Resistor>("R1", in, a, 1e3);
+        nl.add<Diode>("D1", a, kGround);
+        return nl;
+    };
+    struct Rung {
+        double volts;
+        bool gmin_stepping;
+        bool source_stepping;
+        int newton_iterations;
+        std::size_t lu_factorisations;
+    };
+    for (const Rung& rung : {Rung{50.0, false, false, 107, 107},
+                             Rung{99.0, true, false, 215, 415},
+                             Rung{101.0, false, true, 229, 629}}) {
+        SCOPED_TRACE(rung.volts);
+        const Netlist nl = diode_circuit(rung.volts);
+        const OperatingPoint op = dc_operating_point(nl);
+        EXPECT_EQ(op.used_gmin_stepping, rung.gmin_stepping);
+        EXPECT_EQ(op.used_source_stepping, rung.source_stepping);
+        EXPECT_EQ(op.newton_iterations, rung.newton_iterations);
+        EXPECT_EQ(op.lu_factorisations, rung.lu_factorisations);
+        EXPECT_NEAR(op.voltage("a"), 0.75, 0.05); // a forward-biased junction
+
+        const std::vector<double> reference = reference_operating_point(nl);
+        ASSERT_EQ(reference.size(), op.unknowns().size());
+        EXPECT_EQ(std::memcmp(reference.data(), op.unknowns().data(),
+                              reference.size() * sizeof(double)),
+                  0);
+    }
+    const Netlist too_far = diode_circuit(1100.0);
+    EXPECT_THROW((void)dc_operating_point(too_far), NumericError);
+    EXPECT_THROW((void)reference_operating_point(too_far), NumericError);
 }
 
 TEST(DcOp, FailsCleanlyOnUnsolvableCircuit) {

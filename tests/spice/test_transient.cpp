@@ -37,6 +37,14 @@ Netlist rc_step_circuit(double r, double c) {
     return nl;
 }
 
+/// The samples of `node` at steps [first, end) of a run.
+std::vector<double> steps_of(const TransientResult& res, const std::string& node,
+                             std::size_t first, std::size_t end) {
+    const std::vector<double> trace = res.voltage_trace(node);
+    return {trace.begin() + static_cast<std::ptrdiff_t>(first),
+            trace.begin() + static_cast<std::ptrdiff_t>(end)};
+}
+
 TEST(Transient, RcStepResponseMatchesAnalytic) {
     const double r = 1e3, c = 1e-6; // tau = 1 ms
     Netlist nl = rc_step_circuit(r, c);
@@ -51,18 +59,6 @@ TEST(Transient, RcStepResponseMatchesAnalytic) {
         EXPECT_NEAR(res.voltage(nl.find_node("out"), idx), expected, 2e-3)
             << "at t=" << t;
     }
-}
-
-TEST(Transient, BackwardEulerAlsoConverges) {
-    Netlist nl = rc_step_circuit(1e3, 1e-6);
-    TransientOptions opts;
-    opts.t_stop = 3e-3;
-    opts.dt = 5e-7;
-    opts.integrator = Integrator::backward_euler;
-    const auto res = run_transient(nl, opts);
-    const double expected = 1.0 - std::exp(-3.0);
-    EXPECT_NEAR(res.voltage(nl.find_node("out"), res.step_count() - 1), expected,
-                5e-3);
 }
 
 TEST(Transient, RcSineSteadyStateGainAndPhase) {
@@ -83,10 +79,8 @@ TEST(Transient, RcSineSteadyStateGainAndPhase) {
     const auto res = run_transient(nl, opts);
 
     // Analyse the last 8 periods.
-    const auto sig = res.signal("out");
-    const auto tail = sig.slice_time(12.0 * period, 20.0 * period);
-    std::vector<double> samples(tail.samples().begin(), tail.samples().end());
-    const auto comp = tone_component(samples, 1.0 / tail.dt(), fc);
+    const std::vector<double> samples = steps_of(res, "out", 12 * 400, 20 * 400);
+    const auto comp = tone_component(samples, 1.0 / opts.dt, fc);
     EXPECT_NEAR(std::abs(comp), 1.0 / std::sqrt(2.0), 5e-3);
 }
 
@@ -108,55 +102,45 @@ TEST(Transient, LcTankOscillatesAtResonance) {
     opts.dt = 20e-9;
     const auto res = run_transient(nl, opts);
 
-    // Measure dominant frequency over the free-running tail.
-    const auto sig = res.signal("top");
-    const auto tail = sig.slice_time(10e-6, 100e-6);
-    std::vector<double> samples(tail.samples().begin(), tail.samples().end());
+    // Measure dominant frequency over the free-running tail (10 to 100 us).
+    const std::vector<double> samples = steps_of(res, "top", 500, 5000);
     const auto mags = magnitude_spectrum(samples);
     std::size_t peak = 1;
     for (std::size_t k = 2; k < mags.size(); ++k)
         if (mags[k] > mags[peak])
             peak = k;
-    const double fs = 1.0 / tail.dt();
+    const double fs = 1.0 / opts.dt;
     const double n_fft = static_cast<double>(next_pow2(samples.size()));
     const double f_peak = static_cast<double>(peak) * fs / n_fft;
     EXPECT_NEAR(f_peak, f0, 0.05 * f0);
 }
 
-TEST(Transient, TrapezoidalPreservesLcAmplitudeBetterThanBe) {
+TEST(Transient, TrapezoidalPreservesLcAmplitude) {
+    // The trapezoidal rule adds no numerical damping: a lossless tank (only
+    // a 1 GOhm anchor) keeps its swing from the second quarter of the run to
+    // the last. Backward Euler, used for the first step only, would lose
+    // most of it over these 4000 steps.
     const double l = 1e-3, c = 1e-9;
-    auto build = [&]() {
-        Netlist nl;
-        const NodeId top = nl.node("top");
-        nl.add<Inductor>("L1", top, kGround, l);
-        nl.add<Capacitor>("C1", top, kGround, c);
-        nl.add<CurrentSource>("I1", kGround, top,
-                              PwlWaveform({{0.0, 1e-3}, {5e-6, 1e-3}, {5.1e-6, 0.0}}));
-        nl.add<Resistor>("Rbig", top, kGround, 1e9);
-        return nl;
-    };
+    Netlist nl;
+    const NodeId top = nl.node("top");
+    nl.add<Inductor>("L1", top, kGround, l);
+    nl.add<Capacitor>("C1", top, kGround, c);
+    nl.add<CurrentSource>("I1", kGround, top,
+                          PwlWaveform({{0.0, 1e-3}, {5e-6, 1e-3}, {5.1e-6, 0.0}}));
+    nl.add<Resistor>("Rbig", top, kGround, 1e9);
     TransientOptions opts;
     opts.t_stop = 200e-6;
     opts.dt = 50e-9;
+    const auto res = run_transient(nl, opts);
 
-    Netlist nl_tr = build();
-    opts.integrator = Integrator::trapezoidal;
-    const auto res_tr = run_transient(nl_tr, opts);
-    Netlist nl_be = build();
-    opts.integrator = Integrator::backward_euler;
-    const auto res_be = run_transient(nl_be, opts);
-
-    auto late_amplitude = [&](const TransientResult& res, const Netlist& nl) {
-        const NodeId top = nl.find_node("top");
+    const std::size_t n = res.step_count();
+    const auto peak = [&](std::size_t begin, std::size_t end) {
         double amp = 0.0;
-        for (std::size_t i = res.step_count() * 3 / 4; i < res.step_count(); ++i)
+        for (std::size_t i = begin; i < end; ++i)
             amp = std::max(amp, std::abs(res.voltage(top, i)));
         return amp;
     };
-    const double amp_tr = late_amplitude(res_tr, nl_tr);
-    const double amp_be = late_amplitude(res_be, nl_be);
-    // BE damps numerically; TRAP should retain clearly more energy.
-    EXPECT_GT(amp_tr, 2.0 * amp_be);
+    EXPECT_GT(peak(n * 3 / 4, n), 0.999 * peak(n / 4, n / 2));
 }
 
 TEST(Transient, InitialConditionIsOperatingPoint) {

@@ -12,16 +12,25 @@
 namespace xysig::spice {
 namespace {
 
+// The solver configuration, as literals (see the file comment).
+constexpr int kMaxIterations = 200;
+constexpr double kAbsTol = 1e-9;
+constexpr double kRelTol = 1e-6;
+constexpr double kMaxStep = 0.5;
+constexpr double kTargetGmin = 1e-12;
+constexpr double kGminSteppingStart = 1e-3;
+constexpr int kSourceSteps = 10;
+
 /// One damped-Newton solve at fixed gmin / source_scale; x is the initial
 /// guess on entry and the solution on success. Returns iterations used, or
 /// -1 when not converged (including singular-matrix failures).
-int newton_solve(const Netlist& nl, std::vector<double>& x, const NewtonOptions& opts,
-                 AnalysisMode mode, Integrator integrator, double time, double dt,
-                 double gmin, double source_scale) {
+int newton_solve(const Netlist& nl, std::vector<double>& x, AnalysisMode mode,
+                 Integrator integrator, double time, double dt, double gmin,
+                 double source_scale) {
     const std::size_t n_unknowns = x.size();
     const std::size_t n_node_vars = nl.node_count() - 1;
 
-    for (int iter = 1; iter <= opts.max_iterations; ++iter) {
+    for (int iter = 1; iter <= kMaxIterations; ++iter) {
         Matrix<double> a(n_unknowns, n_unknowns);
         std::vector<double> b(n_unknowns, 0.0);
         RealAssembler mna(a, b, nl.node_count());
@@ -32,7 +41,6 @@ int newton_solve(const Netlist& nl, std::vector<double>& x, const NewtonOptions&
         ctx.time = time;
         ctx.dt = dt;
         ctx.source_scale = source_scale;
-        ctx.gmin = gmin;
         ctx.x = x;
         ctx.mna = &mna;
 
@@ -52,12 +60,12 @@ int newton_solve(const Netlist& nl, std::vector<double>& x, const NewtonOptions&
         double max_delta = 0.0;
         for (std::size_t i = 0; i < n_unknowns; ++i)
             max_delta = std::max(max_delta, std::abs(x_new[i] - x[i]));
-        const double damp = (max_delta > opts.max_step) ? opts.max_step / max_delta : 1.0;
+        const double damp = (max_delta > kMaxStep) ? kMaxStep / max_delta : 1.0;
 
         bool converged = true;
         for (std::size_t i = 0; i < n_unknowns; ++i) {
             const double delta = x_new[i] - x[i];
-            if (std::abs(delta) > opts.abstol + opts.reltol * std::abs(x[i]))
+            if (std::abs(delta) > kAbsTol + kRelTol * std::abs(x[i]))
                 converged = false;
             x[i] += damp * delta;
         }
@@ -68,34 +76,34 @@ int newton_solve(const Netlist& nl, std::vector<double>& x, const NewtonOptions&
     return -1;
 }
 
-/// The DC convergence ladder: plain Newton, gmin stepping, source stepping.
-std::vector<double> operating_point(const Netlist& nl, const DcOptions& opts,
-                                    double time) {
+} // namespace
+
+std::vector<double> reference_operating_point(const Netlist& nl) {
     nl.validate();
     std::vector<double> x(nl.assign_unknowns(), 0.0);
     const auto solve = [&](double gmin, double source_scale) {
-        return newton_solve(nl, x, opts.newton, AnalysisMode::dc_op,
-                            Integrator::trapezoidal, time, 0.0, gmin, source_scale);
+        return newton_solve(nl, x, AnalysisMode::dc_op, Integrator::trapezoidal, 0.0,
+                            0.0, gmin, source_scale);
     };
 
-    if (solve(opts.gmin, 1.0) > 0)
+    if (solve(kTargetGmin, 1.0) > 0)
         return x;
 
     bool gmin_ok = true;
     std::fill(x.begin(), x.end(), 0.0);
-    for (double g = opts.gmin_stepping_start; g >= opts.gmin; g /= 10.0) {
+    for (double g = kGminSteppingStart; g >= kTargetGmin; g /= 10.0) {
         if (solve(g, 1.0) < 0) {
             gmin_ok = false;
             break;
         }
     }
-    if (gmin_ok && solve(opts.gmin, 1.0) > 0)
+    if (gmin_ok && solve(kTargetGmin, 1.0) > 0)
         return x;
 
     std::fill(x.begin(), x.end(), 0.0);
     bool source_ok = true;
-    for (int s = 1; s <= opts.source_steps; ++s) {
-        if (solve(opts.gmin, static_cast<double>(s) / opts.source_steps) < 0) {
+    for (int s = 1; s <= kSourceSteps; ++s) {
+        if (solve(kTargetGmin, static_cast<double>(s) / kSourceSteps) < 0) {
             source_ok = false;
             break;
         }
@@ -107,28 +115,25 @@ std::vector<double> operating_point(const Netlist& nl, const DcOptions& opts,
                        "stepping and source stepping all failed)");
 }
 
-} // namespace
-
 std::size_t reference_stream_transient(const Netlist& nl, const TransientOptions& opts,
                                        const TransientStepSink& on_step) {
-    XYSIG_EXPECTS(opts.t_stop > opts.t_start);
+    XYSIG_EXPECTS(opts.t_stop > 0.0);
     XYSIG_EXPECTS(opts.dt > 0.0);
-    const auto steps = static_cast<std::size_t>(
-        std::llround((opts.t_stop - opts.t_start) / opts.dt));
+    const auto steps = static_cast<std::size_t>(std::llround(opts.t_stop / opts.dt));
     XYSIG_EXPECTS(steps >= 1);
 
-    std::vector<double> x = operating_point(nl, opts.dc, opts.t_start);
+    std::vector<double> x = reference_operating_point(nl);
     for (const auto& dev : nl.devices())
         dev->begin_transient(x);
-    on_step(0, opts.t_start, x);
+    on_step(0, 0.0, x);
 
     std::size_t newton_iterations = 0;
     for (std::size_t k = 1; k <= steps; ++k) {
-        const double t_new = opts.t_start + static_cast<double>(k) * opts.dt;
+        const double t_new = static_cast<double>(k) * opts.dt;
         const Integrator integ =
-            (k == 1) ? Integrator::backward_euler : opts.integrator;
-        const int iters = newton_solve(nl, x, opts.dc.newton, AnalysisMode::transient,
-                                       integ, t_new, opts.dt, opts.dc.gmin, 1.0);
+            (k == 1) ? Integrator::backward_euler : Integrator::trapezoidal;
+        const int iters = newton_solve(nl, x, AnalysisMode::transient, integ, t_new,
+                                       opts.dt, kTargetGmin, 1.0);
         if (iters < 0)
             throw NumericError("run_transient: step did not converge at t = " +
                                std::to_string(t_new));
