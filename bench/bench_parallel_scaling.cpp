@@ -15,7 +15,7 @@
 #include "core/batch_ndf.h"
 #include "core/paper_setup.h"
 #include "mc/monte_carlo.h"
-#include "monitor/table1.h"
+#include "support/server_helpers.h"
 #include "support/timing.h"
 
 namespace {
@@ -24,13 +24,6 @@ using namespace xysig;
 
 constexpr int kUniverseSize = 96;
 constexpr int kEnvelopeSamples = 64;
-
-core::SignaturePipeline make_pipeline(std::size_t samples) {
-    core::PipelineOptions opts;
-    opts.samples_per_period = samples;
-    return core::SignaturePipeline(monitor::build_table1_bank(),
-                                   core::paper_stimulus(), opts);
-}
 
 std::vector<filter::BehaviouralCut> make_universe(int n) {
     std::vector<filter::BehaviouralCut> cuts;
@@ -50,7 +43,7 @@ std::vector<filter::BehaviouralCut> make_universe(int n) {
     out << "hardware_concurrency: " << std::thread::hardware_concurrency()
         << " (speedup is bounded by physical cores; determinism is not)\n";
 
-    core::SignaturePipeline pipe = make_pipeline(4096);
+    core::SignaturePipeline pipe = server::make_pipeline({.samples_per_period = 4096});
     pipe.set_golden(filter::BehaviouralCut(core::paper_biquad()));
     const auto universe = make_universe(kUniverseSize);
     std::vector<const filter::Cut*> raw;
@@ -129,7 +122,7 @@ std::vector<filter::BehaviouralCut> make_universe(int n) {
 }
 
 void BM_BatchNdfThreads(benchmark::State& state) {
-    core::SignaturePipeline pipe = make_pipeline(2048);
+    core::SignaturePipeline pipe = server::make_pipeline({.samples_per_period = 2048});
     pipe.set_golden(filter::BehaviouralCut(core::paper_biquad()));
     const auto universe = make_universe(kUniverseSize);
     std::vector<const filter::Cut*> raw;
@@ -145,7 +138,7 @@ BENCHMARK(BM_BatchNdfThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_MonteCarloParallelThreads(benchmark::State& state) {
-    core::SignaturePipeline pipe = make_pipeline(2048);
+    core::SignaturePipeline pipe = server::make_pipeline({.samples_per_period = 2048});
     pipe.set_golden(filter::BehaviouralCut(core::paper_biquad()));
     const filter::BehaviouralCut cut(core::paper_biquad().with_f0_shift(0.01));
     core::PipelineOptions noisy_opts = pipe.options();

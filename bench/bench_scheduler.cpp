@@ -22,13 +22,12 @@
 
 #include "common/strings.h"
 #include "common/table.h"
-#include "core/paper_setup.h"
-#include "monitor/table1.h"
 #include "server/job_cache.h"
 #include "server/json.h"
 #include "server/scheduler.h"
 #include "server/sweep_service.h"
 #include "server/wire.h"
+#include "support/server_helpers.h"
 #include "support/timing.h"
 
 namespace {
@@ -62,13 +61,6 @@ bool same_stream(const std::vector<server::SweepResult>& a,
             return false;
     }
     return true;
-}
-
-core::SignaturePipeline make_pipeline(std::size_t spp) {
-    core::PipelineOptions opts;
-    opts.samples_per_period = spp;
-    return core::SignaturePipeline(monitor::build_table1_bank(),
-                                   core::paper_stimulus(), opts);
 }
 
 /// One job's stream, collected from whichever scheduler thread moves it;
@@ -154,7 +146,8 @@ int main(int argc, char** argv) {
     // Serial references, one per distinct grid, through a plain
     // single-worker service — the stream every scheduled variant must
     // reproduce bit for bit.
-    server::SweepService ref_service(make_pipeline(spp), {.workers = 1});
+    server::SweepService ref_service(server::make_pipeline({.samples_per_period = spp}),
+                                     {.workers = 1});
     std::vector<server::WireJob> jobs;
     std::vector<std::vector<server::SweepResult>> refs;
     std::vector<double> serial_seconds;
@@ -174,8 +167,8 @@ int main(int argc, char** argv) {
     bool all_ok = true;
     for (const unsigned workers : worker_counts) {
         for (const std::size_t depth : depths) {
-            server::SweepService service(make_pipeline(spp),
-                                         {.workers = workers});
+            server::SweepService service(
+                server::make_pipeline({.samples_per_period = spp}), {.workers = workers});
             server::JobScheduler sched(service);
             // The whole-job cache is process-wide: without this, a cell's
             // cold pass would hit the entries of the cells before it.

@@ -12,7 +12,6 @@
 // default bench_spice_perf.json); every other flag goes to google-benchmark.
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -36,6 +35,7 @@
 #include "spice/dc.h"
 #include "spice/elements.h"
 #include "spice/transient.h"
+#include "support/server_helpers.h"
 #include "support/timing.h"
 
 namespace {
@@ -216,10 +216,7 @@ void write_json(const std::string& path, const ScalingReport& report) {
         filter::TowThomasDesign::from_biquad(core::paper_biquad().design(), 10e3));
 
     ScalingReport report;
-    core::PipelineOptions popts;
-    popts.samples_per_period = 1024;
-    core::SignaturePipeline pipe(monitor::build_table1_bank(),
-                                 core::paper_stimulus(), popts);
+    core::SignaturePipeline pipe = server::make_pipeline({.samples_per_period = 1024});
     const core::SpiceObservation obs{nominal.input_source, nominal.input_node,
                                      nominal.lp_node, /*settle_periods=*/4};
     pipe.set_golden(filter::SpiceCut(
@@ -236,7 +233,7 @@ void write_json(const std::string& path, const ScalingReport& report) {
         << faults.size() - opens.size() << " bridging, " << opens.size()
         << " open) over '" << nominal.netlist.devices().size()
         << "-device Tow-Thomas'\n";
-    report.samples_per_period = popts.samples_per_period;
+    report.samples_per_period = pipe.options().samples_per_period;
     report.settle_periods = obs.settle_periods;
     report.faults = faults.size();
 
@@ -256,18 +253,6 @@ void write_json(const std::string& path, const ScalingReport& report) {
             }
         }
     });
-
-    // Bit-pattern identity: NaNs must match too (operator== can't see that).
-    const auto same_bits = [](const std::vector<double>& a,
-                              const std::vector<double>& b) {
-        if (a.size() != b.size())
-            return false;
-        for (std::size_t i = 0; i < a.size(); ++i)
-            if (std::bit_cast<std::uint64_t>(a[i]) !=
-                std::bit_cast<std::uint64_t>(b[i]))
-                return false;
-        return true;
-    };
 
     // The capacity the rows below can use; its "speedup" is
     // threads * t1 / tN, what a perfectly parallel workload would reach.
@@ -290,7 +275,8 @@ void write_json(const std::string& path, const ScalingReport& report) {
         const core::BatchNdfEvaluator batch(pipe, {.threads = threads});
         std::vector<double> ndfs;
         const double dt = seconds_of([&] { ndfs = batch.evaluate(universe); });
-        const bool identical = same_bits(ndfs, serial);
+        // Bit-pattern identity: NaNs must match too (operator== can't see that).
+        const bool identical = server::same_bits(ndfs, serial);
         report.all_identical = report.all_identical && identical;
         t.add_row({"SPICE fault NDF", std::to_string(threads),
                    format_double(dt, 4), format_double(members / dt, 1),
@@ -316,7 +302,7 @@ void write_json(const std::string& path, const ScalingReport& report) {
         const double period = core::paper_stimulus().period();
         spice::TransientOptions opts;
         opts.t_stop = (obs.settle_periods + 1) * period;
-        opts.dt = period / static_cast<double>(popts.samples_per_period);
+        opts.dt = period / static_cast<double>(pipe.options().samples_per_period);
         const spice::TransientResult run = spice::run_transient(member, opts);
         report.nominal_steps = run.step_count() - 1;
         report.nominal_newton_iterations = run.total_newton_iterations;

@@ -10,7 +10,6 @@
 // Flags: --smoke (reduced sizes for CI), --json=PATH (machine-readable
 // summary; default bench_sweep_service.json).
 
-#include <bit>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -27,8 +26,8 @@
 #include "core/batch_ndf.h"
 #include "core/paper_setup.h"
 #include "filter/tow_thomas.h"
-#include "monitor/table1.h"
 #include "server/sweep_service.h"
+#include "support/server_helpers.h"
 #include "support/timing.h"
 
 namespace {
@@ -45,23 +44,6 @@ struct Row {
     bool bit_identical = true;
     std::uint64_t clones = 0;
 };
-
-bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
-    if (a.size() != b.size())
-        return false;
-    for (std::size_t i = 0; i < a.size(); ++i)
-        if (std::bit_cast<std::uint64_t>(a[i]) !=
-            std::bit_cast<std::uint64_t>(b[i]))
-            return false;
-    return true;
-}
-
-core::SignaturePipeline make_pipeline(std::size_t spp) {
-    core::PipelineOptions opts;
-    opts.samples_per_period = spp;
-    return core::SignaturePipeline(monitor::build_table1_bank(),
-                                   core::paper_stimulus(), opts);
-}
 
 void write_json(const std::string& path, bool smoke, std::size_t grid_size,
                 std::size_t fault_count, const std::vector<Row>& rows,
@@ -129,7 +111,8 @@ int main(int argc, char** argv) {
             deviations.push_back(-20.0 + 40.0 * static_cast<double>(i) /
                                              static_cast<double>(grid_size - 1));
 
-        core::SignaturePipeline serial_pipe = make_pipeline(spp);
+        core::SignaturePipeline serial_pipe =
+            server::make_pipeline({.samples_per_period = spp});
         serial_pipe.set_golden(filter::BehaviouralCut(nominal));
         std::vector<double> serial(grid_size);
         const double t_serial = seconds_of([&] {
@@ -145,8 +128,9 @@ int main(int argc, char** argv) {
                         0});
 
         for (const unsigned workers : worker_counts) {
-            server::SweepService service(make_pipeline(spp),
-                                         server::SweepServiceOptions{workers});
+            server::SweepService service(
+                server::make_pipeline({.samples_per_period = spp}),
+                server::SweepServiceOptions{workers});
             const server::SweepJob job =
                 server::SweepJob::deviation_grid(nominal, deviations);
             std::vector<double> streamed;
@@ -157,7 +141,7 @@ int main(int argc, char** argv) {
                     streamed.push_back(r.ndf);
                 });
             });
-            const bool identical = same_bits(streamed, serial);
+            const bool identical = server::same_bits(streamed, serial);
             all_identical = all_identical && identical;
             rows.push_back({"deviation grid", workers,
                             work_unit_size(grid_size, workers), dt,
@@ -181,7 +165,8 @@ int main(int argc, char** argv) {
         faults.insert(faults.end(), opens.begin(), opens.end());
         fault_count = faults.size();
 
-        core::SignaturePipeline serial_pipe = make_pipeline(spp);
+        core::SignaturePipeline serial_pipe =
+            server::make_pipeline({.samples_per_period = spp});
         serial_pipe.set_golden(filter::SpiceCut(
             std::make_unique<spice::Netlist>(circuit.netlist.clone()),
             obs.input_source, obs.x_node, obs.y_node, obs.settle_periods));
@@ -205,8 +190,9 @@ int main(int argc, char** argv) {
         const auto nominal =
             std::make_shared<spice::Netlist>(circuit.netlist.clone());
         for (const unsigned workers : worker_counts) {
-            server::SweepService service(make_pipeline(spp),
-                                         server::SweepServiceOptions{workers});
+            server::SweepService service(
+                server::make_pipeline({.samples_per_period = spp}),
+                server::SweepServiceOptions{workers});
             const server::SweepJob job =
                 server::SweepJob::fault_universe(nominal, faults, obs);
             std::vector<double> streamed;
@@ -222,7 +208,7 @@ int main(int argc, char** argv) {
             });
             // Gate on bit-identity AND the clone-per-worker contract.
             const bool identical =
-                same_bits(streamed, serial) && clones <= workers;
+                server::same_bits(streamed, serial) && clones <= workers;
             all_identical = all_identical && identical;
             rows.push_back({"SPICE fault NDF", workers,
                             work_unit_size(fault_count, workers), dt,

@@ -49,6 +49,13 @@
 #       detail::ServedPeer) and server/wire.cpp (the request loop,
 #       ServerSession::serve). A transport that needs lines derives from
 #       StreamTransport instead of framing its own fd.
+#
+#   R8  each device is modelled once, in Device::stamp: in src/, a
+#       `X::stamp_ac(` definition (outside comments) is allowed only for
+#       Device (the empty default), Capacitor, Inductor and VoltageSource,
+#       the devices that add a reactance or an AC drive to the Newton
+#       system AC analysis linearises at. A second, small-signal copy of a
+#       device's stamp is where AC and transient would drift apart.
 set -u
 
 self_test=0
@@ -184,6 +191,27 @@ run_lint() {
         fi
     fi
 
+    # R8: stamp_ac definitions outside the four devices that add to the
+    # linearised stamp; awk drops // comments before matching.
+    if [ -d "$root/src" ]; then
+        r8_hits=$(find "$root/src" -type f \( -name '*.cpp' -o -name '*.h' \) |
+            xargs -r awk '{
+                code = $0
+                sub(/\/\/.*/, "", code)
+                if (match(code, /[[:alnum:]_]+[[:space:]]*::[[:space:]]*stamp_ac[[:space:]]*\(/)) {
+                    cls = substr(code, RSTART, RLENGTH)
+                    sub(/[[:space:]]*::.*/, "", cls)
+                    if (cls != "Device" && cls != "Capacitor" && cls != "Inductor" &&
+                        cls != "VoltageSource")
+                        printf "%s:%d: %s\n", FILENAME, FNR, $0
+                }
+            }' /dev/null 2>/dev/null || true)
+        if [ -n "$r8_hits" ]; then
+            printf '%s\n' "$r8_hits" >&2
+            fail "stamp_ac defined outside Device, Capacitor, Inductor and VoltageSource — AC linearises Device::stamp at the operating point; add only a reactance or an AC drive (R8)"
+        fi
+    fi
+
     # R4: bench bit-identity gates.
     if [ -d "$root/bench" ]; then
         for bench in "$root"/bench/bench_*.cpp; do
@@ -287,10 +315,23 @@ run_self_test() {
         >"$tmp/src/server/pipe_transport.cpp"
     check_fires R7-read
 
+    # R8: a second small-signal model of a nonlinear and of a linear device.
+    stage
+    mkdir -p "$tmp/src/spice"
+    printf 'void Mosfet::stamp_ac(AcStampContext& ctx) const {\n    ctx.mna->conductance(d, s, {gds, 0.0});\n}\n' \
+        >"$tmp/src/spice/mosfet.cpp"
+    check_fires R8
+    stage
+    mkdir -p "$tmp/src/spice"
+    printf 'void Resistor::stamp_ac (AcStampContext& ctx) const {}\n' \
+        >"$tmp/src/spice/elements.cpp"
+    check_fires R8-linear
+
     # Clean tree passes: comment-only catch, annotated mutex, marked and
     # allowlisted benches, identifiers merely ending in "rand", softplus
     # calls in the drain-current model, the batched kernel and comments,
-    # and line framing in the peer bodies, the request loop and comments.
+    # line framing in the peer bodies, the request loop and comments, and
+    # the four allowed stamp_ac definitions, calls and comments.
     stage
     mkdir -p "$tmp/src/common" "$tmp/src/spice" "$tmp/src/kernels" \
         "$tmp/src/server"
@@ -302,6 +343,12 @@ run_self_test() {
         >"$tmp/src/server/fanout.cpp"
     printf 'inline double id(double u) { return softplus(u) * logistic(u); }\n' \
         >"$tmp/src/spice/mosfet.h" # R6 exempt by path
+    printf 'void Device::stamp_ac(AcStampContext&) const {}\n' \
+        >"$tmp/src/spice/device.cpp"
+    printf 'void Capacitor::stamp_ac(A& c) const {}\nvoid Inductor::stamp_ac(A& c) const {}\nvoid VoltageSource::stamp_ac(A& c) const {}\n' \
+        >"$tmp/src/spice/elements.cpp"
+    printf '// Resistor::stamp_ac(ctx) is its stamp()\nvoid f() { dev->stamp_ac(ctx); }\n' \
+        >"$tmp/src/spice/ac.cpp"
     printf '// softplus(u) evaluated in bulk\nvoid f() { vecmath::softplus_batch(a, b, n); }\n' \
         >"$tmp/src/kernels/kernel.cpp"
     printf 'namespace std { class mutex; }\n' \

@@ -9,8 +9,13 @@
 namespace xysig::monitor {
 
 namespace {
-/// Orientation reference for boundaries passing exactly through the origin:
-/// a point just off the origin, below the diagonal (see DESIGN.md).
+/// Orientation reference for boundaries passing exactly through the origin.
+/// By the paper's Section IV-A, bit 0 is the side of the curve that holds
+/// the origin; a curve through the origin has no such side, so this point,
+/// just off the origin and below the diagonal, decides instead. The MOS
+/// monitors use the same point (mos_boundary.cpp), so a straight-line
+/// approximation bank orients each line the way the curve it approximates
+/// is oriented.
 constexpr double kRefX = 0.05;
 constexpr double kRefY = 0.0;
 /// y samples of trace_boundary's sign scan per column.

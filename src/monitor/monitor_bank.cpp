@@ -33,8 +33,7 @@ std::string MonitorBank::fingerprint() const {
     std::string fp;
     for (const auto& m : monitors_) {
         const std::string part = m->fingerprint();
-        if (part.empty())
-            return {}; // one opaque monitor poisons the whole bank
+        XYSIG_EXPECTS(!part.empty());
         fp += part + "/";
     }
     return fp;

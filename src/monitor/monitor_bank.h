@@ -33,9 +33,10 @@ public:
     [[nodiscard]] unsigned code(double x, double y) const;
 
     /// Exact identity of the whole bank (ordered concatenation of monitor
-    /// fingerprints): two banks with equal non-empty fingerprints produce
-    /// identical zone codes everywhere. Empty when any monitor is of a
-    /// non-cacheable boundary type — callers must then skip caching.
+    /// fingerprints): two banks with equal fingerprints produce identical
+    /// zone codes everywhere. Requires every monitor to fingerprint itself,
+    /// as the types a pipeline's compiled bank accepts all do; a monitor
+    /// without one throws ContractError.
     [[nodiscard]] std::string fingerprint() const;
 
 private:

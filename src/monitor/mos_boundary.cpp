@@ -35,7 +35,12 @@ double MonitorConfig::leg_current(std::size_t leg, double x, double y) const {
 }
 
 namespace {
-constexpr double kRefX = 0.05; // orientation fallback (see DESIGN.md)
+/// Orientation reference for curves through the origin. Bit 0 is the side
+/// that holds the origin (the paper's Section IV-A); a curve through it has
+/// no such side, so (0.05, 0) decides instead: the point LinearBoundary uses
+/// (boundary.cpp), so a straight-line approximation bank orients each line
+/// the way its curve is oriented.
+constexpr double kRefX = 0.05;
 constexpr double kRefY = 0.0;
 } // namespace
 

@@ -38,11 +38,10 @@ namespace xysig::server {
 
 /// Exact fingerprint of everything a pipeline contributes to result bits:
 /// SignaturePipeline::fingerprint() (bank, stimulus, samples per period,
-/// sampling mode), the same string the golden cache keys on. Empty when
-/// the pipeline is not exactly fingerprintable (custom bank monitor) and
-/// whenever it adds noise or quantises, whose draws and capture options
-/// are outside the key — an empty fingerprint disables job caching for
-/// that pipeline, it never aliases.
+/// sampling mode), the same string the golden cache keys on. Empty
+/// whenever the pipeline adds noise or quantises, whose draws and capture
+/// options are outside the key — an empty fingerprint disables job caching
+/// for that pipeline, it never aliases.
 [[nodiscard]] std::string
 pipeline_fingerprint(const core::SignaturePipeline& pipe);
 

@@ -1,5 +1,6 @@
 #include "spice/ac.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/contracts.h"
@@ -11,9 +12,7 @@ namespace xysig::spice {
 
 std::complex<double> AcResult::voltage(NodeId node, std::size_t point) const {
     XYSIG_EXPECTS(point < rows_.size());
-    if (node == kGround)
-        return {0.0, 0.0};
-    return rows_[point][static_cast<std::size_t>(node) - 1];
+    return node_voltage<std::complex<double>>(rows_[point], node);
 }
 
 std::complex<double> AcResult::voltage(const std::string& node,
@@ -47,9 +46,13 @@ AcResult run_ac(const Netlist& nl, const AcOptions& opts) {
     XYSIG_EXPECTS(opts.f_stop > opts.f_start);
     XYSIG_EXPECTS(opts.points_per_decade >= 1);
 
-    const OperatingPoint op = dc_operating_point(nl);
-    const std::size_t n = nl.assign_unknowns();
-    const std::size_t n_node_vars = nl.node_count() - 1;
+    nl.validate();
+    MnaWorkspace ws(nl.assign_unknowns());
+    const OperatingPoint op = detail::dc_operating_point(nl, ws);
+    // The real part: the Newton system at the operating point, stamped once.
+    detail::stamp_system(nl, ws, {.x = op.unknowns()}, kGmin);
+    const Matrix<double>& real_part = ws.matrix();
+    const std::size_t n = ws.unknowns();
 
     AcResult result(nl);
     const double decades = std::log10(opts.f_stop / opts.f_start);
@@ -61,20 +64,14 @@ AcResult run_ac(const Netlist& nl, const AcOptions& opts) {
             (points == 1) ? 0.0
                           : static_cast<double>(k) / static_cast<double>(points - 1);
         const double f = opts.f_start * std::pow(10.0, frac * decades);
-        const double omega = kTwoPi * f;
 
         Matrix<std::complex<double>> a(n, n);
+        std::copy_n(real_part.data(), n * n, a.data());
         std::vector<std::complex<double>> b(n, {0.0, 0.0});
         ComplexAssembler mna(a, b, nl.node_count());
-
-        AcStampContext ctx;
-        ctx.omega = omega;
-        ctx.op = op.unknowns();
-        ctx.mna = &mna;
+        AcStampContext ctx{.omega = kTwoPi * f, .mna = &mna};
         for (const auto& dev : nl.devices())
             dev->stamp_ac(ctx);
-        for (std::size_t i = 0; i < n_node_vars; ++i)
-            a(i, i) += std::complex<double>(kGmin, 0.0);
 
         result.append(f, solve_linear_system(std::move(a), b));
     }

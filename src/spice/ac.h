@@ -2,8 +2,14 @@
 #define XYSIG_SPICE_AC_H
 
 /// \file ac.h
-/// Small-signal AC sweep: linearises the circuit at its DC operating point
-/// and solves the complex MNA system over a log-spaced frequency grid.
+/// Small-signal AC sweep over a log-spaced frequency grid. The linearised
+/// circuit is the Newton system at the DC operating point: run_ac solves the
+/// operating point in its own MnaWorkspace (dc.h), then stamps that system
+/// once through detail::stamp_system, each device's one stamp(). The
+/// result is the real part of every frequency's complex system; per
+/// frequency a device adds only what AC adds to it (Device::stamp_ac: the
+/// capacitor's j*omega*C, the inductor's -j*omega*L, a voltage source's AC
+/// phasor), so AC and transient read the same device models.
 
 #include <complex>
 #include <vector>

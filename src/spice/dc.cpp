@@ -12,10 +12,8 @@ OperatingPoint::OperatingPoint(const Netlist& nl, std::vector<double> x)
     : netlist_(&nl), x_(std::move(x)) {}
 
 double OperatingPoint::voltage(NodeId node) const {
-    if (node == kGround)
-        return 0.0;
     XYSIG_EXPECTS(static_cast<std::size_t>(node) <= x_.size());
-    return x_[static_cast<std::size_t>(node) - 1];
+    return node_voltage(unknowns(), node);
 }
 
 double OperatingPoint::voltage(const std::string& node_name) const {
@@ -71,32 +69,25 @@ bool MnaWorkspace::solve() {
 
 namespace detail {
 
+void stamp_system(const Netlist& nl, MnaWorkspace& ws, StampContext at, double gmin) {
+    ws.clear();
+    Matrix<double>& a = ws.matrix();
+    RealAssembler mna(a, ws.rhs(), nl.node_count());
+    at.mna = &mna;
+    for (const auto& dev : nl.devices())
+        dev->stamp(at);
+    const std::size_t n_node_vars = nl.node_count() - 1;
+    for (std::size_t i = 0; i < n_node_vars; ++i)
+        a(i, i) += gmin;
+}
+
 int newton_solve(const Netlist& nl, MnaWorkspace& ws, std::vector<double>& x,
-                 AnalysisMode mode, Integrator integrator, double time, double dt,
-                 double gmin, double source_scale) {
+                 StampContext at, double gmin) {
     const std::size_t n_unknowns = ws.unknowns();
     XYSIG_EXPECTS(x.size() == n_unknowns);
-    const std::size_t n_node_vars = nl.node_count() - 1;
-
-    Matrix<double>& a = ws.matrix();
+    at.x = x; // x is updated in place, so the view stays current
     for (int iter = 1; iter <= kMaxNewtonIterations; ++iter) {
-        ws.clear();
-        RealAssembler mna(a, ws.rhs(), nl.node_count());
-
-        StampContext ctx;
-        ctx.mode = mode;
-        ctx.integrator = integrator;
-        ctx.time = time;
-        ctx.dt = dt;
-        ctx.source_scale = source_scale;
-        ctx.x = x;
-        ctx.mna = &mna;
-
-        for (const auto& dev : nl.devices())
-            dev->stamp(ctx);
-        for (std::size_t i = 0; i < n_node_vars; ++i)
-            a(i, i) += gmin;
-
+        stamp_system(nl, ws, at, gmin);
         if (!ws.solve())
             return -1; // singular at this iterate; let the caller escalate
         const std::span<const double> x_new = ws.solution();
@@ -126,8 +117,7 @@ OperatingPoint dc_operating_point(const Netlist& nl, MnaWorkspace& ws) {
     const std::size_t factorised_before = ws.lu_factorisations();
     std::vector<double> x(n, 0.0);
     const auto solve = [&](double gmin, double source_scale) {
-        return newton_solve(nl, ws, x, AnalysisMode::dc_op, Integrator::trapezoidal,
-                            0.0, 0.0, gmin, source_scale);
+        return newton_solve(nl, ws, x, {.source_scale = source_scale}, gmin);
     };
     const auto solved = [&](int newton_iterations) {
         OperatingPoint op(nl, std::move(x));

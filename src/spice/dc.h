@@ -17,6 +17,11 @@
 ///  * sources are evaluated at t = 0, where a transient starts.
 /// No cache key (SignaturePipeline::fingerprint, WireJob::universe_key)
 /// records a solver setting; one configuration is what makes that sound.
+///
+/// One routine stamps the MNA system: detail::stamp_system, called by every
+/// Newton iteration, here and in each transient step, and once per sweep by
+/// AC analysis for its real part. A StampContext with dt = 0 is a DC point
+/// (capacitors open, inductors short).
 
 #include <cstddef>
 #include <span>
@@ -110,12 +115,18 @@ namespace detail {
 /// nl.assign_unknowns() after nl.validate().
 [[nodiscard]] OperatingPoint dc_operating_point(const Netlist& nl, MnaWorkspace& ws);
 
-/// One damped-Newton solve at fixed gmin / source_scale in ws; x is the
-/// initial guess on entry and the solution on success. Returns iterations
-/// used, or -1 when not converged (including singular-matrix failures).
+/// The one routine that stamps the MNA system, for every Newton iteration
+/// and for AC's real part: zeroes ws's system, stamps every device of nl in
+/// netlist order at `at` (at.mna is set here), then adds gmin from every
+/// node to ground.
+void stamp_system(const Netlist& nl, MnaWorkspace& ws, StampContext at, double gmin);
+
+/// One damped-Newton solve in ws at the point `at` describes (its x and mna
+/// are set here) and at fixed gmin; x is the initial guess on entry and the
+/// solution on success. Returns iterations used, or -1 when not converged
+/// (including singular-matrix failures).
 int newton_solve(const Netlist& nl, MnaWorkspace& ws, std::vector<double>& x,
-                 AnalysisMode mode, Integrator integrator, double time, double dt,
-                 double gmin, double source_scale);
+                 StampContext at, double gmin);
 
 } // namespace detail
 

@@ -4,10 +4,12 @@
 /// \file device.h
 /// Device interface of the circuit engine.
 ///
-/// A device knows how to stamp its companion/linearised model into the MNA
-/// system for the current Newton iterate (stamp), how to stamp its
-/// small-signal model for AC analysis (stamp_ac), and how to carry reactive
-/// state across transient steps (begin_transient / step_accepted).
+/// A device's electrical model lives in stamp(): its linearised (and, in a
+/// transient step, companion) model at a StampContext, which every analysis
+/// stamps through one routine (detail::stamp_system, dc.h). AC analysis
+/// linearises at the DC operating point with that same stamp and asks a
+/// device only for what AC adds to it (stamp_ac). begin_transient and
+/// step_accepted carry reactive state across transient steps.
 
 #include <memory>
 #include <span>
@@ -19,35 +21,22 @@
 
 namespace xysig::spice {
 
-/// Everything a device needs to stamp one Newton iteration.
+/// The point a device is stamped at: one Newton iterate of a DC solve or
+/// transient step, or the DC operating point an AC sweep linearises at.
 struct StampContext {
-    AnalysisMode mode = AnalysisMode::dc_op;
     Integrator integrator = Integrator::trapezoidal;
     double time = 0.0;         ///< evaluation time for sources (end of step)
-    double dt = 0.0;           ///< current step; 0 in DC
+    double dt = 0.0;           ///< current step; 0 in DC (capacitors open,
+                               ///< inductors short)
     double source_scale = 1.0; ///< source stepping ramp; 1 in normal solves
-    std::span<const double> x; ///< current Newton iterate
-    RealAssembler* mna = nullptr;
-
-    /// Voltage of a node in the current iterate (0 for ground).
-    [[nodiscard]] double v(NodeId n) const {
-        return n == kGround ? 0.0 : x[static_cast<std::size_t>(n) - 1];
-    }
-    /// Value of an extra branch variable by raw unknown index.
-    [[nodiscard]] double extra(int idx) const {
-        return x[static_cast<std::size_t>(idx)];
-    }
+    std::span<const double> x{}; ///< the unknowns the device linearises at
+    RealAssembler* mna = nullptr; ///< set by detail::stamp_system
 };
 
 /// Context for one AC frequency point.
 struct AcStampContext {
-    double omega = 0.0;              ///< angular frequency (rad/s)
-    std::span<const double> op;      ///< DC operating point (linearisation)
+    double omega = 0.0; ///< angular frequency (rad/s)
     ComplexAssembler* mna = nullptr;
-
-    [[nodiscard]] double op_v(NodeId n) const {
-        return n == kGround ? 0.0 : op[static_cast<std::size_t>(n) - 1];
-    }
 };
 
 /// Base class of every circuit element.
@@ -78,8 +67,10 @@ public:
     /// Adds this device's contribution for the current iterate.
     virtual void stamp(StampContext& ctx) const = 0;
 
-    /// Adds the small-signal contribution at ctx.omega. Default: nothing
-    /// (ideal current sources with no AC magnitude, for example).
+    /// Adds what AC analysis adds at ctx.omega to this device's stamp() at
+    /// the DC operating point, which run_ac has already stamped as the real
+    /// part: a reactive admittance or an AC drive. Default: nothing, for a
+    /// device whose small-signal model is its linearised stamp().
     virtual void stamp_ac(AcStampContext& ctx) const;
 
     /// Called once when a transient run starts; op_solution is the t=0
@@ -93,12 +84,6 @@ public:
 protected:
     /// Copyable by derived clone() implementations only.
     Device(const Device&) = default;
-
-    /// Voltage of the i-th connection node in a solution vector.
-    [[nodiscard]] double node_v(std::span<const double> x, std::size_t i) const {
-        const NodeId n = nodes_[i];
-        return n == kGround ? 0.0 : x[static_cast<std::size_t>(n) - 1];
-    }
 
 private:
     std::string name_;

@@ -26,17 +26,12 @@ Diode::Eval Diode::evaluate(double vd) const {
 void Diode::stamp(StampContext& ctx) const {
     const NodeId a = nodes()[0];
     const NodeId c = nodes()[1];
-    const double vd = ctx.v(a) - ctx.v(c);
+    const double vd = node_voltage(ctx.x, a) - node_voltage(ctx.x, c);
     const Eval e = evaluate(vd);
     const double ieq = e.id - e.gd * vd;
     ctx.mna->conductance(a, c, e.gd);
     ctx.mna->current_into(a, -ieq);
     ctx.mna->current_into(c, ieq);
-}
-
-void Diode::stamp_ac(AcStampContext& ctx) const {
-    const double vd = ctx.op_v(nodes()[0]) - ctx.op_v(nodes()[1]);
-    ctx.mna->conductance(nodes()[0], nodes()[1], {evaluate(vd).gd, 0.0});
 }
 
 } // namespace xysig::spice

@@ -27,7 +27,6 @@ public:
     }
 
     void stamp(StampContext& ctx) const override;
-    void stamp_ac(AcStampContext& ctx) const override;
 
     /// Current/conductance at a given junction voltage (exposed for tests).
     struct Eval {

@@ -26,10 +26,6 @@ void Resistor::stamp(StampContext& ctx) const {
     ctx.mna->conductance(nodes()[0], nodes()[1], 1.0 / resistance_);
 }
 
-void Resistor::stamp_ac(AcStampContext& ctx) const {
-    ctx.mna->conductance(nodes()[0], nodes()[1], {1.0 / resistance_, 0.0});
-}
-
 // --------------------------------------------------------------- Capacitor
 
 Capacitor::Capacitor(std::string name, NodeId n1, NodeId n2, double capacitance)
@@ -47,9 +43,8 @@ void Capacitor::set_capacitance(double c) {
 }
 
 void Capacitor::stamp(StampContext& ctx) const {
-    if (ctx.mode == AnalysisMode::dc_op)
+    if (ctx.dt <= 0.0)
         return; // open circuit in DC
-    XYSIG_EXPECTS(ctx.dt > 0.0);
     // Companion: i(t+h) = geq * v(t+h) - ieq
     double geq = 0.0;
     double ieq = 0.0;
@@ -70,13 +65,14 @@ void Capacitor::stamp_ac(AcStampContext& ctx) const {
 }
 
 void Capacitor::begin_transient(std::span<const double> op_solution) {
-    v_prev_ = node_v(op_solution, 0) - node_v(op_solution, 1);
+    v_prev_ = node_voltage(op_solution, nodes()[0]) -
+              node_voltage(op_solution, nodes()[1]);
     i_prev_ = 0.0; // steady state at the operating point
 }
 
 void Capacitor::step_accepted(std::span<const double> x, double /*time*/, double dt,
                               Integrator integrator) {
-    const double v_now = node_v(x, 0) - node_v(x, 1);
+    const double v_now = node_voltage(x, nodes()[0]) - node_voltage(x, nodes()[1]);
     if (integrator == Integrator::trapezoidal)
         i_prev_ = (2.0 * capacitance_ / dt) * (v_now - v_prev_) - i_prev_;
     else
@@ -103,11 +99,10 @@ void Inductor::stamp(StampContext& ctx) const {
     ctx.mna->entry_node_raw(nodes()[1], br, -1.0);
     ctx.mna->entry_raw_node(br, nodes()[0], 1.0);
     ctx.mna->entry_raw_node(br, nodes()[1], -1.0);
-    if (ctx.mode == AnalysisMode::dc_op) {
+    if (ctx.dt <= 0.0) {
         // v = 0 (short); the 1/-1 row entries above already express v - 0 = 0.
         return;
     }
-    XYSIG_EXPECTS(ctx.dt > 0.0);
     // v = L di/dt. Trapezoidal: v_{n+1} + v_n = (2L/h)(i_{n+1} - i_n)
     //  -> v_{n+1} - (2L/h) i_{n+1} = -v_n - (2L/h) i_n
     if (ctx.integrator == Integrator::trapezoidal) {
@@ -122,13 +117,8 @@ void Inductor::stamp(StampContext& ctx) const {
 }
 
 void Inductor::stamp_ac(AcStampContext& ctx) const {
-    const int br = extra_base();
-    XYSIG_ASSERT(br >= 0);
-    ctx.mna->entry_node_raw(nodes()[0], br, {1.0, 0.0});
-    ctx.mna->entry_node_raw(nodes()[1], br, {-1.0, 0.0});
-    ctx.mna->entry_raw_node(br, nodes()[0], {1.0, 0.0});
-    ctx.mna->entry_raw_node(br, nodes()[1], {-1.0, 0.0});
-    ctx.mna->entry_raw(br, br, {0.0, -ctx.omega * inductance_});
+    // The incidence entries are stamp()'s; AC adds v = j*omega*L*i.
+    ctx.mna->entry_raw(extra_base(), extra_base(), {0.0, -ctx.omega * inductance_});
 }
 
 void Inductor::begin_transient(std::span<const double> op_solution) {
@@ -139,7 +129,7 @@ void Inductor::begin_transient(std::span<const double> op_solution) {
 void Inductor::step_accepted(std::span<const double> x, double /*time*/, double /*dt*/,
                              Integrator /*integrator*/) {
     i_prev_ = x[static_cast<std::size_t>(extra_base())];
-    v_prev_ = node_v(x, 0) - node_v(x, 1);
+    v_prev_ = node_voltage(x, nodes()[0]) - node_voltage(x, nodes()[1]);
 }
 
 // ------------------------------------------------------------ VoltageSource
@@ -183,13 +173,9 @@ void VoltageSource::stamp(StampContext& ctx) const {
 }
 
 void VoltageSource::stamp_ac(AcStampContext& ctx) const {
-    const int br = extra_base();
-    XYSIG_ASSERT(br >= 0);
-    ctx.mna->entry_node_raw(nodes()[0], br, {1.0, 0.0});
-    ctx.mna->entry_node_raw(nodes()[1], br, {-1.0, 0.0});
-    ctx.mna->entry_raw_node(br, nodes()[0], {1.0, 0.0});
-    ctx.mna->entry_raw_node(br, nodes()[1], {-1.0, 0.0});
-    ctx.mna->rhs_raw(br, std::polar(ac_magnitude_, ac_phase_));
+    // The incidence entries are stamp()'s; AC drives the branch with the
+    // phasor alone.
+    ctx.mna->rhs_raw(extra_base(), std::polar(ac_magnitude_, ac_phase_));
 }
 
 // ------------------------------------------------------------ CurrentSource
@@ -238,17 +224,6 @@ void Vcvs::stamp(StampContext& ctx) const {
     ctx.mna->entry_raw_node(br, nodes()[3], gain_);
 }
 
-void Vcvs::stamp_ac(AcStampContext& ctx) const {
-    const int br = extra_base();
-    XYSIG_ASSERT(br >= 0);
-    ctx.mna->entry_node_raw(nodes()[0], br, {1.0, 0.0});
-    ctx.mna->entry_node_raw(nodes()[1], br, {-1.0, 0.0});
-    ctx.mna->entry_raw_node(br, nodes()[0], {1.0, 0.0});
-    ctx.mna->entry_raw_node(br, nodes()[1], {-1.0, 0.0});
-    ctx.mna->entry_raw_node(br, nodes()[2], {-gain_, 0.0});
-    ctx.mna->entry_raw_node(br, nodes()[3], {gain_, 0.0});
-}
-
 // ------------------------------------------------------------------- Vccs
 
 Vccs::Vccs(std::string name, NodeId p, NodeId n, NodeId cp, NodeId cn, double gm)
@@ -260,11 +235,6 @@ std::unique_ptr<Device> Vccs::clone() const {
 
 void Vccs::stamp(StampContext& ctx) const {
     ctx.mna->transconductance(nodes()[0], nodes()[1], nodes()[2], nodes()[3], gm_);
-}
-
-void Vccs::stamp_ac(AcStampContext& ctx) const {
-    ctx.mna->transconductance(nodes()[0], nodes()[1], nodes()[2], nodes()[3],
-                              {gm_, 0.0});
 }
 
 // ------------------------------------------------------------- IdealOpamp
@@ -284,14 +254,6 @@ void IdealOpamp::stamp(StampContext& ctx) const {
     ctx.mna->entry_raw_node(br, nodes()[1], -1.0);
     // Column: the output current is whatever satisfies the constraint.
     ctx.mna->entry_node_raw(nodes()[2], br, 1.0);
-}
-
-void IdealOpamp::stamp_ac(AcStampContext& ctx) const {
-    const int br = extra_base();
-    XYSIG_ASSERT(br >= 0);
-    ctx.mna->entry_raw_node(br, nodes()[0], {1.0, 0.0});
-    ctx.mna->entry_raw_node(br, nodes()[1], {-1.0, 0.0});
-    ctx.mna->entry_node_raw(nodes()[2], br, {1.0, 0.0});
 }
 
 } // namespace xysig::spice

@@ -18,7 +18,6 @@ public:
 
     [[nodiscard]] std::unique_ptr<Device> clone() const override;
     void stamp(StampContext& ctx) const override;
-    void stamp_ac(AcStampContext& ctx) const override;
 
     [[nodiscard]] double resistance() const noexcept { return resistance_; }
     /// Component value change (Monte-Carlo / defect injection). r > 0.
@@ -125,7 +124,6 @@ public:
     [[nodiscard]] std::unique_ptr<Device> clone() const override;
     [[nodiscard]] int extra_variable_count() const override { return 1; }
     void stamp(StampContext& ctx) const override;
-    void stamp_ac(AcStampContext& ctx) const override;
 
     [[nodiscard]] double gain() const noexcept { return gain_; }
 
@@ -140,7 +138,6 @@ public:
 
     [[nodiscard]] std::unique_ptr<Device> clone() const override;
     void stamp(StampContext& ctx) const override;
-    void stamp_ac(AcStampContext& ctx) const override;
 
 private:
     double gm_;
@@ -155,7 +152,6 @@ public:
     [[nodiscard]] std::unique_ptr<Device> clone() const override;
     [[nodiscard]] int extra_variable_count() const override { return 1; }
     void stamp(StampContext& ctx) const override;
-    void stamp_ac(AcStampContext& ctx) const override;
 };
 
 } // namespace xysig::spice

@@ -11,6 +11,7 @@
 /// cases.
 
 #include <complex>
+#include <span>
 #include <vector>
 
 #include "common/matrix.h"
@@ -18,7 +19,16 @@
 
 namespace xysig::spice {
 
-/// Stamping facade over a real MNA matrix/RHS (DC and transient).
+/// Voltage of `node` in an unknown vector of the ordering above: 0 for
+/// ground, unknown id - 1 otherwise. T is double for a DC or transient
+/// solution and std::complex<double> for an AC one.
+template <typename T>
+[[nodiscard]] T node_voltage(std::span<const T> unknowns, NodeId node) {
+    return node == kGround ? T{} : unknowns[static_cast<std::size_t>(node) - 1];
+}
+
+/// Stamping facade over an MNA matrix/RHS: real for the Newton system,
+/// complex for AC.
 template <typename T>
 class Assembler {
 public:

@@ -71,8 +71,8 @@ void Mosfet::stamp(StampContext& ctx) const {
     const NodeId d = nodes()[0];
     const NodeId g = nodes()[1];
     const NodeId s = nodes()[2];
-    const double vgs = ctx.v(g) - ctx.v(s);
-    const double vds = ctx.v(d) - ctx.v(s);
+    const double vgs = node_voltage(ctx.x, g) - node_voltage(ctx.x, s);
+    const double vds = node_voltage(ctx.x, d) - node_voltage(ctx.x, s);
     const MosEval e = mos_evaluate(params_, vgs, vds);
 
     // Linearised drain current: id = gds*vds + gm*vgs + ieq,
@@ -82,17 +82,6 @@ void Mosfet::stamp(StampContext& ctx) const {
     ctx.mna->transconductance(d, s, g, s, e.gm);
     ctx.mna->current_into(d, -ieq);
     ctx.mna->current_into(s, ieq);
-}
-
-void Mosfet::stamp_ac(AcStampContext& ctx) const {
-    const NodeId d = nodes()[0];
-    const NodeId g = nodes()[1];
-    const NodeId s = nodes()[2];
-    const double vgs = ctx.op_v(g) - ctx.op_v(s);
-    const double vds = ctx.op_v(d) - ctx.op_v(s);
-    const MosEval e = mos_evaluate(params_, vgs, vds);
-    ctx.mna->conductance(d, s, {e.gds, 0.0});
-    ctx.mna->transconductance(d, s, g, s, {e.gm, 0.0});
 }
 
 } // namespace xysig::spice

@@ -222,7 +222,6 @@ public:
     }
 
     void stamp(StampContext& ctx) const override;
-    void stamp_ac(AcStampContext& ctx) const override;
 
     [[nodiscard]] const MosParams& params() const noexcept { return params_; }
 

@@ -27,8 +27,8 @@ TransientCounts stream_transient(const Netlist& nl, const TransientOptions& opts
         const double t_new = static_cast<double>(k) * opts.dt;
         const Integrator integ =
             (k == 1) ? Integrator::backward_euler : Integrator::trapezoidal;
-        const int iters = detail::newton_solve(nl, ws, x, AnalysisMode::transient,
-                                               integ, t_new, opts.dt, kGmin, 1.0);
+        const int iters = detail::newton_solve(
+            nl, ws, x, {.integrator = integ, .time = t_new, .dt = opts.dt}, kGmin);
         if (iters < 0)
             throw NumericError("run_transient: step did not converge at t = " +
                                std::to_string(t_new));
@@ -43,7 +43,8 @@ TransientCounts stream_transient(const Netlist& nl, const TransientOptions& opts
 
 double TransientResult::voltage(NodeId node, std::size_t step) const {
     XYSIG_EXPECTS(step < time_.size());
-    return node_voltage(std::span(values_).subspan(step * width_, width_), node);
+    return node_voltage(std::span<const double>(values_).subspan(step * width_, width_),
+                        node);
 }
 
 std::vector<double> TransientResult::voltage_trace(NodeId node) const {

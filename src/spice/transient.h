@@ -23,13 +23,6 @@
 
 namespace xysig::spice {
 
-/// Voltage of `node` in a solution vector (ground is 0 V; the unknown index
-/// of node id k is k - 1).
-[[nodiscard]] inline double node_voltage(std::span<const double> unknowns,
-                                         NodeId node) {
-    return node == kGround ? 0.0 : unknowns[static_cast<std::size_t>(node) - 1];
-}
-
 /// Receives accepted time point `step` at time t with every unknown of its
 /// solution. Step 0 is the DC operating point at t = 0; step k is k * dt.
 using TransientStepSink = std::function<void(

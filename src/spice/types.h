@@ -20,12 +20,6 @@ inline constexpr NodeId kGround = 0;
 /// it (dc.h).
 inline constexpr double kGmin = 1e-12;
 
-/// What the engine is currently solving.
-enum class AnalysisMode {
-    dc_op,     ///< nonlinear DC operating point (capacitors open, inductors short)
-    transient, ///< time step with companion models
-};
-
 /// Implicit integration method of one transient step.
 enum class Integrator {
     backward_euler, ///< A-stable, first order; the first step

@@ -226,6 +226,8 @@ TEST(CompiledMonitorBank, LowersLinearAndMosMonitorsAndRejectsOtherTypes) {
     }
     // A pipeline compiles its bank, so it refuses the bank too.
     EXPECT_THROW((void)core::SignaturePipeline(bank, core::paper_stimulus()), InvalidInput);
+    // Nor can the bank name itself: a fingerprint is never empty.
+    EXPECT_THROW((void)bank.fingerprint(), ContractError);
 }
 
 TEST(EncodeCodes, MatchesEncodeEvents) {

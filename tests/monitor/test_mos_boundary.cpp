@@ -21,8 +21,8 @@ TEST(Table1, BankFingerprintIsPinned) {
     // platform, and a moved default changes it.
     const std::string fp = build_table1_bank().fingerprint();
     std::uint64_t fnv1a = 0xcbf29ce484222325ULL;
-    for (const unsigned char c : fp) {
-        fnv1a ^= c;
+    for (const char c : fp) {
+        fnv1a ^= static_cast<unsigned char>(c);
         fnv1a *= 0x100000001b3ULL;
     }
     EXPECT_EQ(fp.size(), 2331u);

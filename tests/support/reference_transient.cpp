@@ -24,9 +24,8 @@ constexpr int kSourceSteps = 10;
 /// One damped-Newton solve at fixed gmin / source_scale; x is the initial
 /// guess on entry and the solution on success. Returns iterations used, or
 /// -1 when not converged (including singular-matrix failures).
-int newton_solve(const Netlist& nl, std::vector<double>& x, AnalysisMode mode,
-                 Integrator integrator, double time, double dt, double gmin,
-                 double source_scale) {
+int newton_solve(const Netlist& nl, std::vector<double>& x, Integrator integrator,
+                 double time, double dt, double gmin, double source_scale) {
     const std::size_t n_unknowns = x.size();
     const std::size_t n_node_vars = nl.node_count() - 1;
 
@@ -36,7 +35,6 @@ int newton_solve(const Netlist& nl, std::vector<double>& x, AnalysisMode mode,
         RealAssembler mna(a, b, nl.node_count());
 
         StampContext ctx;
-        ctx.mode = mode;
         ctx.integrator = integrator;
         ctx.time = time;
         ctx.dt = dt;
@@ -82,8 +80,8 @@ std::vector<double> reference_operating_point(const Netlist& nl) {
     nl.validate();
     std::vector<double> x(nl.assign_unknowns(), 0.0);
     const auto solve = [&](double gmin, double source_scale) {
-        return newton_solve(nl, x, AnalysisMode::dc_op, Integrator::trapezoidal, 0.0,
-                            0.0, gmin, source_scale);
+        return newton_solve(nl, x, Integrator::trapezoidal, 0.0, 0.0, gmin,
+                            source_scale);
     };
 
     if (solve(kTargetGmin, 1.0) > 0)
@@ -132,8 +130,8 @@ std::size_t reference_stream_transient(const Netlist& nl, const TransientOptions
         const double t_new = static_cast<double>(k) * opts.dt;
         const Integrator integ =
             (k == 1) ? Integrator::backward_euler : Integrator::trapezoidal;
-        const int iters = newton_solve(nl, x, AnalysisMode::transient, integ, t_new,
-                                       opts.dt, kTargetGmin, 1.0);
+        const int iters =
+            newton_solve(nl, x, integ, t_new, opts.dt, kTargetGmin, 1.0);
         if (iters < 0)
             throw NumericError("run_transient: step did not converge at t = " +
                                std::to_string(t_new));

@@ -1,5 +1,6 @@
 #include "support/server_helpers.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -16,6 +17,11 @@ namespace xysig::server {
 
 bool same_bits(double a, double b) noexcept {
     return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool same_bits(std::span<const double> a, std::span<const double> b) noexcept {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](double x, double y) { return same_bits(x, y); });
 }
 
 core::SignaturePipeline make_pipeline(core::PipelineOptions opts) {

@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,9 @@ inline constexpr std::size_t kSpp = 256;
 
 /// True when a and b have the same IEEE-754 bits (NaNs included).
 [[nodiscard]] bool same_bits(double a, double b) noexcept;
+/// True when a and b are as long and hold the same bits, element by element.
+[[nodiscard]] bool same_bits(std::span<const double> a,
+                             std::span<const double> b) noexcept;
 
 /// The paper's Table-I bank over the paper stimulus, with `opts`.
 [[nodiscard]] core::SignaturePipeline
