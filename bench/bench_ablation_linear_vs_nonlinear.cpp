@@ -46,7 +46,7 @@ void print_reproduction(std::ostream& out) {
             s.ys.push_back(p.ndf_value);
         }
         fig.add_series(std::move(s));
-        zones_nl = monitor::ZoneMap(pipe.bank(), 0, 1, 0, 1, 128).zone_count();
+        zones_nl = monitor::ZoneMap(pipe.bank(), 128).zone_count();
     }
     {
         core::PipelineOptions opts;
@@ -62,7 +62,7 @@ void print_reproduction(std::ostream& out) {
             s.ys.push_back(p.ndf_value);
         }
         fig.add_series(std::move(s));
-        zones_lin = monitor::ZoneMap(pipe.bank(), 0, 1, 0, 1, 128).zone_count();
+        zones_lin = monitor::ZoneMap(pipe.bank(), 128).zone_count();
     }
     fig.print(out);
 

@@ -32,19 +32,22 @@ void print_placement(std::ostream& out, const layout::Placement& p) {
 void print_reproduction(std::ostream& out) {
     out << "=== [fig3] Monitor layout: common-centroid placement + area ===\n";
 
-    const layout::Placement p = layout::common_centroid_place(8, 4, 4);
+    // The placement the area model sizes.
+    const layout::Placement p =
+        layout::common_centroid_place(8, layout::kUnitsPerDevice, layout::kGridRows);
     print_placement(out, p);
 
     TextTable props({"property", "value"});
     props.add_row({"devices", "8 (M1..M4 inputs, M5..M8 loads)"});
-    props.add_row({"units per device", "4 (paper: transistors split into four)"});
+    props.add_row({"units per device", std::to_string(layout::kUnitsPerDevice) +
+                                            " (paper: transistors split into four)"});
     props.add_row({"common centroid", p.is_common_centroid() ? "yes" : "NO"});
     props.add_row({"dispersion (cell pitches)", format_double(p.dispersion(), 4)});
     props.print(out);
 
     const auto cfg = monitor::table1_config(1);
-    const layout::AreaReport core = layout::monitor_core_area(cfg, 2e-6);
-    const layout::AreaReport total = layout::monitor_total_area(cfg, 2e-6);
+    const layout::AreaReport core = layout::monitor_core_area(cfg);
+    const layout::AreaReport total = layout::monitor_total_area(cfg);
 
     report::PaperComparison cmp("Fig. 3 layout");
     cmp.add("core area (um^2)", "53.54", core.area_um2(), "calibrated cell model");
@@ -52,7 +55,7 @@ void print_reproduction(std::ostream& out) {
     cmp.add("core height (um)", "4.6", core.height_um(), "");
     cmp.add("total area with output stage (um^2)", "116.1", total.area * 1e12, "");
     cmp.add("technology", "ST 65 nm CMOS", "65 nm-flavoured rule set",
-            "see DESIGN.md substitution table");
+            "stands in for the unpublished ST rules");
     cmp.print(out);
 }
 
@@ -73,7 +76,7 @@ BENCHMARK(BM_CentroidVerification);
 void BM_AreaModel(benchmark::State& state) {
     const auto cfg = monitor::table1_config(1);
     for (auto _ : state)
-        benchmark::DoNotOptimize(layout::monitor_total_area(cfg, 2e-6));
+        benchmark::DoNotOptimize(layout::monitor_total_area(cfg));
 }
 BENCHMARK(BM_AreaModel);
 

@@ -22,7 +22,7 @@ using namespace xysig;
 void print_reproduction(std::ostream& out) {
     out << "=== [fig6] Zone codification by the Table I monitor bank ===\n";
     const monitor::MonitorBank bank = monitor::build_table1_bank();
-    const monitor::ZoneMap zm(bank, 0.0, 1.0, 0.0, 1.0, 256);
+    const monitor::ZoneMap zm(bank, 256);
 
     TextTable zones({"code (bin)", "code (dec)", "area fraction", "rep x", "rep y",
                      "in paper Fig. 6"});
@@ -91,7 +91,7 @@ void BM_ZoneMapBuild(benchmark::State& state) {
     const monitor::MonitorBank bank = monitor::build_table1_bank();
     const auto res = static_cast<std::size_t>(state.range(0));
     for (auto _ : state)
-        benchmark::DoNotOptimize(monitor::ZoneMap(bank, 0.0, 1.0, 0.0, 1.0, res));
+        benchmark::DoNotOptimize(monitor::ZoneMap(bank, res));
 }
 BENCHMARK(BM_ZoneMapBuild)->Arg(64)->Arg(128)->Arg(256);
 

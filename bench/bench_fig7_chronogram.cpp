@@ -104,7 +104,7 @@ void print_reproduction(std::ostream& out) {
 
     report::PaperComparison cmp("Fig. 7");
     cmp.add("NDF (+10% f0)", "0.1021", ndf_value,
-            "stimulus/CUT calibrated, see EXPERIMENTS.md");
+            "stimulus/CUT calibrated, see core/paper_setup.h");
     cmp.add("period", "200 us", ch_golden.period() * 1e6, "us");
     cmp.add("max Hamming distance", "2", static_cast<double>(max_d),
             "short dH=2 episode when a zone is skipped");

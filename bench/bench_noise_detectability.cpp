@@ -56,7 +56,7 @@ void print_reproduction(std::ostream& out) {
     cmp.add("noise", "white, null mean, 3*sigma = 0.015 V", "same", "");
     cmp.add("minimum detected |deviation|", "1%",
             format_double(study.minimum_detectable(), 3) + "%",
-            "multi-period capture, see DESIGN.md");
+            "needs the 16-period averaged capture");
     cmp.print(out);
 }
 
@@ -102,7 +102,6 @@ void BM_DetectabilityStudy(benchmark::State& state) {
                                  core::paper_stimulus(), popts);
     core::DetectabilityOptions opts;
     opts.trials = 8;
-    opts.floor_trials = 16;
     opts.periods_averaged = 4;
     opts.threads = static_cast<unsigned>(state.range(0));
     const std::vector<double> devs = {-2.0, -1.0, 1.0, 2.0};

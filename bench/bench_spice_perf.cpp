@@ -65,8 +65,7 @@ BENCHMARK(BM_DcOperatingPoint_Comparator)->Unit(benchmark::kMicrosecond);
 void BM_TransientTowThomas(benchmark::State& state) {
     const auto periods = static_cast<int>(state.range(0));
     for (auto _ : state) {
-        filter::TowThomasCircuit ckt = filter::build_tow_thomas(
-            filter::TowThomasDesign::from_biquad(core::paper_biquad().design(), 10e3));
+        filter::TowThomasCircuit ckt = core::paper_tow_thomas();
         ckt.netlist.get<spice::VoltageSource>("Vin").set_waveform(
             core::paper_stimulus());
         spice::TransientOptions opts;
@@ -80,8 +79,7 @@ void BM_TransientTowThomas(benchmark::State& state) {
 BENCHMARK(BM_TransientTowThomas)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 void BM_AcSweepTowThomas(benchmark::State& state) {
-    filter::TowThomasCircuit ckt = filter::build_tow_thomas(
-        filter::TowThomasDesign::from_biquad(core::paper_biquad().design(), 10e3));
+    filter::TowThomasCircuit ckt = core::paper_tow_thomas();
     ckt.netlist.get<spice::VoltageSource>("Vin").set_ac(1.0);
     spice::AcOptions opts;
     opts.f_start = 100.0;
@@ -212,8 +210,7 @@ void write_json(const std::string& path, const ScalingReport& report) {
     out << "hardware_concurrency: " << std::thread::hardware_concurrency()
         << " (speedup is bounded by physical cores; determinism is not)\n";
 
-    const filter::TowThomasCircuit nominal = filter::build_tow_thomas(
-        filter::TowThomasDesign::from_biquad(core::paper_biquad().design(), 10e3));
+    const filter::TowThomasCircuit nominal = core::paper_tow_thomas();
 
     ScalingReport report;
     core::SignaturePipeline pipe = server::make_pipeline({.samples_per_period = 1024});

@@ -25,7 +25,6 @@
 #include "common/table.h"
 #include "core/batch_ndf.h"
 #include "core/paper_setup.h"
-#include "filter/tow_thomas.h"
 #include "server/sweep_service.h"
 #include "support/server_helpers.h"
 #include "support/timing.h"
@@ -153,9 +152,7 @@ int main(int argc, char** argv) {
     // ------------------------------------------------ SPICE fault universe
     std::size_t fault_count = 0;
     {
-        const auto circuit = filter::build_tow_thomas(
-            filter::TowThomasDesign::from_biquad(core::paper_biquad().design(),
-                                                 10e3));
+        const auto circuit = core::paper_tow_thomas();
         const core::SpiceObservation obs{circuit.input_source,
                                          circuit.input_node, circuit.lp_node,
                                          /*settle_periods=*/smoke ? 2 : 4};

@@ -56,7 +56,7 @@ std::vector<double> curve_on_grid(const monitor::MonitorConfig& cfg,
     for (std::size_t i = 0; i < grid.size(); ++i) {
         const double t = grid[i];
         if (!inverted) {
-            const auto pts = trace_boundary(b, t, t + 1e-6, 2, 0.0, 1.0);
+            const auto pts = trace_boundary(b, t, t + 1e-6, 2);
             if (!pts.empty())
                 out[i] = pts.front().y;
         } else {
@@ -72,7 +72,7 @@ std::vector<double> curve_on_grid(const monitor::MonitorConfig& cfg,
             };
             Swap sw;
             sw.inner = &b;
-            const auto pts = trace_boundary(sw, t, t + 1e-6, 2, 0.0, 1.0);
+            const auto pts = trace_boundary(sw, t, t + 1e-6, 2);
             if (!pts.empty())
                 out[i] = pts.front().y; // this is x of the original curve
         }
@@ -111,8 +111,6 @@ void print_reproduction(std::ostream& out) {
     constexpr int kMcSamples = 600;
     out << "=== Fig. 4 Monte-Carlo validation (N = " << kMcSamples
         << ", process + mismatch) ===\n";
-    const mc::PelgromModel pelgrom;
-    const mc::ProcessVariation process;
     TextTable mc_table({"curve", "nominal inside 5-95% envelope",
                         "envelope width @ x=0.2 (mV)",
                         "envelope width @ x=0.05 (mV)"});
@@ -124,9 +122,8 @@ void print_reproduction(std::ostream& out) {
         const auto env = mc::monte_carlo_envelope_parallel(
             kMcSamples, 42u + static_cast<std::uint64_t>(row), linspace(0.05, 0.95, 37),
             [&](Rng& rng, const std::vector<double>& grid) {
-                return curve_on_grid(
-                    monitor::perturb_monitor(cfg, pelgrom, process, rng), grid,
-                    inverted);
+                return curve_on_grid(monitor::perturb_monitor(cfg, rng), grid,
+                                     inverted);
             });
         const auto nominal = curve_on_grid(cfg, env.xs, inverted);
         auto width_at = [&](double x) -> std::string {
@@ -173,7 +170,7 @@ BENCHMARK(BM_BoundaryEvaluate)->Arg(1)->Arg(3)->Arg(6);
 void BM_TraceBoundary(benchmark::State& state) {
     const monitor::MosCurrentBoundary b(monitor::table1_config(3));
     for (auto _ : state)
-        benchmark::DoNotOptimize(trace_boundary(b, 0.0, 1.0, 64, 0.0, 1.0));
+        benchmark::DoNotOptimize(trace_boundary(b, 0.0, 1.0, 64));
 }
 BENCHMARK(BM_TraceBoundary);
 

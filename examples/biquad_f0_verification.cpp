@@ -50,8 +50,7 @@ int main() {
     for (int die = 0; die < lot_size; ++die) {
         const double dev = rng.normal(0.0, 0.06);
 
-        filter::TowThomasCircuit ckt = filter::build_tow_thomas(
-            filter::TowThomasDesign::from_biquad(nominal.design(), 10e3));
+        filter::TowThomasCircuit ckt = core::paper_tow_thomas();
         ckt.inject_f0_shift(dev);
         filter::SpiceCut cut(ckt.netlist, ckt.input_source, ckt.input_node,
                              ckt.lp_node, 8);

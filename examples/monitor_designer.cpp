@@ -35,7 +35,7 @@ int main() {
     const monitor::MosCurrentBoundary boundary(cfg);
 
     // 1. Trace and plot the control curve.
-    const auto pts = trace_boundary(boundary, 0.0, 1.0, 200, 0.0, 1.0);
+    const auto pts = trace_boundary(boundary, 0.0, 1.0, 200);
     AsciiCanvas canvas(0.0, 1.0, 0.0, 1.0, 72, 28);
     for (const auto& p : pts)
         canvas.point(p.x, p.y, '*');
@@ -57,13 +57,10 @@ int main() {
     // The parallel engine forks all per-sample RNG streams up front, so the
     // samples are bit-identical to the serial run_monte_carlo(300, 7, fn)
     // this example used before, at any worker count.
-    const mc::PelgromModel pelgrom;
-    const mc::ProcessVariation process;
     const auto samples = mc::run_monte_carlo_parallel(300, 7, [&](Rng& rng) {
-        const auto perturbed =
-            monitor::perturb_monitor(cfg, pelgrom, process, rng);
+        const auto perturbed = monitor::perturb_monitor(cfg, rng);
         const monitor::MosCurrentBoundary b(perturbed);
-        const auto roots = trace_boundary(b, 0.2, 0.21, 2, 0.0, 1.0);
+        const auto roots = trace_boundary(b, 0.2, 0.21, 2);
         return roots.empty() ? std::nan("") : roots.front().y;
     });
     std::vector<double> valid;
@@ -75,7 +72,7 @@ int main() {
               << " V, sigma=" << format_double(stddev(valid), 4) << " V\n";
 
     // 4. Silicon cost.
-    const auto area = layout::monitor_total_area(cfg, 2e-6);
+    const auto area = layout::monitor_total_area(cfg);
     std::cout << "estimated monitor area: "
               << format_double(area.area * 1e12, 4) << " um^2 (core + output "
               << "stage; paper's fabricated monitor: 116.1 um^2)\n";

@@ -32,7 +32,7 @@ int main() {
                      "NDF (behavioural)"});
     for (const double dev : {-15.0, -8.0, -3.0, 3.0, 8.0, 15.0}) {
         filter::SallenKeyCircuit ckt = filter::build_sallen_key(
-            filter::SallenKeyDesign::from_biquad(design, 10e3));
+            filter::SallenKeyDesign::from_biquad(design));
         ckt.inject_f0_shift(dev / 100.0);
         filter::SpiceCut netlist_cut(ckt.netlist, ckt.input_source,
                                      ckt.input_node, ckt.lp_node, 8);

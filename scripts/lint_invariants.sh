@@ -56,6 +56,12 @@
 #       the devices that add a reactance or an AC drive to the Newton
 #       system AC analysis linearises at. A second, small-signal copy of a
 #       device's stamp is where AC and transient would drift apart.
+#
+#   R9  no cited document is missing: an upper-case `*.md` name cited in
+#       any file under src/, bench/, examples/, tests/ or scripts/ (a bare
+#       README.md, a docs/PROTOCOL.md path) must exist at the repo root or
+#       under docs/. A pointer to a document nobody wrote explains nothing;
+#       state the fact where it is cited instead.
 set -u
 
 self_test=0
@@ -212,6 +218,26 @@ run_lint() {
         fi
     fi
 
+    # R9: cited documents exist. awk finds each [[:alnum:]_]+.md word and
+    # keeps the upper-case names; lower-case ones are placeholders.
+    r9_hits=$(for d in src bench examples tests scripts; do
+            [ -d "$root/$d" ] && find "$root/$d" -type f
+        done | xargs -r awk -v root="$root" '{
+            line = $0
+            while (match(line, /[[:alnum:]_]+\.md/)) {
+                name = substr(line, RSTART, RLENGTH)
+                line = substr(line, RSTART + RLENGTH)
+                if (line ~ /^[[:alnum:]_]/ || name !~ /^[A-Z][A-Z0-9_]*\.md$/)
+                    continue
+                if (system("test -e \"" root "/" name "\" || test -e \"" root "/docs/" name "\"") != 0)
+                    printf "%s:%d: cites %s\n", FILENAME, FNR, name
+            }
+        }' /dev/null 2>/dev/null || true)
+    if [ -n "$r9_hits" ]; then
+        printf '%s\n' "$r9_hits" >&2
+        fail "cited document missing from the repo root and docs/ — state the fact where it is cited (R9)"
+    fi
+
     # R4: bench bit-identity gates.
     if [ -d "$root/bench" ]; then
         for bench in "$root"/bench/bench_*.cpp; do
@@ -242,7 +268,7 @@ run_self_test() {
     }
 
     stage() { # fresh minimal tree
-        rm -rf "$tmp/src" "$tmp/bench"
+        rm -rf "$tmp/src" "$tmp/bench" "$tmp/scripts" "$tmp/docs" "$tmp/README.md"
         mkdir -p "$tmp/src" "$tmp/bench"
     }
 
@@ -327,11 +353,23 @@ run_self_test() {
         >"$tmp/src/spice/elements.cpp"
     check_fires R8-linear
 
+    # R9: a source and a script citing a document that does not exist.
+    # The name is assembled so that this file cites no missing document.
+    stage
+    printf '/// calibrated as %s.md explains\n' NOPE >"$tmp/src/bad.h"
+    check_fires R9
+    stage
+    mkdir -p "$tmp/scripts"
+    printf '# usage: see docs/%s.md\n' NOPE >"$tmp/scripts/run.sh"
+    check_fires R9-scripts
+
     # Clean tree passes: comment-only catch, annotated mutex, marked and
     # allowlisted benches, identifiers merely ending in "rand", softplus
     # calls in the drain-current model, the batched kernel and comments,
-    # line framing in the peer bodies, the request loop and comments, and
-    # the four allowed stamp_ac definitions, calls and comments.
+    # line framing in the peer bodies, the request loop and comments, the
+    # four allowed stamp_ac definitions, calls and comments, and citations
+    # of documents at the root and under docs/ (lower-case names are
+    # placeholders, not citations).
     stage
     mkdir -p "$tmp/src/common" "$tmp/src/spice" "$tmp/src/kernels" \
         "$tmp/src/server"
@@ -368,6 +406,11 @@ EOF
     printf '// gate: results are bit-identical to serial\n#include <iostream>\nint main(){ std::cout << "ok\\n"; }\n' \
         >"$tmp/bench/bench_widget.cpp"
     printf 'int main(){}\n' >"$tmp/bench/bench_fig1_lissajous.cpp"
+    mkdir -p "$tmp/docs" "$tmp/scripts"
+    printf '# notes\n' >"$tmp/README.md"
+    printf '# wire protocol\n' >"$tmp/docs/PROTOCOL.md"
+    printf '// see README.md and docs/PROTOCOL.md\n' >"$tmp/src/cited.h"
+    printf 'doc="${2:-docs/PROTOCOL.md}" # [protocol.md]\n' >"$tmp/scripts/check.sh"
     if ! "$0" "$tmp" >/dev/null 2>&1; then
         echo "lint_invariants --self-test: clean tree FAILED the lint" >&2
         "$0" "$tmp" >&2 || true

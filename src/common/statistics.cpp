@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/contracts.h"
 
@@ -49,28 +48,6 @@ double min_value(std::span<const double> xs) {
 double max_value(std::span<const double> xs) {
     XYSIG_EXPECTS(!xs.empty());
     return *std::max_element(xs.begin(), xs.end());
-}
-
-double correlation(std::span<const double> xs, std::span<const double> ys) {
-    XYSIG_EXPECTS(xs.size() == ys.size());
-    XYSIG_EXPECTS(xs.size() >= 2);
-    const double mx = mean(xs);
-    const double my = mean(ys);
-    double sxy = 0.0, sxx = 0.0, syy = 0.0;
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-        const double dx = xs[i] - mx;
-        const double dy = ys[i] - my;
-        sxy += dx * dy;
-        sxx += dx * dx;
-        syy += dy * dy;
-    }
-    // A constant series has no direction to correlate against: the
-    // coefficient is undefined, not a contract violation. Sweep drivers hit
-    // this routinely (e.g. an all-zero NDF column), so return quiet NaN and
-    // let the caller decide instead of aborting the whole run.
-    if (sxx <= 0.0 || syy <= 0.0)
-        return std::numeric_limits<double>::quiet_NaN();
-    return sxy / std::sqrt(sxx * syy);
 }
 
 LineFit fit_line(std::span<const double> xs, std::span<const double> ys) {

@@ -27,12 +27,6 @@ namespace xysig {
 [[nodiscard]] double min_value(std::span<const double> xs);
 [[nodiscard]] double max_value(std::span<const double> xs);
 
-/// Pearson correlation of two equal-length sequences (>= 2 points). When
-/// either series is constant the coefficient is mathematically undefined and
-/// quiet NaN is returned (never throws/aborts on degenerate data — a sweep
-/// with one flat column must keep running).
-[[nodiscard]] double correlation(std::span<const double> xs, std::span<const double> ys);
-
 /// Least-squares straight line y = slope*x + intercept through the points.
 struct LineFit {
     double slope = 0.0;

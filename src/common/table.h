@@ -19,8 +19,6 @@ public:
     /// Adds a row; it must have exactly as many cells as the header.
     void add_row(std::vector<std::string> cells);
 
-    [[nodiscard]] std::size_t row_count() const noexcept { return rows_.size(); }
-
     /// Renders with a header underline and two-space column gaps.
     void print(std::ostream& out) const;
 

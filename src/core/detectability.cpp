@@ -54,14 +54,12 @@ DetectabilityStudy noise_detectability(SignaturePipeline& pipeline,
     };
 
     // Noise floor: NDF of the noisy golden circuit itself.
-    const int floor_trials =
-        options.floor_trials > 0 ? options.floor_trials : 2 * options.trials;
     const filter::BehaviouralCut golden_cut(nominal);
     const auto floor_samples = mc::run_monte_carlo_parallel(
-        floor_trials, seed, [&](Rng& rng) { return trial_ndf(golden_cut, rng); },
-        options.threads);
+        kFloorTrialsPerTrial * options.trials, seed,
+        [&](Rng& rng) { return trial_ndf(golden_cut, rng); }, options.threads);
     study.noise_floor_mean = mean(floor_samples);
-    study.threshold = percentile(floor_samples, options.threshold_percentile);
+    study.threshold = percentile(floor_samples, kThresholdPercentile);
 
     const DeviationUniverse universe(
         nominal, {deviations_percent.begin(), deviations_percent.end()});
@@ -84,7 +82,7 @@ DetectabilityStudy noise_detectability(SignaturePipeline& pipeline,
                 ++above;
         point.detection_rate =
             static_cast<double>(above) / static_cast<double>(samples.size());
-        point.detected = point.detection_rate >= options.required_rate;
+        point.detected = point.detection_rate >= kRequiredRate;
         study.points.push_back(point);
     }
     return study;

@@ -18,15 +18,19 @@
 
 namespace xysig::core {
 
+/// Percentile of the noisy golden's NDF distribution used as the detection
+/// threshold.
+inline constexpr double kThresholdPercentile = 99.0;
+/// Detection rate at which a deviation counts as detected.
+inline constexpr double kRequiredRate = 0.90;
+/// Noise-floor trials per deviation-point trial: the percentile of a small
+/// sample is itself noisy, so the threshold is estimated from twice as
+/// many repetitions as each deviation point gets.
+inline constexpr int kFloorTrialsPerTrial = 2;
+
 struct DetectabilityOptions {
     int trials = 50;              ///< noisy repetitions per deviation point
     double noise_sigma = 0.005;   ///< 3*sigma = 15 mV (paper's value)
-    double threshold_percentile = 99.0; ///< of the golden noise-floor NDF
-    double required_rate = 0.90;  ///< detection rate to call it "detected"
-    /// Trials used to estimate the noise-floor threshold; the percentile of
-    /// a small sample is itself noisy, so this defaults to more repetitions
-    /// than the per-deviation trials. 0 means 2 * trials.
-    int floor_trials = 0;
     /// Lissajous periods captured and NDF-averaged per trial. Independent
     /// noise per period shrinks the noise-floor spread by sqrt(M): the
     /// production-test interpretation under which the paper's "1% under

@@ -17,4 +17,9 @@ filter::Biquad paper_biquad() {
     return filter::Biquad(d);
 }
 
+filter::TowThomasCircuit paper_tow_thomas() {
+    return filter::build_tow_thomas(
+        filter::TowThomasDesign::from_biquad(paper_biquad().design()));
+}
+
 } // namespace xysig::core

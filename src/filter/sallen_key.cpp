@@ -8,14 +8,13 @@
 
 namespace xysig::filter {
 
-SallenKeyDesign SallenKeyDesign::from_biquad(const BiquadDesign& d, double r_base) {
-    XYSIG_EXPECTS(r_base > 0.0);
+SallenKeyDesign SallenKeyDesign::from_biquad(const BiquadDesign& d) {
     XYSIG_EXPECTS(d.kind == BiquadKind::low_pass);
     // With equal R: Q = 0.5*sqrt(c1/c2) and w0 = 1/(R*sqrt(c1*c2)).
     SallenKeyDesign s;
-    s.r = r_base;
+    s.r = kBaseResistance;
     const double w0 = kTwoPi * d.f0;
-    const double c_geom = 1.0 / (w0 * r_base); // sqrt(c1*c2)
+    const double c_geom = 1.0 / (w0 * kBaseResistance); // sqrt(c1*c2)
     const double ratio = 4.0 * d.q * d.q;      // c1/c2
     s.c1 = c_geom * std::sqrt(ratio);
     s.c2 = c_geom / std::sqrt(ratio);

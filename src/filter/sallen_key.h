@@ -22,8 +22,11 @@ struct SallenKeyDesign {
     double c1 = 3.18e-9;
     double c2 = 0.8e-9;
 
+    /// Series resistance of every from_biquad realisation.
+    static constexpr double kBaseResistance = 10e3;
+
     /// Derives values for a low-pass BiquadDesign (gain is forced to 1).
-    static SallenKeyDesign from_biquad(const BiquadDesign& d, double r_base = 10e3);
+    static SallenKeyDesign from_biquad(const BiquadDesign& d);
 
     [[nodiscard]] double f0() const noexcept;
     [[nodiscard]] double q_factor() const noexcept;

@@ -8,15 +8,14 @@
 
 namespace xysig::filter {
 
-TowThomasDesign TowThomasDesign::from_biquad(const BiquadDesign& d, double r_base) {
-    XYSIG_EXPECTS(r_base > 0.0);
+TowThomasDesign TowThomasDesign::from_biquad(const BiquadDesign& d) {
     XYSIG_EXPECTS(d.kind == BiquadKind::low_pass);
     TowThomasDesign t;
-    t.r = r_base;
-    t.rq = d.q * r_base;
-    t.rin = r_base / d.gain;
-    t.rg = r_base;
-    t.c = 1.0 / (kTwoPi * d.f0 * r_base);
+    t.r = kBaseResistance;
+    t.rq = d.q * kBaseResistance;
+    t.rin = kBaseResistance / d.gain;
+    t.rg = kBaseResistance;
+    t.c = 1.0 / (kTwoPi * d.f0 * kBaseResistance);
     return t;
 }
 

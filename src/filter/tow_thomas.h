@@ -32,9 +32,12 @@ struct TowThomasDesign {
     double rg = 10e3;  ///< inverter resistors
     double c = 1.59e-9;///< integrator capacitors C1 = C2
 
-    /// Derives component values from a behavioural design, with the given
-    /// base resistance.
-    static TowThomasDesign from_biquad(const BiquadDesign& d, double r_base = 10e3);
+    /// Base resistance of every from_biquad realisation: R and Rg, and the
+    /// scale of Rq and Rin.
+    static constexpr double kBaseResistance = 10e3;
+
+    /// Derives component values from a behavioural design.
+    static TowThomasDesign from_biquad(const BiquadDesign& d);
 
     [[nodiscard]] double f0() const noexcept;
     [[nodiscard]] double q_factor() const noexcept { return rq / r; }

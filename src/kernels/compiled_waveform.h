@@ -53,10 +53,6 @@ public:
                      std::vector<double>& buffer,
                      SampleMode mode = SampleMode::exact) const;
 
-    [[nodiscard]] std::size_t tone_count() const noexcept {
-        return amplitude_.size();
-    }
-
 private:
     double offset_ = 0.0;
     // Struct-of-arrays tone table (kept separate so each per-tone pass

@@ -1,45 +1,35 @@
 #include "layout/area.h"
 
 #include <algorithm>
-#include <cmath>
-
-#include "common/contracts.h"
 
 namespace xysig::layout {
 
-AreaReport monitor_core_area(const monitor::MonitorConfig& input_config,
-                             double load_width, const DesignRules& rules, int split,
-                             std::size_t rows) {
-    XYSIG_EXPECTS(split >= 1);
-    XYSIG_EXPECTS(load_width > 0.0);
-
+AreaReport monitor_core_area(const monitor::MonitorConfig& input_config) {
     // Eight devices: M1..M4 inputs, M5..M8 loads, split into unit fingers.
     double max_unit_w = 0.0;
     for (const auto& leg : input_config.legs)
-        max_unit_w = std::max(max_unit_w, leg.width / split);
-    max_unit_w = std::max(max_unit_w, load_width / split);
+        max_unit_w = std::max(max_unit_w, leg.width / kUnitsPerDevice);
+    max_unit_w = std::max(max_unit_w, kLoadWidth / kUnitsPerDevice);
 
-    const Placement placement = common_centroid_place(8, split, rows);
+    const Placement placement = common_centroid_place(8, kUnitsPerDevice, kGridRows);
 
-    const double cell_w = max_unit_w + rules.cell_overhead_x;
-    const double cell_h = input_config.device.l + rules.cell_overhead_y;
+    const double cell_w = max_unit_w + kCellOverheadX;
+    const double cell_h = input_config.device.l + kCellOverheadY;
 
     AreaReport r;
-    r.width = static_cast<double>(placement.cols()) * cell_w + 2.0 * rules.edge_margin_x;
-    r.height = static_cast<double>(placement.rows()) * cell_h + 2.0 * rules.edge_margin_y;
+    r.width = static_cast<double>(placement.cols()) * cell_w + 2.0 * kEdgeMarginX;
+    r.height = static_cast<double>(placement.rows()) * cell_h + 2.0 * kEdgeMarginY;
     r.area = r.width * r.height;
     return r;
 }
 
-AreaReport monitor_total_area(const monitor::MonitorConfig& input_config,
-                              double load_width, const DesignRules& rules, int split,
-                              std::size_t rows) {
-    AreaReport core = monitor_core_area(input_config, load_width, rules, split, rows);
+AreaReport monitor_total_area(const monitor::MonitorConfig& input_config) {
+    AreaReport core = monitor_core_area(input_config);
     AreaReport total = core;
-    total.area += rules.output_stage_area;
+    total.area += kOutputStageArea;
     // Report the footprint as the same height with the width extended by the
     // output stage (a simple but consistent floorplan assumption).
-    total.width += rules.output_stage_area / core.height;
+    total.width += kOutputStageArea / core.height;
     return total;
 }
 

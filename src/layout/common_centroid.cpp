@@ -44,7 +44,8 @@ double Placement::centroid_error(int device) const {
     return std::sqrt(dr * dr + dc * dc);
 }
 
-bool Placement::is_common_centroid(double tol) const {
+bool Placement::is_common_centroid() const {
+    constexpr double tol = 1e-9;
     for (const int d : devices())
         if (centroid_error(d) > tol)
             return false;

@@ -27,8 +27,9 @@ public:
     /// cell pitches. Exactly 0 for a common-centroid placement.
     [[nodiscard]] double centroid_error(int device) const;
 
-    /// True when every placed device has centroid_error below tol.
-    [[nodiscard]] bool is_common_centroid(double tol = 1e-9) const;
+    /// True when every placed device has centroid_error below 1e-9 cell
+    /// pitches (rounding residue of an exactly centred placement).
+    [[nodiscard]] bool is_common_centroid() const;
 
     /// Dispersion metric: mean RMS distance of a device's units from the
     /// array centre (lower = tighter interdigitation), averaged over devices.

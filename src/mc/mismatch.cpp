@@ -6,23 +6,20 @@
 
 namespace xysig::mc {
 
-double PelgromModel::sigma_vt(double w, double l) const {
+double sigma_vt(double w, double l) {
     XYSIG_EXPECTS(w > 0.0 && l > 0.0);
-    return a_vt / std::sqrt(w * l);
+    return kAvt / std::sqrt(w * l);
 }
 
-double PelgromModel::sigma_beta_rel(double w, double l) const {
+double sigma_beta_rel(double w, double l) {
     XYSIG_EXPECTS(w > 0.0 && l > 0.0);
-    return a_beta / std::sqrt(w * l);
+    return kAbeta / std::sqrt(w * l);
 }
 
-ProcessSample sample_process(const ProcessVariation& pv, Rng& rng) {
+ProcessSample sample_process(Rng& rng) {
     ProcessSample s;
-    s.delta_vt0 = rng.normal(0.0, pv.sigma_vt0);
-    s.kp_scale = 1.0 + rng.normal(0.0, pv.sigma_kp_rel);
-    // Guard against absurd tail draws that would make kp non-physical.
-    if (s.kp_scale < 0.5)
-        s.kp_scale = 0.5;
+    s.delta_vt0 = rng.normal(0.0, kSigmaVt0);
+    s.kp_scale = 1.0 + rng.normal(0.0, kSigmaKpRel);
     return s;
 }
 

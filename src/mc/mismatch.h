@@ -10,28 +10,24 @@
 
 namespace xysig::mc {
 
-/// Pelgrom-law local mismatch: parameter spreads scale as 1/sqrt(W*L).
-/// Constants are in SI (V*m and m), i.e. A_vt = 3.5 mV*um = 3.5e-9 V*m.
-struct PelgromModel {
-    double a_vt = 3.5e-9;   ///< threshold mismatch coefficient (V*m)
-    double a_beta = 1.0e-8; ///< relative beta mismatch coefficient (m)
+// Pelgrom-law local mismatch: parameter spreads scale as 1/sqrt(W*L).
+// Constants are in SI (V*m and m), i.e. A_vt = 3.5 mV*um = 3.5e-9 V*m.
+inline constexpr double kAvt = 3.5e-9;   ///< threshold mismatch coefficient (V*m)
+inline constexpr double kAbeta = 1.0e-8; ///< relative beta mismatch coefficient (m)
 
-    /// Standard deviation of a single device's Vt deviation (V).
-    [[nodiscard]] double sigma_vt(double w, double l) const;
-    /// Standard deviation of a single device's relative kp deviation.
-    [[nodiscard]] double sigma_beta_rel(double w, double l) const;
-};
+/// Standard deviation of a single device's Vt deviation (V).
+[[nodiscard]] double sigma_vt(double w, double l);
+/// Standard deviation of a single device's relative kp deviation.
+[[nodiscard]] double sigma_beta_rel(double w, double l);
 
-/// Die-level (global) process variation applied identically to all devices
-/// of one sample.
-struct ProcessVariation {
-    double sigma_vt0 = 0.015;  ///< global Vt shift spread (V)
-    double sigma_kp_rel = 0.04;///< global kp relative spread
-    /// Comparator offset current spread (A): load mismatch + leakage
-    /// referred to the current comparison. Dominates the decision when the
-    /// input devices are in subthreshold (nA-scale currents).
-    double sigma_offset_current = 2e-9;
-};
+// Die-level (global) process variation, applied identically to all devices
+// of one sample.
+inline constexpr double kSigmaVt0 = 0.015;  ///< global Vt shift spread (V)
+inline constexpr double kSigmaKpRel = 0.04; ///< global kp relative spread
+/// Comparator offset current spread (A): load mismatch + leakage referred
+/// to the current comparison. Dominates the decision when the input
+/// devices are in subthreshold (nA-scale currents).
+inline constexpr double kSigmaOffsetCurrent = 2e-9;
 
 /// One Monte-Carlo sample of the global process state.
 struct ProcessSample {
@@ -39,7 +35,8 @@ struct ProcessSample {
     double kp_scale = 1.0;  ///< multiplies every device's kp
 };
 
-[[nodiscard]] ProcessSample sample_process(const ProcessVariation& pv, Rng& rng);
+/// Draws delta_vt0, then kp_scale.
+[[nodiscard]] ProcessSample sample_process(Rng& rng);
 
 } // namespace xysig::mc
 

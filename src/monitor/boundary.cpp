@@ -48,14 +48,13 @@ std::string LinearBoundary::fingerprint() const {
 }
 
 std::vector<CurvePoint> trace_boundary(const Boundary& boundary, double x_lo,
-                                       double x_hi, std::size_t n_x, double y_lo,
-                                       double y_hi) {
-    XYSIG_EXPECTS(x_hi > x_lo && y_hi > y_lo);
+                                       double x_hi, std::size_t n_x) {
+    XYSIG_EXPECTS(x_hi > x_lo);
     XYSIG_EXPECTS(n_x >= 2);
 
     std::vector<CurvePoint> points;
     const auto xs = linspace(x_lo, x_hi, n_x);
-    const auto ys = linspace(y_lo, y_hi, kTraceYScan);
+    const auto ys = linspace(kPlaneLo, kPlaneHi, kTraceYScan);
     for (const double x : xs) {
         double prev = boundary.h(x, ys[0]);
         for (std::size_t j = 1; j < ys.size(); ++j) {

@@ -16,6 +16,11 @@
 
 namespace xysig::monitor {
 
+/// The plane the monitors divide: the paper's Fig. 4/6 axes, 0 to 1 V on
+/// x and on y. ZoneMap rasterises it and trace_boundary scans y over it.
+inline constexpr double kPlaneLo = 0.0;
+inline constexpr double kPlaneHi = 1.0;
+
 /// A point of a traced control curve.
 struct CurvePoint {
     double x;
@@ -73,14 +78,14 @@ private:
     double a_, b_, c_;
 };
 
-/// Traces the control curve of a boundary inside a window: for each of n_x
-/// columns, every y root of h(x, .) found by a sign scan over 256 evenly
-/// spaced y samples plus bisection is returned. Multi-branch curves simply
-/// produce several points per column.
+/// Traces the control curve of a boundary over the columns [x_lo, x_hi] of
+/// the plane: for each of n_x columns, every y root of h(x, .) found by a
+/// sign scan over 256 evenly spaced y samples from kPlaneLo to kPlaneHi
+/// plus bisection is returned. Multi-branch curves simply produce several
+/// points per column.
 [[nodiscard]] std::vector<CurvePoint> trace_boundary(const Boundary& boundary,
                                                      double x_lo, double x_hi,
-                                                     std::size_t n_x, double y_lo,
-                                                     double y_hi);
+                                                     std::size_t n_x);
 
 } // namespace xysig::monitor
 

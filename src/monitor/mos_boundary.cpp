@@ -4,6 +4,7 @@
 
 #include "common/contracts.h"
 #include "common/strings.h"
+#include "mc/mismatch.h"
 
 namespace xysig::monitor {
 
@@ -103,18 +104,16 @@ double MosCurrentBoundary::h(double x, double y) const {
     return orientation_ * current_difference(x, y);
 }
 
-MonitorConfig perturb_monitor(const MonitorConfig& config,
-                              const mc::PelgromModel& mismatch,
-                              const mc::ProcessVariation& process, Rng& rng) {
+MonitorConfig perturb_monitor(const MonitorConfig& config, Rng& rng) {
     MonitorConfig out = config;
-    const mc::ProcessSample ps = mc::sample_process(process, rng);
+    const mc::ProcessSample ps = mc::sample_process(rng);
     for (auto& leg : out.legs) {
-        const double sigma_vt = mismatch.sigma_vt(leg.width, config.device.l);
-        const double sigma_beta = mismatch.sigma_beta_rel(leg.width, config.device.l);
+        const double sigma_vt = mc::sigma_vt(leg.width, config.device.l);
+        const double sigma_beta = mc::sigma_beta_rel(leg.width, config.device.l);
         leg.vt0_delta += ps.delta_vt0 + rng.normal(0.0, sigma_vt);
         leg.kp_scale *= ps.kp_scale * (1.0 + rng.normal(0.0, sigma_beta));
     }
-    out.offset_current += rng.normal(0.0, process.sigma_offset_current);
+    out.offset_current += rng.normal(0.0, mc::kSigmaOffsetCurrent);
     return out;
 }
 

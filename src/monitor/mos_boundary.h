@@ -17,7 +17,6 @@
 #include <string>
 
 #include "common/rng.h"
-#include "mc/mismatch.h"
 #include "monitor/boundary.h"
 #include "spice/mosfet.h"
 
@@ -88,11 +87,9 @@ private:
 };
 
 /// Applies one Monte-Carlo draw of global process variation plus per-leg
-/// Pelgrom mismatch to a monitor configuration.
-[[nodiscard]] MonitorConfig perturb_monitor(const MonitorConfig& config,
-                                            const mc::PelgromModel& mismatch,
-                                            const mc::ProcessVariation& process,
-                                            Rng& rng);
+/// Pelgrom mismatch and a comparator offset current (the mc/mismatch.h
+/// models) to a monitor configuration.
+[[nodiscard]] MonitorConfig perturb_monitor(const MonitorConfig& config, Rng& rng);
 
 } // namespace xysig::monitor
 

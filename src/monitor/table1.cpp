@@ -81,7 +81,7 @@ MonitorBank build_linear_approximation_bank() {
     MonitorBank bank;
     for (int row = 1; row <= 6; ++row) {
         const MosCurrentBoundary nonlinear(table1_config(row));
-        const auto pts = trace_boundary(nonlinear, 0.0, 1.0, 64, 0.0, 1.0);
+        const auto pts = trace_boundary(nonlinear, kPlaneLo, kPlaneHi, 64);
         XYSIG_ASSERT(pts.size() >= 2);
         std::vector<double> xs, ys;
         xs.reserve(pts.size());

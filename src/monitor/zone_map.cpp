@@ -8,14 +8,11 @@
 
 namespace xysig::monitor {
 
-ZoneMap::ZoneMap(const MonitorBank& bank, double x_lo, double x_hi, double y_lo,
-                 double y_hi, std::size_t resolution)
-    : x_lo_(x_lo), x_hi_(x_hi), y_lo_(y_lo), y_hi_(y_hi), resolution_(resolution) {
-    XYSIG_EXPECTS(x_hi > x_lo && y_hi > y_lo);
+ZoneMap::ZoneMap(const MonitorBank& bank, std::size_t resolution)
+    : resolution_(resolution) {
     XYSIG_EXPECTS(resolution >= 8);
 
-    const double dx = (x_hi_ - x_lo_) / static_cast<double>(resolution_);
-    const double dy = (y_hi_ - y_lo_) / static_cast<double>(resolution_);
+    const double cell = (kPlaneHi - kPlaneLo) / static_cast<double>(resolution_);
     grid_.resize(resolution_ * resolution_);
 
     struct Acc {
@@ -26,9 +23,9 @@ ZoneMap::ZoneMap(const MonitorBank& bank, double x_lo, double x_hi, double y_lo,
     std::map<unsigned, Acc> acc;
 
     for (std::size_t j = 0; j < resolution_; ++j) {
-        const double y = y_lo_ + (static_cast<double>(j) + 0.5) * dy;
+        const double y = kPlaneLo + (static_cast<double>(j) + 0.5) * cell;
         for (std::size_t i = 0; i < resolution_; ++i) {
-            const double x = x_lo_ + (static_cast<double>(i) + 0.5) * dx;
+            const double x = kPlaneLo + (static_cast<double>(i) + 0.5) * cell;
             const unsigned code = bank.code(x, y);
             grid_[j * resolution_ + i] = code;
             Acc& a = acc[code];
@@ -81,8 +78,8 @@ const Zone& ZoneMap::zone(unsigned code) const {
 }
 
 unsigned ZoneMap::code_at(double x, double y) const {
-    const double fx = (x - x_lo_) / (x_hi_ - x_lo_);
-    const double fy = (y - y_lo_) / (y_hi_ - y_lo_);
+    const double fx = (x - kPlaneLo) / (kPlaneHi - kPlaneLo);
+    const double fy = (y - kPlaneLo) / (kPlaneHi - kPlaneLo);
     XYSIG_EXPECTS(fx >= 0.0 && fx <= 1.0 && fy >= 0.0 && fy <= 1.0);
     const auto i = std::min(resolution_ - 1,
                             static_cast<std::size_t>(fx * static_cast<double>(resolution_)));

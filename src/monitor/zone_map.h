@@ -2,10 +2,11 @@
 #define XYSIG_MONITOR_ZONE_MAP_H
 
 /// \file zone_map.h
-/// Enumeration of the zones a monitor bank induces on a plane window, with
-/// the adjacency structure between zones. Reproduces Fig. 6's codified map
-/// and checks the paper's claim that neighbouring zones differ in exactly
-/// one bit (each generic boundary crossing flips one monitor).
+/// Enumeration of the zones a monitor bank induces on the plane (kPlaneLo to
+/// kPlaneHi on both axes, boundary.h), with the adjacency structure between
+/// zones. Reproduces Fig. 6's codified map and checks the paper's claim
+/// that neighbouring zones differ in exactly one bit (each generic boundary
+/// crossing flips one monitor).
 
 #include <map>
 #include <set>
@@ -23,12 +24,12 @@ struct Zone {
     double rep_y = 0.0;
 };
 
-/// Rasterised zone map over a rectangular window.
+/// Rasterised zone map over the plane.
 class ZoneMap {
 public:
-    /// Samples the bank on a resolution x resolution grid of cell centres.
-    ZoneMap(const MonitorBank& bank, double x_lo, double x_hi, double y_lo,
-            double y_hi, std::size_t resolution = 256);
+    /// Samples the bank on a resolution x resolution grid of cell centres;
+    /// resolution >= 8.
+    ZoneMap(const MonitorBank& bank, std::size_t resolution);
 
     /// Zones sorted by code.
     [[nodiscard]] const std::vector<Zone>& zones() const noexcept { return zones_; }
@@ -53,7 +54,6 @@ public:
     [[nodiscard]] unsigned code_at(double x, double y) const;
 
 private:
-    double x_lo_, x_hi_, y_lo_, y_hi_;
     std::size_t resolution_;
     std::vector<unsigned> grid_; // row-major, row = y index
     std::vector<Zone> zones_;

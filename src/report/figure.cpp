@@ -24,13 +24,13 @@ void Figure::add_series(Series series) {
     series_.push_back(std::move(series));
 }
 
-void Figure::print(std::ostream& out, bool with_ascii_plot) const {
+void Figure::print(std::ostream& out) const {
     out << "=== [" << id_ << "] " << title_ << " ===\n";
     for (const auto& s : series_) {
         out << "-- series: " << s.name << " --\n";
         CsvWriter::write_series(out, x_label_, s.xs, y_label_ + ":" + s.name, s.ys);
     }
-    if (!with_ascii_plot || series_.empty())
+    if (series_.empty())
         return;
 
     double x_lo = series_.front().xs.front(), x_hi = x_lo;

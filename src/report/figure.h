@@ -32,7 +32,7 @@ public:
 
     /// Prints header, one CSV block per series, and a combined ASCII plot
     /// (each series gets its own glyph: 1-9, a-z).
-    void print(std::ostream& out, bool with_ascii_plot = true) const;
+    void print(std::ostream& out) const;
 
 private:
     std::string id_;

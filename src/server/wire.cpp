@@ -12,7 +12,6 @@
 #include "core/golden_cache.h"
 #include "core/paper_setup.h"
 #include "core/trace_cache.h"
-#include "filter/tow_thomas.h"
 #include "monitor/table1.h"
 #include "server/fd_io.h"
 #include "server/job_cache.h"
@@ -118,8 +117,7 @@ WireJob parse_wire_job(const JsonValue& v) {
             wire.universe_key += format_double_exact(wire.deviations[i]);
         }
     } else if (kind == "spice_faults") {
-        auto circuit = filter::build_tow_thomas(filter::TowThomasDesign::from_biquad(
-            core::paper_biquad().design(), 10e3));
+        auto circuit = core::paper_tow_thomas();
         capture::FaultUniverseOptions fopts;
         fopts.bridge_resistance = v.number_or("bridge_resistance", 100.0);
         if (!(fopts.bridge_resistance > 0.0))

@@ -27,7 +27,6 @@ public:
     [[nodiscard]] std::span<const double> frequencies() const noexcept {
         return freq_hz_;
     }
-    [[nodiscard]] std::size_t point_count() const noexcept { return freq_hz_.size(); }
 
     [[nodiscard]] std::complex<double> voltage(NodeId node, std::size_t point) const;
     [[nodiscard]] std::complex<double> voltage(const std::string& node,

@@ -57,7 +57,6 @@ TEST(TextTable, AlignsColumns) {
     EXPECT_NE(out.find("f0"), std::string::npos);
     // Header underline present.
     EXPECT_NE(out.find("-----"), std::string::npos);
-    EXPECT_EQ(t.row_count(), 2u);
 }
 
 TEST(TextTable, RowArityEnforced) {

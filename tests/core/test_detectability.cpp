@@ -7,6 +7,7 @@
 #include "core/detectability.h"
 #include "core/paper_setup.h"
 #include "monitor/table1.h"
+#include "support/pin.h"
 
 namespace xysig::core {
 namespace {
@@ -55,6 +56,30 @@ TEST(Detectability, NoiseFloorIsSmallAndPositive) {
     EXPECT_GT(study.noise_floor_mean, 0.0);
     EXPECT_LT(study.noise_floor_mean, 0.04);
     EXPECT_GE(study.threshold, study.noise_floor_mean);
+}
+
+TEST(Detectability, SmallStudyIsPinned) {
+    // Threshold, floor and per-deviation statistics of a cheap study, bit
+    // for bit: the percentile, the floor-trial count and the decision rate
+    // all feed these.
+    PipelineOptions popts;
+    popts.samples_per_period = 256;
+    SignaturePipeline pipe(monitor::build_table1_bank(), paper_stimulus(), popts);
+    DetectabilityOptions opts;
+    opts.trials = 4;
+    opts.noise_sigma = 0.005;
+    opts.periods_averaged = 2;
+    const std::vector<double> devs = {1.0, 5.0};
+    const auto study = noise_detectability(pipe, paper_biquad(), devs, opts, 2024);
+    EXPECT_EQ(bits_of(study.threshold), 0x3fa0dc28f5c28f50ULL);
+    EXPECT_EQ(bits_of(study.noise_floor_mean), 0x3f973ffffffffff7ULL);
+    ASSERT_EQ(study.points.size(), 2u);
+    EXPECT_EQ(bits_of(study.points[0].ndf_mean), 0x3f9a7ffffffffffaULL);
+    EXPECT_EQ(bits_of(study.points[0].detection_rate), bits_of(0.25));
+    EXPECT_FALSE(study.points[0].detected);
+    EXPECT_EQ(bits_of(study.points[1].ndf_mean), 0x3fadbffffffffffcULL);
+    EXPECT_EQ(bits_of(study.points[1].detection_rate), bits_of(1.0));
+    EXPECT_TRUE(study.points[1].detected);
 }
 
 TEST(Detectability, MinimumDetectableReported) {

@@ -26,11 +26,6 @@
 namespace xysig::core {
 namespace {
 
-filter::TowThomasCircuit nominal_circuit() {
-    return filter::build_tow_thomas(
-        filter::TowThomasDesign::from_biquad(paper_biquad().design(), 10e3));
-}
-
 SpiceObservation observation(const filter::TowThomasCircuit& ckt) {
     return {ckt.input_source, ckt.input_node, ckt.lp_node,
             /*settle_periods=*/2};
@@ -79,7 +74,7 @@ std::vector<capture::NetlistFault> small_universe(const spice::Netlist& nl) {
 }
 
 TEST(FaultEnumeration, BridgingCoversEveryNonGroundNodePair) {
-    const auto ckt = nominal_circuit();
+    const auto ckt = paper_tow_thomas();
     const auto faults = capture::enumerate_bridging_faults(ckt.netlist);
     // n non-ground nodes -> n*(n-1)/2 unordered pairs.
     const std::size_t n = ckt.netlist.node_count() - 1;
@@ -97,7 +92,7 @@ TEST(FaultEnumeration, BridgingCoversEveryNonGroundNodePair) {
 }
 
 TEST(FaultEnumeration, OpensCoverEveryResistorAndCapacitor) {
-    const auto ckt = nominal_circuit();
+    const auto ckt = paper_tow_thomas();
     const auto faults = capture::enumerate_open_faults(ckt.netlist);
     std::size_t rc_count = 0;
     for (const auto& dev : ckt.netlist.devices())
@@ -109,7 +104,7 @@ TEST(FaultEnumeration, OpensCoverEveryResistorAndCapacitor) {
 }
 
 TEST(ApplyFault, LeavesNominalUntouchedAndInjectsIntoClone) {
-    const auto ckt = nominal_circuit();
+    const auto ckt = paper_tow_thomas();
     const double r2_before = ckt.netlist.get<spice::Resistor>("R2").resistance();
 
     capture::NetlistFault open;
@@ -134,7 +129,7 @@ TEST(ApplyFault, LeavesNominalUntouchedAndInjectsIntoClone) {
 }
 
 TEST(ApplyFault, OpenOnUnsupportedDeviceThrows) {
-    const auto ckt = nominal_circuit();
+    const auto ckt = paper_tow_thomas();
     capture::NetlistFault bad;
     bad.kind = capture::NetlistFault::Kind::open;
     bad.device = "A1"; // an opamp, not an R/C
@@ -143,7 +138,7 @@ TEST(ApplyFault, OpenOnUnsupportedDeviceThrows) {
 }
 
 TEST(SpiceBatch, BatchMatchesSerialBitIdenticallyAtAnyThreadCount) {
-    const auto ckt = nominal_circuit();
+    const auto ckt = paper_tow_thomas();
     const auto obs = observation(ckt);
     SignaturePipeline pipe = make_pipeline();
     pipe.set_golden(filter::SpiceCut(
@@ -171,7 +166,7 @@ TEST(SpiceBatch, BatchMatchesSerialBitIdenticallyAtAnyThreadCount) {
 }
 
 TEST(SpiceBatch, FaultUniverseOnAPoolMatchesManualUniverseAndDetects) {
-    const auto ckt = nominal_circuit();
+    const auto ckt = paper_tow_thomas();
     const auto obs = observation(ckt);
     SignaturePipeline pipe = make_pipeline();
     pipe.set_golden(filter::SpiceCut(
@@ -211,7 +206,7 @@ TEST(SpiceBatch, FaultUniverseOnAPoolMatchesManualUniverseAndDetects) {
 }
 
 TEST(SpiceBatch, GoldenSpiceCutHasZeroNdfAgainstItself) {
-    const auto ckt = nominal_circuit();
+    const auto ckt = paper_tow_thomas();
     const auto obs = observation(ckt);
     SignaturePipeline pipe = make_pipeline();
     filter::SpiceCut golden(

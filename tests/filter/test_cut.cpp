@@ -21,11 +21,6 @@
 namespace xysig::filter {
 namespace {
 
-TowThomasCircuit paper_tow_thomas() {
-    return build_tow_thomas(
-        TowThomasDesign::from_biquad(core::paper_biquad().design(), 10e3));
-}
-
 /// The wire's default fault universe: every bridge, then every open.
 std::vector<capture::NetlistFault> default_faults(const spice::Netlist& nominal) {
     const capture::FaultUniverseOptions fopts;
@@ -73,8 +68,7 @@ TEST(SpiceCut, TowThomasMatchesBehaviouralBiquad) {
     // The central cross-validation: the netlist CUT simulated by our SPICE
     // engine must produce the same Lissajous as the exact behavioural path.
     const Biquad bq = core::paper_biquad();
-    TowThomasCircuit ckt =
-        build_tow_thomas(TowThomasDesign::from_biquad(bq.design(), 10e3));
+    TowThomasCircuit ckt = core::paper_tow_thomas();
     SpiceCut spice_cut(ckt.netlist, ckt.input_source, ckt.input_node, ckt.lp_node,
                        /*settle_periods=*/10);
     const BehaviouralCut fast_cut(bq);
@@ -99,8 +93,7 @@ TEST(SpiceCut, RejectsTooFewSettlePeriods) {
 }
 
 TEST(SpiceCut, RespondIntoBitIdenticalToRespondAndRepeatable) {
-    TowThomasCircuit ckt = build_tow_thomas(
-        TowThomasDesign::from_biquad(core::paper_biquad().design(), 10e3));
+    TowThomasCircuit ckt = core::paper_tow_thomas();
     const SpiceCut cut(ckt.netlist, ckt.input_source, ckt.input_node,
                        ckt.lp_node, /*settle_periods=*/2);
     const MultitoneWaveform stim = core::paper_stimulus();
@@ -127,7 +120,7 @@ TEST(SpiceCut, ObservedPeriodIsTheLastPeriodOfTheFullTrajectory) {
     // of the same run over a clone.
     constexpr std::size_t kSpp = 256;
     constexpr std::size_t kSettle = 2;
-    const TowThomasCircuit ckt = paper_tow_thomas();
+    const TowThomasCircuit ckt = core::paper_tow_thomas();
     const MultitoneWaveform stim = core::paper_stimulus();
     const capture::NetlistFault bridge = default_faults(ckt.netlist).front();
     ASSERT_EQ(bridge.kind, capture::NetlistFault::Kind::bridging);
@@ -172,7 +165,7 @@ TEST(SpiceCut, SettlePeriodsAtIntMaxFailsAsNumericError) {
     // DC operating point under the stimulus fails as a NumericError (a NaN
     // member on the wire) however long it would have settled, not as a
     // contract violation on a wrapped-around stop time.
-    const TowThomasCircuit ckt = paper_tow_thomas();
+    const TowThomasCircuit ckt = core::paper_tow_thomas();
     const auto faults = default_faults(ckt.netlist);
     ASSERT_GT(faults.size(), 22u);
     ASSERT_EQ(faults[22].description(), "open(Rf,x1e+06)");
@@ -193,8 +186,7 @@ TEST(SpiceCut, SettlePeriodsAtIntMaxFailsAsNumericError) {
 }
 
 TEST(SpiceCut, OwningConstructorMatchesReferenceForm) {
-    TowThomasCircuit ckt = build_tow_thomas(
-        TowThomasDesign::from_biquad(core::paper_biquad().design(), 10e3));
+    TowThomasCircuit ckt = core::paper_tow_thomas();
     const SpiceCut by_ref(ckt.netlist, ckt.input_source, ckt.input_node,
                           ckt.lp_node, /*settle_periods=*/2);
     const SpiceCut owning(

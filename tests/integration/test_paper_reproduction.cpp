@@ -1,5 +1,7 @@
-// Integration tests asserting the paper's published anchors end to end.
-// These are the claims EXPERIMENTS.md reports against.
+// Integration tests asserting the paper's published anchors end to end:
+// the stimulus and biquad calibration anchors core/paper_setup.h lists,
+// the Fig. 6 zone count, the Fig. 8 sweep shape and the Section IV-C noise
+// claim.
 
 #include <cmath>
 
@@ -23,7 +25,7 @@ TEST(PaperReproduction, LissajousPeriodIs200us) {
 
 TEST(PaperReproduction, Fig6SixteenGrayCodedZones) {
     const monitor::MonitorBank bank = monitor::build_table1_bank();
-    const monitor::ZoneMap zm(bank, 0.0, 1.0, 0.0, 1.0, 256);
+    const monitor::ZoneMap zm(bank, 256);
     EXPECT_EQ(zm.zone_count(), 16u);
     EXPECT_LT(zm.gray_violation_fraction(), 0.02);
 }
@@ -94,8 +96,7 @@ TEST(PaperReproduction, TowThomasCircuitGivesSameVerdictAsBehavioural) {
                                  core::paper_stimulus(), opts);
     pipe.set_golden(filter::BehaviouralCut(core::paper_biquad()));
 
-    filter::TowThomasCircuit ckt = filter::build_tow_thomas(
-        filter::TowThomasDesign::from_biquad(core::paper_biquad().design(), 10e3));
+    filter::TowThomasCircuit ckt = core::paper_tow_thomas();
     ckt.inject_f0_shift(0.10);
     filter::SpiceCut spice_cut(ckt.netlist, ckt.input_source, ckt.input_node,
                                ckt.lp_node, 10);

@@ -6,6 +6,7 @@
 #include "layout/area.h"
 #include "layout/common_centroid.h"
 #include "monitor/table1.h"
+#include "support/pin.h"
 
 namespace xysig::layout {
 namespace {
@@ -85,7 +86,7 @@ TEST(CommonCentroid, DispersionBeatsClumpedPlacement) {
 TEST(AreaModel, CoreMatchesPaperDimensions) {
     // Paper Fig. 3: 53.54 um^2 core, 11.64 um x 4.6 um.
     const auto cfg = monitor::table1_config(1); // the wide-device config
-    const AreaReport core = monitor_core_area(cfg, 2e-6);
+    const AreaReport core = monitor_core_area(cfg);
     EXPECT_NEAR(core.area_um2(), 53.54, 0.15 * 53.54);
     EXPECT_NEAR(core.width_um(), 11.64, 0.15 * 11.64);
     EXPECT_NEAR(core.height_um(), 4.6, 0.15 * 4.6);
@@ -93,23 +94,31 @@ TEST(AreaModel, CoreMatchesPaperDimensions) {
 
 TEST(AreaModel, TotalMatchesPaperWithOutputStage) {
     const auto cfg = monitor::table1_config(1);
-    const AreaReport total = monitor_total_area(cfg, 2e-6);
+    const AreaReport total = monitor_total_area(cfg);
     EXPECT_NEAR(total.area * 1e12, 116.1, 0.15 * 116.1);
+}
+
+TEST(AreaModel, Fig3MonitorAreasArePinned) {
+    // The calibrated model's output for Fig. 3's monitor (Table I row 1),
+    // bit for bit.
+    const auto cfg = monitor::table1_config(1);
+    const AreaReport core = monitor_core_area(cfg);
+    const AreaReport total = monitor_total_area(cfg);
+    EXPECT_EQ(bits_of(core.width), 0x3ee8692d6b1d2f66ULL);  // 11.64 um
+    EXPECT_EQ(bits_of(core.height), 0x3ed34b365f379dfcULL); // 4.6 um
+    EXPECT_EQ(bits_of(core.area), 0x3dcd6fa5e85762daULL);   // 53.544 um^2
+    EXPECT_EQ(bits_of(total.width), 0x3efa774f97c2d4d2ULL); // 25.24 um
+    EXPECT_EQ(bits_of(total.height), 0x3ed34b365f379dfcULL);
+    EXPECT_EQ(bits_of(total.area), 0x3ddfea17b97bc63aULL);  // 116.104 um^2
 }
 
 TEST(AreaModel, AreaGrowsWithDeviceWidth) {
     auto cfg = monitor::table1_config(1);
-    const AreaReport base = monitor_core_area(cfg, 2e-6);
+    const AreaReport base = monitor_core_area(cfg);
     for (auto& leg : cfg.legs)
         leg.width *= 2.0;
-    const AreaReport bigger = monitor_core_area(cfg, 2e-6);
+    const AreaReport bigger = monitor_core_area(cfg);
     EXPECT_GT(bigger.area, base.area);
-}
-
-TEST(AreaModel, RejectsInvalidParameters) {
-    const auto cfg = monitor::table1_config(1);
-    EXPECT_THROW((void)monitor_core_area(cfg, 0.0), ContractError);
-    EXPECT_THROW((void)monitor_core_area(cfg, 2e-6, {}, 0), ContractError);
 }
 
 } // namespace

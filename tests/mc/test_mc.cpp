@@ -41,37 +41,17 @@ TEST(RunMonteCarlo, SamplesAreIndependentStreams) {
 }
 
 TEST(Pelgrom, SigmaScalesInverseSqrtArea) {
-    const PelgromModel m;
-    const double s1 = m.sigma_vt(1e-6, 180e-9);
-    const double s4 = m.sigma_vt(4e-6, 180e-9); // 4x area
+    const double s1 = sigma_vt(1e-6, 180e-9);
+    const double s4 = sigma_vt(4e-6, 180e-9); // 4x area
     EXPECT_NEAR(s1 / s4, 2.0, 1e-12);
     EXPECT_GT(s1, 0.0);
 }
 
 TEST(Pelgrom, MagnitudeIsMillivoltsFor65nmDevices) {
-    const PelgromModel m;
     // W = 1.8 um, L = 180 nm: sigma(Vt) should be single-digit mV.
-    const double s = m.sigma_vt(1.8e-6, 180e-9);
+    const double s = sigma_vt(1.8e-6, 180e-9);
     EXPECT_GT(s, 1e-3);
     EXPECT_LT(s, 20e-3);
-}
-
-TEST(ProcessSample, ZeroSpreadIsIdentity) {
-    ProcessVariation pv;
-    pv.sigma_vt0 = 0.0;
-    pv.sigma_kp_rel = 0.0;
-    Rng rng(1);
-    const ProcessSample s = sample_process(pv, rng);
-    EXPECT_DOUBLE_EQ(s.delta_vt0, 0.0);
-    EXPECT_DOUBLE_EQ(s.kp_scale, 1.0);
-}
-
-TEST(ProcessSample, KpScaleGuarded) {
-    ProcessVariation pv;
-    pv.sigma_kp_rel = 10.0; // absurd spread to hit the guard
-    Rng rng(3);
-    for (int i = 0; i < 100; ++i)
-        EXPECT_GE(sample_process(pv, rng).kp_scale, 0.5);
 }
 
 TEST(Envelope, PercentilesAreOrdered) {

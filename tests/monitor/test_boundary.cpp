@@ -3,10 +3,13 @@
 #include "monitor/boundary.h"
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/error.h"
+#include "monitor/table1.h"
+#include "support/pin.h"
 
 namespace xysig::monitor {
 namespace {
@@ -39,7 +42,7 @@ TEST(LinearBoundary, DegenerateLineRejected) {
 
 TEST(TraceBoundary, RecoversStraightLine) {
     const LinearBoundary b(1.0, 1.0, -1.0); // x + y = 1
-    const auto pts = trace_boundary(b, 0.0, 1.0, 11, 0.0, 1.0);
+    const auto pts = trace_boundary(b, 0.0, 1.0, 11);
     ASSERT_GE(pts.size(), 9u);
     for (const auto& p : pts)
         EXPECT_NEAR(p.x + p.y, 1.0, 1e-6);
@@ -59,7 +62,7 @@ TEST(TraceBoundary, FindsMultipleBranches) {
         }
     };
     const TwoBranch b;
-    const auto pts = trace_boundary(b, 0.0, 1.0, 5, 0.0, 1.0);
+    const auto pts = trace_boundary(b, 0.0, 1.0, 5);
     // Two roots per column.
     EXPECT_EQ(pts.size(), 10u);
     for (const auto& p : pts)
@@ -68,13 +71,24 @@ TEST(TraceBoundary, FindsMultipleBranches) {
 
 TEST(TraceBoundary, EmptyWhenNoCrossing) {
     const LinearBoundary b(1.0, 1.0, -10.0); // far outside the window
-    const auto pts = trace_boundary(b, 0.0, 1.0, 5, 0.0, 1.0);
+    const auto pts = trace_boundary(b, 0.0, 1.0, 5);
     EXPECT_TRUE(pts.empty());
+}
+
+TEST(TraceBoundary, Table1CurveOneIsPinned) {
+    // Every traced point of Table I curve 1 over 21 columns, bit for bit.
+    const MosCurrentBoundary b(table1_config(1));
+    const auto pts = trace_boundary(b, 0.0, 1.0, 21);
+    std::vector<double> xy;
+    for (const CurvePoint& p : pts)
+        xy.insert(xy.end(), {p.x, p.y});
+    EXPECT_EQ(pts.size(), 22u);
+    EXPECT_EQ(fnv1a64(xy), 0xba172ebd26b10410ULL);
 }
 
 TEST(TraceBoundary, RejectsBadWindow) {
     const LinearBoundary b(1.0, 1.0, -1.0);
-    EXPECT_THROW((void)trace_boundary(b, 1.0, 0.0, 5, 0.0, 1.0), ContractError);
+    EXPECT_THROW((void)trace_boundary(b, 1.0, 0.0, 5), ContractError);
 }
 
 } // namespace

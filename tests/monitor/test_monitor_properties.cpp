@@ -44,14 +44,14 @@ TEST_P(MonitorCorners, OriginZoneIsAllZeros) {
 
 TEST_P(MonitorCorners, GrayPropertyHolds) {
     const MonitorBank bank = this->bank();
-    const ZoneMap zm(bank, 0.0, 1.0, 0.0, 1.0, 128);
+    const ZoneMap zm(bank, 128);
     EXPECT_LT(zm.gray_violation_fraction(), 0.03) << GetParam().name;
 }
 
 TEST_P(MonitorCorners, ZoneCountStaysNearSixteen) {
     // Corner shifts move the curves but must not collapse the partition.
     const MonitorBank bank = this->bank();
-    const ZoneMap zm(bank, 0.0, 1.0, 0.0, 1.0, 128);
+    const ZoneMap zm(bank, 128);
     EXPECT_GE(zm.zone_count(), 12u) << GetParam().name;
     EXPECT_LE(zm.zone_count(), 20u) << GetParam().name;
 }

@@ -15,7 +15,7 @@ TEST(Figure, PrintsCsvBlocksPerSeries) {
     fig.add_series({"golden", {0.0, 10.0}, {0.0, 0.1}});
     fig.add_series({"noisy", {0.0, 10.0}, {0.002, 0.11}});
     std::ostringstream os;
-    fig.print(os, /*with_ascii_plot=*/false);
+    fig.print(os);
     const std::string out = os.str();
     EXPECT_NE(out.find("[fig8]"), std::string::npos);
     EXPECT_NE(out.find("series: golden"), std::string::npos);
@@ -28,7 +28,7 @@ TEST(Figure, AsciiPlotListsGlyphLegend) {
     Figure fig("fig1", "Lissajous", "x", "y");
     fig.add_series({"golden", {0.0, 0.5, 1.0}, {0.0, 1.0, 0.0}});
     std::ostringstream os;
-    fig.print(os, /*with_ascii_plot=*/true);
+    fig.print(os);
     EXPECT_NE(os.str().find("glyph '1' = golden"), std::string::npos);
 }
 

@@ -21,7 +21,6 @@
 #include "core/golden_cache.h"
 #include "core/paper_setup.h"
 #include "filter/cut.h"
-#include "filter/tow_thomas.h"
 #include "support/server_helpers.h"
 
 namespace xysig::server {
@@ -128,8 +127,7 @@ TEST(SweepService, ExplicitCutListMatchesBatchEvaluate) {
 }
 
 TEST(SweepService, SpiceUniverseOneClonePerWorkerAndBitIdenticalToBatch) {
-    const auto circuit = filter::build_tow_thomas(
-        filter::TowThomasDesign::from_biquad(core::paper_biquad().design(), 10e3));
+    const auto circuit = core::paper_tow_thomas();
     const core::SpiceObservation obs{circuit.input_source, circuit.input_node,
                                      circuit.lp_node, /*settle_periods=*/2};
     capture::FaultUniverseOptions fopts;
@@ -292,8 +290,7 @@ TEST(SweepService, JobPipelinePinsTheModeAndInstallsTheGolden) {
 }
 
 TEST(SweepService, WorkerFaultInjectionErrorPropagates) {
-    const auto circuit = filter::build_tow_thomas(
-        filter::TowThomasDesign::from_biquad(core::paper_biquad().design(), 10e3));
+    const auto circuit = core::paper_tow_thomas();
     const core::SpiceObservation obs{circuit.input_source, circuit.input_node,
                                      circuit.lp_node, 2};
     capture::NetlistFault bogus;

@@ -35,7 +35,7 @@ TEST(Ac, RcLowPassMagnitudeAndPhase) {
     opts.points_per_decade = 10;
     const auto res = run_ac(nl, opts);
 
-    for (std::size_t i = 0; i < res.point_count(); ++i) {
+    for (std::size_t i = 0; i < res.frequencies().size(); ++i) {
         const double f = res.frequencies()[i];
         const std::complex<double> expected =
             1.0 / std::complex<double>(1.0, f / fc);
@@ -68,7 +68,7 @@ TEST(Ac, RlcSeriesResonancePeak) {
     // Capacitor voltage peaks near f0 with magnitude ~ Q.
     double peak = 0.0;
     double f_peak = 0.0;
-    for (std::size_t i = 0; i < res.point_count(); ++i) {
+    for (std::size_t i = 0; i < res.frequencies().size(); ++i) {
         const double m = std::abs(res.voltage("out", i));
         if (m > peak) {
             peak = m;
@@ -94,7 +94,7 @@ TEST(Ac, OpampInvertingAmpIsFlat) {
     opts.f_stop = 1e6;
     opts.points_per_decade = 5;
     const auto res = run_ac(nl, opts);
-    for (std::size_t i = 0; i < res.point_count(); ++i) {
+    for (std::size_t i = 0; i < res.frequencies().size(); ++i) {
         EXPECT_NEAR(std::abs(res.voltage("out", i)), 5.0, 1e-6);
         EXPECT_NEAR(std::abs(std::arg(res.voltage("out", i))), kPi, 1e-6);
     }
@@ -144,7 +144,7 @@ TEST(Ac, MagnitudePhaseHelpers) {
     const auto res = run_ac(nl, opts);
     const auto mags = res.magnitude("out");
     const auto phases = res.phase("out");
-    ASSERT_EQ(mags.size(), res.point_count());
+    ASSERT_EQ(mags.size(), res.frequencies().size());
     for (std::size_t i = 0; i < mags.size(); ++i) {
         EXPECT_NEAR(mags[i], 1.0, 1e-9); // divider halves the 2 V drive
         EXPECT_NEAR(phases[i], 0.0, 1e-9);
@@ -187,9 +187,9 @@ TEST(Ac, EveryDeviceKindLinearisesAtTheOperatingPoint) {
     opts.f_stop = 1e6;
     opts.points_per_decade = 1;
     const auto res = run_ac(nl, opts);
-    ASSERT_EQ(res.point_count(), 4u);
+    ASSERT_EQ(res.frequencies().size(), 4u);
     const std::complex<double> j(0.0, 1.0);
-    for (std::size_t i = 0; i < res.point_count(); ++i) {
+    for (std::size_t i = 0; i < res.frequencies().size(); ++i) {
         SCOPED_TRACE(res.frequencies()[i]);
         const double omega = kTwoPi * res.frequencies()[i];
         const std::complex<double> vin = res.voltage(in, i);

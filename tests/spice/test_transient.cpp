@@ -192,8 +192,7 @@ TEST(Transient, RejectsBadTimeWindow) {
 
 /// The paper's Tow-Thomas biquad driven by the paper stimulus.
 filter::TowThomasCircuit tow_thomas() {
-    filter::TowThomasCircuit ckt = filter::build_tow_thomas(
-        filter::TowThomasDesign::from_biquad(core::paper_biquad().design(), 10e3));
+    filter::TowThomasCircuit ckt = core::paper_tow_thomas();
     ckt.netlist.get<VoltageSource>(ckt.input_source)
         .set_waveform(core::paper_stimulus());
     return ckt;
